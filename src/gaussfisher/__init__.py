@@ -61,6 +61,7 @@ from .qfi import (
 from .cavity import (
     CavityScenario,
     OverlapSeries,
+    QuadratureError,
     RindlerOverlaps,
     cavity_series,
     compose_one_segment,

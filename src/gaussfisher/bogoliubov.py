@@ -14,7 +14,7 @@ mode ladder at ``n_max`` turns the identities into measured residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,9 +44,13 @@ def coefficients_from_block(block: np.ndarray) -> tuple[complex, complex]:
 
 
 def _assemble(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Real 2n x 2n matrix from complex n x n coefficient matrices."""
-    n = alpha.shape[0]
-    s = np.empty((2 * n, 2 * n))
+    """Real 2r x 2n matrix from complex r x n coefficient matrices.
+
+    With ``r = n`` this is the whole channel; with ``r`` selected rows it is
+    the block rows of those output modes.
+    """
+    r, n = alpha.shape
+    s = np.empty((2 * r, 2 * n))
     d = alpha - beta
     u = alpha + beta
     s[0::2, 0::2] = d.real
@@ -182,6 +186,9 @@ class BogoliubovSeries:
     alpha2: np.ndarray
     beta1: np.ndarray
     beta2: np.ndarray
+    #: perturbative truncation residuals already derived from the read-only
+    #: matrices, keyed by the probed modes
+    _residual_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.G, dtype=complex).reshape(-1)
@@ -236,24 +243,30 @@ class BogoliubovSeries:
         ``modes`` given (1-based), the norms are restricted to the submatrix
         of those modes, which is the defect feeding the probed-mode physics;
         unrestricted norms are dominated by the edge of the mode ladder.
+        Only that submatrix is computed: ``O(m^2 n)`` for ``m`` modes.
         """
-        g = np.diag(self.G)
-        r1a = g @ self.alpha1.conj().T + self.alpha1 @ g.conj().T
-        r1b = g @ self.beta1.T - (g @ self.beta1.T).T
+        idx = np.arange(self.n_max) if modes is None else np.array([k - 1 for k in modes])
+        sub = np.ix_(idx, idx)
+        # diag(G) acts by broadcasting: (diag(G) M)_ij = G_i M_ij
+        gi = self.G[idx][:, None]
+        gj = np.conj(self.G[idx])[None, :]
+        a1, b1 = self.alpha1[idx], self.beta1[idx]
+        a1_pp, b1_pp = a1[:, idx], b1[:, idx]
+        r1a = gi * a1_pp.conj().T + a1_pp * gj
+        gb1 = gi * b1_pp.T
+        r1b = gb1 - gb1.T
+        # the spectator sums only need the probed rows of the first orders
         r2a = (
-            g @ self.alpha2.conj().T
-            + self.alpha2 @ g.conj().T
-            + self.alpha1 @ self.alpha1.conj().T
-            - self.beta1 @ self.beta1.conj().T
+            gi * self.alpha2[sub].conj().T
+            + self.alpha2[sub] * gj
+            + a1 @ a1.conj().T
+            - b1 @ b1.conj().T
         )
-        m = g @ self.beta2.T + self.alpha1 @ self.beta1.T
+        m = gi * self.beta2[sub].T + a1 @ b1.T
         r2b = m - m.T
 
         def norm(mat: np.ndarray) -> float:
-            if modes is None:
-                return float(np.max(np.abs(mat)))
-            idx = np.array([k - 1 for k in modes])
-            return float(np.max(np.abs(mat[np.ix_(idx, idx)])))
+            return float(np.max(np.abs(mat)))
 
         return max(norm(r1a), norm(r1b)), max(norm(r2a), norm(r2b))
 
@@ -284,7 +297,9 @@ def covariance_series(
 
     ``input_state`` lives on the probed modes only (all other modes vacuum).
     The coefficients are exact polynomials of the series matrices; no
-    numerical differentiation is involved.
+    numerical differentiation is involved. Only the ``2m`` probed rows of
+    ``S0``, ``S1`` and ``S2`` are assembled, so the cost is ``O(m^2 n)``
+    rather than the ``O(n^3)`` of the full ``S Sigma_in S^T``.
     """
     modes = tuple(modes)
     if len(set(modes)) != len(modes):
@@ -295,20 +310,27 @@ def covariance_series(
         if not 1 <= k <= series.n_max:
             raise ValueError(f"mode index {k} out of range 1..{series.n_max}")
 
-    n = series.n_max
-    s0, s1, s2 = series.symplectic_orders()
-    sigma_in = np.eye(2 * n)
-    x_in = np.zeros(2 * n)
+    # only the block rows of the probed modes are ever needed
+    rows = np.array(modes) - 1
+    zeros = np.zeros((len(modes), series.n_max), dtype=complex)
+    s0 = _assemble(np.diag(series.G)[rows], zeros)
+    s1 = _assemble(series.alpha1[rows], series.beta1[rows])
+    s2 = _assemble(series.alpha2[rows], series.beta2[rows])
     idx = np.concatenate([[2 * (k - 1), 2 * k - 1] for k in modes]).astype(int)
-    sigma_in[np.ix_(idx, idx)] = input_state.covariance
-    x_in[idx] = input_state.first_moments
+    excess = input_state.covariance - np.eye(2 * len(modes))
+    x_in = input_state.first_moments
 
-    red = lambda m: m[np.ix_(idx, idx)]
-    sigma0 = red(s0 @ sigma_in @ s0.T)
-    sigma1 = red(s1 @ sigma_in @ s0.T + s0 @ sigma_in @ s1.T)
-    sigma2 = red(s2 @ sigma_in @ s0.T + s0 @ sigma_in @ s2.T + s1 @ sigma_in @ s1.T)
-    mean0 = (s0 @ x_in)[idx]
-    mean1 = (s1 @ x_in)[idx]
+    def sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # rows of a Sigma_in b^T with Sigma_in = I + P (Sigma_pp - I) P^T
+        return a @ b.T + a[:, idx] @ excess @ b[:, idx].T
+
+    sigma0 = sandwich(s0, s0)
+    cross1 = sandwich(s1, s0)
+    sigma1 = cross1 + cross1.T
+    cross2 = sandwich(s2, s0)
+    sigma2 = cross2 + cross2.T + sandwich(s1, s1)
+    mean0 = s0[:, idx] @ x_in
+    mean1 = s1[:, idx] @ x_in
     return CovarianceSeries(sigma0, sigma1, sigma2, mean0, mean1)
 
 

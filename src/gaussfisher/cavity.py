@@ -18,6 +18,7 @@ absolute frequencies.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -30,6 +31,10 @@ DEFAULT_H_LADDER = (0.00125, 0.0025, 0.005, 0.01, 0.02, 0.04)
 #: quadrature escalation schedule and convergence target per matrix entry
 QUADRATURE_ORDERS = (64, 128, 256, 512)
 QUADRATURE_TOL = 1e-10
+
+
+class QuadratureError(RuntimeError):
+    """The overlap quadrature did not converge within ``QUADRATURE_ORDERS``."""
 
 
 @dataclass(frozen=True)
@@ -111,6 +116,22 @@ def proper_frequency(n: int, h: float, length: float) -> float:
     return n * np.pi * h / (2.0 * length * np.arctanh(h / 2.0))
 
 
+@functools.lru_cache(maxsize=len(QUADRATURE_ORDERS))
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]; every ladder
+    quadrature reuses the same few orders."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _max_fit_residual(n_max: int) -> float:
+    # raw coefficients grow with the mode index, and so does the part of the
+    # ladder data the polynomial cannot represent
+    return 1e-7 * max(1.0, (n_max / 10.0) ** 2)
+
+
 def _overlaps_at_order(length: float, h: float, n_max: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Overlap matrices by fixed-order Gauss-Legendre quadrature.
 
@@ -128,7 +149,7 @@ def _overlaps_at_order(length: float, h: float, n_max: int, order: int) -> tuple
     x_l = length / h - length / 2.0
     x_r = length / h + length / 2.0
     big_d = np.log(x_r / x_l)
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gauss_legendre(order)
     x = 0.5 * (x_r - x_l) * nodes + 0.5 * (x_r + x_l)
     w = 0.5 * (x_r - x_l) * weights
 
@@ -148,7 +169,8 @@ def _overlaps_at_order(length: float, h: float, n_max: int, order: int) -> tuple
 
 def rindler_overlaps(length: float, h: float, n_max: int, tol: float = QUADRATURE_TOL) -> RindlerOverlaps:
     """Overlap matrices at finite ``h`` with quadrature order escalated until
-    every entry is stable to ``tol``."""
+    every entry is stable to ``tol``; raises :class:`QuadratureError` when the
+    largest order in ``QUADRATURE_ORDERS`` is not enough."""
     if not 0.0 < h < 2.0:
         raise ValueError("h must lie in (0, 2): wall positions require h < 2")
     prev = None
@@ -159,7 +181,7 @@ def rindler_overlaps(length: float, h: float, n_max: int, tol: float = QUADRATUR
             if change < tol:
                 return RindlerOverlaps(n_max, h, alpha, beta, order)
         prev = (alpha, beta)
-    raise RuntimeError(
+    raise QuadratureError(
         f"quadrature did not converge to {tol:g} at order {QUADRATURE_ORDERS[-1]}"
     )
 
@@ -216,9 +238,7 @@ def perturbative_overlaps(
     if h.size < fit_degree + 1:
         raise ValueError("h ladder must have more points than the fit degree")
     if max_fit_residual is None:
-        # raw coefficients grow with the mode index, and so does the part of
-        # the ladder data the polynomial cannot represent
-        max_fit_residual = 1e-7 * max(1.0, (n_max / 10.0) ** 2)
+        max_fit_residual = _max_fit_residual(n_max)
     alphas, betas = [], []
     for hv in h:
         ov = rindler_overlaps(length, hv, n_max)
@@ -339,7 +359,11 @@ def load_or_compute_overlap_series(
     cache_dir: str | None = None,
     h_ladder=DEFAULT_H_LADDER,
 ) -> OverlapSeries:
-    """Overlap series with the ladder quadratures served from the cache."""
+    """Overlap series with the ladder quadratures served from the cache.
+
+    The fit is held to the same residual bound as :func:`perturbative_overlaps`,
+    so a damaged cache file is refused rather than fitted.
+    """
     if cache_dir is None:
         return perturbative_overlaps(length, n_max, h_ladder)
     h = np.asarray(sorted(h_ladder), dtype=float)
@@ -348,4 +372,4 @@ def load_or_compute_overlap_series(
         ov = load_or_compute_overlaps(length, float(hv), n_max, cache_dir)
         alphas.append(ov.alpha - np.eye(n_max))
         betas.append(ov.beta)
-    return _fit_overlap_series(h, alphas, betas, n_max, 4, None)
+    return _fit_overlap_series(h, alphas, betas, n_max, 4, _max_fit_residual(n_max))

@@ -24,6 +24,7 @@ from .bogoliubov import series_from_csv
 from .cavity import (
     DEFAULT_H_LADDER,
     CavityScenario,
+    QuadratureError,
     load_or_compute_overlaps,
 )
 from .sweeps import (
@@ -181,12 +182,17 @@ def load_channel(args):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = read_config(args.config) if args.config else {}
-        scenario = scenario_from(args, config)
-        channel = load_channel(args)
-    except (ValueError, OSError) as exc:
+        return _run(args)
+    except (QuadratureError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _run(args) -> int:
+    """Execute a parsed command; bad input raises, a failed check returns 1."""
+    config = read_config(args.config) if args.config else {}
+    scenario = scenario_from(args, config)
+    channel = load_channel(args)
 
     if args.command == "sweep":
         grid = None
@@ -206,12 +212,7 @@ def main(argv=None) -> int:
         )
         if grid is not None:
             spec_kwargs["grid"] = grid
-        try:
-            spec = SweepSpec(**spec_kwargs)
-            rows = run_sweep(spec, cache_dir=args.cache)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        rows = run_sweep(SweepSpec(**spec_kwargs), cache_dir=args.cache)
         emit(rows_to_csv(rows), args.out)
         return 0
 
@@ -226,22 +227,14 @@ def main(argv=None) -> int:
             methods=("perturbative", "oracle"),
             channel=channel,
         )
-        try:
-            report = compare_methods(spec, h_ladder=ladder, cache_dir=args.cache)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        report = compare_methods(spec, h_ladder=ladder, cache_dir=args.cache)
         emit(comparison_to_csv(report), args.out)
         for family, slope in report.slopes.items():
             print(f"slope {family}: {slope:.3f}", file=sys.stderr)
         return 0 if report.passed() else 1
 
     if args.command == "validate":
-        try:
-            report = validate(scenario, channel=channel, seed=args.seed, cache_dir=args.cache)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        report = validate(scenario, channel=channel, seed=args.seed, cache_dir=args.cache)
         text = "\n".join(report.lines()) + "\n"
         emit(text, args.out)
         if args.out is not None:
@@ -250,8 +243,7 @@ def main(argv=None) -> int:
 
     if args.command == "overlaps":
         if args.cache is None:
-            print("error: overlaps requires --cache", file=sys.stderr)
-            return 2
+            raise ValueError("overlaps requires --cache")
         ladder = (
             tuple(float(tok) for tok in args.ladder.split(","))
             if args.ladder

@@ -184,13 +184,10 @@ def _c2_single_mode_explicit(series: BogoliubovSeries, k: int, r: float) -> floa
         + 2.0 * np.cosh(2 * r) * (at.imag**2 + bt.imag**2)
         - 4.0 * np.sinh(2 * r) * at.imag * bt.imag
     )
-    term4 = 0.0
-    for n in range(series.n_max):
-        if n == i:
-            continue
-        a1, b1 = series.alpha1[i, n], series.beta1[i, n]
-        term4 += 2.0 * np.cosh(r) * (abs(a1) ** 2 + abs(b1) ** 2)
-        term4 += 4.0 * np.sinh(r) * (np.conj(g) ** 2 * a1 * b1).real
+    spectators = np.arange(series.n_max) != i
+    a1, b1 = series.alpha1[i, spectators], series.beta1[i, spectators]
+    term4 = 2.0 * np.cosh(r) * np.sum(np.abs(a1) ** 2 + np.abs(b1) ** 2)
+    term4 += 4.0 * np.sinh(r) * np.sum((np.conj(g) ** 2 * a1 * b1).real)
     det_sigma1 = 4.0 * n11 * n22 - (n12 * np.exp(-r) + n21 * np.exp(r)) ** 2
     delta2 = term12 + term3 + term4 + 0.5 * det_sigma1
     return float(delta2 / 4.0)
@@ -252,10 +249,18 @@ def c2_two_mode_product(series: BogoliubovSeries, k: int, k_prime: int, r: float
 
 def _perturbative_residual(series: BogoliubovSeries, probe_modes) -> float:
     """Truncation estimate: spectator-sum tail plus the channel-identity
-    defect seen by the probed modes."""
-    tail = f_sums(series, probe_modes, probe_modes).tail
-    _, second = series.unitarity_residuals(modes=probe_modes)
-    return max(tail, second)
+    defect seen by the probed modes.
+
+    It depends on the series and the mode set only, so it is memoized on the
+    series: probe families on the same modes share one evaluation.
+    """
+    key = tuple(probe_modes)
+    memo = series._residual_memo
+    if key not in memo:
+        tail = f_sums(series, key, key).tail
+        _, second = series.unitarity_residuals(modes=key)
+        memo[key] = max(tail, second)
+    return memo[key]
 
 
 def qfi_single_mode(series: BogoliubovSeries, k: int, r: float, delta: float) -> QfiResult:

@@ -14,7 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bogoliubov import BogoliubovSeries, symplectic_from_bogoliubov
-from .cavity import CavityScenario, compose_one_segment, load_or_compute_overlap_series
+from .cavity import (
+    CavityScenario,
+    _max_fit_residual,
+    compose_one_segment,
+    load_or_compute_overlap_series,
+)
 from .fidelity import fidelity
 from .qfi import (
     energy_matched_params,
@@ -333,7 +338,7 @@ def validate(
     series = compose_one_segment(overlaps, scenario.u)
     probes = (scenario.k, scenario.k_prime)
 
-    add("overlap series: fit residual", overlaps.fit_residual, 1e-7 * max(1.0, (scenario.n_max / 10.0) ** 2))
+    add("overlap series: fit residual", overlaps.fit_residual, _max_fit_residual(scenario.n_max))
     add(
         "composed series: diagonal first order",
         max(np.max(np.abs(np.diag(series.alpha1))), np.max(np.abs(np.diag(series.beta1)))),

@@ -2,7 +2,60 @@ import numpy as np
 import pytest
 
 from gaussfisher.cavity import compose_one_segment, perturbative_overlaps, rindler_overlaps
-from gaussfisher.bogoliubov import block_from_coefficients, synthetic_unitary_series
+from gaussfisher.bogoliubov import (
+    CovarianceSeries,
+    block_from_coefficients,
+    synthetic_unitary_series,
+)
+from gaussfisher.states import embed_state
+
+
+def full_covariance_series(series, modes, input_state):
+    """Reference covariance orders from the full ``2n x 2n`` products.
+
+    Embeds the probe in the vacuum of all other modes, forms
+    ``S_i Sigma_in S_j^T`` with the whole symplectic orders and reduces to the
+    probed block rows and columns; ``O(n^3)`` per call.
+    """
+    s0, s1, s2 = series.symplectic_orders()
+    full = embed_state(series.n_max, tuple(modes), input_state)
+    sigma_in, x_in = full.covariance, full.first_moments
+    idx = np.concatenate([[2 * (k - 1), 2 * k - 1] for k in modes]).astype(int)
+
+    def red(m):
+        return m[np.ix_(idx, idx)]
+
+    return CovarianceSeries(
+        red(s0 @ sigma_in @ s0.T),
+        red(s1 @ sigma_in @ s0.T + s0 @ sigma_in @ s1.T),
+        red(s2 @ sigma_in @ s0.T + s0 @ sigma_in @ s2.T + s1 @ sigma_in @ s1.T),
+        (s0 @ x_in)[idx],
+        (s1 @ x_in)[idx],
+    )
+
+
+def full_unitarity_residuals(series, modes=None):
+    """Reference order-by-order identity defects from full ``n x n`` products,
+    restricted to the probed modes afterwards."""
+    g = np.diag(series.G)
+    r1a = g @ series.alpha1.conj().T + series.alpha1 @ g.conj().T
+    r1b = g @ series.beta1.T - (g @ series.beta1.T).T
+    r2a = (
+        g @ series.alpha2.conj().T
+        + series.alpha2 @ g.conj().T
+        + series.alpha1 @ series.alpha1.conj().T
+        - series.beta1 @ series.beta1.conj().T
+    )
+    m = g @ series.beta2.T + series.alpha1 @ series.beta1.T
+    r2b = m - m.T
+
+    def norm(mat):
+        if modes is not None:
+            idx = np.array([k - 1 for k in modes])
+            mat = mat[np.ix_(idx, idx)]
+        return float(np.max(np.abs(mat)))
+
+    return max(norm(r1a), norm(r1b)), max(norm(r2a), norm(r2b))
 
 
 def sigma_orders_from_blocks(series, k, k_prime, psi_k, psi_kp, phi):

@@ -4,7 +4,9 @@ import pytest
 from conftest import alpha1_closed_form, beta1_closed_form
 from gaussfisher.bogoliubov import BogoliubovSeries
 from gaussfisher.cavity import (
+    QUADRATURE_ORDERS,
     CavityScenario,
+    QuadratureError,
     cavity_series,
     compose_one_segment,
     load_or_compute_overlap_series,
@@ -13,6 +15,7 @@ from gaussfisher.cavity import (
     perturbative_overlaps,
     proper_frequency,
     rindler_overlaps,
+    _gauss_legendre,
     _overlaps_at_order,
 )
 
@@ -216,6 +219,40 @@ def test_overlap_cache_roundtrip(tmp_path):
     series_direct = perturbative_overlaps(1.0, 6)
     series_cached = load_or_compute_overlap_series(1.0, 6, cache)
     assert np.allclose(series_direct.alpha1, series_cached.alpha1, atol=1e-14)
+
+
+def test_cached_series_enforces_fit_bound(tmp_path):
+    cache = tmp_path / "cache"
+    load_or_compute_overlap_series(1.0, 6, str(cache))
+    # damage one entry of one cached ladder file
+    path = sorted(cache.iterdir())[2]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    comp, m, n, value = lines[2].split(",")
+    lines[2] = ",".join((comp, m, n, repr(float(value) + 1e-4)))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="fit residual"):
+        load_or_compute_overlap_series(1.0, 6, str(cache))
+
+
+def test_quadrature_nodes_memoized(monkeypatch):
+    first = rindler_overlaps(1.0, 0.05, 5)  # warms every order it tries
+    nodes, weights = _gauss_legendre(QUADRATURE_ORDERS[0])
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    assert np.isclose(np.sum(weights), 2.0)
+    assert _gauss_legendre.cache_info().maxsize == len(QUADRATURE_ORDERS)
+
+    def refuse(order):
+        raise AssertionError("Gauss-Legendre nodes recomputed")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    again = rindler_overlaps(1.0, 0.05, 5)
+    assert np.array_equal(first.alpha, again.alpha)
+
+
+def test_quadrature_failure_is_typed():
+    with pytest.raises(QuadratureError):
+        rindler_overlaps(1.0, 0.04, 150)
+    assert issubclass(QuadratureError, RuntimeError)
 
 
 def test_cavity_series_from_scenario(tmp_path):

@@ -176,6 +176,32 @@ def test_c2_single_mode_dual_path_agreement(rng):
         assert abs(master - explicit) <= 1e-9 * max(1.0, abs(master))
 
 
+def test_c2_single_mode_explicit_spectator_sum_matches_loop(rng):
+    # the spectator sum of the coefficient form is vectorized; the per-mode
+    # loop it replaced is the reference
+    from gaussfisher.qfi import _c2_single_mode_explicit
+
+    for _ in range(20):
+        series = synthetic_unitary_series(5, rng, strength=0.3)
+        k = int(rng.integers(1, 6))
+        r = float(rng.uniform(-1.0, 1.5))
+        i, g = k - 1, series.G[k - 1]
+        loop = 0.0
+        for n in range(series.n_max):
+            if n == i:
+                continue
+            a1, b1 = series.alpha1[i, n], series.beta1[i, n]
+            loop += 2.0 * np.cosh(r) * (abs(a1) ** 2 + abs(b1) ** 2)
+            loop += 4.0 * np.sinh(r) * (np.conj(g) ** 2 * a1 * b1).real
+        # zeroing the spectator entries of row k removes exactly that sum
+        a1z, b1z = series.alpha1.copy(), series.beta1.copy()
+        a1z[i, np.arange(series.n_max) != i] = 0.0
+        b1z[i, np.arange(series.n_max) != i] = 0.0
+        stripped = BogoliubovSeries(series.n_max, series.G, a1z, series.alpha2, b1z, series.beta2)
+        diff = _c2_single_mode_explicit(series, k, r) - _c2_single_mode_explicit(stripped, k, r)
+        assert abs(diff - loop / 4.0) <= 1e-12 * max(1.0, abs(loop))
+
+
 def test_c2_literature_forms_documented(unitary_series, unitary_series_diagfree):
     # the quoted coefficient forms deviate from the validated trace form at
     # finite squeezing; at r = 0 the product form coincides exactly

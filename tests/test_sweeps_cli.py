@@ -262,3 +262,18 @@ def test_cli_overlaps_cache_builder(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "cached" in out
     assert main(["overlaps", "--nmax", "5"]) == 2  # cache dir required
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--nmax", "150", "--grid", "0.3"],
+        ["overlaps", "--nmax", "150", "--cache", "{cache}"],
+    ],
+)
+def test_cli_quadrature_failure_exits_2(tmp_path, capsys, argv):
+    argv = [a.replace("{cache}", str(tmp_path / "cache")) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: quadrature did not converge")
+    assert err.count("\n") == 1 and "Traceback" not in err
