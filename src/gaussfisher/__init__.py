@@ -24,7 +24,6 @@ from .bogoliubov import (
     block_from_coefficients,
     coefficients_from_block,
     covariance_series,
-    evaluate_series,
     matrices_from_csv,
     matrices_to_csv,
     reduced_covariance_single,
@@ -40,12 +39,6 @@ from .qfi import (
     FSums,
     QfiResult,
     c2_from_orders,
-    c2_single_mode,
-    c2_two_mode_general,
-    c2_two_mode_product,
-    channel_family,
-    e2_single_mode,
-    e2_two_mode,
     energy_budget,
     energy_matched_params,
     f_sums,
@@ -54,9 +47,6 @@ from .qfi import (
     probe_state,
     qfi_oracle,
     qfi_perturbative,
-    qfi_single_mode,
-    qfi_two_mode_product,
-    qfi_two_mode_squeezed,
 )
 from .cavity import (
     CavityScenario,

@@ -271,11 +271,6 @@ class BogoliubovSeries:
         return max(norm(r1a), norm(r1b)), max(norm(r2a), norm(r2b))
 
 
-def evaluate_series(series: BogoliubovSeries, theta: float) -> BogoliubovMatrices:
-    """Functional alias for :meth:`BogoliubovSeries.evaluate`."""
-    return series.evaluate(theta)
-
-
 @dataclass(frozen=True)
 class CovarianceSeries:
     """Order-by-order reduced covariance and first moments of probed modes."""
@@ -462,19 +457,50 @@ def series_to_csv(series: BogoliubovSeries) -> str:
 
 
 def series_from_csv(text: str) -> BogoliubovSeries:
-    """Parse the output of :func:`series_to_csv`."""
-    rows = [line.split(",") for line in text.strip().splitlines()[1:] if line.strip()]
-    n_max = max(int(r[1]) for r in rows)
+    """Parse the output of :func:`series_to_csv`.
+
+    ``n_max`` is the largest row index. Every ``g`` row (``m == n``) and every
+    matrix entry must appear exactly once, with indices in ``1..n_max`` and
+    finite values; anything else raises ``ValueError`` naming the line.
+    """
+    names = ("alpha1", "alpha2", "beta1", "beta2")
+    rows = []
+    lines = [(ln, line) for ln, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    for ln, line in lines[1:]:
+        fields = line.split(",")
+        try:
+            if len(fields) != 5:
+                raise ValueError("expected component,m,n,re,im")
+            comp, m, n, re, im = fields
+            rows.append((ln, comp, int(m), int(n), complex(float(re), float(im))))
+        except ValueError as exc:
+            raise ValueError(f"channel line {ln}: {exc}") from None
+    if not rows:
+        raise ValueError("channel file has no coefficient rows")
+    n_max = max(row[2] for row in rows)
     g = np.ones(n_max, dtype=complex)
-    mats = {name: np.zeros((n_max, n_max), dtype=complex) for name in ("alpha1", "alpha2", "beta1", "beta2")}
-    for comp, m, n, re, im in rows:
-        value = complex(float(re), float(im))
+    mats = {name: np.zeros((n_max, n_max), dtype=complex) for name in names}
+    seen = set()
+    for ln, comp, m, n, value in rows:
+        if comp != "g" and comp not in mats:
+            raise ValueError(f"channel line {ln}: unknown component {comp!r}")
+        if not (1 <= m <= n_max and 1 <= n <= n_max) or (comp == "g" and m != n):
+            raise ValueError(f"channel line {ln}: {comp} index ({m}, {n}) out of range for n_max {n_max}")
+        if not np.isfinite(value):
+            raise ValueError(f"channel line {ln}: non-finite value")
+        if (comp, m, n) in seen:
+            raise ValueError(f"channel line {ln}: duplicate {comp} entry ({m}, {n})")
+        seen.add((comp, m, n))
         if comp == "g":
-            g[int(m) - 1] = value
-        elif comp in mats:
-            mats[comp][int(m) - 1, int(n) - 1] = value
+            g[m - 1] = value
         else:
-            raise ValueError(f"unknown component {comp!r}")
+            mats[comp][m - 1, n - 1] = value
+    expected = [("g", k, k) for k in range(1, n_max + 1)]
+    expected += [(c, m, n) for c in names for m in range(1, n_max + 1) for n in range(1, n_max + 1)]
+    missing = [key for key in expected if key not in seen]
+    if missing:
+        comp, m, n = missing[0]
+        raise ValueError(f"channel file lacks {len(missing)} entries, first {comp} ({m}, {n})")
     return BogoliubovSeries(n_max, g, mats["alpha1"], mats["alpha2"], mats["beta1"], mats["beta2"])
 
 

@@ -25,6 +25,7 @@ from .qfi import (
     energy_matched_params,
     negativity_first_order,
     probe_family,
+    probe_state,
     qfi_oracle,
     qfi_perturbative,
 )
@@ -84,6 +85,20 @@ class SweepSpec:
             family, self.photons, self.scenario.k, self.scenario.k_prime, x
         )
 
+    def probes(self) -> list[tuple]:
+        """``(family, r, delta, state, modes)`` for each requested family.
+
+        The probe state lives on the first ``state.n_modes`` of the
+        scenario's modes ``(k, k_prime)``.
+        """
+        out = []
+        for family in self.families:
+            r, delta = self.params_for(family)
+            state = probe_state(family, r, delta)
+            modes = (self.scenario.k, self.scenario.k_prime)[: state.n_modes]
+            out.append((family, r, delta, state, modes))
+        return out
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -127,7 +142,7 @@ def run_sweep(spec: SweepSpec, cache_dir: str | None = None) -> list[SweepRow]:
     output.
     """
     sc = spec.scenario
-    modes_two = (sc.k, sc.k_prime)
+    probes = spec.probes()
     if spec.channel is None:
         overlaps = load_or_compute_overlap_series(sc.length, sc.n_max, cache_dir)
     rows = []
@@ -137,18 +152,16 @@ def run_sweep(spec: SweepSpec, cache_dir: str | None = None) -> list[SweepRow]:
         else:
             series, theta = compose_one_segment(overlaps, float(g)), sc.h
         neg = negativity_first_order(series, sc.k, sc.k_prime)
-        for family in spec.families:
-            modes = (sc.k,) if family == "single_squeezed_displaced" else modes_two
-            r, delta = spec.params_for(family)
+        for family, r, delta, state, modes in probes:
             pert = e2 = c2 = res_p = None
             orc = res_o = None
             trunc = np.nan
             if "perturbative" in spec.methods:
-                result = qfi_perturbative(series, family, modes, r, delta)
+                result = qfi_perturbative(series, modes, state)
                 pert, e2, c2, res_p = result.value, result.e2, result.c2, result.residual
                 trunc = result.residual
             if "oracle" in spec.methods:
-                fam = probe_family(series, family, modes, r, delta)
+                fam = probe_family(series, modes, state)
                 steps = spec.oracle_steps or (theta / 10.0, theta / 30.0, theta / 100.0)
                 result = qfi_oracle(fam, theta, steps=steps)
                 orc, res_o = result.value, result.residual
@@ -231,11 +244,9 @@ def compare_methods(
         overlaps = load_or_compute_overlap_series(sc.length, sc.n_max, cache_dir)
         series = compose_one_segment(overlaps, float(u))
     rows, slopes = [], {}
-    for family in spec.families:
-        modes = (sc.k,) if family == "single_squeezed_displaced" else (sc.k, sc.k_prime)
-        r, delta = spec.params_for(family)
-        pert = qfi_perturbative(series, family, modes, r, delta).value
-        fam = probe_family(series, family, modes, r, delta)
+    for family, _, _, state, modes in spec.probes():
+        pert = qfi_perturbative(series, modes, state).value
+        fam = probe_family(series, modes, state)
         devs = []
         for h in h_ladder:
             orc = qfi_oracle(fam, float(h), steps=(h / 5.0, h / 15.0, h / 45.0)).value

@@ -18,19 +18,14 @@ from gaussfisher.bogoliubov import (
 from gaussfisher.cavity import compose_one_segment, rindler_overlaps
 from gaussfisher.fidelity import fidelity, fidelity_one_mode, fidelity_two_mode
 from gaussfisher.qfi import (
-    c2_two_mode_general,
-    c2_two_mode_product,
-    e2_single_mode,
-    e2_two_mode,
+    c2_from_orders,
     energy_matched_params,
     f_sums,
     negativity_first_order,
     probe_family,
+    probe_state,
     qfi_oracle,
     qfi_perturbative,
-    qfi_single_mode,
-    qfi_two_mode_product,
-    qfi_two_mode_squeezed,
 )
 from gaussfisher.states import random_mixed_state
 
@@ -40,6 +35,8 @@ from gaussfisher.states import random_mixed_state
 ORDER_TOL = 1e-7
 
 U_GRID = tuple(np.round(np.arange(0.0, 1.0001, 0.01), 10))
+
+SINGLE, PRODUCT, TMS = "single_squeezed_displaced", "two_product_squeezed_displaced", "two_mode_squeezed"
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -190,8 +187,9 @@ def test_criterion_3_dual_path_agreement(overlap_series_10):
         ("two_product_squeezed_displaced", (1, 2)),
         ("two_mode_squeezed", (1, 2)),
     ):
-        pert = qfi_perturbative(series, family_name, modes, 1.0, 0.0)
-        fam = probe_family(series, family_name, modes, 1.0, 0.0)
+        state = probe_state(family_name, 1.0, 0.0)
+        pert = qfi_perturbative(series, modes, state)
+        fam = probe_family(series, modes, state)
         devs = []
         for h in ladder:
             orc = qfi_oracle(fam, h, steps=(h / 5, h / 15, h / 45))
@@ -213,7 +211,7 @@ def test_criterion_4_vacuum_limit_identities(cavity_series_u03):
     # formula level: exact channels satisfy the identities to machine precision
     series = synthetic_unitary_series(6, np.random.default_rng(40), zero_diagonal=True)
     k, kp = 1, 3
-    h1 = qfi_single_mode(series, k, 0.0, 0.0).value
+    h1 = qfi_perturbative(series, (k,), probe_state(SINGLE, 0.0, 0.0)).value
     gap_h1 = abs(h1 - 8.0 * float(f_sums(series, (k,), (k,)).f_beta[0]))
     sums = f_sums(series, (k, kp), (k, kp))
     rhs = (
@@ -221,23 +219,23 @@ def test_criterion_4_vacuum_limit_identities(cavity_series_u03):
         + 8.0 * float(sums.f_beta[1])
         + 4.0 * negativity_first_order(series, k, kp) ** 2
     )
-    h2 = qfi_two_mode_product(series, k, kp, 0.0, 0.0).value
-    h3 = qfi_two_mode_squeezed(series, k, kp, 0.0).value
+    h2 = qfi_perturbative(series, (k, kp), probe_state(PRODUCT, 0.0, 0.0)).value
+    h3 = qfi_perturbative(series, (k, kp), probe_state(TMS, 0.0, 0.0)).value
     gap_h2 = max(abs(h2 - rhs), abs(h3 - rhs), abs(h2 - h3))
     # displacement terms vanish identically at delta = 0
     e_zero = max(
-        abs(e2_single_mode(series, k, 0.9, 0.0)),
-        abs(e2_two_mode(series, k, kp, 0.9, 0.0)),
+        abs(qfi_perturbative(series, (k,), probe_state(SINGLE, 0.9, 0.0)).e2),
+        abs(qfi_perturbative(series, (k, kp), probe_state(PRODUCT, 0.9, 0.0)).e2),
     )
     # the cavity channel has no single-mode displacement response at all
     e_cavity = max(
-        abs(e2_single_mode(cavity_series_u03, 1, r, delta))
+        abs(qfi_perturbative(cavity_series_u03, (1,), probe_state(SINGLE, r, delta)).e2)
         for r in (0.0, 0.7, 1.4)
         for delta in (0.0, 0.8, 2.0)
     )
     # on the truncated cavity ladder the same identities hold within the
     # spectator tail beyond n_max (measured ~1e-6 absolute at n_max = 10)
-    cav_h1 = qfi_single_mode(cavity_series_u03, 1, 0.0, 0.0).value
+    cav_h1 = qfi_perturbative(cavity_series_u03, (1,), probe_state(SINGLE, 0.0, 0.0)).value
     cav_gap = abs(cav_h1 - 8.0 * float(f_sums(cavity_series_u03, (1,), (1,)).f_beta[0]))
     ok = gap_h1 <= 1e-12 and gap_h2 <= 1e-12 and e_zero == 0.0 and e_cavity <= 1e-16 and cav_gap <= 5e-5
     report(
@@ -259,15 +257,15 @@ def test_criterion_5_specialization_chain():
         r = float(rng.uniform(0.0, 1.2))
         psi = np.diag([np.exp(r), np.exp(-r)])
         s0, s1, s2 = sigma_orders_from_blocks(series, 1, 3, psi, psi, np.zeros((2, 2)))
-        block = c2_two_mode_general(s0, s1, s2)
-        master = c2_two_mode_product(series, 1, 3, r)
+        block = c2_from_orders(s0, s1, s2)
+        master = qfi_perturbative(series, (1, 3), probe_state(PRODUCT, r, 0.0)).c2
         worst_product = max(worst_product, abs(block - master) / max(1.0, abs(master)))
         ch, sh = np.cosh(r), np.sinh(r)
         s0, s1, s2 = sigma_orders_from_blocks(
             series, 1, 3, ch * np.eye(2), ch * np.eye(2), np.diag([sh, -sh])
         )
-        block = 4.0 * c2_two_mode_general(s0, s1, s2)
-        master = qfi_two_mode_squeezed(series, 1, 3, r).value
+        block = 4.0 * c2_from_orders(s0, s1, s2)
+        master = qfi_perturbative(series, (1, 3), probe_state(TMS, r, 0.0)).value
         worst_tms = max(worst_tms, abs(block - master) / max(1.0, abs(master)))
     ok = worst_product <= 1e-9 and worst_tms <= 1e-9
     report(
@@ -316,10 +314,11 @@ def test_criterion_7_product_vs_single_minimum_periodicity(deep_sweep, overlap_s
     u_min = float(us[window][np.argmin(deep_sweep["product"][window])])
     min_ok = abs(u_min - 0.5) <= 0.01
     r2, _ = energy_matched_params("two_product_squeezed_displaced", 1.0, 1, 2)
+    state = probe_state(PRODUCT, r2, 0.0)
     drift = 0.0
     for u in (0.1, 0.3, 0.5, 0.7, 0.9):
-        a = qfi_two_mode_product(compose_one_segment(overlap_series_60, u), 1, 2, r2, 0.0).value
-        b = qfi_two_mode_product(compose_one_segment(overlap_series_60, u + 1.0), 1, 2, r2, 0.0).value
+        a = qfi_perturbative(compose_one_segment(overlap_series_60, u), (1, 2), state).value
+        b = qfi_perturbative(compose_one_segment(overlap_series_60, u + 1.0), (1, 2), state).value
         drift = max(drift, abs(a - b))
     per_ok = drift <= 1e-9
     elapsed = time.monotonic() - start
@@ -389,7 +388,7 @@ def test_criterion_8_energy_split_features(overlap_series_60):
         values = []
         for x in (0.0, 0.25, 0.5, 0.75, 1.0):
             r, d = energy_matched_params("two_product_squeezed_displaced", 1.0, 1, 2, x=x)
-            values.append(qfi_two_mode_product(series, 1, 2, r, d).value)
+            values.append(qfi_perturbative(series, (1, 2), probe_state(PRODUCT, r, d)).value)
         if values[-1] > 1e-6:
             monotone = all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
             orderings.append((u, monotone, [round(v, 6) for v in values]))

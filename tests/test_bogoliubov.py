@@ -8,7 +8,6 @@ from gaussfisher.bogoliubov import (
     block_from_coefficients,
     coefficients_from_block,
     covariance_series,
-    evaluate_series,
     matrices_from_csv,
     matrices_to_csv,
     reduced_covariance_single,
@@ -82,7 +81,7 @@ def test_identity_check_rejects_corrupted_channel(rng):
 
 
 def test_evaluate_series_zeroth_order(unitary_series):
-    bogo = evaluate_series(unitary_series, 0.0)
+    bogo = unitary_series.evaluate(0.0)
     assert np.allclose(bogo.alpha, np.diag(unitary_series.G))
     assert np.max(np.abs(bogo.beta)) == 0.0
 

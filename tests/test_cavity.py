@@ -200,11 +200,12 @@ def test_spectator_sum_tail_converged(cavity_series_u03):
 
 
 def test_oracle_matches_two_mode_squeezed_wrapper(cavity_series_u03):
-    from gaussfisher.qfi import probe_family, qfi_oracle, qfi_two_mode_squeezed
+    from gaussfisher.qfi import probe_family, probe_state, qfi_oracle, qfi_perturbative
 
     h = 0.05
-    pert = qfi_two_mode_squeezed(cavity_series_u03, 1, 2, 1.0)
-    fam = probe_family(cavity_series_u03, "two_mode_squeezed", (1, 2), 1.0, 0.0)
+    state = probe_state("two_mode_squeezed", 1.0, 0.0)
+    pert = qfi_perturbative(cavity_series_u03, (1, 2), state)
+    fam = probe_family(cavity_series_u03, (1, 2), state)
     orc = qfi_oracle(fam, h, steps=(h / 5, h / 15, h / 45))
     assert abs(pert.value - orc.value) / orc.value <= 10.0 * h
 

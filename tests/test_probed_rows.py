@@ -84,9 +84,9 @@ def test_perturbative_route_builds_no_full_matrix(monkeypatch, synthetic, cavity
     monkeypatch.setattr(BogoliubovSeries, "symplectic_orders", refuse)
     for series in (synthetic, cavity_series_u03):
         for family in FAMILIES:
-            modes = (1,) if family == "single_squeezed_displaced" else (1, 2)
             delta = 0.0 if family == "two_mode_squeezed" else 0.8
-            result = qfi_perturbative(series, family, modes, 0.6, delta)
+            state = probe_state(family, 0.6, delta)
+            result = qfi_perturbative(series, (1, 2)[: state.n_modes], state)
             assert np.isfinite(result.value) and result.value >= 0.0
 
 

@@ -3,19 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import sigma_orders_from_blocks
-from gaussfisher.bogoliubov import BogoliubovSeries, covariance_series, synthetic_unitary_series
-from gaussfisher.qfi import (
-    QfiResult,
-    c2_from_orders,
-    c2_single_mode,
+from conftest import (
+    _c2_single_mode_explicit,
     c2_single_mode_literature,
-    c2_two_mode_general,
-    c2_two_mode_product,
     c2_two_mode_product_literature,
     e2_single_mode,
     e2_single_mode_literature,
     e2_two_mode,
+    sigma_orders_from_blocks,
+)
+from gaussfisher.bogoliubov import BogoliubovSeries, covariance_series, synthetic_unitary_series
+from gaussfisher.qfi import (
+    QfiResult,
+    c2_from_orders,
     energy_budget,
     energy_matched_params,
     f_sums,
@@ -24,11 +24,22 @@ from gaussfisher.qfi import (
     probe_state,
     qfi_oracle,
     qfi_perturbative,
-    qfi_single_mode,
-    qfi_two_mode_product,
-    qfi_two_mode_squeezed,
 )
-from gaussfisher.states import squeezed_displaced_state
+from gaussfisher.states import random_mixed_state, squeezed_displaced_state
+
+SINGLE, PRODUCT, TMS = "single_squeezed_displaced", "two_product_squeezed_displaced", "two_mode_squeezed"
+
+
+def single(series, k, r, delta):
+    return qfi_perturbative(series, (k,), probe_state(SINGLE, r, delta))
+
+
+def product(series, k, k_prime, r, delta):
+    return qfi_perturbative(series, (k, k_prime), probe_state(PRODUCT, r, delta))
+
+
+def tms(series, k, k_prime, r):
+    return qfi_perturbative(series, (k, k_prime), probe_state(TMS, r, 0.0))
 
 
 def null_series(n):
@@ -94,18 +105,16 @@ def test_c2_from_orders_examples():
     assert np.isclose(c2_from_orders(np.eye(4), np.zeros((4, 4)), a * np.eye(4)), a)
     with pytest.raises(ValueError):
         c2_from_orders(np.zeros((4, 4)), np.eye(4), np.eye(4))
-    with pytest.raises(ValueError):
-        c2_two_mode_general(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 def test_e2_zero_cases(unitary_series, cavity_series_u03):
-    assert e2_single_mode(unitary_series, 1, 0.7, 0.0) == 0.0
-    assert e2_two_mode(unitary_series, 1, 3, 0.7, 0.0) == 0.0
+    assert single(unitary_series, 1, 0.7, 0.0).e2 == 0.0
+    assert product(unitary_series, 1, 3, 0.7, 0.0).e2 == 0.0
     # channels with vanishing diagonal first order cannot see a displacement
     # of a single probe mode at leading order (bound: squared fit leakage)
     for r in (0.0, 0.8):
         for delta in (0.5, 2.0):
-            assert abs(e2_single_mode(cavity_series_u03, 1, r, delta)) <= 1e-16
+            assert abs(single(cavity_series_u03, 1, r, delta).e2) <= 1e-16
 
 
 def test_rotation_channel_displacement_qfi():
@@ -113,12 +122,12 @@ def test_rotation_channel_displacement_qfi():
     # that pins down the normalization of the displacement contribution
     series = rotation_series()
     delta = 1.3
-    pert = qfi_single_mode(series, 1, 0.0, delta)
+    pert = single(series, 1, 0.0, delta)
     assert np.isclose(pert.value, 4.0 * delta**2, rtol=0, atol=1e-12)
     assert np.isclose(pert.e2, delta**2, rtol=0, atol=1e-13)
     assert np.isclose(pert.c2, 0.0, atol=1e-13)
 
-    family = probe_family(series, "single_squeezed_displaced", (1,), 0.0, delta)
+    family = probe_family(series, (1,), probe_state(SINGLE, 0.0, delta))
     oracle = qfi_oracle(family, 0.2, steps=(1e-2, 1e-3, 1e-4))
     assert oracle.residual <= 1e-6
     assert np.isclose(oracle.value, 4.0 * delta**2, rtol=1e-7)
@@ -130,21 +139,24 @@ def test_rotation_channel_displacement_qfi():
 
 
 def test_e2_matches_first_moment_quadratic_form(unitary_series):
-    # the closed form is the quadratic form <X>^(1)T (2 sigma0)^-1 <X>^(1)
+    # the closed form is the quadratic form <X>^(1)T (2 sigma0)^-1 <X>^(1),
+    # which the kernel evaluates
     r, delta = 0.6, 0.9
     orders = covariance_series(
         unitary_series, (2,), squeezed_displaced_state(1, 1, r, delta)
     )
     quadratic = float(orders.mean1 @ np.linalg.solve(2.0 * orders.sigma0, orders.mean1))
     assert np.isclose(e2_single_mode(unitary_series, 2, r, delta), quadratic, rtol=1e-12)
+    assert np.isclose(single(unitary_series, 2, r, delta).e2, quadratic, rtol=1e-12)
 
-    orders = covariance_series(unitary_series, (1, 3), probe_state("two_product_squeezed_displaced", r, delta))
+    orders = covariance_series(unitary_series, (1, 3), probe_state(PRODUCT, r, delta))
     quadratic = float(orders.mean1 @ np.linalg.solve(2.0 * orders.sigma0, orders.mean1))
     assert np.isclose(e2_two_mode(unitary_series, 1, 3, r, delta), quadratic, rtol=1e-12)
+    assert np.isclose(product(unitary_series, 1, 3, r, delta).e2, quadratic, rtol=1e-12)
 
 
 def test_c2_single_mode_cases(unitary_series):
-    assert c2_single_mode(null_series(3), 2, 0.8) == 0.0
+    assert single(null_series(3), 2, 0.8, 0.0).c2 == 0.0
     # at r = 0 the master path reduces to spectator sums plus diagonal terms;
     # the first-order diagonal is purely imaginary relative to G for unitary
     # channels, so its real part drops out
@@ -158,20 +170,18 @@ def test_c2_single_mode_cases(unitary_series):
         + 0.5 * abs(b_kk) ** 2
         + 0.5 * float((np.conj(g) * a_kk).real) ** 2
     )
-    assert np.isclose(c2_single_mode(unitary_series, k, 0.0), expected, rtol=1e-10)
+    assert np.isclose(single(unitary_series, k, 0.0, 0.0).c2, expected, rtol=1e-10)
 
 
 def test_c2_single_mode_dual_path_agreement(rng):
     # the trace form and the explicit coefficient form are evaluated through
     # genuinely different code paths and must coincide (a transcription-bug
-    # detector; a mismatch raises inside c2_single_mode)
-    from gaussfisher.qfi import _c2_single_mode_explicit
-
+    # detector for the kernel)
     for _ in range(50):
         series = synthetic_unitary_series(4, rng, strength=0.3)
         k = int(rng.integers(1, 5))
         r = float(rng.uniform(-1.0, 1.5))
-        master = c2_single_mode(series, k, r)
+        master = single(series, k, r, 0.0).c2
         explicit = _c2_single_mode_explicit(series, k, r)
         assert abs(master - explicit) <= 1e-9 * max(1.0, abs(master))
 
@@ -179,8 +189,6 @@ def test_c2_single_mode_dual_path_agreement(rng):
 def test_c2_single_mode_explicit_spectator_sum_matches_loop(rng):
     # the spectator sum of the coefficient form is vectorized; the per-mode
     # loop it replaced is the reference
-    from gaussfisher.qfi import _c2_single_mode_explicit
-
     for _ in range(20):
         series = synthetic_unitary_series(5, rng, strength=0.3)
         k = int(rng.integers(1, 6))
@@ -205,13 +213,13 @@ def test_c2_single_mode_explicit_spectator_sum_matches_loop(rng):
 def test_c2_literature_forms_documented(unitary_series, unitary_series_diagfree):
     # the quoted coefficient forms deviate from the validated trace form at
     # finite squeezing; at r = 0 the product form coincides exactly
-    master = c2_two_mode_product(unitary_series_diagfree, 1, 3, 0.0)
+    master = product(unitary_series_diagfree, 1, 3, 0.0, 0.0).c2
     quoted = c2_two_mode_product_literature(unitary_series_diagfree, 1, 3, 0.0)
     assert np.isclose(master, quoted, rtol=0, atol=1e-12)
-    master_r = c2_two_mode_product(unitary_series_diagfree, 1, 3, 0.7)
+    master_r = product(unitary_series_diagfree, 1, 3, 0.7, 0.0).c2
     quoted_r = c2_two_mode_product_literature(unitary_series_diagfree, 1, 3, 0.7)
     assert abs(master_r - quoted_r) > 1e-3  # the transcribed form drifts at r > 0
-    assert abs(c2_single_mode(unitary_series, 2, 0.7) - c2_single_mode_literature(unitary_series, 2, 0.7)) > 1e-4
+    assert abs(single(unitary_series, 2, 0.7, 0.0).c2 - c2_single_mode_literature(unitary_series, 2, 0.7)) > 1e-4
 
 
 def test_two_mode_paths_agree_block_assembly(rng):
@@ -221,22 +229,22 @@ def test_two_mode_paths_agree_block_assembly(rng):
         r = float(rng.uniform(0.0, 1.2))
         psi = np.diag([np.exp(r), np.exp(-r)])
         s0, s1, s2 = sigma_orders_from_blocks(series, 1, 3, psi, psi, np.zeros((2, 2)))
-        block_value = c2_two_mode_general(s0, s1, s2)
-        master = c2_two_mode_product(series, 1, 3, r)
+        block_value = c2_from_orders(s0, s1, s2)
+        master = product(series, 1, 3, r, 0.0).c2
         assert abs(block_value - master) <= 1e-9 * max(1.0, abs(master))
 
 
 def test_two_mode_squeezed_wrapper(unitary_series):
-    assert qfi_two_mode_squeezed(null_series(3), 1, 2, 0.9).value == 0.0
-    result = qfi_two_mode_squeezed(unitary_series, 1, 3, 0.8)
+    assert tms(null_series(3), 1, 2, 0.9).value == 0.0
+    result = tms(unitary_series, 1, 3, 0.8)
     assert result.e2 == 0.0
     assert result.value == 4.0 * result.c2
     # r = 0 reduces to the product value (both are the vacuum formula)
-    vac_tms = qfi_two_mode_squeezed(unitary_series, 1, 3, 0.0)
-    vac_prod = qfi_two_mode_product(unitary_series, 1, 3, 0.0, 0.0)
+    vac_tms = tms(unitary_series, 1, 3, 0.0)
+    vac_prod = product(unitary_series, 1, 3, 0.0, 0.0)
     assert np.isclose(vac_tms.value, vac_prod.value, rtol=1e-12)
     with pytest.raises(ValueError):
-        qfi_two_mode_squeezed(unitary_series, 1, 1, 0.5)
+        tms(unitary_series, 1, 1, 0.5)
 
 
 def test_two_mode_squeezed_block_path(rng):
@@ -247,8 +255,8 @@ def test_two_mode_squeezed_block_path(rng):
         s0, s1, s2 = sigma_orders_from_blocks(
             series, 1, 3, ch * np.eye(2), ch * np.eye(2), np.diag([sh, -sh])
         )
-        block_value = 4.0 * c2_two_mode_general(s0, s1, s2)
-        master = qfi_two_mode_squeezed(series, 1, 3, r).value
+        block_value = 4.0 * c2_from_orders(s0, s1, s2)
+        master = tms(series, 1, 3, r).value
         assert abs(block_value - master) <= 1e-9 * max(1.0, abs(master))
 
 
@@ -256,14 +264,14 @@ def test_vacuum_limit_identities_machine(unitary_series_diagfree):
     series = unitary_series_diagfree
     k, kp = 1, 3
     sums_single = f_sums(series, (k,), (k,))
-    h1 = qfi_single_mode(series, k, 0.0, 0.0).value
+    h1 = single(series, k, 0.0, 0.0).value
     assert abs(h1 - 8.0 * float(sums_single.f_beta[0])) <= 1e-12
 
     sums = f_sums(series, (k, kp), (k, kp))
     neg = negativity_first_order(series, k, kp)
     rhs = 8.0 * float(sums.f_beta[0]) + 8.0 * float(sums.f_beta[1]) + 4.0 * neg**2
-    h2 = qfi_two_mode_product(series, k, kp, 0.0, 0.0).value
-    h3 = qfi_two_mode_squeezed(series, k, kp, 0.0).value
+    h2 = product(series, k, kp, 0.0, 0.0).value
+    h3 = tms(series, k, kp, 0.0).value
     assert abs(h2 - rhs) <= 1e-12
     assert abs(h3 - rhs) <= 1e-12
 
@@ -347,8 +355,9 @@ def test_method_agreement_on_synthetic_channel(rng):
         ("two_product_squeezed_displaced", (1, 3), 0.6, 0.9),
         ("two_mode_squeezed", (1, 3), 1.0, 0.0),
     ):
-        pert = qfi_perturbative(series, family_name, modes, r, delta)
-        fam = probe_family(series, family_name, modes, r, delta)
+        state = probe_state(family_name, r, delta)
+        pert = qfi_perturbative(series, modes, state)
+        fam = probe_family(series, modes, state)
         devs = []
         for theta in (0.02, 0.04, 0.08):
             orc = qfi_oracle(fam, theta, steps=(theta / 5, theta / 15, theta / 45))
@@ -362,8 +371,10 @@ def test_probe_state_guards():
         probe_state("two_mode_squeezed", 0.5, 1.0)
     with pytest.raises(ValueError):
         probe_state("unknown", 0.5, 0.0)
-    with pytest.raises(ValueError):
-        qfi_perturbative(null_series(3), "two_mode_squeezed", (1, 2), 0.5, 1.0)
+    # the trace form holds for pure probes only
+    mixed = random_mixed_state(2, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="pure probe"):
+        qfi_perturbative(null_series(3), (1, 2), mixed)
 
 
 def test_two_mode_advantage_identity(rng):
@@ -373,8 +384,8 @@ def test_two_mode_advantage_identity(rng):
     for _ in range(20):
         series = synthetic_unitary_series(5, rng, strength=0.3, zero_diagonal=True)
         k, kp = 1, 3
-        h1 = qfi_single_mode(series, k, 0.0, 0.0).value
-        h2 = qfi_two_mode_product(series, k, kp, 0.0, 0.0).value
+        h1 = single(series, k, 0.0, 0.0).value
+        h2 = product(series, k, kp, 0.0, 0.0).value
         f_kp = float(f_sums(series, (k, kp), (k, kp)).f_beta[1])
         assert abs((h2 - h1) - 8.0 * f_kp) <= 1e-12
         assert h2 >= h1

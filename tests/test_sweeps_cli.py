@@ -277,3 +277,48 @@ def test_cli_quadrature_failure_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: quadrature did not converge")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _replace(index, line):
+    def apply(lines):
+        lines[index] = line
+    return apply
+
+
+#: edits of a valid 3-mode channel file (index 0 is the header, 1-3 the
+#: ``g`` rows, 4 the ``alpha1 (1, 1)`` entry) and the error each must raise
+MALFORMED_CHANNELS = {
+    "zero index": (_replace(4, "alpha1,0,1,0.5,0.0"), "channel line 5: alpha1 index (0, 1) out of range"),
+    "column beyond every row": (_replace(4, "alpha1,1,4,0.5,0.0"), "channel line 5: alpha1 index (1, 4) out of range"),
+    "off-diagonal g": (_replace(1, "g,1,2,1.0,0.0"), "channel line 2: g index (1, 2) out of range"),
+    "missing entry": (lambda lines: lines.pop(4), "lacks 1 entries, first alpha1 (1, 1)"),
+    "duplicate entry": (lambda lines: lines.insert(5, lines[4]), "channel line 6: duplicate alpha1 entry (1, 1)"),
+    "nan value": (_replace(4, "alpha1,1,1,nan,0.0"), "channel line 5: non-finite value"),
+    "unknown component": (_replace(4, "gamma1,1,1,0.0,0.0"), "channel line 5: unknown component 'gamma1'"),
+    "short row": (_replace(4, "alpha1,1,1,0.5"), "channel line 5: expected component,m,n,re,im"),
+    "bad index": (_replace(4, "alpha1,1,x,0.5,0.0"), "channel line 5: invalid literal"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHANNELS))
+def test_cli_rejects_malformed_channel(tmp_path, capsys, case):
+    edit, message = MALFORMED_CHANNELS[case]
+    lines = series_to_csv(synthetic_unitary_series(3, np.random.default_rng(4))).splitlines()
+    edit(lines)
+    path = tmp_path / "channel.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for verb in (["sweep", "--grid", "0.05"], ["compare"], ["validate"]):
+        assert main(verb + ["--channel", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_rejects_modes_beyond_imported_channel(tmp_path, capsys):
+    path = tmp_path / "channel.csv"
+    path.write_text(series_to_csv(synthetic_unitary_series(3, np.random.default_rng(4))), encoding="utf-8")
+    argv = ["sweep", "--channel", str(path), "--grid", "0.05", "--modes", "1,4"]
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: mode index 4 out of range 1..3"), err
+    assert err.count("\n") == 1 and "Traceback" not in err
