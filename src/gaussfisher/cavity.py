@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import functools
 import os
+import tempfile
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +29,7 @@ import numpy as np
 from .bogoliubov import BogoliubovMatrices, BogoliubovSeries
 
 #: ladder of acceleration values used to extract the overlap series
-DEFAULT_H_LADDER = (0.00125, 0.0025, 0.005, 0.01, 0.02, 0.04)
+H_LADDER = (0.00125, 0.0025, 0.005, 0.01, 0.02, 0.04)
 #: quadrature escalation schedule and convergence target per matrix entry
 QUADRATURE_ORDERS = (64, 128, 256, 512)
 QUADRATURE_TOL = 1e-10
@@ -80,9 +82,6 @@ class RindlerOverlaps:
     beta: np.ndarray
     quad_order: int
 
-    def identity_residual(self) -> float:
-        return BogoliubovMatrices(self.n_max, self.alpha, self.beta).identity_residual()
-
     def as_matrices(self) -> BogoliubovMatrices:
         return BogoliubovMatrices(self.n_max, self.alpha, self.beta)
 
@@ -101,7 +100,6 @@ class OverlapSeries:
     alpha2: np.ndarray
     beta1: np.ndarray
     beta2: np.ndarray
-    h_ladder: tuple
     fit_residual: float
 
 
@@ -167,10 +165,10 @@ def _overlaps_at_order(length: float, h: float, n_max: int, order: int) -> tuple
     return alpha, beta
 
 
-def rindler_overlaps(length: float, h: float, n_max: int, tol: float = QUADRATURE_TOL) -> RindlerOverlaps:
+def rindler_overlaps(length: float, h: float, n_max: int) -> RindlerOverlaps:
     """Overlap matrices at finite ``h`` with quadrature order escalated until
-    every entry is stable to ``tol``; raises :class:`QuadratureError` when the
-    largest order in ``QUADRATURE_ORDERS`` is not enough."""
+    every entry is stable to ``QUADRATURE_TOL``; raises :class:`QuadratureError`
+    when the largest order in ``QUADRATURE_ORDERS`` is not enough."""
     if not 0.0 < h < 2.0:
         raise ValueError("h must lie in (0, 2): wall positions require h < 2")
     prev = None
@@ -178,73 +176,39 @@ def rindler_overlaps(length: float, h: float, n_max: int, tol: float = QUADRATUR
         alpha, beta = _overlaps_at_order(length, h, n_max, order)
         if prev is not None:
             change = max(np.max(np.abs(alpha - prev[0])), np.max(np.abs(beta - prev[1])))
-            if change < tol:
+            if change < QUADRATURE_TOL:
                 return RindlerOverlaps(n_max, h, alpha, beta, order)
         prev = (alpha, beta)
     raise QuadratureError(
-        f"quadrature did not converge to {tol:g} at order {QUADRATURE_ORDERS[-1]}"
+        f"quadrature did not converge to {QUADRATURE_TOL:g} at order {QUADRATURE_ORDERS[-1]}"
     )
 
 
-def _fit_overlap_series(
-    h: np.ndarray,
-    alphas: list,
-    betas: list,
-    n_max: int,
-    fit_degree: int,
-    max_fit_residual: float | None,
-) -> OverlapSeries:
-    design = np.vander(h, fit_degree + 1, increasing=True)[:, 1:]
-    coef_a, res_a, *_ = np.linalg.lstsq(design, np.stack([m.reshape(-1) for m in alphas]), rcond=None)
-    coef_b, res_b, *_ = np.linalg.lstsq(design, np.stack([m.reshape(-1) for m in betas]), rcond=None)
-    dof = max(h.size - fit_degree, 1)
-    worst = 0.0
-    for res in (res_a, res_b):
-        if res.size:
-            worst = max(worst, float(np.sqrt(np.max(res) / dof)))
-    if max_fit_residual is not None and worst > max_fit_residual:
-        raise ValueError(
-            f"overlap series fit residual {worst:.3e} above {max_fit_residual:.0e}; "
-            "refine the h ladder"
-        )
-    shape = (n_max, n_max)
-    return OverlapSeries(
-        n_max,
-        coef_a[0].reshape(shape),
-        coef_a[1].reshape(shape),
-        coef_b[0].reshape(shape),
-        coef_b[1].reshape(shape),
-        tuple(h),
-        worst,
-    )
+def perturbative_overlaps(length: float, n_max: int) -> OverlapSeries:
+    """First- and second-order overlap coefficients from the ``H_LADDER`` fit.
 
-
-def perturbative_overlaps(
-    length: float,
-    n_max: int,
-    h_ladder=DEFAULT_H_LADDER,
-    fit_degree: int = 4,
-    max_fit_residual: float | None = None,
-) -> OverlapSeries:
-    """First- and second-order overlap coefficients from an ``h`` ladder.
-
-    Each matrix entry is regressed on ``(h, h^2, ..., h^degree)`` with the
+    Each matrix entry is regressed on ``(h, h^2, h^3, h^4)`` with the
     intercept pinned to the analytic zeroth order (identity for alpha, zero
     for beta). The cubic and quartic terms are kept as nuisance parameters so
     they do not leak into the linear coefficient; only orders one and two are
-    returned.
+    returned. A fit residual above ``_max_fit_residual(n_max)`` raises
+    ``ValueError``.
     """
-    h = np.asarray(sorted(h_ladder), dtype=float)
-    if h.size < fit_degree + 1:
-        raise ValueError("h ladder must have more points than the fit degree")
-    if max_fit_residual is None:
-        max_fit_residual = _max_fit_residual(n_max)
+    h = np.asarray(H_LADDER)
     alphas, betas = [], []
     for hv in h:
         ov = rindler_overlaps(length, hv, n_max)
-        alphas.append(ov.alpha - np.eye(n_max))
-        betas.append(ov.beta)
-    return _fit_overlap_series(h, alphas, betas, n_max, fit_degree, max_fit_residual)
+        alphas.append((ov.alpha - np.eye(n_max)).reshape(-1))
+        betas.append(ov.beta.reshape(-1))
+    design = np.vander(h, 5, increasing=True)[:, 1:]
+    coef_a, res_a, *_ = np.linalg.lstsq(design, np.stack(alphas), rcond=None)
+    coef_b, res_b, *_ = np.linalg.lstsq(design, np.stack(betas), rcond=None)
+    worst = float(np.sqrt(max(np.max(res_a), np.max(res_b)) / (h.size - 4)))
+    bound = _max_fit_residual(n_max)
+    if worst > bound:
+        raise ValueError(f"overlap series fit residual {worst:.3e} above {bound:.0e}")
+    orders = (c.reshape(n_max, n_max) for c in (coef_a[0], coef_a[1], coef_b[0], coef_b[1]))
+    return OverlapSeries(n_max, *orders, worst)
 
 
 def mode_phases(n_max: int, u: float) -> np.ndarray:
@@ -303,73 +267,66 @@ def cavity_series(
     return compose_one_segment(overlaps, scenario.u)
 
 
-# ---------------------------------------------------------------------------
-# CSV cache for the quadrature overlaps: the ladder quadratures dominate the
-# cost of everything else in this package, so they are worth keeping.
-# ---------------------------------------------------------------------------
+# Overlap-series cache: one .npz file per n_max, without the cavity length in
+# the key because the series does not depend on it.
+
+SERIES_ARRAYS = ("alpha1", "alpha2", "beta1", "beta2")
 
 
-def _cache_path(cache_dir: str, h: float, n_max: int, order: int) -> str:
-    return os.path.join(cache_dir, f"overlaps_h{h:.6g}_n{n_max}_q{order}.csv")
+def series_cache_file(cache_dir: str, n_max: int) -> str:
+    return os.path.join(cache_dir, f"overlap_series_n{n_max}.npz")
 
 
-def save_overlaps_csv(path: str, overlaps: RindlerOverlaps) -> None:
-    lines = ["component,m,n,value"]
-    for name, mat in (("alpha", overlaps.alpha), ("beta", overlaps.beta)):
-        for m in range(overlaps.n_max):
-            for n in range(overlaps.n_max):
-                lines.append(f"{name},{m + 1},{n + 1},{float(mat[m, n].real)!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def save_overlaps_csv(path: str, overlaps: OverlapSeries) -> None:
+    """Write an overlap series to ``path`` in ``.npz`` format, through a
+    temporary file in the same directory so that a failed write leaves any
+    previous file intact."""
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(path) or ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            arrays = {name: getattr(overlaps, name) for name in SERIES_ARRAYS}
+            np.savez(fh, fit_residual=overlaps.fit_residual, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def load_overlaps_csv(path: str, h: float, n_max: int, order: int) -> RindlerOverlaps:
-    mats = {"alpha": np.zeros((n_max, n_max)), "beta": np.zeros((n_max, n_max))}
-    with open(path, encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            comp, m, n, value = line.strip().split(",")
-            mats[comp][int(m) - 1, int(n) - 1] = float(value)
-    return RindlerOverlaps(n_max, h, mats["alpha"], mats["beta"], order)
+def load_overlaps_csv(path: str, n_max: int) -> OverlapSeries:
+    """Read an overlap series written by :func:`save_overlaps_csv` (``.npz``).
 
-
-def load_or_compute_overlaps(
-    length: float, h: float, n_max: int, cache_dir: str | None = None
-) -> RindlerOverlaps:
-    """Quadrature overlaps, using the CSV cache when possible.
-
-    The cached matrices are L-independent once expressed in mode indices, so
-    the cache key is ``(h, n_max, quadrature order)``.
+    Raises ``ValueError`` for a damaged file, a missing array, an array that
+    is not finite float64 of the expected shape, or a stored fit residual
+    above the bound :func:`perturbative_overlaps` enforces.
     """
-    if cache_dir is None:
-        return rindler_overlaps(length, h, n_max)
-    os.makedirs(cache_dir, exist_ok=True)
-    for order in QUADRATURE_ORDERS:
-        path = _cache_path(cache_dir, h, n_max, order)
-        if os.path.exists(path):
-            return load_overlaps_csv(path, h, n_max, order)
-    overlaps = rindler_overlaps(length, h, n_max)
-    save_overlaps_csv(_cache_path(cache_dir, h, n_max, overlaps.quad_order), overlaps)
-    return overlaps
+    shapes = dict.fromkeys(SERIES_ARRAYS, (n_max, n_max)) | {"fit_residual": ()}
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in shapes}
+        for name, arr in arrays.items():
+            if arr.dtype != np.float64 or arr.shape != shapes[name] or not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} is not a finite float64 array of shape {shapes[name]}")
+        residual, bound = float(arrays["fit_residual"]), _max_fit_residual(n_max)
+        if residual > bound:
+            raise ValueError(f"fit residual {residual:.3e} above {bound:.0e}")
+    # a damaged zip archive surfaces as any of these, depending on the byte hit
+    except (zipfile.BadZipFile, KeyError, EOFError, ValueError, NotImplementedError,
+            RuntimeError, OSError) as exc:
+        raise ValueError(f"overlap-series cache file {path}: {exc}; delete it to rebuild") from exc
+    return OverlapSeries(n_max, *(arrays[name] for name in SERIES_ARRAYS), residual)
 
 
 def load_or_compute_overlap_series(
-    length: float,
-    n_max: int,
-    cache_dir: str | None = None,
-    h_ladder=DEFAULT_H_LADDER,
+    length: float, n_max: int, cache_dir: str | None = None
 ) -> OverlapSeries:
-    """Overlap series with the ladder quadratures served from the cache.
-
-    The fit is held to the same residual bound as :func:`perturbative_overlaps`,
-    so a damaged cache file is refused rather than fitted.
-    """
+    """Overlap series, read from ``cache_dir`` when its file exists and
+    computed (then written there) otherwise."""
     if cache_dir is None:
-        return perturbative_overlaps(length, n_max, h_ladder)
-    h = np.asarray(sorted(h_ladder), dtype=float)
-    alphas, betas = [], []
-    for hv in h:
-        ov = load_or_compute_overlaps(length, float(hv), n_max, cache_dir)
-        alphas.append(ov.alpha - np.eye(n_max))
-        betas.append(ov.beta)
-    return _fit_overlap_series(h, alphas, betas, n_max, 4, _max_fit_residual(n_max))
+        return perturbative_overlaps(length, n_max)
+    path = series_cache_file(cache_dir, n_max)
+    if os.path.exists(path):
+        return load_overlaps_csv(path, n_max)
+    overlaps = perturbative_overlaps(length, n_max)
+    os.makedirs(cache_dir, exist_ok=True)
+    save_overlaps_csv(path, overlaps)
+    return overlaps

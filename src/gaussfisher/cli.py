@@ -6,11 +6,11 @@ Verbs:
 * ``compare``  -- perturbative vs oracle on an acceleration ladder
 * ``validate`` -- invariant suites with measured residuals (non-zero exit on
   failure)
-* ``overlaps`` -- precompute and cache the quadrature overlap matrices
+* ``overlaps`` -- precompute and cache the overlap series
 
 Scenario parameters come from ``key = value`` config files and/or flags;
-flags win. Results are written as UTF-8 CSV with LF endings and
-full-precision floats, so identical inputs give byte-identical files.
+flags win. Output is UTF-8 CSV with LF endings and full-precision floats;
+identical inputs and BLAS thread count give byte-identical files.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ import numpy as np
 
 from .bogoliubov import series_from_csv
 from .cavity import (
-    DEFAULT_H_LADDER,
     CavityScenario,
     QuadratureError,
-    load_or_compute_overlaps,
+    load_or_compute_overlap_series,
+    series_cache_file,
 )
 from .sweeps import (
     FAMILIES,
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--h", type=float, help="acceleration parameter h = aL/c^2")
         p.add_argument("--length", type=float, help="cavity length (default 1)")
         p.add_argument("--modes", help="probed modes as 'k,k_prime' (default 1,2)")
-        p.add_argument("--cache", help="directory for cached overlap matrices")
+        p.add_argument("--cache", help="directory for the cached overlap series")
         p.add_argument("--channel", help="CSV file with an imported channel series")
         p.add_argument("--seed", type=int, default=1234, help="seed for randomized suites")
 
@@ -133,12 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="run the invariant suites")
     add_common(p_val)
 
-    p_ov = sub.add_parser("overlaps", help="build the overlap cache")
+    p_ov = sub.add_parser("overlaps", help="build the overlap-series cache")
     add_common(p_ov)
-    p_ov.add_argument(
-        "--ladder",
-        help="comma list of h values to precompute (default: the fit ladder)",
-    )
     return parser
 
 
@@ -244,14 +240,9 @@ def _run(args) -> int:
     if args.command == "overlaps":
         if args.cache is None:
             raise ValueError("overlaps requires --cache")
-        ladder = (
-            tuple(float(tok) for tok in args.ladder.split(","))
-            if args.ladder
-            else DEFAULT_H_LADDER + (scenario.h,)
-        )
-        for h in ladder:
-            ov = load_or_compute_overlaps(scenario.length, float(h), scenario.n_max, args.cache)
-            print(f"h={h:g}: n_max={ov.n_max} quadrature order {ov.quad_order} cached")
+        ov = load_or_compute_overlap_series(scenario.length, scenario.n_max, args.cache)
+        path = series_cache_file(args.cache, scenario.n_max)
+        print(f"{path}: n_max={ov.n_max} fit residual {ov.fit_residual:.3e}")
         return 0
 
     return 2

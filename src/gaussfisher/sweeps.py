@@ -236,6 +236,8 @@ def compare_methods(
     log-log slope of the relative deviation measures the perturbative error
     order (linear for this channel).
     """
+    if len(set(h_ladder)) < 2:
+        raise ValueError("compare needs at least two distinct h values on the ladder")
     sc = spec.scenario
     u = spec.grid[0] if len(spec.grid) == 1 else sc.u
     if spec.channel is not None:
@@ -266,8 +268,8 @@ def comparison_to_csv(report: ComparisonReport) -> str:
     lines = ["family,h,qfi_perturbative,qfi_oracle,relative_deviation"]
     for row in report.rows:
         lines.append(
-            f"{row.family},{row.h!r},{row.qfi_perturbative!r},"
-            f"{row.qfi_oracle!r},{row.relative_deviation!r}"
+            f"{row.family},{float(row.h)!r},{float(row.qfi_perturbative)!r},"
+            f"{float(row.qfi_oracle)!r},{float(row.relative_deviation)!r}"
         )
     for family, slope in report.slopes.items():
         lines.append(f"slope:{family},,,,{slope!r}")

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import alpha1_closed_form, beta1_closed_form
+from gaussfisher import cavity
 from gaussfisher.bogoliubov import BogoliubovSeries
 from gaussfisher.cavity import (
     QUADRATURE_ORDERS,
@@ -10,14 +13,17 @@ from gaussfisher.cavity import (
     cavity_series,
     compose_one_segment,
     load_or_compute_overlap_series,
-    load_or_compute_overlaps,
     mode_phases,
     perturbative_overlaps,
     proper_frequency,
     rindler_overlaps,
+    save_overlaps_csv,
+    series_cache_file,
     _gauss_legendre,
+    _max_fit_residual,
     _overlaps_at_order,
 )
+from gaussfisher.cli import main
 
 
 def test_scenario_validation():
@@ -210,29 +216,50 @@ def test_oracle_matches_two_mode_squeezed_wrapper(cavity_series_u03):
     assert abs(pert.value - orc.value) / orc.value <= 10.0 * h
 
 
-def test_overlap_cache_roundtrip(tmp_path):
-    cache = str(tmp_path / "cache")
-    first = load_or_compute_overlaps(1.0, 0.05, 6, cache)
-    second = load_or_compute_overlaps(1.0, 0.05, 6, cache)
-    assert np.array_equal(np.asarray(first.alpha, float), np.asarray(second.alpha, float))
-    files = list((tmp_path / "cache").iterdir())
-    assert len(files) == 1 and files[0].suffix == ".csv"
-    series_direct = perturbative_overlaps(1.0, 6)
-    series_cached = load_or_compute_overlap_series(1.0, 6, cache)
-    assert np.allclose(series_direct.alpha1, series_cached.alpha1, atol=1e-14)
+def _refuse_quadrature(*args):
+    raise AssertionError("overlap quadrature ran although the series was cached")
+
+
+def test_overlap_cache_roundtrip(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    assert main(["overlaps", "--nmax", "6", "--cache", str(cache)]) == 0
+    assert [p.name for p in cache.iterdir()] == ["overlap_series_n6.npz"]
+    direct = perturbative_overlaps(1.0, 6)
+    monkeypatch.setattr(cavity, "rindler_overlaps", _refuse_quadrature)
+    # the series does not depend on the cavity length, so neither does the key
+    for length in (1.0, 2.0):
+        cached = load_or_compute_overlap_series(length, 6, str(cache))
+        for name in ("alpha1", "alpha2", "beta1", "beta2"):
+            assert np.array_equal(getattr(cached, name), getattr(direct, name))
+            assert getattr(cached, name).dtype == np.float64
+        assert cached.fit_residual == direct.fit_residual
+    assert len(list(cache.iterdir())) == 1
 
 
 def test_cached_series_enforces_fit_bound(tmp_path):
-    cache = tmp_path / "cache"
-    load_or_compute_overlap_series(1.0, 6, str(cache))
-    # damage one entry of one cached ladder file
-    path = sorted(cache.iterdir())[2]
-    lines = path.read_text(encoding="utf-8").splitlines()
-    comp, m, n, value = lines[2].split(",")
-    lines[2] = ",".join((comp, m, n, repr(float(value) + 1e-4)))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="fit residual"):
-        load_or_compute_overlap_series(1.0, 6, str(cache))
+    cache = str(tmp_path / "cache")
+    series = load_or_compute_overlap_series(1.0, 6, cache)
+    bad = dataclasses.replace(series, fit_residual=2.0 * _max_fit_residual(6))
+    save_overlaps_csv(series_cache_file(cache, 6), bad)
+    with pytest.raises(ValueError, match="fit residual 2.000e-07 above 1e-07"):
+        load_or_compute_overlap_series(1.0, 6, cache)
+
+
+def test_failed_cache_write_keeps_previous_file(tmp_path, monkeypatch):
+    series = perturbative_overlaps(1.0, 6)
+    path = tmp_path / "overlap_series_n6.npz"
+    save_overlaps_csv(str(path), series)
+    before = path.read_bytes()
+
+    def fail_midway(fh, **arrays):
+        fh.write(b"PK\x03\x04 partial archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", fail_midway)
+    with pytest.raises(OSError, match="disk full"):
+        save_overlaps_csv(str(path), dataclasses.replace(series, fit_residual=0.0))
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
 
 
 def test_quadrature_nodes_memoized(monkeypatch):

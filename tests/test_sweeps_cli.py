@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from gaussfisher import cavity
 from gaussfisher.bogoliubov import series_to_csv, synthetic_unitary_series
-from gaussfisher.cavity import CavityScenario
+from gaussfisher.cavity import CavityScenario, perturbative_overlaps, save_overlaps_csv
 from gaussfisher.cli import main, parse_grid, read_config
 from gaussfisher.sweeps import (
     SweepSpec,
@@ -252,16 +255,101 @@ def test_cli_compare(tmp_path, capsys):
     assert "slope:two_mode_squeezed" in text
 
 
-def test_cli_overlaps_cache_builder(tmp_path, capsys):
+def test_cli_compare_cells_are_numbers(tmp_path):
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", "--nmax", "6", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 3 * 3 + 3  # three families on three h, then the slopes
+    for row in rows:
+        for cell in row[1:]:
+            if cell:
+                float(cell)
+
+
+@pytest.mark.parametrize("ladder", ["0.02", "0.02,0.02"])
+def test_cli_compare_refuses_single_h(tmp_path, capsys, ladder):
+    argv = ["compare", "--nmax", "6", "--ladder", ladder, "--out", str(tmp_path / "cmp.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: compare needs at least two distinct h values"), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_overlaps_cache_builder(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "cache"
-    code = main([
-        "overlaps", "--nmax", "5", "--ladder", "0.01,0.02", "--cache", str(cache),
-    ])
-    assert code == 0
-    assert len(list(cache.iterdir())) == 2
+    assert main(["overlaps", "--nmax", "6", "--cache", str(cache)]) == 0
+    path = cache / "overlap_series_n6.npz"
+    assert list(cache.iterdir()) == [path]
     out = capsys.readouterr().out
-    assert "cached" in out
+    assert out.count("\n") == 1 and out.startswith(f"{path}: n_max=6 fit residual ")
+
+    sweep = ["sweep", "--nmax", "6", "--grid", "0.37"]
+    assert main(sweep + ["--out", str(tmp_path / "uncached.csv")]) == 0
+
+    def refuse(*args):
+        raise AssertionError("overlap quadrature ran on a warm cache")
+
+    monkeypatch.setattr(cavity, "rindler_overlaps", refuse)
+    assert main(sweep + ["--cache", str(cache), "--out", str(tmp_path / "cached.csv")]) == 0
+    assert (tmp_path / "cached.csv").read_bytes() == (tmp_path / "uncached.csv").read_bytes()
+    assert main(["overlaps", "--nmax", "6", "--cache", str(cache)]) == 0
+    assert list(cache.iterdir()) == [path]
     assert main(["overlaps", "--nmax", "5"]) == 2  # cache dir required
+
+
+def _flip_byte(path, series):
+    # a byte inside the stored alpha1 data, which the archive's CRC covers
+    data = bytearray(path.read_bytes())
+    at = bytes(data).find(series.alpha1.tobytes())
+    assert at > 0
+    data[at + 8] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def _without_beta2(path, series):
+    with open(path, "wb") as fh:
+        np.savez(fh, alpha1=series.alpha1, alpha2=series.alpha2, beta1=series.beta1,
+                 fit_residual=series.fit_residual)
+
+
+def _with_nan(path, series):
+    alpha2 = series.alpha2.copy()
+    alpha2[2, 3] = np.nan
+    save_overlaps_csv(str(path), dataclasses.replace(series, alpha2=alpha2))
+
+
+#: damage to a valid n_max 6 cache file and the error it must raise
+DAMAGED_CACHES = {
+    "flipped byte": (_flip_byte, "Bad CRC-32"),
+    "truncated": (lambda path, series: path.write_bytes(path.read_bytes()[:1000]), "not a zip file"),
+    "other n_max": (
+        lambda path, series: save_overlaps_csv(str(path), perturbative_overlaps(1.0, 5)),
+        "alpha1 is not a finite float64 array of shape (6, 6)",
+    ),
+    "nan entry": (_with_nan, "alpha2 is not a finite float64 array of shape (6, 6)"),
+    "residual above bound": (
+        lambda path, series: save_overlaps_csv(str(path), dataclasses.replace(series, fit_residual=1e-3)),
+        "fit residual 1.000e-03 above 1e-07",
+    ),
+    "missing key": (_without_beta2, "beta2 is not a file in the archive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGED_CACHES))
+def test_cli_rejects_damaged_cache(tmp_path, capsys, case):
+    damage, message = DAMAGED_CACHES[case]
+    cache = tmp_path / "cache"
+    assert main(["overlaps", "--nmax", "6", "--cache", str(cache)]) == 0
+    path = cache / "overlap_series_n6.npz"
+    damage(path, perturbative_overlaps(1.0, 6))
+    capsys.readouterr()
+    for verb in (["sweep", "--grid", "0.37"], ["compare"], ["validate"], ["overlaps"]):
+        argv = verb + ["--nmax", "6", "--cache", str(cache), "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: overlap-series cache file {path}: "), err
+        assert message in err and err.count("\n") == 1 and "Traceback" not in err
+        assert list(cache.iterdir()) == [path]
 
 
 @pytest.mark.parametrize(
