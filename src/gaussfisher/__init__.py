@@ -8,7 +8,6 @@ from .states import (
     random_mixed_state,
     random_pure_state,
     random_symplectic,
-    reduce_state,
     squeezed_displaced_state,
     symplectic_eigenvalues,
     symplectic_form,
@@ -20,19 +19,10 @@ from .bogoliubov import (
     BogoliubovSeries,
     CovarianceSeries,
     SymplecticMatrix,
-    apply_channel,
-    block_from_coefficients,
-    coefficients_from_block,
     covariance_series,
-    matrices_from_csv,
-    matrices_to_csv,
-    reduced_covariance_single,
     series_from_csv,
     series_to_csv,
     symplectic_from_bogoliubov,
-    symplectify,
-    synthetic_unitary_series,
-    transformed_two_mode_blocks,
 )
 from .fidelity import FidelityError, fidelity, fidelity_one_mode, fidelity_two_mode
 from .qfi import (
@@ -57,7 +47,6 @@ from .cavity import (
     compose_one_segment,
     mode_phases,
     perturbative_overlaps,
-    proper_frequency,
     rindler_overlaps,
 )
 from .sweeps import (

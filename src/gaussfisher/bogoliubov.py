@@ -21,28 +21,6 @@ import numpy as np
 from .states import GaussianState, symplectic_form
 
 
-def block_from_coefficients(alpha: complex, beta: complex) -> np.ndarray:
-    """2x2 phase-space block of a single ``(alpha_mn, beta_mn)`` pair.
-
-    ``[[Re(a-b), Im(a+b)], [-Im(a-b), Re(a+b)]]``
-    """
-    return np.array(
-        [
-            [(alpha - beta).real, (alpha + beta).imag],
-            [-(alpha - beta).imag, (alpha + beta).real],
-        ]
-    )
-
-
-def coefficients_from_block(block: np.ndarray) -> tuple[complex, complex]:
-    """Inverse of :func:`block_from_coefficients`."""
-    m11, m12 = block[0]
-    m21, m22 = block[1]
-    alpha = complex((m11 + m22) / 2.0, (m12 - m21) / 2.0)
-    beta = complex((m22 - m11) / 2.0, (m12 + m21) / 2.0)
-    return alpha, beta
-
-
 def _assemble(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Real 2r x 2n matrix from complex r x n coefficient matrices.
 
@@ -58,17 +36,6 @@ def _assemble(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     s[1::2, 0::2] = -d.imag
     s[1::2, 1::2] = u.real
     return s
-
-
-def _disassemble(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex ``(alpha, beta)`` matrices from a real block matrix."""
-    m11 = matrix[0::2, 0::2]
-    m12 = matrix[0::2, 1::2]
-    m21 = matrix[1::2, 0::2]
-    m22 = matrix[1::2, 1::2]
-    alpha = 0.5 * (m11 + m22) + 0.5j * (m12 - m21)
-    beta = 0.5 * (m22 - m11) + 0.5j * (m12 + m21)
-    return alpha, beta
 
 
 @dataclass(frozen=True)
@@ -130,44 +97,9 @@ class SymplecticMatrix:
         return float(max(np.max(np.abs(defect[idx, :])), np.max(np.abs(defect[:, idx]))))
 
 
-def symplectic_from_bogoliubov(
-    bogo: BogoliubovMatrices, max_residual: float | None = None
-) -> SymplecticMatrix:
-    """Assemble the symplectic matrix of a Bogoliubov channel.
-
-    If ``max_residual`` is given, the channel is rejected when its identity
-    residual exceeds the bound.
-    """
-    res = bogo.identity_residual()
-    if max_residual is not None and res > max_residual:
-        raise ValueError(
-            f"Bogoliubov identity residual {res:.3e} exceeds bound {max_residual:.3e}"
-        )
+def symplectic_from_bogoliubov(bogo: BogoliubovMatrices) -> SymplecticMatrix:
+    """Assemble the symplectic matrix of a Bogoliubov channel."""
     return SymplecticMatrix(bogo.n_max, _assemble(bogo.alpha, bogo.beta))
-
-
-def apply_channel(s: SymplecticMatrix, state: GaussianState) -> GaussianState:
-    """Transform a state: means ``S <X>``, covariance ``S Sigma S^T``."""
-    if s.n_modes != state.n_modes:
-        raise ValueError(f"channel has {s.n_modes} modes, state has {state.n_modes}")
-    m = s.matrix
-    return GaussianState(state.n_modes, m @ state.first_moments, m @ state.covariance @ m.T)
-
-
-def symplectify(matrix: np.ndarray, iterations: int = 3) -> np.ndarray:
-    """Project a nearly symplectic matrix onto the symplectic group.
-
-    Averages ``S`` with ``Omega S^-T Omega^-1`` (a fixed point exactly on the
-    group); each pass removes the leading non-symplectic part, so a few
-    iterations reach machine precision for small defects. Used to turn a
-    series-truncated channel into an exactly physical one.
-    """
-    n = matrix.shape[0] // 2
-    omega = symplectic_form(n)
-    s = np.array(matrix, dtype=float)
-    for _ in range(iterations):
-        s = 0.5 * (s + omega @ np.linalg.inv(s).T @ np.linalg.inv(omega))
-    return s
 
 
 @dataclass(frozen=True)
@@ -207,11 +139,6 @@ class BogoliubovSeries:
         object.__setattr__(self, "G", g)
         for name, m in mats.items():
             object.__setattr__(self, name, m)
-
-    @property
-    def phases(self) -> np.ndarray:
-        """Mode phases ``phi_n = arg G_n``."""
-        return np.angle(self.G)
 
     def evaluate(self, theta: float) -> BogoliubovMatrices:
         """Coefficient matrices at a finite parameter value.
@@ -281,9 +208,6 @@ class CovarianceSeries:
     mean0: np.ndarray
     mean1: np.ndarray
 
-    def covariance_at(self, theta: float) -> np.ndarray:
-        return self.sigma0 + self.sigma1 * theta + self.sigma2 * theta**2
-
 
 def covariance_series(
     series: BogoliubovSeries, modes, input_state: GaussianState
@@ -327,119 +251,6 @@ def covariance_series(
     mean0 = s0[:, idx] @ x_in
     mean1 = s1[:, idx] @ x_in
     return CovarianceSeries(sigma0, sigma1, sigma2, mean0, mean1)
-
-
-def reduced_covariance_single(
-    series: BogoliubovSeries, k: int, sigma0: np.ndarray, theta: float
-) -> np.ndarray:
-    """Reduced covariance of mode ``k`` after the channel, by block sums.
-
-    ``M_kk sigma0 M_kk^T + sum_{n != k} M_kn M_kn^T`` with every block
-    evaluated at ``theta``; agrees with transforming the full state and
-    tracing out, up to the truncation tail.
-    """
-    if not 1 <= k <= series.n_max:
-        raise ValueError(f"mode index {k} out of range 1..{series.n_max}")
-    sigma0 = np.asarray(sigma0, dtype=float)
-    if sigma0.shape != (2, 2):
-        raise ValueError("sigma0 must be a 2x2 single-mode covariance")
-    bogo = series.evaluate(theta)
-    i = k - 1
-    mkk = block_from_coefficients(bogo.alpha[i, i], bogo.beta[i, i])
-    out = mkk @ sigma0 @ mkk.T
-    for n in range(series.n_max):
-        if n == i:
-            continue
-        mkn = block_from_coefficients(bogo.alpha[i, n], bogo.beta[i, n])
-        out += mkn @ mkn.T
-    return out
-
-
-def transformed_two_mode_blocks(
-    series: BogoliubovSeries,
-    k: int,
-    k_prime: int,
-    psi_k: np.ndarray,
-    psi_kp: np.ndarray,
-    phi_kkp: np.ndarray,
-    theta: float,
-) -> np.ndarray:
-    """Reduced 4x4 covariance of modes ``(k, k')`` after the channel.
-
-    The input two-mode covariance has diagonal blocks ``psi_k``, ``psi_kp``
-    and correlation block ``phi_kkp``. Each output block is
-
-        C_ij = M_ik psi_k M_jk^T + M_ik phi M_jk'^T + M_ik' phi^T M_jk^T
-             + M_ik' psi_k' M_jk'^T + sum_{n != k, k'} M_in M_jn^T
-
-    which is the (i, j) block of ``S Sigma_0 S^T`` with vacuum on the
-    unprobed modes.
-    """
-    if k == k_prime:
-        raise ValueError("probed modes must be distinct")
-    bogo = series.evaluate(theta)
-
-    def m(i: int, n: int) -> np.ndarray:
-        return block_from_coefficients(bogo.alpha[i - 1, n - 1], bogo.beta[i - 1, n - 1])
-
-    psi_k = np.asarray(psi_k, dtype=float)
-    psi_kp = np.asarray(psi_kp, dtype=float)
-    phi = np.asarray(phi_kkp, dtype=float)
-    out = np.zeros((4, 4))
-    probe = (k, k_prime)
-    for bi, i in enumerate(probe):
-        for bj, j in enumerate(probe):
-            c = (
-                m(i, k) @ psi_k @ m(j, k).T
-                + m(i, k) @ phi @ m(j, k_prime).T
-                + m(i, k_prime) @ phi.T @ m(j, k).T
-                + m(i, k_prime) @ psi_kp @ m(j, k_prime).T
-            )
-            for n in range(1, series.n_max + 1):
-                if n in probe:
-                    continue
-                c += m(i, n) @ m(j, n).T
-            out[2 * bi:2 * bi + 2, 2 * bj:2 * bj + 2] = c
-    return out
-
-
-def synthetic_unitary_series(
-    n_max: int,
-    rng: np.random.Generator,
-    strength: float = 0.3,
-    zero_diagonal: bool = False,
-    random_phases: bool = True,
-) -> BogoliubovSeries:
-    """Random channel series satisfying the order-by-order identities exactly.
-
-    Built from ``S(theta) = exp(theta K1 + theta^2 K2) S0`` with ``K1, K2``
-    in the symplectic algebra and ``S0`` a phase rotation on each mode, then
-    read off order by order. With ``zero_diagonal`` the diagonal blocks of
-    ``K1`` are removed, mimicking channels whose first-order diagonal
-    coefficients vanish.
-    """
-    omega = symplectic_form(n_max)
-
-    def algebra_element(zero_diag: bool) -> np.ndarray:
-        q = rng.normal(scale=strength, size=(2 * n_max, 2 * n_max))
-        q = 0.5 * (q + q.T)
-        if zero_diag:
-            # Omega is block diagonal, so K = Omega Q has zero diagonal
-            # blocks exactly when Q does
-            for i in range(n_max):
-                q[2 * i:2 * i + 2, 2 * i:2 * i + 2] = 0.0
-        return omega @ q
-
-    k1 = algebra_element(zero_diagonal)
-    k2 = algebra_element(False)
-    phases = rng.uniform(0.0, 2 * np.pi, size=n_max) if random_phases else np.zeros(n_max)
-    g = np.exp(1j * phases)
-    s0 = _assemble(np.diag(g), np.zeros((n_max, n_max), dtype=complex))
-    s1 = k1 @ s0
-    s2 = (k2 + 0.5 * k1 @ k1) @ s0
-    a1, b1 = _disassemble(s1)
-    a2, b2 = _disassemble(s2)
-    return BogoliubovSeries(n_max, g, a1, a2, b1, b2)
 
 
 def series_to_csv(series: BogoliubovSeries) -> str:
@@ -502,24 +313,3 @@ def series_from_csv(text: str) -> BogoliubovSeries:
         comp, m, n = missing[0]
         raise ValueError(f"channel file lacks {len(missing)} entries, first {comp} ({m}, {n})")
     return BogoliubovSeries(n_max, g, mats["alpha1"], mats["alpha2"], mats["beta1"], mats["beta2"])
-
-
-def matrices_to_csv(bogo: BogoliubovMatrices) -> str:
-    """Serialize finite coefficient matrices as ``component,m,n,re,im`` lines."""
-    lines = ["component,m,n,re,im"]
-    for name, mat in (("alpha", bogo.alpha), ("beta", bogo.beta)):
-        for m in range(bogo.n_max):
-            for n in range(bogo.n_max):
-                v = mat[m, n]
-                lines.append(f"{name},{m + 1},{n + 1},{float(v.real)!r},{float(v.imag)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def matrices_from_csv(text: str) -> BogoliubovMatrices:
-    """Parse the output of :func:`matrices_to_csv`."""
-    rows = [line.split(",") for line in text.strip().splitlines()[1:] if line.strip()]
-    n_max = max(int(r[1]) for r in rows)
-    mats = {"alpha": np.zeros((n_max, n_max), dtype=complex), "beta": np.zeros((n_max, n_max), dtype=complex)}
-    for comp, m, n, re, im in rows:
-        mats[comp][int(m) - 1, int(n) - 1] = complex(float(re), float(im))
-    return BogoliubovMatrices(n_max, mats["alpha"], mats["beta"])

@@ -12,8 +12,8 @@ The channel is assembled from first principles in three steps:
    mode phases for a proper duration, return to the inertial frame" into a
    single series in ``h``.
 
-All quantities are dimensionless in ``(h, u)``; the cavity length only sets
-absolute frequencies.
+Lengths are in units of the cavity length ``L``: every output is
+dimensionless in ``(h, u)``, and ``L`` would only set absolute frequencies.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ class CavityScenario:
     of every mode, so everything downstream is periodic in ``u``.
     """
 
-    length: float = 1.0
     h: float = 0.05
     u: float = 0.3
     k: int = 1
@@ -57,8 +56,6 @@ class CavityScenario:
     n_max: int = 10
 
     def __post_init__(self):
-        if self.length <= 0.0:
-            raise ValueError("cavity length must be positive")
         if not 0.0 < self.h < 2.0:
             raise ValueError(
                 f"h={self.h!r} out of range (0, 2): the left wall must stay "
@@ -103,17 +100,6 @@ class OverlapSeries:
     fit_residual: float
 
 
-def proper_frequency(n: int, h: float, length: float) -> float:
-    """Mode frequency with respect to proper time at the cavity center.
-
-    ``n pi h / (2 L artanh(h/2))``; tends to the inertial ``n pi / L`` as
-    ``h -> 0``.
-    """
-    if not 0.0 < h < 2.0:
-        raise ValueError("h must lie in (0, 2)")
-    return n * np.pi * h / (2.0 * length * np.arctanh(h / 2.0))
-
-
 @functools.lru_cache(maxsize=len(QUADRATURE_ORDERS))
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1]; every ladder
@@ -130,11 +116,12 @@ def _max_fit_residual(n_max: int) -> float:
     return 1e-7 * max(1.0, (n_max / 10.0) ** 2)
 
 
-def _overlaps_at_order(length: float, h: float, n_max: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _overlaps_at_order(h: float, n_max: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Overlap matrices by fixed-order Gauss-Legendre quadrature.
 
-    Inertial modes ``sin(n pi (x - x_L)/L) / sqrt(n pi)`` with
-    ``omega_n = n pi / L``; accelerated-frame modes
+    With the cavity length as the unit, the walls sit at
+    ``x_L, x_R = 1/h -+ 1/2``. Inertial modes ``sin(n pi (x - x_L)) / sqrt(n pi)``
+    with ``omega_n = n pi``; accelerated-frame modes
     ``sin(m pi ln(x/x_L)/D) / sqrt(m pi)`` with ``Omega_m = m pi / D`` and
     ``D = ln(x_R/x_L)``. On the shared slice the time derivative of the
     accelerated modes converts as ``d/dt = (1/x) d/d(eta)``, giving
@@ -144,18 +131,18 @@ def _overlaps_at_order(length: float, h: float, n_max: int, order: int) -> tuple
 
     with all mode functions real on the slice.
     """
-    x_l = length / h - length / 2.0
-    x_r = length / h + length / 2.0
+    x_l = 1.0 / h - 0.5
+    x_r = 1.0 / h + 0.5
     big_d = np.log(x_r / x_l)
     nodes, weights = _gauss_legendre(order)
     x = 0.5 * (x_r - x_l) * nodes + 0.5 * (x_r + x_l)
     w = 0.5 * (x_r - x_l) * weights
 
     n_idx = np.arange(1, n_max + 1)
-    omega = n_idx * np.pi / length
+    omega = n_idx * np.pi
     big_omega = n_idx * np.pi / big_d
     # rows: modes, columns: quadrature nodes
-    f_in = np.sin(np.outer(n_idx, np.pi * (x - x_l) / length)) / np.sqrt(n_idx * np.pi)[:, None]
+    f_in = np.sin(np.outer(n_idx, np.pi * (x - x_l))) / np.sqrt(n_idx * np.pi)[:, None]
     f_acc = np.sin(np.outer(n_idx, np.pi * np.log(x / x_l) / big_d)) / np.sqrt(n_idx * np.pi)[:, None]
 
     base = (f_acc * w) @ f_in.T          #  \int f~_m f_n
@@ -165,7 +152,7 @@ def _overlaps_at_order(length: float, h: float, n_max: int, order: int) -> tuple
     return alpha, beta
 
 
-def rindler_overlaps(length: float, h: float, n_max: int) -> RindlerOverlaps:
+def rindler_overlaps(h: float, n_max: int) -> RindlerOverlaps:
     """Overlap matrices at finite ``h`` with quadrature order escalated until
     every entry is stable to ``QUADRATURE_TOL``; raises :class:`QuadratureError`
     when the largest order in ``QUADRATURE_ORDERS`` is not enough."""
@@ -173,7 +160,7 @@ def rindler_overlaps(length: float, h: float, n_max: int) -> RindlerOverlaps:
         raise ValueError("h must lie in (0, 2): wall positions require h < 2")
     prev = None
     for order in QUADRATURE_ORDERS:
-        alpha, beta = _overlaps_at_order(length, h, n_max, order)
+        alpha, beta = _overlaps_at_order(h, n_max, order)
         if prev is not None:
             change = max(np.max(np.abs(alpha - prev[0])), np.max(np.abs(beta - prev[1])))
             if change < QUADRATURE_TOL:
@@ -184,7 +171,7 @@ def rindler_overlaps(length: float, h: float, n_max: int) -> RindlerOverlaps:
     )
 
 
-def perturbative_overlaps(length: float, n_max: int) -> OverlapSeries:
+def perturbative_overlaps(n_max: int) -> OverlapSeries:
     """First- and second-order overlap coefficients from the ``H_LADDER`` fit.
 
     Each matrix entry is regressed on ``(h, h^2, h^3, h^4)`` with the
@@ -197,7 +184,7 @@ def perturbative_overlaps(length: float, n_max: int) -> OverlapSeries:
     h = np.asarray(H_LADDER)
     alphas, betas = [], []
     for hv in h:
-        ov = rindler_overlaps(length, hv, n_max)
+        ov = rindler_overlaps(hv, n_max)
         alphas.append((ov.alpha - np.eye(n_max)).reshape(-1))
         betas.append(ov.beta.reshape(-1))
     design = np.vander(h, 5, increasing=True)[:, 1:]
@@ -263,12 +250,11 @@ def cavity_series(
     scenario: CavityScenario, cache_dir: str | None = None
 ) -> BogoliubovSeries:
     """Composed channel series for a scenario (theta is ``h``)."""
-    overlaps = load_or_compute_overlap_series(scenario.length, scenario.n_max, cache_dir)
+    overlaps = load_or_compute_overlap_series(scenario.n_max, cache_dir)
     return compose_one_segment(overlaps, scenario.u)
 
 
-# Overlap-series cache: one .npz file per n_max, without the cavity length in
-# the key because the series does not depend on it.
+# Overlap-series cache: one .npz file per n_max.
 
 SERIES_ARRAYS = ("alpha1", "alpha2", "beta1", "beta2")
 
@@ -316,17 +302,15 @@ def load_overlaps_csv(path: str, n_max: int) -> OverlapSeries:
     return OverlapSeries(n_max, *(arrays[name] for name in SERIES_ARRAYS), residual)
 
 
-def load_or_compute_overlap_series(
-    length: float, n_max: int, cache_dir: str | None = None
-) -> OverlapSeries:
+def load_or_compute_overlap_series(n_max: int, cache_dir: str | None = None) -> OverlapSeries:
     """Overlap series, read from ``cache_dir`` when its file exists and
     computed (then written there) otherwise."""
     if cache_dir is None:
-        return perturbative_overlaps(length, n_max)
+        return perturbative_overlaps(n_max)
     path = series_cache_file(cache_dir, n_max)
     if os.path.exists(path):
         return load_overlaps_csv(path, n_max)
-    overlaps = perturbative_overlaps(length, n_max)
+    overlaps = perturbative_overlaps(n_max)
     os.makedirs(cache_dir, exist_ok=True)
     save_overlaps_csv(path, overlaps)
     return overlaps

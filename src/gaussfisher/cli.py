@@ -8,9 +8,14 @@ Verbs:
   failure)
 * ``overlaps`` -- precompute and cache the overlap series
 
-Scenario parameters come from ``key = value`` config files and/or flags;
-flags win. Output is UTF-8 CSV with LF endings and full-precision floats;
-identical inputs and BLAS thread count give byte-identical files.
+Every verb takes ``--config``, ``--nmax`` and ``--cache``; beyond those it
+registers only the flags it reads, so ``overlaps`` takes no others and only
+``validate`` takes ``--seed``. Scenario parameters come from ``key = value``
+config files (keys in ``CONFIG_KEYS``) and/or flags; flags win. Everything is
+dimensionless in ``(h, u)``, so no cavity length is asked for.
+
+Output is UTF-8 CSV with LF endings and full-precision floats; identical
+inputs and BLAS thread count give byte-identical files.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .sweeps import (
 )
 
 CONFIG_KEYS = {
-    "L": float,
     "h": float,
     "u": float,
     "u_grid": str,
@@ -91,19 +95,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="key = value scenario file")
-        p.add_argument("--out", help="output CSV path (default: stdout)")
-        p.add_argument("--nmax", type=int, help="mode-ladder truncation")
-        p.add_argument("--h", type=float, help="acceleration parameter h = aL/c^2")
-        p.add_argument("--length", type=float, help="cavity length (default 1)")
-        p.add_argument("--modes", help="probed modes as 'k,k_prime' (default 1,2)")
-        p.add_argument("--cache", help="directory for the cached overlap series")
-        p.add_argument("--channel", help="CSV file with an imported channel series")
-        p.add_argument("--seed", type=int, default=1234, help="seed for randomized suites")
+    # each verb registers only the flags it reads, and refuses abbreviations:
+    # otherwise a flag it lacks, such as ``--h``, would match ``--help``
+    optional = {
+        "--out": dict(help="output CSV path (default: stdout)"),
+        "--h": dict(type=float, help="acceleration parameter h = aL/c^2"),
+        "--modes": dict(help="probed modes as 'k,k_prime' (default 1,2)"),
+        "--channel": dict(help="CSV file with an imported channel series"),
+        "--seed": dict(type=int, default=1234, help="seed for randomized suites"),
+    }
 
-    p_sweep = sub.add_parser("sweep", help="QFI over a duration grid")
-    add_common(p_sweep)
+    def add_common(p, *flags):
+        p.add_argument("--config", help="key = value scenario file")
+        p.add_argument("--nmax", type=int, help="mode-ladder truncation")
+        p.add_argument("--cache", help="directory for the cached overlap series")
+        for flag in flags:
+            p.add_argument(flag, **optional[flag])
+
+    p_sweep = sub.add_parser("sweep", allow_abbrev=False, help="QFI over a duration grid")
+    add_common(p_sweep, "--out", "--h", "--modes", "--channel")
     p_sweep.add_argument("--grid", help="u grid 'start:stop:step' or comma list")
     p_sweep.add_argument(
         "--state",
@@ -117,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--delta", type=float, help="displacement parameter (with --r)")
     p_sweep.add_argument("--methods", default="perturbative", help="comma list: perturbative,oracle")
 
-    p_cmp = sub.add_parser("compare", help="perturbative vs oracle on an h ladder")
-    add_common(p_cmp)
+    p_cmp = sub.add_parser("compare", allow_abbrev=False, help="perturbative vs oracle on an h ladder")
+    add_common(p_cmp, "--out", "--modes", "--channel")
     p_cmp.add_argument("--u", type=float, help="duration parameter (default from config/scenario)")
     p_cmp.add_argument("--ladder", default="0.02,0.04,0.08", help="comma list of h values")
     p_cmp.add_argument("--r", type=float, help="squeezing parameter (default 1)")
@@ -130,19 +140,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="probe family (repeatable; default: all three)",
     )
 
-    p_val = sub.add_parser("validate", help="run the invariant suites")
-    add_common(p_val)
+    p_val = sub.add_parser("validate", allow_abbrev=False, help="run the invariant suites")
+    add_common(p_val, "--out", "--h", "--modes", "--channel", "--seed")
 
-    p_ov = sub.add_parser("overlaps", help="build the overlap-series cache")
+    p_ov = sub.add_parser("overlaps", allow_abbrev=False, help="build the overlap-series cache")
     add_common(p_ov)
     return parser
 
 
 def scenario_from(args, config: dict) -> CavityScenario:
     def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        return config.get(key, default)
+        value = getattr(args, flag, None)
+        return config.get(key, default) if value is None else value
 
     modes = (config.get("k", 1), config.get("k_prime", 2))
     if getattr(args, "modes", None):
@@ -151,12 +160,11 @@ def scenario_from(args, config: dict) -> CavityScenario:
             raise ValueError("--modes expects 'k,k_prime'")
         modes = (int(parts[0]), int(parts[1]))
     return CavityScenario(
-        length=pick(args.length, "L", 1.0),
-        h=pick(args.h, "h", 0.05),
-        u=config.get("u", 0.3) if getattr(args, "u", None) is None else args.u,
+        h=pick("h", "h", 0.05),
+        u=pick("u", "u", 0.3),
         k=modes[0],
         k_prime=modes[1],
-        n_max=pick(args.nmax, "n_max", 10),
+        n_max=pick("nmax", "n_max", 10),
     )
 
 
@@ -240,7 +248,7 @@ def _run(args) -> int:
     if args.command == "overlaps":
         if args.cache is None:
             raise ValueError("overlaps requires --cache")
-        ov = load_or_compute_overlap_series(scenario.length, scenario.n_max, args.cache)
+        ov = load_or_compute_overlap_series(scenario.n_max, args.cache)
         path = series_cache_file(args.cache, scenario.n_max)
         print(f"{path}: n_max={ov.n_max} fit residual {ov.fit_residual:.3e}")
         return 0

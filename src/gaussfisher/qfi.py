@@ -260,15 +260,14 @@ def probe_family(series: BogoliubovSeries, modes, state: GaussianState):
     return family
 
 
-def qfi_oracle(family, theta: float, steps=(1e-2, 1e-3, 1e-4), residual_bound: float | None = None) -> QfiResult:
+def qfi_oracle(family, theta: float, steps=(1e-2, 1e-3, 1e-4)) -> QfiResult:
     """QFI from symmetric finite differences of the fidelity.
 
     ``H(d) = 8 (1 - sqrt(F(state(theta - d), state(theta + d)))) / (2 d)^2``
     is evaluated on the decreasing step ladder and Richardson-extrapolated to
     ``d -> 0`` (the error series is even in ``d`` because the fidelity is
     stationary at zero separation). The residual is the difference of the
-    last two extrapolants; if ``residual_bound`` is given, non-convergence
-    raises.
+    last two extrapolants.
     """
     steps = tuple(float(s) for s in steps)
     if not steps or any(s <= 0.0 for s in steps):
@@ -312,8 +311,4 @@ def qfi_oracle(family, theta: float, steps=(1e-2, 1e-3, 1e-4), residual_bound: f
         tableau.append(row)
     value = tableau[-1][-1]
     residual = abs(tableau[-1][-1] - tableau[-1][-2]) if len(steps) > 1 else math.inf
-    if residual_bound is not None and residual > residual_bound:
-        raise ValueError(
-            f"oracle did not converge: residual {residual:.3e} above {residual_bound:.3e}"
-        )
     return QfiResult(max(value, 0.0), math.nan, math.nan, "oracle", residual)

@@ -81,10 +81,6 @@ class GaussianState:
         object.__setattr__(self, "first_moments", mean)
         object.__setattr__(self, "covariance", cov)
 
-    @property
-    def omega(self) -> np.ndarray:
-        return symplectic_form(self.n_modes)
-
 
 def vacuum_state(n_modes: int) -> GaussianState:
     """Vacuum of ``n_modes`` modes: zero means, identity covariance."""
@@ -129,19 +125,6 @@ def two_mode_squeezed_state(n_modes: int, k: int, k_prime: int, r: float) -> Gau
     cov[ik:ik + 2, ip:ip + 2] = sz
     cov[ip:ip + 2, ik:ik + 2] = sz
     return GaussianState(n_modes, np.zeros(2 * n_modes), cov)
-
-
-def reduce_state(state: GaussianState, modes) -> GaussianState:
-    """Marginal state on an ordered subset of modes (1-based indices)."""
-    modes = tuple(modes)
-    if len(set(modes)) != len(modes):
-        raise ValueError("mode indices must be distinct")
-    for k in modes:
-        _check_mode_index(k, state.n_modes)
-    idx = np.concatenate([[2 * (k - 1), 2 * k - 1] for k in modes]).astype(int)
-    return GaussianState(
-        len(modes), state.first_moments[idx], state.covariance[np.ix_(idx, idx)]
-    )
 
 
 def embed_state(n_modes: int, modes, state: GaussianState) -> GaussianState:
@@ -213,21 +196,6 @@ def random_mixed_state(
     d = np.repeat(nu, 2)
     mean = rng.normal(scale=1.0, size=2 * n_modes)
     return GaussianState(n_modes, mean, s @ np.diag(d) @ s.T)
-
-
-def state_to_csv_row(state: GaussianState) -> str:
-    """Flatten a state to one CSV line: first moments, then row-major covariance."""
-    values = np.concatenate([state.first_moments, state.covariance.reshape(-1)])
-    return ",".join(repr(float(v)) for v in values)
-
-
-def state_from_csv_row(line: str, n_modes: int) -> GaussianState:
-    """Inverse of :func:`state_to_csv_row`."""
-    values = np.array([float(tok) for tok in line.strip().split(",")])
-    dim = 2 * n_modes
-    if values.size != dim + dim * dim:
-        raise ValueError(f"expected {dim + dim * dim} values for {n_modes} modes")
-    return GaussianState(n_modes, values[:dim], values[dim:].reshape(dim, dim))
 
 
 def _check_mode_index(k: int, n_modes: int) -> None:

@@ -16,7 +16,6 @@ import numpy as np
 from .bogoliubov import BogoliubovSeries, symplectic_from_bogoliubov
 from .cavity import (
     CavityScenario,
-    _max_fit_residual,
     compose_one_segment,
     load_or_compute_overlap_series,
 )
@@ -58,7 +57,6 @@ class SweepSpec:
     delta: float | None = None
     methods: tuple = ("perturbative",)
     channel: BogoliubovSeries | None = None
-    oracle_steps: tuple | None = None
 
     def __post_init__(self):
         if not self.grid:
@@ -144,7 +142,7 @@ def run_sweep(spec: SweepSpec, cache_dir: str | None = None) -> list[SweepRow]:
     sc = spec.scenario
     probes = spec.probes()
     if spec.channel is None:
-        overlaps = load_or_compute_overlap_series(sc.length, sc.n_max, cache_dir)
+        overlaps = load_or_compute_overlap_series(sc.n_max, cache_dir)
     rows = []
     for g in spec.grid:
         if spec.channel is not None:
@@ -162,8 +160,7 @@ def run_sweep(spec: SweepSpec, cache_dir: str | None = None) -> list[SweepRow]:
                 trunc = result.residual
             if "oracle" in spec.methods:
                 fam = probe_family(series, modes, state)
-                steps = spec.oracle_steps or (theta / 10.0, theta / 30.0, theta / 100.0)
-                result = qfi_oracle(fam, theta, steps=steps)
+                result = qfi_oracle(fam, theta, steps=(theta / 10.0, theta / 30.0, theta / 100.0))
                 orc, res_o = result.value, result.residual
                 if np.isnan(trunc):
                     trunc = result.residual
@@ -243,7 +240,7 @@ def compare_methods(
     if spec.channel is not None:
         series = spec.channel
     else:
-        overlaps = load_or_compute_overlap_series(sc.length, sc.n_max, cache_dir)
+        overlaps = load_or_compute_overlap_series(sc.n_max, cache_dir)
         series = compose_one_segment(overlaps, float(u))
     rows, slopes = [], {}
     for family, _, _, state, modes in spec.probes():
@@ -347,11 +344,10 @@ def validate(
         return ValidationReport(tuple(checks))
 
     scenario = scenario or CavityScenario()
-    overlaps = load_or_compute_overlap_series(scenario.length, scenario.n_max, cache_dir)
+    overlaps = load_or_compute_overlap_series(scenario.n_max, cache_dir)
     series = compose_one_segment(overlaps, scenario.u)
     probes = (scenario.k, scenario.k_prime)
 
-    add("overlap series: fit residual", overlaps.fit_residual, _max_fit_residual(scenario.n_max))
     add(
         "composed series: diagonal first order",
         max(np.max(np.abs(np.diag(series.alpha1))), np.max(np.abs(np.diag(series.beta1)))),

@@ -1,15 +1,101 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm_frechet
 
 from gaussfisher.cavity import compose_one_segment, perturbative_overlaps, rindler_overlaps
-from gaussfisher.bogoliubov import (
-    BogoliubovSeries,
-    CovarianceSeries,
-    block_from_coefficients,
-    synthetic_unitary_series,
-)
+from gaussfisher.bogoliubov import BogoliubovSeries, CovarianceSeries, _assemble
 from gaussfisher.qfi import f_sums
-from gaussfisher.states import embed_state
+from gaussfisher.states import embed_state, symplectic_form
+
+
+def _disassemble(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex ``(alpha, beta)`` matrices from a real block matrix."""
+    m11 = matrix[0::2, 0::2]
+    m12 = matrix[0::2, 1::2]
+    m21 = matrix[1::2, 0::2]
+    m22 = matrix[1::2, 1::2]
+    alpha = 0.5 * (m11 + m22) + 0.5j * (m12 - m21)
+    beta = 0.5 * (m22 - m11) + 0.5j * (m12 + m21)
+    return alpha, beta
+
+
+def synthetic_unitary_series(
+    n_max: int,
+    rng: np.random.Generator,
+    strength: float = 0.3,
+    zero_diagonal: bool = False,
+    random_phases: bool = True,
+) -> BogoliubovSeries:
+    """Random channel series satisfying the order-by-order identities exactly.
+
+    Built from ``S(theta) = exp(theta K1 + theta^2 K2) S0`` with ``K1, K2``
+    in the symplectic algebra and ``S0`` a phase rotation on each mode, then
+    read off order by order. With ``zero_diagonal`` the diagonal blocks of
+    ``K1`` are removed, mimicking channels whose first-order diagonal
+    coefficients vanish.
+    """
+    omega = symplectic_form(n_max)
+
+    def algebra_element(zero_diag: bool) -> np.ndarray:
+        q = rng.normal(scale=strength, size=(2 * n_max, 2 * n_max))
+        q = 0.5 * (q + q.T)
+        if zero_diag:
+            # Omega is block diagonal, so K = Omega Q has zero diagonal
+            # blocks exactly when Q does
+            for i in range(n_max):
+                q[2 * i:2 * i + 2, 2 * i:2 * i + 2] = 0.0
+        return omega @ q
+
+    k1 = algebra_element(zero_diagonal)
+    k2 = algebra_element(False)
+    phases = rng.uniform(0.0, 2 * np.pi, size=n_max) if random_phases else np.zeros(n_max)
+    g = np.exp(1j * phases)
+    s0 = _assemble(np.diag(g), np.zeros((n_max, n_max), dtype=complex))
+    s1 = k1 @ s0
+    s2 = (k2 + 0.5 * k1 @ k1) @ s0
+    a1, b1 = _disassemble(s1)
+    a2, b2 = _disassemble(s2)
+    return BogoliubovSeries(n_max, g, a1, a2, b1, b2)
+
+
+def exact_qfi(series, modes, state, theta):
+    """Test-only exact QFI of the family :func:`gaussfisher.qfi.probe_family`
+    builds, from the Frechet derivative of its exponential.
+
+    On the probed rows of ``S = exp(theta K1 + theta^2 K2) S0`` and of
+    ``dS/dtheta``, ``H = 1/2 vec(dσ)^T (σ⊗σ − Ω⊗Ω)^-1 vec(dσ) + 2 dμ^T σ^-1 dμ``
+    (Monras, arXiv:1303.3682; Šafránek, Lee & Fuentes, arXiv:1502.07924). The
+    channel entangles the probed modes with the rest, so their state is
+    mixed and the matrix invertible.
+    """
+    modes = tuple(modes)
+    s0, s1, s2 = series.symplectic_orders()
+    omega = symplectic_form(series.n_max)
+    k1 = s1 @ s0.T
+    k2 = s2 @ s0.T - 0.5 * k1 @ k1
+    k1 = 0.5 * (k1 + omega @ k1.T @ omega)
+    k2 = 0.5 * (k2 + omega @ k2.T @ omega)
+    expo, frechet = expm_frechet(theta * k1 + theta**2 * k2, k1 + 2.0 * theta * k2)
+    full = embed_state(series.n_max, modes, state)
+    idx = np.concatenate([[2 * (k - 1), 2 * k - 1] for k in modes]).astype(int)
+    s, ds = (expo @ s0)[idx], (frechet @ s0)[idx]
+    sigma = s @ full.covariance @ s.T
+    cross = ds @ full.covariance @ s.T
+    dsigma = cross + cross.T
+    dmu = ds @ full.first_moments
+    # the congruence by the Cholesky factor L of sigma turns the kernel into
+    # I - J⊗J with J = L^-1 Ω L^-T: the squeezing drops out of its condition
+    # number and only the near-purity 1 - 1/(ν_a ν_b) of the probed modes
+    # is left
+    chol = np.linalg.cholesky(sigma)
+
+    def whiten(mat):
+        return np.linalg.solve(chol, np.linalg.solve(chol, mat).T)
+
+    j = whiten(symplectic_form(len(modes)))
+    vec = whiten(dsigma).reshape(-1)
+    cov_part = 0.5 * vec @ np.linalg.solve(np.eye(vec.size) - np.kron(j, j), vec)
+    return float(cov_part + 2.0 * dmu @ np.linalg.solve(sigma, dmu))
 
 
 def full_covariance_series(series, modes, input_state):
@@ -77,14 +163,17 @@ def sigma_orders_from_blocks(series, k, k_prime, psi_k, psi_kp, phi):
         (k_prime, k_prime): np.asarray(psi_kp, float),
     }
 
+    def block(alpha, beta):
+        return _assemble(np.array([[alpha]], dtype=complex), np.array([[beta]], dtype=complex))
+
     def m0(i):
-        return block_from_coefficients(series.G[i - 1], 0.0)
+        return block(series.G[i - 1], 0.0)
 
     def m1(i, j):
-        return block_from_coefficients(series.alpha1[i - 1, j - 1], series.beta1[i - 1, j - 1])
+        return block(series.alpha1[i - 1, j - 1], series.beta1[i - 1, j - 1])
 
     def m2(i, j):
-        return block_from_coefficients(series.alpha2[i - 1, j - 1], series.beta2[i - 1, j - 1])
+        return block(series.alpha2[i - 1, j - 1], series.beta2[i - 1, j - 1])
 
     dim = 2 * len(probe)
     s0 = np.zeros((dim, dim))
@@ -341,14 +430,14 @@ def beta1_closed_form(m: int, n: int) -> float:
 
 @pytest.fixture(scope="session")
 def overlap_series_10():
-    return perturbative_overlaps(1.0, 10)
+    return perturbative_overlaps(10)
 
 
 @pytest.fixture(scope="session")
 def overlap_series_60():
     # deep mode ladder: keeps truncation noise at trivial-channel points
     # (integer u) below the comparison tolerances of the sweep criteria
-    return perturbative_overlaps(1.0, 60)
+    return perturbative_overlaps(60)
 
 
 @pytest.fixture(scope="session")
@@ -358,7 +447,7 @@ def cavity_series_u03(overlap_series_10):
 
 @pytest.fixture(scope="session")
 def exact_overlaps_h005():
-    return {n: rindler_overlaps(1.0, 0.05, n) for n in (5, 10, 20)}
+    return {n: rindler_overlaps(0.05, n) for n in (5, 10, 20)}
 
 
 @pytest.fixture()

@@ -9,12 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import sigma_orders_from_blocks
-from gaussfisher.bogoliubov import (
-    BogoliubovMatrices,
-    symplectic_from_bogoliubov,
-    synthetic_unitary_series,
-)
+from conftest import sigma_orders_from_blocks, synthetic_unitary_series
+from gaussfisher.bogoliubov import BogoliubovMatrices, symplectic_from_bogoliubov
 from gaussfisher.cavity import compose_one_segment, rindler_overlaps
 from gaussfisher.fidelity import fidelity, fidelity_one_mode, fidelity_two_mode
 from gaussfisher.qfi import (
@@ -281,7 +277,7 @@ def test_criterion_6_cavity_oracle(overlap_series_10, cavity_series_u03):
     hs = (0.015, 0.03, 0.06)
     res = []
     for h in hs:
-        exact = rindler_overlaps(1.0, h, 10)
+        exact = rindler_overlaps(h, 10)
         model_a = np.eye(10) + overlap_series_10.alpha1 * h + overlap_series_10.alpha2 * h**2
         model_b = overlap_series_10.beta1 * h + overlap_series_10.beta2 * h**2
         res.append(
@@ -292,7 +288,7 @@ def test_criterion_6_cavity_oracle(overlap_series_10, cavity_series_u03):
         np.max(np.abs(np.diag(cavity_series_u03.alpha1))),
         np.max(np.abs(np.diag(cavity_series_u03.beta1))),
     )
-    limit = rindler_overlaps(1.0, 1e-4, 10)
+    limit = rindler_overlaps(1e-4, 10)
     limit_gap = max(np.max(np.abs(limit.alpha - np.eye(10))), np.max(np.abs(limit.beta)))
     ok = slope >= 2.7 and diag <= 1e-8 and limit_gap <= 1e-3
     report(

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import alpha1_closed_form, beta1_closed_form
+from conftest import alpha1_closed_form, beta1_closed_form, exact_qfi
 from gaussfisher import cavity
 from gaussfisher.bogoliubov import BogoliubovSeries
 from gaussfisher.cavity import (
@@ -15,7 +15,6 @@ from gaussfisher.cavity import (
     load_or_compute_overlap_series,
     mode_phases,
     perturbative_overlaps,
-    proper_frequency,
     rindler_overlaps,
     save_overlaps_csv,
     series_cache_file,
@@ -38,25 +37,10 @@ def test_scenario_validation():
         CavityScenario(k=1, k_prime=1)
     with pytest.raises(ValueError):
         CavityScenario(k=11, n_max=10)
-    with pytest.raises(ValueError):
-        CavityScenario(length=0.0)
-
-
-def test_proper_frequency():
-    # inertial limit: omega_n = n pi / L
-    assert np.isclose(proper_frequency(1, 1e-8, 1.0), np.pi, rtol=1e-10)
-    # linear in the mode index
-    assert np.isclose(
-        proper_frequency(2, 0.7, 1.3), 2.0 * proper_frequency(1, 0.7, 1.3), rtol=1e-14
-    )
-    # evaluated value at h = 1, L = 1: pi / (2 artanh(1/2))
-    assert np.isclose(proper_frequency(1, 1.0, 1.0), 2.8596008673801268, rtol=1e-12)
-    with pytest.raises(ValueError):
-        proper_frequency(1, 2.0, 1.0)
 
 
 def test_overlaps_identity_limit():
-    ov = rindler_overlaps(1.0, 1e-4, 10)
+    ov = rindler_overlaps(1e-4, 10)
     assert np.max(np.abs(ov.alpha - np.eye(10))) <= 1e-3
     assert np.max(np.abs(ov.beta)) <= 1e-3
 
@@ -64,13 +48,13 @@ def test_overlaps_identity_limit():
 def test_overlap_quadrature_convergence():
     # orthonormality residual decreases with quadrature order
     h, n = 0.3, 8
-    converged = rindler_overlaps(1.0, h, n)
+    converged = rindler_overlaps(h, n)
     errs = []
     # orders low enough that the integrand is genuinely under-resolved;
     # compare against the converged matrices instead of the truncated
     # identity, which carries an order-independent mode tail
     for order in (6, 10, 16):
-        alpha, beta = _overlaps_at_order(1.0, h, n, order)
+        alpha, beta = _overlaps_at_order(h, n, order)
         errs.append(max(np.max(np.abs(alpha - converged.alpha)), np.max(np.abs(beta - converged.beta))))
     assert errs[0] > 1e-10  # start unconverged
     assert errs[1] < errs[0] and errs[2] < errs[1]
@@ -78,7 +62,7 @@ def test_overlap_quadrature_convergence():
 
 def test_horizon_guard():
     with pytest.raises(ValueError):
-        rindler_overlaps(1.0, 2.0, 5)
+        rindler_overlaps(2.0, 5)
 
 
 def test_fitted_series_matches_closed_forms(overlap_series_10):
@@ -105,19 +89,12 @@ def test_parity_pattern(overlap_series_10):
                     assert abs(overlap_series_10.alpha1[m - 1, k - 1]) <= 1e-6
 
 
-def test_series_scale_invariance():
-    a = perturbative_overlaps(1.0, 6)
-    b = perturbative_overlaps(2.0, 6)
-    assert np.max(np.abs(a.alpha1 - b.alpha1)) <= 1e-12
-    assert np.max(np.abs(a.beta2 - b.beta2)) <= 1e-12
-
-
 def test_series_reproduces_exact_overlaps_cubically(overlap_series_10):
     # residual against fresh quadrature points (not in the fit ladder)
     hs = (0.015, 0.03, 0.06)
     res = []
     for h in hs:
-        exact = rindler_overlaps(1.0, h, 10)
+        exact = rindler_overlaps(h, 10)
         model_a = np.eye(10) + overlap_series_10.alpha1 * h + overlap_series_10.alpha2 * h**2
         model_b = overlap_series_10.beta1 * h + overlap_series_10.beta2 * h**2
         res.append(max(np.max(np.abs(exact.alpha - model_a)), np.max(np.abs(exact.beta - model_b))))
@@ -216,6 +193,25 @@ def test_oracle_matches_two_mode_squeezed_wrapper(cavity_series_u03):
     assert abs(pert.value - orc.value) / orc.value <= 10.0 * h
 
 
+def test_oracle_matches_exact_qfi(overlap_series_10):
+    # the fidelity oracle against the test-only exact QFI of the same
+    # exponential family; u -> 1 - u conjugates every phase G and so the
+    # channel, which the probes (invariant under p -> -p) cannot tell apart
+    from gaussfisher.qfi import probe_family, qfi_oracle
+    from gaussfisher.sweeps import SweepSpec
+
+    h = 0.05
+    for u in (0.3, 0.5):
+        series = compose_one_segment(overlap_series_10, u)
+        mirrored = compose_one_segment(overlap_series_10, 1.0 - u)
+        spec = SweepSpec(scenario=CavityScenario(h=h, u=u, n_max=10), x=0.5)
+        for family, _, _, state, modes in spec.probes():
+            exact = exact_qfi(series, modes, state, h)
+            oracle = qfi_oracle(probe_family(series, modes, state), h, steps=(h / 10, h / 30, h / 100))
+            assert abs(oracle.value - exact) <= 1e-5 * exact, (u, family)
+            assert abs(exact_qfi(mirrored, modes, state, h) - exact) <= 1e-10 * exact, (u, family)
+
+
 def _refuse_quadrature(*args):
     raise AssertionError("overlap quadrature ran although the series was cached")
 
@@ -224,29 +220,27 @@ def test_overlap_cache_roundtrip(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     assert main(["overlaps", "--nmax", "6", "--cache", str(cache)]) == 0
     assert [p.name for p in cache.iterdir()] == ["overlap_series_n6.npz"]
-    direct = perturbative_overlaps(1.0, 6)
+    direct = perturbative_overlaps(6)
     monkeypatch.setattr(cavity, "rindler_overlaps", _refuse_quadrature)
-    # the series does not depend on the cavity length, so neither does the key
-    for length in (1.0, 2.0):
-        cached = load_or_compute_overlap_series(length, 6, str(cache))
-        for name in ("alpha1", "alpha2", "beta1", "beta2"):
-            assert np.array_equal(getattr(cached, name), getattr(direct, name))
-            assert getattr(cached, name).dtype == np.float64
-        assert cached.fit_residual == direct.fit_residual
+    cached = load_or_compute_overlap_series(6, str(cache))
+    for name in ("alpha1", "alpha2", "beta1", "beta2"):
+        assert np.array_equal(getattr(cached, name), getattr(direct, name))
+        assert getattr(cached, name).dtype == np.float64
+    assert cached.fit_residual == direct.fit_residual
     assert len(list(cache.iterdir())) == 1
 
 
 def test_cached_series_enforces_fit_bound(tmp_path):
     cache = str(tmp_path / "cache")
-    series = load_or_compute_overlap_series(1.0, 6, cache)
+    series = load_or_compute_overlap_series(6, cache)
     bad = dataclasses.replace(series, fit_residual=2.0 * _max_fit_residual(6))
     save_overlaps_csv(series_cache_file(cache, 6), bad)
     with pytest.raises(ValueError, match="fit residual 2.000e-07 above 1e-07"):
-        load_or_compute_overlap_series(1.0, 6, cache)
+        load_or_compute_overlap_series(6, cache)
 
 
 def test_failed_cache_write_keeps_previous_file(tmp_path, monkeypatch):
-    series = perturbative_overlaps(1.0, 6)
+    series = perturbative_overlaps(6)
     path = tmp_path / "overlap_series_n6.npz"
     save_overlaps_csv(str(path), series)
     before = path.read_bytes()
@@ -263,7 +257,7 @@ def test_failed_cache_write_keeps_previous_file(tmp_path, monkeypatch):
 
 
 def test_quadrature_nodes_memoized(monkeypatch):
-    first = rindler_overlaps(1.0, 0.05, 5)  # warms every order it tries
+    first = rindler_overlaps(0.05, 5)  # warms every order it tries
     nodes, weights = _gauss_legendre(QUADRATURE_ORDERS[0])
     assert not nodes.flags.writeable and not weights.flags.writeable
     assert np.isclose(np.sum(weights), 2.0)
@@ -273,13 +267,13 @@ def test_quadrature_nodes_memoized(monkeypatch):
         raise AssertionError("Gauss-Legendre nodes recomputed")
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
-    again = rindler_overlaps(1.0, 0.05, 5)
+    again = rindler_overlaps(0.05, 5)
     assert np.array_equal(first.alpha, again.alpha)
 
 
 def test_quadrature_failure_is_typed():
     with pytest.raises(QuadratureError):
-        rindler_overlaps(1.0, 0.04, 150)
+        rindler_overlaps(0.04, 150)
     assert issubclass(QuadratureError, RuntimeError)
 
 

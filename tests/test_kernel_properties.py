@@ -11,8 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _c2_single_mode_explicit, e2_single_mode, e2_two_mode, sigma_orders_from_blocks
-from gaussfisher.bogoliubov import BogoliubovSeries, synthetic_unitary_series
+from conftest import (
+    _c2_single_mode_explicit,
+    e2_single_mode,
+    e2_two_mode,
+    sigma_orders_from_blocks,
+    synthetic_unitary_series,
+)
+from gaussfisher.bogoliubov import BogoliubovSeries
 from gaussfisher.qfi import c2_from_orders, probe_state, qfi_perturbative
 from gaussfisher.states import GaussianState, random_pure_state, random_symplectic
 

@@ -8,8 +8,8 @@ the probed modes only; the references in ``conftest`` form the full
 import numpy as np
 import pytest
 
-from conftest import full_covariance_series, full_unitarity_residuals
-from gaussfisher.bogoliubov import BogoliubovSeries, covariance_series, synthetic_unitary_series
+from conftest import full_covariance_series, full_unitarity_residuals, synthetic_unitary_series
+from gaussfisher.bogoliubov import BogoliubovSeries, covariance_series
 from gaussfisher.qfi import probe_state, qfi_perturbative
 from gaussfisher.sweeps import FAMILIES, SweepSpec, run_sweep
 

@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import synthetic_unitary_series
 from gaussfisher import cavity
-from gaussfisher.bogoliubov import series_to_csv, synthetic_unitary_series
+from gaussfisher.bogoliubov import series_to_csv
 from gaussfisher.cavity import CavityScenario, perturbative_overlaps, save_overlaps_csv
 from gaussfisher.cli import main, parse_grid, read_config
 from gaussfisher.sweeps import (
@@ -141,6 +142,9 @@ def test_compare_methods_identity_channel():
 def test_validate_default_scenario(tmp_path):
     report = validate(small_scenario(n_max=8), cache_dir=str(tmp_path / "cache"))
     assert report.passed, "\n".join(report.lines())
+    # building or loading the series already enforces the fit bound, so
+    # validate has no fit-residual line that could never fail
+    assert not any("fit residual" in line for line in report.lines())
 
 
 def test_validate_flags_corrupted_channel():
@@ -158,15 +162,17 @@ def test_validate_flags_corrupted_channel():
 def test_config_parsing(tmp_path):
     path = tmp_path / "scenario.cfg"
     path.write_text(
-        "# cavity setup\nL = 1.0\nh = 0.08\nu = 0.4\nk = 1\nk_prime = 2\nn_max = 6\nN = 2.0\n",
+        "# cavity setup\nh = 0.08\nu = 0.4\nk = 1\nk_prime = 2\nn_max = 6\nN = 2.0\n",
         encoding="utf-8",
     )
     config = read_config(str(path))
     assert config["h"] == 0.08 and config["n_max"] == 6 and config["N"] == 2.0
     bad = tmp_path / "bad.cfg"
-    bad.write_text("who_knows = 3\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        read_config(str(bad))
+    # outputs are dimensionless in (h, u), so there is no cavity length L
+    for line in ("who_knows = 3\n", "L = 1.0\n"):
+        bad.write_text(line, encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown key"):
+            read_config(str(bad))
 
 
 def test_parse_grid():
@@ -275,6 +281,29 @@ def test_cli_compare_refuses_single_h(tmp_path, capsys, ladder):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+#: flags a verb does not read, and so does not accept; no verb takes a cavity
+#: length, because every output is dimensionless in (h, u)
+UNREAD_FLAGS = [
+    ("overlaps", "--out", "x.csv"),
+    ("overlaps", "--modes", "1,2"),
+    ("overlaps", "--h", "0.05"),
+    ("overlaps", "--seed", "1"),
+    ("overlaps", "--channel", "channel.csv"),
+    ("sweep", "--seed", "1"),
+    ("compare", "--seed", "1"),
+    ("compare", "--h", "0.05"),
+] + [(verb, "--length", "2") for verb in ("sweep", "compare", "validate", "overlaps")]
+
+
+@pytest.mark.parametrize("verb,flag,value", UNREAD_FLAGS)
+def test_cli_refuses_flags_the_verb_does_not_read(tmp_path, capsys, verb, flag, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb, "--nmax", "6", "--cache", str(tmp_path / "cache"), flag, value])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "cache").exists()
+
+
 def test_cli_overlaps_cache_builder(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "cache"
     assert main(["overlaps", "--nmax", "6", "--cache", str(cache)]) == 0
@@ -323,7 +352,7 @@ DAMAGED_CACHES = {
     "flipped byte": (_flip_byte, "Bad CRC-32"),
     "truncated": (lambda path, series: path.write_bytes(path.read_bytes()[:1000]), "not a zip file"),
     "other n_max": (
-        lambda path, series: save_overlaps_csv(str(path), perturbative_overlaps(1.0, 5)),
+        lambda path, series: save_overlaps_csv(str(path), perturbative_overlaps(5)),
         "alpha1 is not a finite float64 array of shape (6, 6)",
     ),
     "nan entry": (_with_nan, "alpha2 is not a finite float64 array of shape (6, 6)"),
@@ -341,11 +370,11 @@ def test_cli_rejects_damaged_cache(tmp_path, capsys, case):
     cache = tmp_path / "cache"
     assert main(["overlaps", "--nmax", "6", "--cache", str(cache)]) == 0
     path = cache / "overlap_series_n6.npz"
-    damage(path, perturbative_overlaps(1.0, 6))
+    damage(path, perturbative_overlaps(6))
     capsys.readouterr()
     for verb in (["sweep", "--grid", "0.37"], ["compare"], ["validate"], ["overlaps"]):
-        argv = verb + ["--nmax", "6", "--cache", str(cache), "--out", str(tmp_path / "out.csv")]
-        assert main(argv) == 2
+        out = [] if verb == ["overlaps"] else ["--out", str(tmp_path / "out.csv")]
+        assert main(verb + ["--nmax", "6", "--cache", str(cache)] + out) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: overlap-series cache file {path}: "), err
         assert message in err and err.count("\n") == 1 and "Traceback" not in err
@@ -355,13 +384,13 @@ def test_cli_rejects_damaged_cache(tmp_path, capsys, case):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["sweep", "--nmax", "150", "--grid", "0.3"],
-        ["overlaps", "--nmax", "150", "--cache", "{cache}"],
+        ["sweep", "--nmax", "150", "--grid", "0.3", "--out", "{tmp}/out.csv"],
+        ["overlaps", "--nmax", "150", "--cache", "{tmp}/cache"],
     ],
 )
 def test_cli_quadrature_failure_exits_2(tmp_path, capsys, argv):
-    argv = [a.replace("{cache}", str(tmp_path / "cache")) for a in argv]
-    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: quadrature did not converge")
     assert err.count("\n") == 1 and "Traceback" not in err
