@@ -15,23 +15,19 @@ from .states import (
     vacuum_state,
 )
 from .bogoliubov import (
-    BogoliubovMatrices,
     BogoliubovSeries,
     CovarianceSeries,
-    SymplecticMatrix,
     covariance_series,
+    identity_residual,
     series_from_csv,
     series_to_csv,
-    symplectic_from_bogoliubov,
 )
 from .fidelity import FidelityError, fidelity, fidelity_one_mode, fidelity_two_mode
 from .qfi import (
-    FSums,
     QfiResult,
     c2_from_orders,
     energy_budget,
     energy_matched_params,
-    f_sums,
     negativity_first_order,
     probe_family,
     probe_state,

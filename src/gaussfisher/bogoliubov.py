@@ -1,5 +1,5 @@
-"""Bogoliubov coefficient matrices, their small-parameter series, and the
-phase-space (symplectic) representation acting on Gaussian states.
+"""Bogoliubov channels as coefficient matrices, their small-parameter
+series, and the probed-mode covariance orders they induce.
 
 A channel mixing annihilation and creation operators,
 ``a~_m = sum_n (alpha*_mn a_n - beta*_mn a_n^dag)``, is stored as the complex
@@ -8,8 +8,12 @@ matrix pair ``(alpha, beta)``. Exact channels satisfy
     alpha alpha^dag - beta beta^dag = I      (commutators preserved)
     alpha beta^T symmetric                   (pair structure)
 
-and map to a real symplectic matrix built from 2x2 blocks; truncating the
-mode ladder at ``n_max`` turns the identities into measured residuals.
+or, equivalently, the real matrix ``S`` built from 2x2 blocks is symplectic,
+``S Omega S^T = Omega``. :func:`identity_residual` measures that on a window
+of modes; truncating the mode ladder at ``n_max`` turns the identities into
+measured residuals. :class:`BogoliubovSeries` holds a channel to second
+order in its parameter, and :func:`covariance_series` reads the covariance
+orders of the probed modes off its block rows.
 """
 
 from __future__ import annotations
@@ -38,68 +42,28 @@ def _assemble(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return s
 
 
-@dataclass(frozen=True)
-class BogoliubovMatrices:
-    """Coefficient matrices of a (possibly truncated) Bogoliubov channel."""
+def identity_residual(alpha: np.ndarray, beta: np.ndarray, rows=None, cols=None) -> float:
+    """Max-norm of ``S_r Omega S_c^T - Omega_rc`` for the channel ``(alpha, beta)``.
 
-    n_max: int
-    alpha: np.ndarray
-    beta: np.ndarray
-
-    def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=complex)
-        beta = np.asarray(self.beta, dtype=complex)
-        if alpha.shape != (self.n_max, self.n_max) or beta.shape != alpha.shape:
-            raise ValueError("alpha and beta must be n_max x n_max")
-        alpha.setflags(write=False)
-        beta.setflags(write=False)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-
-    def identity_residual(self) -> float:
-        """Max-norm violation of the two Bogoliubov identities.
-
-        Nonzero values on truncated channels measure the discarded mode tail.
-        """
-        d1 = self.alpha @ self.alpha.conj().T - self.beta @ self.beta.conj().T - np.eye(self.n_max)
-        d2 = self.alpha @ self.beta.T - (self.alpha @ self.beta.T).T
-        return max(np.max(np.abs(d1)), np.max(np.abs(d2)))
-
-
-@dataclass(frozen=True)
-class SymplecticMatrix:
-    """Real phase-space transformation in the interleaved quadrature ordering."""
-
-    n_modes: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (2 * self.n_modes, 2 * self.n_modes):
-            raise ValueError("matrix must be 2n x 2n")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    def omega_residual(self, modes=None) -> float:
-        """Max-norm of ``S Omega S^T - Omega``.
-
-        With ``modes`` given (1-based), the norm is restricted to the block
-        rows and columns of those modes. On truncated channels the full-matrix
-        norm is dominated by the edge of the mode ladder, while the restricted
-        norm measures how well the transformation closes on the modes one
-        actually probes.
-        """
-        omega = symplectic_form(self.n_modes)
-        defect = self.matrix @ omega @ self.matrix.T - omega
-        if modes is None:
-            return float(np.max(np.abs(defect)))
-        idx = np.concatenate([[2 * (k - 1), 2 * k - 1] for k in modes]).astype(int)
-        return float(max(np.max(np.abs(defect[idx, :])), np.max(np.abs(defect[:, idx]))))
-
-
-def symplectic_from_bogoliubov(bogo: BogoliubovMatrices) -> SymplecticMatrix:
-    """Assemble the symplectic matrix of a Bogoliubov channel."""
-    return SymplecticMatrix(bogo.n_max, _assemble(bogo.alpha, bogo.beta))
+    ``S_r`` and ``S_c`` are the block rows of the output modes ``rows`` and
+    ``cols`` (1-based; ``None`` means all), so the norm covers that window
+    of ``S Omega S^T - Omega`` and no other block row is assembled. The defect is antisymmetric, so ``(rows, None)`` also covers the block
+    columns of ``rows``. On truncated channels the full norm is dominated by
+    the edge of the mode ladder; a window on the probed modes measures how
+    well the channel closes on the modes one actually probes.
+    """
+    alpha = np.asarray(alpha, dtype=complex)
+    beta = np.asarray(beta, dtype=complex)
+    n = alpha.shape[1]
+    everything = range(1, n + 1)
+    rows = np.asarray(everything if rows is None else rows, dtype=int)
+    cols = np.asarray(everything if cols is None else cols, dtype=int)
+    s_r = _assemble(alpha[rows - 1], beta[rows - 1])
+    s_c = _assemble(alpha[cols - 1], beta[cols - 1])
+    # Omega_rc holds the 2x2 form wherever a row mode meets the same column mode
+    omega_rc = np.kron(rows[:, None] == cols[None, :], symplectic_form(1))
+    defect = s_r @ symplectic_form(n) @ s_c.T - omega_rc
+    return float(np.max(np.abs(defect)))
 
 
 @dataclass(frozen=True)
@@ -140,8 +104,9 @@ class BogoliubovSeries:
         for name, m in mats.items():
             object.__setattr__(self, name, m)
 
-    def evaluate(self, theta: float) -> BogoliubovMatrices:
-        """Coefficient matrices at a finite parameter value.
+    def evaluate(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only coefficient matrices ``(alpha, beta)`` at a finite
+        parameter value.
 
         The quadratic truncation leaves identity residuals of order
         ``theta^3`` plus the mode-truncation tail; validity degrades beyond
@@ -149,7 +114,9 @@ class BogoliubovSeries:
         """
         alpha = np.diag(self.G) + self.alpha1 * theta + self.alpha2 * theta**2
         beta = self.beta1 * theta + self.beta2 * theta**2
-        return BogoliubovMatrices(self.n_max, alpha, beta)
+        alpha.setflags(write=False)
+        beta.setflags(write=False)
+        return alpha, beta
 
     def symplectic_orders(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Real matrices ``(S0, S1, S2)`` with ``S(theta) = S0 + S1 theta + S2 theta^2``."""

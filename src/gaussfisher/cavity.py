@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import BogoliubovMatrices, BogoliubovSeries
+from .bogoliubov import BogoliubovSeries
 
 #: ladder of acceleration values used to extract the overlap series
 H_LADDER = (0.00125, 0.0025, 0.005, 0.01, 0.02, 0.04)
@@ -78,9 +78,6 @@ class RindlerOverlaps:
     alpha: np.ndarray
     beta: np.ndarray
     quad_order: int
-
-    def as_matrices(self) -> BogoliubovMatrices:
-        return BogoliubovMatrices(self.n_max, self.alpha, self.beta)
 
 
 @dataclass(frozen=True)
@@ -287,7 +284,9 @@ def load_overlaps_csv(path: str, n_max: int) -> OverlapSeries:
     """
     shapes = dict.fromkeys(SERIES_ARRAYS, (n_max, n_max)) | {"fit_residual": ()}
     try:
-        with np.load(path, allow_pickle=False) as data:
+        # np.load keeps no handle of its own when given an open file, so the
+        # file is closed even when the archive fails to parse
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             arrays = {name: data[name] for name in shapes}
         for name, arr in arrays.items():
             if arr.dtype != np.float64 or arr.shape != shapes[name] or not np.all(np.isfinite(arr)):

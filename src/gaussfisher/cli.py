@@ -235,7 +235,7 @@ def _run(args) -> int:
         emit(comparison_to_csv(report), args.out)
         for family, slope in report.slopes.items():
             print(f"slope {family}: {slope:.3f}", file=sys.stderr)
-        return 0 if report.passed() else 1
+        return 0 if report.passed else 1
 
     if args.command == "validate":
         report = validate(scenario, channel=channel, seed=args.seed, cache_dir=args.cache)

@@ -64,52 +64,6 @@ class QfiResult:
             raise ValueError("perturbative QFI must equal 4 (e2 + c2)")
 
 
-@dataclass(frozen=True)
-class FSums:
-    """Quadratic sums of first-order coefficients over spectator modes.
-
-    ``f_alpha[i] = 1/2 sum_n |alpha1_{n, i}|^2`` and likewise for ``beta``,
-    with ``n`` running over 1..n_max outside the exclusion set and ``i`` over
-    the probe modes (column index). ``g_alpha_beta[i, j] = sum_n alpha1_{n, i}
-    conj(beta1_{n, j})``. ``tail`` is the magnitude of the largest last-row
-    term, an estimate of what the truncation discards.
-    """
-
-    probe_modes: tuple
-    exclusion: tuple
-    f_alpha: np.ndarray
-    f_beta: np.ndarray
-    g_alpha_beta: np.ndarray
-    tail: float
-
-
-def f_sums(series: BogoliubovSeries, exclusion, probe_modes) -> FSums:
-    """Spectator-mode sums: the truncation tail of the perturbative route and
-    the inputs of the coefficient-form QFI expressions."""
-    exclusion = tuple(sorted(set(int(m) for m in exclusion)))
-    probe_modes = tuple(int(m) for m in probe_modes)
-    for m in exclusion:
-        if not 1 <= m <= series.n_max:
-            raise ValueError(f"excluded mode {m} out of range 1..{series.n_max}")
-    rows = np.array([n for n in range(1, series.n_max + 1) if n not in exclusion], dtype=int) - 1
-    cols = np.array(probe_modes, dtype=int) - 1
-    a = series.alpha1[np.ix_(rows, cols)] if rows.size else np.zeros((0, cols.size))
-    b = series.beta1[np.ix_(rows, cols)] if rows.size else np.zeros((0, cols.size))
-    f_alpha = 0.5 * np.sum(np.abs(a) ** 2, axis=0)
-    f_beta = 0.5 * np.sum(np.abs(b) ** 2, axis=0)
-    # G^{alpha beta}_{ij} = sum_n alpha1_{ni} conj(beta1_{nj})
-    g = a.T @ np.conj(b) if rows.size else np.zeros((cols.size, cols.size), dtype=complex)
-    tail = 0.0
-    if rows.size:
-        tail = float(
-            max(
-                0.5 * np.max(np.abs(a[-1, :]) ** 2),
-                0.5 * np.max(np.abs(b[-1, :]) ** 2),
-            )
-        )
-    return FSums(probe_modes, exclusion, f_alpha, f_beta, g, tail)
-
-
 def c2_from_orders(sigma0: np.ndarray, sigma1: np.ndarray, sigma2: np.ndarray) -> float:
     """Covariance contribution to the QFI from the covariance orders.
 
@@ -137,7 +91,18 @@ def _perturbative_residual(series: BogoliubovSeries, probe_modes) -> float:
     key = tuple(probe_modes)
     memo = series._residual_memo
     if key not in memo:
-        tail = f_sums(series, key, key).tail
+        # largest term of the last spectator row, an estimate of what the
+        # truncation of the spectator sums discards
+        spectators = [n for n in range(series.n_max) if n + 1 not in key]
+        tail = 0.0
+        if spectators:
+            cols = np.array(key) - 1
+            tail = float(
+                max(
+                    0.5 * np.max(np.abs(series.alpha1[spectators[-1], cols]) ** 2),
+                    0.5 * np.max(np.abs(series.beta1[spectators[-1], cols]) ** 2),
+                )
+            )
         _, second = series.unitarity_residuals(modes=key)
         memo[key] = max(tail, second)
     return memo[key]
@@ -263,6 +228,9 @@ def probe_family(series: BogoliubovSeries, modes, state: GaussianState):
 def qfi_oracle(family, theta: float, steps=(1e-2, 1e-3, 1e-4)) -> QfiResult:
     """QFI from symmetric finite differences of the fidelity.
 
+    ``family`` maps ``theta`` to a ``(mean, covariance)`` pair, as the
+    callable from :func:`probe_family` does.
+
     ``H(d) = 8 (1 - sqrt(F(state(theta - d), state(theta + d)))) / (2 d)^2``
     is evaluated on the decreasing step ladder and Richardson-extrapolated to
     ``d -> 0`` (the error series is even in ``d`` because the fidelity is
@@ -275,18 +243,12 @@ def qfi_oracle(family, theta: float, steps=(1e-2, 1e-3, 1e-4)) -> QfiResult:
     if any(b >= a for a, b in zip(steps, steps[1:])):
         raise ValueError("steps must decrease")
 
-    def as_mean_cov(state) -> tuple[np.ndarray, np.ndarray]:
-        if isinstance(state, GaussianState):
-            return state.first_moments, state.covariance
-        mean, cov = state
-        return np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
-
     # Families built from truncated series can be marginally unphysical (a
     # symplectic eigenvalue below 1 by the cubic truncation defect), which
     # turns the fidelity at small separations into noise. A tiny isotropic
     # noise floor, fixed once at the base point so it cannot introduce any
     # step dependence, restores physicality; it vanishes for exact channels.
-    base_mean, base_cov = as_mean_cov(family(theta))
+    _, base_cov = family(theta)
     dim = base_cov.shape[0]
     if dim not in (2, 4):
         raise ValueError("oracle supports one- and two-mode families only")
@@ -297,8 +259,8 @@ def qfi_oracle(family, theta: float, steps=(1e-2, 1e-3, 1e-4)) -> QfiResult:
     bump = noise_floor * np.eye(dim)
 
     def h_of(d: float) -> float:
-        mean_a, cov_a = as_mean_cov(family(theta - d))
-        mean_b, cov_b = as_mean_cov(family(theta + d))
+        mean_a, cov_a = family(theta - d)
+        mean_b, cov_b = family(theta + d)
         f = fid(cov_a + bump, cov_b + bump, mean_b - mean_a)
         return 8.0 * (1.0 - np.sqrt(f)) / (2.0 * d) ** 2
 

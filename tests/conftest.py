@@ -1,10 +1,11 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
-from scipy.linalg import expm_frechet
+from scipy.linalg import expm, expm_frechet
 
 from gaussfisher.cavity import compose_one_segment, perturbative_overlaps, rindler_overlaps
 from gaussfisher.bogoliubov import BogoliubovSeries, CovarianceSeries, _assemble
-from gaussfisher.qfi import f_sums
 from gaussfisher.states import embed_state, symplectic_form
 
 
@@ -56,6 +57,20 @@ def synthetic_unitary_series(
     a1, b1 = _disassemble(s1)
     a2, b2 = _disassemble(s2)
     return BogoliubovSeries(n_max, g, a1, a2, b1, b2)
+
+
+def random_exact_channel(n_max: int, rng: np.random.Generator, strength: float = 0.5):
+    """Complex ``(alpha, beta)`` of an exact channel ``S = exp(Omega Q)``
+    with ``Q`` random symmetric: symplectic to machine precision."""
+    q = rng.normal(scale=strength, size=(2 * n_max, 2 * n_max))
+    return _disassemble(expm(symplectic_form(n_max) @ (0.5 * (q + q.T))))
+
+
+def full_identity_defect(alpha, beta) -> np.ndarray:
+    """Reference ``S Omega S^T - Omega`` from the whole ``2n x 2n`` matrix."""
+    s = _assemble(np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex))
+    omega = symplectic_form(s.shape[0] // 2)
+    return s @ omega @ s.T - omega
 
 
 def exact_qfi(series, modes, state, theta):
@@ -277,6 +292,52 @@ def e2_two_mode(series: BogoliubovSeries, k: int, k_prime: int, r: float, delta:
         g = series.G[i - 1]
         total += (abs(a) ** 2) * np.cosh(r) - (a**2 * np.conj(g) ** 2).real * np.sinh(r)
     return float(delta**2 * total)
+
+
+@dataclass(frozen=True)
+class FSums:
+    """Quadratic sums of first-order coefficients over spectator modes.
+
+    ``f_alpha[i] = 1/2 sum_n |alpha1_{n, i}|^2`` and likewise for ``beta``,
+    with ``n`` running over 1..n_max outside the exclusion set and ``i`` over
+    the probe modes (column index). ``g_alpha_beta[i, j] = sum_n alpha1_{n, i}
+    conj(beta1_{n, j})``. ``tail`` is the magnitude of the largest last-row
+    term, an estimate of what the truncation discards.
+    """
+
+    probe_modes: tuple
+    exclusion: tuple
+    f_alpha: np.ndarray
+    f_beta: np.ndarray
+    g_alpha_beta: np.ndarray
+    tail: float
+
+
+def f_sums(series: BogoliubovSeries, exclusion, probe_modes) -> FSums:
+    """Spectator-mode sums: the truncation tail of the perturbative route and
+    the inputs of the coefficient-form QFI expressions."""
+    exclusion = tuple(sorted(set(int(m) for m in exclusion)))
+    probe_modes = tuple(int(m) for m in probe_modes)
+    for m in exclusion:
+        if not 1 <= m <= series.n_max:
+            raise ValueError(f"excluded mode {m} out of range 1..{series.n_max}")
+    rows = np.array([n for n in range(1, series.n_max + 1) if n not in exclusion], dtype=int) - 1
+    cols = np.array(probe_modes, dtype=int) - 1
+    a = series.alpha1[np.ix_(rows, cols)] if rows.size else np.zeros((0, cols.size))
+    b = series.beta1[np.ix_(rows, cols)] if rows.size else np.zeros((0, cols.size))
+    f_alpha = 0.5 * np.sum(np.abs(a) ** 2, axis=0)
+    f_beta = 0.5 * np.sum(np.abs(b) ** 2, axis=0)
+    # G^{alpha beta}_{ij} = sum_n alpha1_{ni} conj(beta1_{nj})
+    g = a.T @ np.conj(b) if rows.size else np.zeros((cols.size, cols.size), dtype=complex)
+    tail = 0.0
+    if rows.size:
+        tail = float(
+            max(
+                0.5 * np.max(np.abs(a[-1, :]) ** 2),
+                0.5 * np.max(np.abs(b[-1, :]) ** 2),
+            )
+        )
+    return FSums(probe_modes, exclusion, f_alpha, f_beta, g, tail)
 
 
 # ---------------------------------------------------------------------------

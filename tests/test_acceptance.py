@@ -9,14 +9,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import sigma_orders_from_blocks, synthetic_unitary_series
-from gaussfisher.bogoliubov import BogoliubovMatrices, symplectic_from_bogoliubov
+from conftest import f_sums, sigma_orders_from_blocks, synthetic_unitary_series
+from gaussfisher.bogoliubov import identity_residual
 from gaussfisher.cavity import compose_one_segment, rindler_overlaps
 from gaussfisher.fidelity import fidelity, fidelity_one_mode, fidelity_two_mode
 from gaussfisher.qfi import (
     c2_from_orders,
     energy_matched_params,
-    f_sums,
     negativity_first_order,
     probe_family,
     probe_state,
@@ -83,8 +82,7 @@ def test_criterion_1_symplectic_bogoliubov_consistency(exact_overlaps_h005):
     probes = (1, 2)
     residuals = {}
     for n, overlaps in exact_overlaps_h005.items():
-        s = symplectic_from_bogoliubov(overlaps.as_matrices())
-        residuals[n] = s.omega_residual(modes=probes)
+        residuals[n] = identity_residual(overlaps.alpha, overlaps.beta, probes)
     ok = (
         residuals[10] <= 1e-3
         and residuals[20] < residuals[10]
@@ -92,17 +90,9 @@ def test_criterion_1_symplectic_bogoliubov_consistency(exact_overlaps_h005):
     )
     # exact single-mode channels are symplectic to machine precision
     r, phi = 0.8, 0.7
-    squeeze = BogoliubovMatrices(
-        1, np.array([[np.cosh(r)]], dtype=complex), np.array([[np.sinh(r)]], dtype=complex)
-    )
-    rotated = BogoliubovMatrices(
-        1,
-        np.array([[np.exp(1j * phi) * np.cosh(r)]]),
-        np.array([[np.exp(1j * phi) * np.sinh(r)]]),
-    )
     exact = max(
-        symplectic_from_bogoliubov(squeeze).omega_residual(),
-        symplectic_from_bogoliubov(rotated).omega_residual(),
+        identity_residual([[np.cosh(r)]], [[np.sinh(r)]]),
+        identity_residual([[np.exp(1j * phi) * np.cosh(r)]], [[np.exp(1j * phi) * np.sinh(r)]]),
     )
     ok = ok and exact <= 1e-12
     report(

@@ -1,21 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import _disassemble, synthetic_unitary_series
+from conftest import _disassemble, full_identity_defect, random_exact_channel, synthetic_unitary_series
 from gaussfisher.bogoliubov import (
-    BogoliubovMatrices,
     BogoliubovSeries,
+    _assemble,
     covariance_series,
+    identity_residual,
     series_from_csv,
     series_to_csv,
-    symplectic_from_bogoliubov,
 )
 from gaussfisher.states import embed_state, squeezed_displaced_state, vacuum_state
 
 
 def single_mode_block(alpha, beta):
-    bogo = BogoliubovMatrices(1, np.array([[alpha]], dtype=complex), np.array([[beta]], dtype=complex))
-    return symplectic_from_bogoliubov(bogo).matrix
+    return _assemble(np.array([[alpha]], dtype=complex), np.array([[beta]], dtype=complex))
 
 
 def test_block_examples():
@@ -27,28 +28,25 @@ def test_block_examples():
 
 def test_block_coefficient_roundtrip(rng):
     # the test-only decoder behind synthetic_unitary_series inverts the
-    # block assembly of symplectic_from_bogoliubov
+    # block assembly of _assemble
     for _ in range(20):
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        aa, bb = _disassemble(symplectic_from_bogoliubov(BogoliubovMatrices(3, a, b)).matrix)
+        aa, bb = _disassemble(_assemble(a, b))
         assert np.allclose(aa, a, rtol=0.0, atol=1e-15) and np.allclose(bb, b, rtol=0.0, atol=1e-15)
 
 
 def test_symplectic_from_identity():
-    bogo = BogoliubovMatrices(3, np.eye(3, dtype=complex), np.zeros((3, 3), dtype=complex))
-    assert bogo.identity_residual() <= 1e-12
-    s = symplectic_from_bogoliubov(bogo)
-    assert np.allclose(s.matrix, np.eye(6))
+    alpha, beta = np.eye(3, dtype=complex), np.zeros((3, 3), dtype=complex)
+    assert identity_residual(alpha, beta) <= 1e-12
+    assert np.allclose(_assemble(alpha, beta), np.eye(6))
 
 
 def test_symplectic_single_mode_squeeze():
     r = 0.6
-    bogo = BogoliubovMatrices(1, np.array([[np.cosh(r)]], dtype=complex), np.array([[np.sinh(r)]], dtype=complex))
-    assert bogo.identity_residual() <= 1e-12
-    s = symplectic_from_bogoliubov(bogo)
-    assert np.allclose(s.matrix, np.diag([np.exp(-r), np.exp(r)]))
-    assert s.omega_residual() <= 1e-12
+    alpha, beta = np.array([[np.cosh(r)]], dtype=complex), np.array([[np.sinh(r)]], dtype=complex)
+    assert identity_residual(alpha, beta) <= 1e-12
+    assert np.allclose(_assemble(alpha, beta), np.diag([np.exp(-r), np.exp(r)]))
 
 
 def test_symplectic_passive_channel(rng):
@@ -56,40 +54,63 @@ def test_symplectic_passive_channel(rng):
     # orthogonal symplectic matrix
     z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     q, _ = np.linalg.qr(z)
-    bogo = BogoliubovMatrices(3, q, np.zeros((3, 3), dtype=complex))
-    assert bogo.identity_residual() <= 1e-12
-    s = symplectic_from_bogoliubov(bogo)
-    assert s.omega_residual() <= 1e-12
-    assert np.max(np.abs(s.matrix @ s.matrix.T - np.eye(6))) <= 1e-12
+    zeros = np.zeros((3, 3), dtype=complex)
+    assert identity_residual(q, zeros) <= 1e-12
+    s = _assemble(q, zeros)
+    assert np.max(np.abs(s @ s.T - np.eye(6))) <= 1e-12
+
+
+windows = st.lists(st.integers(1, 5), min_size=1, max_size=5, unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.none() | windows, cols=st.none() | windows)
+def test_identity_residual_is_window_of_full_defect(seed, rows, cols):
+    # any (rows, cols) window equals that window of the full-matrix
+    # S Omega S^T - Omega, on exact channels and on an arbitrary pair alike
+    rng = np.random.default_rng(seed)
+    exact = random_exact_channel(5, rng)
+    arbitrary = tuple(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)) for _ in range(2))
+
+    def idx(modes):
+        modes = range(1, 6) if modes is None else modes
+        return np.concatenate([[2 * (k - 1), 2 * k - 1] for k in modes])
+
+    for alpha, beta in (exact, arbitrary):
+        reference = np.max(np.abs(full_identity_defect(alpha, beta)[np.ix_(idx(rows), idx(cols))]))
+        window = identity_residual(alpha, beta, rows, cols)
+        assert abs(window - reference) <= 1e-12 * max(1.0, reference)
+    assert identity_residual(*exact, rows, cols) <= 1e-12
 
 
 def test_identity_check_rejects_corrupted_channel(rng):
     series = synthetic_unitary_series(4, rng)
-    bogo = series.evaluate(0.05)
-    corrupted = BogoliubovMatrices(4, bogo.alpha, 2.0 * bogo.beta)
+    alpha, beta = series.evaluate(0.05)
     # doubling beta breaks alpha alpha^dag - beta beta^dag = I far beyond the
     # cubic truncation defect of the evaluated series
-    assert corrupted.identity_residual() > 1e-6
-    assert corrupted.identity_residual() > 10.0 * bogo.identity_residual()
+    corrupted = identity_residual(alpha, 2.0 * beta)
+    assert corrupted > 1e-6
+    assert corrupted > 10.0 * identity_residual(alpha, beta)
 
 
 def test_evaluate_series_zeroth_order(unitary_series):
-    bogo = unitary_series.evaluate(0.0)
-    assert np.allclose(bogo.alpha, np.diag(unitary_series.G))
-    assert np.max(np.abs(bogo.beta)) == 0.0
+    alpha, beta = unitary_series.evaluate(0.0)
+    assert np.allclose(alpha, np.diag(unitary_series.G))
+    assert np.max(np.abs(beta)) == 0.0
+    assert not alpha.flags.writeable and not beta.flags.writeable
 
 
 def test_evaluate_series_polynomial_structure(unitary_series):
     theta = 0.03
-    a1 = unitary_series.evaluate(theta).alpha
-    a2 = unitary_series.evaluate(2 * theta).alpha
+    a1, _ = unitary_series.evaluate(theta)
+    a2, _ = unitary_series.evaluate(2 * theta)
     # alpha(2t) - 2 alpha(t) + diag(G) = 2 t^2 alpha2: no first-order part
     remainder = a2 - 2.0 * a1 + np.diag(unitary_series.G)
     assert np.allclose(remainder, 2.0 * theta**2 * unitary_series.alpha2, atol=1e-14)
 
 
 def test_evaluate_series_residual_cubic(unitary_series):
-    res = [unitary_series.evaluate(t).identity_residual() for t in (0.02, 0.04, 0.08)]
+    res = [identity_residual(*unitary_series.evaluate(t)) for t in (0.02, 0.04, 0.08)]
     slope = np.polyfit(np.log([0.02, 0.04, 0.08]), np.log(res), 1)[0]
     assert slope >= 2.7
 
@@ -141,7 +162,7 @@ def test_covariance_series_matches_finite_difference(unitary_series):
     full = embed_state(unitary_series.n_max, (2,), probe)
 
     def reduced(theta):
-        s = symplectic_from_bogoliubov(unitary_series.evaluate(theta)).matrix
+        s = _assemble(*unitary_series.evaluate(theta))
         cov = s @ full.covariance @ s.T
         return cov[2:4, 2:4]
 

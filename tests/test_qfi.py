@@ -10,16 +10,17 @@ from conftest import (
     e2_single_mode,
     e2_single_mode_literature,
     e2_two_mode,
+    f_sums,
     sigma_orders_from_blocks,
     synthetic_unitary_series,
 )
 from gaussfisher.bogoliubov import BogoliubovSeries, covariance_series
 from gaussfisher.qfi import (
     QfiResult,
+    _perturbative_residual,
     c2_from_orders,
     energy_budget,
     energy_matched_params,
-    f_sums,
     negativity_first_order,
     probe_family,
     probe_state,
@@ -98,6 +99,16 @@ def test_f_sums_conventions(unitary_series):
         unitary_series.alpha1[n, 1] * np.conj(unitary_series.beta1[n, 3]) for n in rows
     )
     assert np.isclose(sums.g_alpha_beta[0, 1], manual_g)
+
+
+@pytest.mark.parametrize("modes", ((1,), (2, 4), (6, 1), (1, 2, 3, 4, 5, 6)))
+def test_perturbative_residual_tail_matches_f_sums(unitary_series, modes):
+    # the kernel's inline spectator tail is the tail of the test-only sums,
+    # also when the last mode is probed and when no spectator is left
+    _, second = unitary_series.unitarity_residuals(modes=modes)
+    tail = f_sums(unitary_series, modes, modes).tail
+    assert _perturbative_residual(unitary_series, modes) == max(tail, second)
+    assert (tail == 0.0) == (len(modes) == unitary_series.n_max)
 
 
 def test_c2_from_orders_examples():

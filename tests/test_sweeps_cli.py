@@ -5,7 +5,7 @@ import pytest
 
 from conftest import synthetic_unitary_series
 from gaussfisher import cavity
-from gaussfisher.bogoliubov import series_to_csv
+from gaussfisher.bogoliubov import BogoliubovSeries, series_to_csv
 from gaussfisher.cavity import CavityScenario, perturbative_overlaps, save_overlaps_csv
 from gaussfisher.cli import main, parse_grid, read_config
 from gaussfisher.sweeps import (
@@ -115,7 +115,7 @@ def test_compare_methods_report(tmp_path):
     spec = SweepSpec(scenario=small_scenario(n_max=10), grid=(0.3,), r=1.0, delta=0.0)
     report = compare_methods(spec, cache_dir=str(tmp_path / "cache"))
     assert set(report.slopes) == set(spec.families)
-    assert report.passed(0.8)
+    assert report.passed
     assert len(report.rows) == 3 * 3
     # deviation at the smallest rung stays within a few times h
     for row in report.rows:
@@ -124,8 +124,6 @@ def test_compare_methods_report(tmp_path):
 
 
 def test_compare_methods_identity_channel():
-    from gaussfisher.bogoliubov import BogoliubovSeries
-
     n = 4
     zeros = np.zeros((n, n), dtype=complex)
     identity_channel = BogoliubovSeries(n, np.ones(n, dtype=complex), zeros, zeros, zeros, zeros)
@@ -136,7 +134,7 @@ def test_compare_methods_identity_channel():
     for row in report.rows:
         assert row.qfi_perturbative == 0.0
         assert abs(row.qfi_oracle) <= 1e-12
-    assert report.passed(0.8)
+    assert report.passed
 
 
 def test_validate_default_scenario(tmp_path):
@@ -149,10 +147,9 @@ def test_validate_default_scenario(tmp_path):
 
 def test_validate_flags_corrupted_channel():
     channel = synthetic_unitary_series(5, np.random.default_rng(8), strength=0.3)
-    bogo = channel.evaluate(0.05)
-    from gaussfisher.bogoliubov import BogoliubovMatrices
-
-    corrupted = BogoliubovMatrices(5, bogo.alpha, 2.0 * bogo.beta)
+    corrupted = BogoliubovSeries(
+        5, channel.G, channel.alpha1, channel.alpha2, 2.0 * channel.beta1, channel.beta2
+    )
     report = validate(channel=corrupted)
     assert not report.passed
     failing = [c for c in report.checks if not c.passed]
@@ -232,8 +229,6 @@ def test_cli_validate_and_exit_codes(tmp_path):
 
 
 def test_cli_validate_channels(tmp_path):
-    from gaussfisher.bogoliubov import BogoliubovSeries
-
     channel = synthetic_unitary_series(5, np.random.default_rng(8), strength=0.3)
     good = tmp_path / "good.csv"
     good.write_text(series_to_csv(channel), encoding="utf-8")
