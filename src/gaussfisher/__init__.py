@@ -5,14 +5,11 @@ as the built-in worked example."""
 from .states import (
     GaussianState,
     embed_state,
-    random_mixed_state,
     random_pure_state,
     random_symplectic,
     squeezed_displaced_state,
-    symplectic_eigenvalues,
     symplectic_form,
     two_mode_squeezed_state,
-    vacuum_state,
 )
 from .bogoliubov import (
     BogoliubovSeries,
@@ -22,7 +19,7 @@ from .bogoliubov import (
     series_from_csv,
     series_to_csv,
 )
-from .fidelity import FidelityError, fidelity, fidelity_one_mode, fidelity_two_mode
+from .fidelity import FidelityError, fidelity_one_mode, fidelity_two_mode
 from .qfi import (
     QfiResult,
     c2_from_orders,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import GaussianState, symplectic_form
+from .states import GaussianState, quadrature_indices, symplectic_form
 
 
 def _assemble(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -46,23 +46,25 @@ def identity_residual(alpha: np.ndarray, beta: np.ndarray, rows=None, cols=None)
     """Max-norm of ``S_r Omega S_c^T - Omega_rc`` for the channel ``(alpha, beta)``.
 
     ``S_r`` and ``S_c`` are the block rows of the output modes ``rows`` and
-    ``cols`` (1-based; ``None`` means all), so the norm covers that window
-    of ``S Omega S^T - Omega`` and no other block row is assembled. The defect is antisymmetric, so ``(rows, None)`` also covers the block
-    columns of ``rows``. On truncated channels the full norm is dominated by
-    the edge of the mode ladder; a window on the probed modes measures how
-    well the channel closes on the modes one actually probes.
+    ``cols`` (1-based and distinct; ``None`` means all), so the norm covers
+    that window of ``S Omega S^T - Omega`` and no other block row is
+    assembled. The defect is antisymmetric, so ``(rows, None)`` also covers
+    the block columns of ``rows``. On truncated channels the full norm is
+    dominated by the edge of the mode ladder; a window on the probed modes
+    measures how well the channel closes on the modes one actually probes.
     """
     alpha = np.asarray(alpha, dtype=complex)
     beta = np.asarray(beta, dtype=complex)
     n = alpha.shape[1]
     everything = range(1, n + 1)
-    rows = np.asarray(everything if rows is None else rows, dtype=int)
-    cols = np.asarray(everything if cols is None else cols, dtype=int)
-    s_r = _assemble(alpha[rows - 1], beta[rows - 1])
-    s_c = _assemble(alpha[cols - 1], beta[cols - 1])
-    # Omega_rc holds the 2x2 form wherever a row mode meets the same column mode
-    omega_rc = np.kron(rows[:, None] == cols[None, :], symplectic_form(1))
-    defect = s_r @ symplectic_form(n) @ s_c.T - omega_rc
+    rows = everything if rows is None else rows
+    cols = everything if cols is None else cols
+    omega = symplectic_form(n)
+    omega_rc = omega[np.ix_(quadrature_indices(rows, n), quadrature_indices(cols, n))]
+    rows, cols = np.asarray(rows, dtype=int) - 1, np.asarray(cols, dtype=int) - 1
+    s_r = _assemble(alpha[rows], beta[rows])
+    s_c = _assemble(alpha[cols], beta[cols])
+    defect = s_r @ omega @ s_c.T - omega_rc
     return float(np.max(np.abs(defect)))
 
 
@@ -134,12 +136,13 @@ class BogoliubovSeries:
         - beta1 beta1^dag = 0`` plus the symmetric-part condition on
         ``alpha beta^T``. Exact channels built from generators satisfy both to
         machine precision; truncated ones report their tail here. With
-        ``modes`` given (1-based), the norms are restricted to the submatrix
-        of those modes, which is the defect feeding the probed-mode physics;
-        unrestricted norms are dominated by the edge of the mode ladder.
+        ``modes`` given (1-based, distinct), the norms are restricted to the
+        submatrix of those modes, which is the defect feeding the probed-mode
+        physics; unrestricted norms are dominated by the edge of the mode ladder.
         Only that submatrix is computed: ``O(m^2 n)`` for ``m`` modes.
         """
-        idx = np.arange(self.n_max) if modes is None else np.array([k - 1 for k in modes])
+        # the x quadrature of mode k sits at 2k - 2
+        idx = np.arange(self.n_max) if modes is None else quadrature_indices(modes, self.n_max)[::2] // 2
         sub = np.ix_(idx, idx)
         # diag(G) acts by broadcasting: (diag(G) M)_ij = G_i M_ij
         gi = self.G[idx][:, None]
@@ -187,23 +190,17 @@ def covariance_series(
     ``S0``, ``S1`` and ``S2`` are assembled, so the cost is ``O(m^2 n)``
     rather than the ``O(n^3)`` of the full ``S Sigma_in S^T``.
     """
-    modes = tuple(modes)
-    if len(set(modes)) != len(modes):
-        raise ValueError("probed modes must be distinct")
-    if input_state.n_modes != len(modes):
+    idx = quadrature_indices(modes, series.n_max)
+    if 2 * input_state.n_modes != idx.size:
         raise ValueError("input state must live on the probed modes")
-    for k in modes:
-        if not 1 <= k <= series.n_max:
-            raise ValueError(f"mode index {k} out of range 1..{series.n_max}")
 
     # only the block rows of the probed modes are ever needed
-    rows = np.array(modes) - 1
-    zeros = np.zeros((len(modes), series.n_max), dtype=complex)
+    rows = idx[::2] // 2
+    zeros = np.zeros((rows.size, series.n_max), dtype=complex)
     s0 = _assemble(np.diag(series.G)[rows], zeros)
     s1 = _assemble(series.alpha1[rows], series.beta1[rows])
     s2 = _assemble(series.alpha2[rows], series.beta2[rows])
-    idx = np.concatenate([[2 * (k - 1), 2 * k - 1] for k in modes]).astype(int)
-    excess = input_state.covariance - np.eye(2 * len(modes))
+    excess = input_state.covariance - np.eye(idx.size)
     x_in = input_state.first_moments
 
     def sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:

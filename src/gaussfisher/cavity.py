@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import BogoliubovSeries
+from .states import quadrature_indices
 
 #: ladder of acceleration values used to extract the overlap series
 H_LADDER = (0.00125, 0.0025, 0.005, 0.01, 0.02, 0.04)
@@ -63,10 +64,7 @@ class CavityScenario:
             )
         if self.u < 0.0:
             raise ValueError("duration parameter u must be non-negative")
-        if not 1 <= self.k <= self.n_max or not 1 <= self.k_prime <= self.n_max:
-            raise ValueError("probed modes must lie in 1..n_max")
-        if self.k == self.k_prime:
-            raise ValueError("probed modes must be distinct")
+        quadrature_indices((self.k, self.k_prime), self.n_max)
 
 
 @dataclass(frozen=True)

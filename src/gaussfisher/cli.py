@@ -4,15 +4,16 @@ Verbs:
 
 * ``sweep``    -- QFI over a duration grid for the selected probe families
 * ``compare``  -- perturbative vs oracle on an acceleration ladder
-* ``validate`` -- invariant suites with measured residuals (non-zero exit on
-  failure)
+* ``validate`` -- checks of the scenario's channel, or of an imported one,
+  with measured residuals (exit 1 on failure)
 * ``overlaps`` -- precompute and cache the overlap series
 
 Every verb takes ``--config``, ``--nmax`` and ``--cache``; beyond those it
-registers only the flags it reads, so ``overlaps`` takes no others and only
-``validate`` takes ``--seed``. Scenario parameters come from ``key = value``
-config files (keys in ``CONFIG_KEYS``) and/or flags; flags win. Everything is
-dimensionless in ``(h, u)``, so no cavity length is asked for.
+registers only the flags it reads, from one table, so ``overlaps`` takes no
+others. Scenario parameters come from ``key = value`` config files (keys in
+``CONFIG_KEYS``) and/or flags; :func:`pick` resolves each value, and flags
+win. Everything is dimensionless in ``(h, u)``, so no cavity length is asked
+for.
 
 Output is UTF-8 CSV with LF endings and full-precision floats; identical
 inputs and BLAS thread count give byte-identical files.
@@ -102,7 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--h": dict(type=float, help="acceleration parameter h = aL/c^2"),
         "--modes": dict(help="probed modes as 'k,k_prime' (default 1,2)"),
         "--channel": dict(help="CSV file with an imported channel series"),
-        "--seed": dict(type=int, default=1234, help="seed for randomized suites"),
+        "--state": dict(action="append", choices=FAMILIES, help="probe family (repeatable; default: all three)"),
+        "--r": dict(type=float, help="squeezing parameter (sweep: instead of the energy budget; compare: default 1)"),
+        "--delta": dict(type=float, help="displacement parameter (sweep: with --r; compare: default 0)"),
     }
 
     def add_common(p, *flags):
@@ -113,46 +116,32 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **optional[flag])
 
     p_sweep = sub.add_parser("sweep", allow_abbrev=False, help="QFI over a duration grid")
-    add_common(p_sweep, "--out", "--h", "--modes", "--channel")
+    add_common(p_sweep, "--out", "--h", "--modes", "--channel", "--state", "--r", "--delta")
     p_sweep.add_argument("--grid", help="u grid 'start:stop:step' or comma list")
-    p_sweep.add_argument(
-        "--state",
-        action="append",
-        choices=FAMILIES,
-        help="probe family (repeatable; default: all three)",
-    )
     p_sweep.add_argument("--x", type=float, help="squeezing fraction of the energy budget")
     p_sweep.add_argument("--photons", type=float, help="mean photon number per probe mode")
-    p_sweep.add_argument("--r", type=float, help="squeezing parameter (overrides energy budget)")
-    p_sweep.add_argument("--delta", type=float, help="displacement parameter (with --r)")
     p_sweep.add_argument("--methods", default="perturbative", help="comma list: perturbative,oracle")
 
     p_cmp = sub.add_parser("compare", allow_abbrev=False, help="perturbative vs oracle on an h ladder")
-    add_common(p_cmp, "--out", "--modes", "--channel")
+    add_common(p_cmp, "--out", "--modes", "--channel", "--state", "--r", "--delta")
     p_cmp.add_argument("--u", type=float, help="duration parameter (default from config/scenario)")
     p_cmp.add_argument("--ladder", default="0.02,0.04,0.08", help="comma list of h values")
-    p_cmp.add_argument("--r", type=float, help="squeezing parameter (default 1)")
-    p_cmp.add_argument("--delta", type=float, help="displacement parameter (default 0)")
-    p_cmp.add_argument(
-        "--state",
-        action="append",
-        choices=FAMILIES,
-        help="probe family (repeatable; default: all three)",
-    )
 
-    p_val = sub.add_parser("validate", allow_abbrev=False, help="run the invariant suites")
-    add_common(p_val, "--out", "--h", "--modes", "--channel", "--seed")
+    p_val = sub.add_parser("validate", allow_abbrev=False, help="check the channel's invariants")
+    add_common(p_val, "--out", "--h", "--modes", "--channel")
 
     p_ov = sub.add_parser("overlaps", allow_abbrev=False, help="build the overlap-series cache")
     add_common(p_ov)
     return parser
 
 
-def scenario_from(args, config: dict) -> CavityScenario:
-    def pick(flag, key, default):
-        value = getattr(args, flag, None)
-        return config.get(key, default) if value is None else value
+def pick(args, config: dict, flag: str, key: str, default):
+    """The value of ``--flag`` if given, else config ``key``, else ``default``."""
+    value = getattr(args, flag, None)
+    return config.get(key, default) if value is None else value
 
+
+def scenario_from(args, config: dict) -> CavityScenario:
     modes = (config.get("k", 1), config.get("k_prime", 2))
     if getattr(args, "modes", None):
         parts = args.modes.split(",")
@@ -160,11 +149,11 @@ def scenario_from(args, config: dict) -> CavityScenario:
             raise ValueError("--modes expects 'k,k_prime'")
         modes = (int(parts[0]), int(parts[1]))
     return CavityScenario(
-        h=pick("h", "h", 0.05),
-        u=pick("u", "u", 0.3),
+        h=pick(args, config, "h", "h", 0.05),
+        u=pick(args, config, "u", "u", 0.3),
         k=modes[0],
         k_prime=modes[1],
-        n_max=pick("nmax", "n_max", 10),
+        n_max=pick(args, config, "nmax", "n_max", 10),
     )
 
 
@@ -199,23 +188,19 @@ def _run(args) -> int:
     channel = load_channel(args)
 
     if args.command == "sweep":
-        grid = None
-        if args.grid:
-            grid = parse_grid(args.grid)
-        elif "u_grid" in config:
-            grid = parse_grid(config["u_grid"])
         spec_kwargs = dict(
             scenario=scenario,
-            families=tuple(args.state) if args.state else FAMILIES,
-            photons=args.photons if args.photons is not None else config.get("N", 1.0),
-            x=args.x if args.x is not None else config.get("x", 1.0),
-            r=args.r if args.r is not None else config.get("r"),
-            delta=args.delta if args.delta is not None else config.get("delta"),
+            families=tuple(args.state or FAMILIES),
+            photons=pick(args, config, "photons", "N", 1.0),
+            x=pick(args, config, "x", "x", 1.0),
+            r=pick(args, config, "r", "r", None),
+            delta=pick(args, config, "delta", "delta", None),
             methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
             channel=channel,
         )
+        grid = pick(args, config, "grid", "u_grid", None)
         if grid is not None:
-            spec_kwargs["grid"] = grid
+            spec_kwargs["grid"] = parse_grid(grid)
         rows = run_sweep(SweepSpec(**spec_kwargs), cache_dir=args.cache)
         emit(rows_to_csv(rows), args.out)
         return 0
@@ -224,11 +209,9 @@ def _run(args) -> int:
         ladder = tuple(float(tok) for tok in args.ladder.split(","))
         spec = SweepSpec(
             scenario=scenario,
-            families=tuple(args.state) if args.state else FAMILIES,
-            grid=(scenario.u,),
-            r=args.r if args.r is not None else config.get("r", 1.0),
-            delta=args.delta if args.delta is not None else config.get("delta", 0.0),
-            methods=("perturbative", "oracle"),
+            families=tuple(args.state or FAMILIES),
+            r=pick(args, config, "r", "r", 1.0),
+            delta=pick(args, config, "delta", "delta", 0.0),
             channel=channel,
         )
         report = compare_methods(spec, h_ladder=ladder, cache_dir=args.cache)
@@ -238,22 +221,20 @@ def _run(args) -> int:
         return 0 if report.passed else 1
 
     if args.command == "validate":
-        report = validate(scenario, channel=channel, seed=args.seed, cache_dir=args.cache)
+        report = validate(scenario, channel=channel, cache_dir=args.cache)
         text = "\n".join(report.lines()) + "\n"
         emit(text, args.out)
         if args.out is not None:
             print(text, end="")
         return 0 if report.passed else 1
 
-    if args.command == "overlaps":
-        if args.cache is None:
-            raise ValueError("overlaps requires --cache")
-        ov = load_or_compute_overlap_series(scenario.n_max, args.cache)
-        path = series_cache_file(args.cache, scenario.n_max)
-        print(f"{path}: n_max={ov.n_max} fit residual {ov.fit_residual:.3e}")
-        return 0
-
-    return 2
+    # "overlaps", the only verb the parser leaves
+    if args.cache is None:
+        raise ValueError("overlaps requires --cache")
+    ov = load_or_compute_overlap_series(scenario.n_max, args.cache)
+    path = series_cache_file(args.cache, scenario.n_max)
+    print(f"{path}: n_max={ov.n_max} fit residual {ov.fit_residual:.3e}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import GaussianState, symplectic_form
+from .states import symplectic_form
 
 #: square roots of radicands in [-NEGATIVE_CLAMP, 0) are treated as 0
 NEGATIVE_CLAMP = 1e-12
@@ -91,18 +91,6 @@ def fidelity_two_mode(sigma: np.ndarray, sigma_prime: np.ndarray, delta_x=None) 
     if denom <= 0.0:
         raise FidelityError(f"non-positive denominator {denom:.3e}; check conventions")
     return _finish(_exp_factor(a, delta_x) / denom)
-
-
-def fidelity(state: GaussianState, other: GaussianState) -> float:
-    """Fidelity between two states on one or two modes."""
-    if state.n_modes != other.n_modes:
-        raise FidelityError("states must have the same number of modes")
-    dx = other.first_moments - state.first_moments
-    if state.n_modes == 1:
-        return fidelity_one_mode(state.covariance, other.covariance, dx)
-    if state.n_modes == 2:
-        return fidelity_two_mode(state.covariance, other.covariance, dx)
-    raise FidelityError("fidelity is implemented for one- and two-mode states only")
 
 
 def _exp_factor(a: np.ndarray, delta_x) -> float:

@@ -28,6 +28,7 @@ from .fidelity import fidelity_one_mode, fidelity_two_mode
 from .states import (
     GaussianState,
     embed_state,
+    quadrature_indices,
     squeezed_displaced_state,
     symplectic_form,
     two_mode_squeezed_state,
@@ -111,13 +112,10 @@ def _perturbative_residual(series: BogoliubovSeries, probe_modes) -> float:
 def negativity_first_order(series: BogoliubovSeries, k: int, k_prime: int) -> float:
     """Entanglement (negativity) generated between two modes, per unit theta.
 
-    At first order this is just ``|beta1_{k k'}|``.
+    At first order this is just ``|beta1_{k k'}|``. The two modes must be
+    distinct and lie in ``1..n_max``.
     """
-    if k == k_prime:
-        raise ValueError("modes must be distinct")
-    for m in (k, k_prime):
-        if not 1 <= m <= series.n_max:
-            raise ValueError(f"mode index {m} out of range 1..{series.n_max}")
+    quadrature_indices((k, k_prime), series.n_max)
     return float(abs(series.beta1[k - 1, k_prime - 1]))
 
 
@@ -205,7 +203,7 @@ def probe_family(series: BogoliubovSeries, modes, state: GaussianState):
     """
     modes = tuple(modes)
     full_input = embed_state(series.n_max, modes, state)
-    idx = np.concatenate([[2 * (k - 1), 2 * k - 1] for k in modes]).astype(int)
+    idx = quadrature_indices(modes, series.n_max)
     s0, s1, s2 = series.symplectic_orders()
     omega = symplectic_form(series.n_max)
     s0_inv = s0.T  # zeroth order is a rotation on each mode

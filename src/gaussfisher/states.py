@@ -21,7 +21,21 @@ SYMMETRY_TOL = 1e-12
 # Perturbatively built states can be unphysical at third order in the small
 # parameter; the tolerance absorbs that without passing genuinely bad input.
 PHYSICALITY_TOL = 1e-10
-EIGENVALUE_PAIRING_RTOL = 1e-8
+
+
+def quadrature_indices(modes, n_modes: int) -> np.ndarray:
+    """Interleaved quadrature indices ``(2k-2, 2k-1)`` of the 1-based ``modes``,
+    in their order. Every mode list goes through here: a mode outside
+    ``1..n_modes`` or a repeated mode raises ``ValueError``."""
+    modes = tuple(modes)
+    for k in modes:
+        if not isinstance(k, (int, np.integer)):
+            raise ValueError(f"mode index {k!r} is not an integer")
+        if not 1 <= k <= n_modes:
+            raise ValueError(f"mode index {k} out of range 1..{n_modes}")
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"mode indices {','.join(map(str, modes))} must be distinct")
+    return np.array([i for k in modes for i in (2 * k - 2, 2 * k - 1)], dtype=int)
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -82,25 +96,18 @@ class GaussianState:
         object.__setattr__(self, "covariance", cov)
 
 
-def vacuum_state(n_modes: int) -> GaussianState:
-    """Vacuum of ``n_modes`` modes: zero means, identity covariance."""
-    if n_modes < 1:
-        raise ValueError("n_modes must be a positive integer")
-    return GaussianState(n_modes, np.zeros(2 * n_modes), np.eye(2 * n_modes))
-
-
 def squeezed_displaced_state(n_modes: int, k: int, r: float, delta: float) -> GaussianState:
     """All modes vacuum except mode ``k``, which is squeezed and displaced.
 
     Mode ``k`` carries covariance ``diag(e^r, e^-r)`` and first moments
     ``(sqrt(2)*delta, 0)``. Mode indices are 1-based.
     """
-    _check_mode_index(k, n_modes)
+    x, p = quadrature_indices((k,), n_modes)
     mean = np.zeros(2 * n_modes)
-    mean[2 * (k - 1)] = np.sqrt(2.0) * delta
+    mean[x] = np.sqrt(2.0) * delta
     cov = np.eye(2 * n_modes)
-    cov[2 * (k - 1), 2 * (k - 1)] = np.exp(r)
-    cov[2 * k - 1, 2 * k - 1] = np.exp(-r)
+    cov[x, x] = np.exp(r)
+    cov[p, p] = np.exp(-r)
     return GaussianState(n_modes, mean, cov)
 
 
@@ -110,17 +117,11 @@ def two_mode_squeezed_state(n_modes: int, k: int, k_prime: int, r: float) -> Gau
     Diagonal 2x2 blocks are ``cosh(r) I``, the cross block is
     ``sinh(r) diag(1, -1)``; first moments vanish.
     """
-    _check_mode_index(k, n_modes)
-    _check_mode_index(k_prime, n_modes)
-    if k == k_prime:
-        raise ValueError("two-mode squeezing requires two distinct modes")
+    idx = quadrature_indices((k, k_prime), n_modes)
+    ik, ip = idx[0], idx[2]
     cov = np.eye(2 * n_modes)
-    ik, ip = 2 * (k - 1), 2 * (k_prime - 1)
-    ch, sh = np.cosh(r), np.sinh(r)
-    for i in (ik, ik + 1):
-        cov[i, i] = ch
-    for i in (ip, ip + 1):
-        cov[i, i] = ch
+    cov[idx, idx] = np.cosh(r)
+    sh = np.sinh(r)
     sz = np.diag([sh, -sh])
     cov[ik:ik + 2, ip:ip + 2] = sz
     cov[ip:ip + 2, ik:ik + 2] = sz
@@ -132,42 +133,14 @@ def embed_state(n_modes: int, modes, state: GaussianState) -> GaussianState:
 
     ``modes`` (1-based, distinct) says where the given state's modes go.
     """
-    modes = tuple(modes)
-    if len(set(modes)) != len(modes):
-        raise ValueError("mode indices must be distinct")
-    if state.n_modes != len(modes):
+    idx = quadrature_indices(modes, n_modes)
+    if 2 * state.n_modes != idx.size:
         raise ValueError("state size must match the number of target modes")
-    for k in modes:
-        _check_mode_index(k, n_modes)
     mean = np.zeros(2 * n_modes)
     cov = np.eye(2 * n_modes)
-    idx = np.concatenate([[2 * (k - 1), 2 * k - 1] for k in modes]).astype(int)
     mean[idx] = state.first_moments
     cov[np.ix_(idx, idx)] = state.covariance
     return GaussianState(n_modes, mean, cov)
-
-
-def symplectic_eigenvalues(state_or_cov, tol: float = 1e-9) -> np.ndarray:
-    """Symplectic spectrum of a covariance matrix, sorted in descending order.
-
-    The values are the moduli of the eigenvalues of ``i Omega Sigma``, which
-    come in +/- pairs; the pairs are averaged into ``n`` values. Values below
-    ``1 - tol`` indicate an unphysical covariance and raise instead of being
-    clipped.
-    """
-    cov = state_or_cov.covariance if isinstance(state_or_cov, GaussianState) else np.asarray(state_or_cov)
-    n = cov.shape[0] // 2
-    omega = symplectic_form(n)
-    moduli = np.sort(np.abs(np.linalg.eigvals(1j * omega @ cov)))
-    pairs = moduli.reshape(n, 2)
-    spread = np.abs(pairs[:, 1] - pairs[:, 0])
-    scale = np.maximum(np.abs(pairs[:, 1]), 1.0)
-    if np.any(spread > EIGENVALUE_PAIRING_RTOL * scale):
-        raise ValueError("symplectic eigenvalues do not pair up; covariance may be invalid")
-    nu = np.sort(pairs.mean(axis=1))[::-1]
-    if np.any(nu < 1.0 - tol):
-        raise ValueError(f"unphysical covariance: min symplectic eigenvalue {nu.min():.12f}")
-    return nu
 
 
 def random_symplectic(n_modes: int, rng: np.random.Generator, strength: float = 0.4) -> np.ndarray:
@@ -182,22 +155,3 @@ def random_pure_state(n_modes: int, rng: np.random.Generator, strength: float = 
     s = random_symplectic(n_modes, rng, strength)
     mean = rng.normal(scale=1.0, size=2 * n_modes)
     return GaussianState(n_modes, mean, s @ s.T)
-
-
-def random_mixed_state(
-    n_modes: int,
-    rng: np.random.Generator,
-    strength: float = 0.4,
-    max_excess: float = 0.5,
-) -> GaussianState:
-    """Random mixed Gaussian state ``S diag(nu) S^T`` with ``nu >= 1``."""
-    s = random_symplectic(n_modes, rng, strength)
-    nu = 1.0 + rng.uniform(0.0, max_excess, size=n_modes)
-    d = np.repeat(nu, 2)
-    mean = rng.normal(scale=1.0, size=2 * n_modes)
-    return GaussianState(n_modes, mean, s @ np.diag(d) @ s.T)
-
-
-def _check_mode_index(k: int, n_modes: int) -> None:
-    if not 1 <= k <= n_modes:
-        raise ValueError(f"mode index {k} out of range 1..{n_modes}")

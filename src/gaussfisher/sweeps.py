@@ -3,8 +3,8 @@
 This is the engine behind the command-line front end: it turns a sweep
 specification into rows of QFI values (one per grid point and probe family),
 compares the perturbative and oracle routes on an acceleration ladder, and
-runs the library's invariant checks against a scenario or an imported
-channel.
+checks the channel of a scenario, or an imported one, for the invariants it
+must satisfy.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .cavity import (
     compose_one_segment,
     load_or_compute_overlap_series,
 )
-from .fidelity import fidelity
 from .qfi import (
     energy_matched_params,
     negativity_first_order,
@@ -28,7 +27,6 @@ from .qfi import (
     qfi_oracle,
     qfi_perturbative,
 )
-from .states import random_mixed_state, random_pure_state, symplectic_eigenvalues
 
 FAMILIES = (
     "single_squeezed_displaced",
@@ -74,10 +72,7 @@ class SweepSpec:
 
     def params_for(self, family: str) -> tuple[float, float]:
         if self.r is not None:
-            delta = 0.0 if self.delta is None else self.delta
-            if family == "two_mode_squeezed" and delta != 0.0:
-                raise ValueError("two-mode squeezed probes carry no displacement")
-            return self.r, delta
+            return self.r, 0.0 if self.delta is None else self.delta
         x = 1.0 if family == "two_mode_squeezed" else self.x
         return energy_matched_params(
             family, self.photons, self.scenario.k, self.scenario.k_prime, x
@@ -100,7 +95,7 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One grid point for one probe family."""
+    """One grid point for one probe family; the fields are in ``SWEEP_COLUMNS`` order."""
 
     grid_value: float
     family: str
@@ -180,26 +175,7 @@ def rows_to_csv(rows) -> str:
         return repr(float(v))
 
     lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                fmt(v)
-                for v in (
-                    row.grid_value,
-                    row.family,
-                    row.r,
-                    row.delta,
-                    row.qfi_perturbative,
-                    row.e2,
-                    row.c2,
-                    row.residual_perturbative,
-                    row.qfi_oracle,
-                    row.residual_oracle,
-                    row.negativity,
-                    row.truncation_residual,
-                )
-            )
-        )
+    lines += [",".join(fmt(v) for v in vars(row).values()) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -229,6 +205,8 @@ def compare_methods(
 ) -> ComparisonReport:
     """Perturbative vs oracle on an acceleration ladder, per family.
 
+    The channel is the imported ``spec.channel`` or the scenario's at its
+    duration ``spec.scenario.u``; the spec's grid and methods are not read.
     The perturbative value is the leading-order limit and does not depend on
     ``h``; the oracle is evaluated at each ``h`` on the ladder. The fitted
     log-log slope of the relative deviation measures the perturbative error
@@ -237,12 +215,11 @@ def compare_methods(
     if len(set(h_ladder)) < 2:
         raise ValueError("compare needs at least two distinct h values on the ladder")
     sc = spec.scenario
-    u = spec.grid[0] if len(spec.grid) == 1 else sc.u
     if spec.channel is not None:
         series = spec.channel
     else:
         overlaps = load_or_compute_overlap_series(sc.n_max, cache_dir)
-        series = compose_one_segment(overlaps, float(u))
+        series = compose_one_segment(overlaps, float(sc.u))
     rows, slopes = [], {}
     for family, _, _, state, modes in spec.probes():
         pert = qfi_perturbative(series, modes, state).value
@@ -301,40 +278,21 @@ class ValidationReport:
 def validate(
     scenario: CavityScenario | None = None,
     channel: BogoliubovSeries | None = None,
-    seed: int = 1234,
     cache_dir: str | None = None,
 ) -> ValidationReport:
-    """Run the invariant suites and report measured residuals.
+    """Check the channel and report measured residuals.
 
-    With an imported ``channel`` the Bogoliubov-identity suite runs against
-    it (this is how corrupt coefficient files are caught); otherwise the
-    cavity channel of the scenario is built and checked.
+    With an imported ``channel`` its identity residual is checked (this is
+    how corrupt coefficient files are caught); otherwise the scenario's
+    cavity channel is built and checked: first-order structure, the identity
+    residual at ``h`` and its cubic scaling, periodicity in ``u``, and the
+    perturbative-vs-oracle slope.
     """
-    rng = np.random.default_rng(seed)
     checks = []
 
     def add(name, measured, bound, larger_is_fine=False):
         ok = measured >= bound if larger_is_fine else measured <= bound
         checks.append(Check(name, bool(ok), float(measured), float(bound)))
-
-    # Gaussian-state layer: random pure states stay pure and physical
-    worst_det, worst_nu = 0.0, 0.0
-    for _ in range(40):
-        state = random_pure_state(2, rng)
-        worst_det = max(worst_det, abs(np.linalg.det(state.covariance) - 1.0))
-        worst_nu = max(worst_nu, abs(symplectic_eigenvalues(state).max() - 1.0))
-    add("pure states: |det Sigma - 1|", worst_det, 1e-9)
-    add("pure states: |nu - 1|", worst_nu, 1e-9)
-
-    # fidelity layer: self-fidelity and swap symmetry on random mixed states
-    worst_self, worst_swap = 0.0, 0.0
-    for n in (1, 2):
-        for _ in range(25):
-            a, b = random_mixed_state(n, rng), random_mixed_state(n, rng)
-            worst_self = max(worst_self, abs(fidelity(a, a) - 1.0))
-            worst_swap = max(worst_swap, abs(fidelity(a, b) - fidelity(b, a)))
-    add("fidelity: F(state, state) - 1", worst_self, 1e-12)
-    add("fidelity: swap asymmetry", worst_swap, 1e-12)
 
     if channel is not None:
         add("imported channel: identity residual", max(channel.unitarity_residuals()), 1e-6)
@@ -374,9 +332,6 @@ def validate(
     add("composed series: periodicity in u", drift, 1e-9)
 
     # dual-path agreement at the scenario point
-    report = compare_methods(
-        SweepSpec(scenario=scenario, grid=(scenario.u,), r=1.0, delta=0.0),
-        cache_dir=cache_dir,
-    )
+    report = compare_methods(SweepSpec(scenario=scenario, r=1.0, delta=0.0), cache_dir=cache_dir)
     add("dual-path deviation slope", min(report.slopes.values()), 0.8, larger_is_fine=True)
     return ValidationReport(tuple(checks))

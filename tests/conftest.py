@@ -6,7 +6,69 @@ from scipy.linalg import expm, expm_frechet
 
 from gaussfisher.cavity import compose_one_segment, perturbative_overlaps, rindler_overlaps
 from gaussfisher.bogoliubov import BogoliubovSeries, CovarianceSeries, _assemble
-from gaussfisher.states import embed_state, symplectic_form
+from gaussfisher.fidelity import FidelityError, fidelity_one_mode, fidelity_two_mode
+from gaussfisher.states import GaussianState, embed_state, random_symplectic, symplectic_form
+
+# State and fidelity helpers that only the tests use: the package itself
+# needs none of them.
+
+EIGENVALUE_PAIRING_RTOL = 1e-8
+
+
+def vacuum_state(n_modes: int) -> GaussianState:
+    """Vacuum of ``n_modes`` modes: zero means, identity covariance."""
+    if n_modes < 1:
+        raise ValueError("n_modes must be a positive integer")
+    return GaussianState(n_modes, np.zeros(2 * n_modes), np.eye(2 * n_modes))
+
+
+def symplectic_eigenvalues(state_or_cov, tol: float = 1e-9) -> np.ndarray:
+    """Symplectic spectrum of a covariance matrix, sorted in descending order.
+
+    The values are the moduli of the eigenvalues of ``i Omega Sigma``, which
+    come in +/- pairs; the pairs are averaged into ``n`` values. Values below
+    ``1 - tol`` indicate an unphysical covariance and raise instead of being
+    clipped.
+    """
+    cov = state_or_cov.covariance if isinstance(state_or_cov, GaussianState) else np.asarray(state_or_cov)
+    n = cov.shape[0] // 2
+    omega = symplectic_form(n)
+    moduli = np.sort(np.abs(np.linalg.eigvals(1j * omega @ cov)))
+    pairs = moduli.reshape(n, 2)
+    spread = np.abs(pairs[:, 1] - pairs[:, 0])
+    scale = np.maximum(np.abs(pairs[:, 1]), 1.0)
+    if np.any(spread > EIGENVALUE_PAIRING_RTOL * scale):
+        raise ValueError("symplectic eigenvalues do not pair up; covariance may be invalid")
+    nu = np.sort(pairs.mean(axis=1))[::-1]
+    if np.any(nu < 1.0 - tol):
+        raise ValueError(f"unphysical covariance: min symplectic eigenvalue {nu.min():.12f}")
+    return nu
+
+
+def random_mixed_state(
+    n_modes: int,
+    rng: np.random.Generator,
+    strength: float = 0.4,
+    max_excess: float = 0.5,
+) -> GaussianState:
+    """Random mixed Gaussian state ``S diag(nu) S^T`` with ``nu >= 1``."""
+    s = random_symplectic(n_modes, rng, strength)
+    nu = 1.0 + rng.uniform(0.0, max_excess, size=n_modes)
+    d = np.repeat(nu, 2)
+    mean = rng.normal(scale=1.0, size=2 * n_modes)
+    return GaussianState(n_modes, mean, s @ np.diag(d) @ s.T)
+
+
+def fidelity(state: GaussianState, other: GaussianState) -> float:
+    """Fidelity between two states on one or two modes."""
+    if state.n_modes != other.n_modes:
+        raise FidelityError("states must have the same number of modes")
+    dx = other.first_moments - state.first_moments
+    if state.n_modes == 1:
+        return fidelity_one_mode(state.covariance, other.covariance, dx)
+    if state.n_modes == 2:
+        return fidelity_two_mode(state.covariance, other.covariance, dx)
+    raise FidelityError("fidelity is implemented for one- and two-mode states only")
 
 
 def _disassemble(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

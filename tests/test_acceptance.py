@@ -9,10 +9,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import f_sums, sigma_orders_from_blocks, synthetic_unitary_series
+from conftest import fidelity, f_sums, random_mixed_state, sigma_orders_from_blocks, synthetic_unitary_series
 from gaussfisher.bogoliubov import identity_residual
 from gaussfisher.cavity import compose_one_segment, rindler_overlaps
-from gaussfisher.fidelity import fidelity, fidelity_one_mode, fidelity_two_mode
+from gaussfisher.fidelity import fidelity_one_mode, fidelity_two_mode
 from gaussfisher.qfi import (
     c2_from_orders,
     energy_matched_params,
@@ -22,7 +22,6 @@ from gaussfisher.qfi import (
     qfi_oracle,
     qfi_perturbative,
 )
-from gaussfisher.states import random_mixed_state
 
 #: comparison tolerance for QFI orderings on the sweep grid; at the trivial
 #: channel points (integer u) every QFI is zero up to the mode-truncation

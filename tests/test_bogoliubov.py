@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _disassemble, full_identity_defect, random_exact_channel, synthetic_unitary_series
+from conftest import (
+    _disassemble,
+    full_identity_defect,
+    random_exact_channel,
+    synthetic_unitary_series,
+    vacuum_state,
+)
 from gaussfisher.bogoliubov import (
     BogoliubovSeries,
     _assemble,
@@ -12,7 +18,7 @@ from gaussfisher.bogoliubov import (
     series_from_csv,
     series_to_csv,
 )
-from gaussfisher.states import embed_state, squeezed_displaced_state, vacuum_state
+from gaussfisher.states import embed_state, squeezed_displaced_state
 
 
 def single_mode_block(alpha, beta):

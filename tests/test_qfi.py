@@ -11,6 +11,7 @@ from conftest import (
     e2_single_mode_literature,
     e2_two_mode,
     f_sums,
+    random_mixed_state,
     sigma_orders_from_blocks,
     synthetic_unitary_series,
 )
@@ -27,7 +28,7 @@ from gaussfisher.qfi import (
     qfi_oracle,
     qfi_perturbative,
 )
-from gaussfisher.states import random_mixed_state, squeezed_displaced_state
+from gaussfisher.states import squeezed_displaced_state
 
 SINGLE, PRODUCT, TMS = "single_squeezed_displaced", "two_product_squeezed_displaced", "two_mode_squeezed"
 

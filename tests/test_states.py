@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
+from conftest import random_mixed_state, symplectic_eigenvalues, vacuum_state
 from gaussfisher.states import (
     GaussianState,
     embed_state,
     random_pure_state,
-    random_mixed_state,
     random_symplectic,
     squeezed_displaced_state,
-    symplectic_eigenvalues,
     symplectic_form,
     two_mode_squeezed_state,
-    vacuum_state,
 )
 
 

@@ -32,9 +32,10 @@ def test_spec_validation():
         SweepSpec(methods=("guesswork",))
     with pytest.raises(ValueError):
         SweepSpec(x=1.5)
+    # a two-mode squeezed probe state has no displacement to carry
     spec = SweepSpec(scenario=small_scenario(), r=0.5, delta=0.2)
-    with pytest.raises(ValueError):
-        spec.params_for("two_mode_squeezed")
+    with pytest.raises(ValueError, match="two-mode squeezed probes carry no displacement"):
+        spec.probes()
 
 
 def test_run_sweep_rows_and_determinism(tmp_path):
@@ -112,7 +113,7 @@ def test_imported_channel_sweep():
 
 
 def test_compare_methods_report(tmp_path):
-    spec = SweepSpec(scenario=small_scenario(n_max=10), grid=(0.3,), r=1.0, delta=0.0)
+    spec = SweepSpec(scenario=small_scenario(n_max=10), r=1.0, delta=0.0)
     report = compare_methods(spec, cache_dir=str(tmp_path / "cache"))
     assert set(report.slopes) == set(spec.families)
     assert report.passed
@@ -128,7 +129,7 @@ def test_compare_methods_identity_channel():
     zeros = np.zeros((n, n), dtype=complex)
     identity_channel = BogoliubovSeries(n, np.ones(n, dtype=complex), zeros, zeros, zeros, zeros)
     spec = SweepSpec(
-        scenario=small_scenario(), grid=(0.3,), r=0.7, delta=0.0, channel=identity_channel
+        scenario=small_scenario(), r=0.7, delta=0.0, channel=identity_channel
     )
     report = compare_methods(spec)
     for row in report.rows:
@@ -143,6 +144,11 @@ def test_validate_default_scenario(tmp_path):
     # building or loading the series already enforces the fit bound, so
     # validate has no fit-residual line that could never fail
     assert not any("fit residual" in line for line in report.lines())
+    # validate checks the channel; the state and fidelity layers' general
+    # properties are held by their own tests, not re-measured on every run
+    for name in ("pure states: |det Sigma - 1|", "pure states: |nu - 1|",
+                 "fidelity: F(state, state) - 1", "fidelity: swap asymmetry"):
+        assert not any(f"  {name}:" in line for line in report.lines()), name
 
 
 def test_validate_flags_corrupted_channel():
@@ -286,6 +292,7 @@ UNREAD_FLAGS = [
     ("overlaps", "--channel", "channel.csv"),
     ("sweep", "--seed", "1"),
     ("compare", "--seed", "1"),
+    ("validate", "--seed", "1"),
     ("compare", "--h", "0.05"),
 ] + [(verb, "--length", "2") for verb in ("sweep", "compare", "validate", "overlaps")]
 
