@@ -84,9 +84,10 @@ class BogoliubovSeries:
     alpha2: np.ndarray
     beta1: np.ndarray
     beta2: np.ndarray
-    #: perturbative truncation residuals already derived from the read-only
-    #: matrices, keyed by the probed modes
-    _residual_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: quantities already derived from the read-only matrices: the
+    #: perturbative truncation residual per probed-mode set, and the oracle's
+    #: symplectic path (see :mod:`gaussfisher.qfi`)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.G, dtype=complex).reshape(-1)

@@ -10,9 +10,11 @@ Verbs:
 
 Every verb takes ``--config``, ``--nmax`` and ``--cache``; beyond those it
 registers only the flags it reads, from one table, so ``overlaps`` takes no
-others. Scenario parameters come from ``key = value`` config files (keys in
-``CONFIG_KEYS``) and/or flags; :func:`pick` resolves each value, and flags
-win. Everything is dimensionless in ``(h, u)``, so no cavity length is asked
+others. With an imported ``--channel`` the flags in ``CAVITY_FLAGS``, which
+only shape the built-in cavity channel, are refused, and the probed modes are
+checked against the channel's own ``n_max``. Scenario parameters come from
+``key = value`` config files (keys in ``CONFIG_KEYS``) and/or flags;
+:func:`pick` resolves each value, and flags win. Everything is dimensionless in ``(h, u)``, so no cavity length is asked
 for.
 
 Output is UTF-8 CSV with LF endings and full-precision floats; identical
@@ -72,6 +74,16 @@ def read_config(path: str) -> dict:
                 raise ValueError(f"{path}:{ln}: unknown key {key!r}")
             values[key] = CONFIG_KEYS[key](value)
     return values
+
+
+#: flags that only shape the built-in cavity channel, per verb that also
+#: takes ``--channel``; an imported channel leaves them unread (``validate``
+#: checks only its identity residual, on no probed modes)
+CAVITY_FLAGS = {
+    "sweep": ("--nmax", "--cache", "--h"),
+    "compare": ("--nmax", "--cache", "--u"),
+    "validate": ("--nmax", "--cache", "--h", "--modes"),
+}
 
 
 def parse_grid(text: str) -> tuple:
@@ -141,7 +153,9 @@ def pick(args, config: dict, flag: str, key: str, default):
     return config.get(key, default) if value is None else value
 
 
-def scenario_from(args, config: dict) -> CavityScenario:
+def scenario_from(args, config: dict, channel=None) -> CavityScenario:
+    """The cavity scenario; with an imported ``channel`` its ``n_max`` is the
+    channel's, so the probed modes are checked against the channel."""
     modes = (config.get("k", 1), config.get("k_prime", 2))
     if getattr(args, "modes", None):
         parts = args.modes.split(",")
@@ -153,7 +167,7 @@ def scenario_from(args, config: dict) -> CavityScenario:
         u=pick(args, config, "u", "u", 0.3),
         k=modes[0],
         k_prime=modes[1],
-        n_max=pick(args, config, "nmax", "n_max", 10),
+        n_max=pick(args, config, "nmax", "n_max", 10) if channel is None else channel.n_max,
     )
 
 
@@ -166,8 +180,12 @@ def emit(text: str, out_path: str | None) -> None:
 
 
 def load_channel(args):
+    """The imported ``--channel`` series, or None; refuses ``CAVITY_FLAGS``."""
     if not getattr(args, "channel", None):
         return None
+    for flag in CAVITY_FLAGS[args.command]:
+        if getattr(args, flag[2:]) is not None:
+            raise ValueError(f"{flag} is not read with an imported --channel")
     with open(args.channel, encoding="utf-8") as fh:
         return series_from_csv(fh.read())
 
@@ -184,8 +202,8 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     """Execute a parsed command; bad input raises, a failed check returns 1."""
     config = read_config(args.config) if args.config else {}
-    scenario = scenario_from(args, config)
     channel = load_channel(args)
+    scenario = scenario_from(args, config, channel)
 
     if args.command == "sweep":
         spec_kwargs = dict(

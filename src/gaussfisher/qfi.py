@@ -89,22 +89,23 @@ def _perturbative_residual(series: BogoliubovSeries, probe_modes) -> float:
     It depends on the series and the mode set only, so it is memoized on the
     series: probe families on the same modes share one evaluation.
     """
-    key = tuple(probe_modes)
-    memo = series._residual_memo
+    modes = tuple(probe_modes)
+    key = ("residual", modes)
+    memo = series._memo
     if key not in memo:
         # largest term of the last spectator row, an estimate of what the
         # truncation of the spectator sums discards
-        spectators = [n for n in range(series.n_max) if n + 1 not in key]
+        spectators = [n for n in range(series.n_max) if n + 1 not in modes]
         tail = 0.0
         if spectators:
-            cols = np.array(key) - 1
+            cols = np.array(modes) - 1
             tail = float(
                 max(
                     0.5 * np.max(np.abs(series.alpha1[spectators[-1], cols]) ** 2),
                     0.5 * np.max(np.abs(series.beta1[spectators[-1], cols]) ** 2),
                 )
             )
-        _, second = series.unitarity_residuals(modes=key)
+        _, second = series.unitarity_residuals(modes=modes)
         memo[key] = max(tail, second)
     return memo[key]
 
@@ -190,32 +191,69 @@ def qfi_perturbative(series: BogoliubovSeries, modes, state: GaussianState) -> Q
     return QfiResult(4.0 * (e2 + c2), e2, c2, "perturbative", _perturbative_residual(series, modes))
 
 
+#: symplectic-path matrices kept per series: one oracle ladder reads seven
+#: theta values (the base point and three symmetric pairs), so this holds a
+#: whole ladder while a sweep over an imported channel moves on
+_PATH_MEMO_SIZE = 8
+
+
+def _symplectic_path(series: BogoliubovSeries, theta: float) -> np.ndarray:
+    """Read-only ``S(theta) = expm(theta K1 + theta^2 K2) S0`` of the series.
+
+    The path depends on the channel only, never on the probe, so it is
+    memoized on the series: the generators once, and ``S`` for the
+    ``_PATH_MEMO_SIZE`` most recent theta values, so every probe family
+    evaluated at the same theta shares one ``expm``.
+    """
+    memo = series._memo
+    if "generators" not in memo:
+        s0, s1, s2 = series.symplectic_orders()
+        omega = symplectic_form(series.n_max)
+        s0_inv = s0.T  # zeroth order is a rotation on each mode
+        k1 = s1 @ s0_inv
+        k2 = s2 @ s0_inv - 0.5 * k1 @ k1
+        # project onto the symplectic algebra: K = Omega K^T Omega for
+        # generators of symplectic flows
+        k1 = 0.5 * (k1 + omega @ k1.T @ omega)
+        k2 = 0.5 * (k2 + omega @ k2.T @ omega)
+        for m in (s0, k1, k2):
+            m.setflags(write=False)
+        memo["generators"] = (s0, k1, k2)
+        memo["path"] = {}
+    paths = memo["path"]
+    s = paths.pop(theta, None)
+    if s is None:
+        s0, k1, k2 = memo["generators"]
+        s = expm(theta * k1 + theta**2 * k2) @ s0
+        s.setflags(write=False)
+    # reinsert as the most recent and drop the oldest beyond the bound
+    paths[theta] = s
+    while len(paths) > _PATH_MEMO_SIZE:
+        del paths[next(iter(paths))]
+    return s
+
+
 def probe_family(series: BogoliubovSeries, modes, state: GaussianState):
     """Callable ``theta -> (reduced means, reduced covariance)`` for the oracle.
 
     The channel is realized as the exponential family
-    ``exp(theta K1 + theta^2 K2) S0`` whose Taylor orders coincide with the
-    series; the generators are projected onto the symplectic algebra, which
-    only symmetrizes conjugate coefficient pairs (the projection is local in
-    the 2x2 block structure), so every state along the family is exactly
-    physical and the fidelity is clean down to tiny separations. ``state``
-    lives on ``modes``; all other modes are vacuum.
+    ``S(theta) = exp(theta K1 + theta^2 K2) S0`` whose Taylor orders coincide
+    with the series; the generators are projected onto the symplectic
+    algebra, which only symmetrizes conjugate coefficient pairs (the
+    projection is local in the 2x2 block structure), so every state along the
+    family is exactly physical. ``S(theta)`` depends on the channel only, so
+    families on the same series share one ``expm`` per distinct theta. The
+    probed block is still read off the full ``S Sigma_in S^T``: the oracle's
+    finite differences amplify roundoff, and an equivalent sum over the
+    probed rows only moves its value by about 1e-5 relative. ``state`` lives
+    on ``modes``; all other modes are vacuum.
     """
     modes = tuple(modes)
     full_input = embed_state(series.n_max, modes, state)
     idx = quadrature_indices(modes, series.n_max)
-    s0, s1, s2 = series.symplectic_orders()
-    omega = symplectic_form(series.n_max)
-    s0_inv = s0.T  # zeroth order is a rotation on each mode
-    k1 = s1 @ s0_inv
-    k2 = s2 @ s0_inv - 0.5 * k1 @ k1
-    # project onto the symplectic algebra: K = Omega K^T Omega for
-    # generators of symplectic flows
-    k1 = 0.5 * (k1 + omega @ k1.T @ omega)
-    k2 = 0.5 * (k2 + omega @ k2.T @ omega)
 
     def family(theta: float) -> tuple[np.ndarray, np.ndarray]:
-        s = expm(theta * k1 + theta**2 * k2) @ s0
+        s = _symplectic_path(series, theta)
         mean = (s @ full_input.first_moments)[idx]
         cov = (s @ full_input.covariance @ s.T)[np.ix_(idx, idx)]
         return mean, cov

@@ -53,6 +53,14 @@ CASES = {
         SWEEP_TOLERANCES,
     ),
     "compare_nmax10.csv": (["compare", "--nmax", "10"], COMPARE_TOLERANCES),
+    # one imported series serves every grid point, so the oracle's memo on it carries over;
+    # written by `gaussfisher sweep` with this argv at commit f9abe2e, before that memo existed
+    # channel file: series_to_csv(compose_one_segment(perturbative_overlaps(8), 0.3))
+    "sweep_channel_nmax8_oracle.csv": (
+        ["sweep", "--channel", str(DATA / "channel_cavity_nmax8_u0.3.csv"), "--grid", "0.02,0.05,0.08",
+         "--x", "0.37", "--photons", "1.4", "--methods", "perturbative,oracle"],
+        SWEEP_TOLERANCES,
+    ),
 }
 
 

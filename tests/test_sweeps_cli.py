@@ -306,6 +306,63 @@ def test_cli_refuses_flags_the_verb_does_not_read(tmp_path, capsys, verb, flag, 
     assert not (tmp_path / "cache").exists()
 
 
+#: flags a verb registers for the cavity channel, and so cannot read with an
+#: imported one; ``validate --channel`` checks no probed modes
+CAVITY_ONLY_FLAGS = [
+    ("sweep", "--h", "0.07"),
+    ("validate", "--h", "0.07"),
+    ("compare", "--u", "0.7"),
+    ("validate", "--modes", "1,2"),
+] + [
+    (verb, flag, value)
+    for verb in ("sweep", "compare", "validate")
+    for flag, value in (("--nmax", "3"), ("--cache", "cache"))
+]
+
+
+@pytest.mark.parametrize("verb,flag,value", CAVITY_ONLY_FLAGS)
+def test_cli_refuses_cavity_flags_with_imported_channel(tmp_path, capsys, verb, flag, value):
+    path = tmp_path / "channel.csv"
+    path.write_text(series_to_csv(synthetic_unitary_series(6, np.random.default_rng(4))), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    grid = ["--grid", "0.05"] if verb == "sweep" else []
+    value = str(tmp_path / value) if flag == "--cache" else value
+    argv = [verb, "--channel", str(path), *grid, flag, value, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {flag} is not read with an imported --channel\n"
+    assert not out.exists() and not (tmp_path / "cache").exists()
+
+
+def test_cli_checks_modes_against_imported_channel(tmp_path, capsys):
+    """Modes beyond the cavity default of 10 are fine on a 20-mode channel."""
+    path = tmp_path / "channel.csv"
+    path.write_text(series_to_csv(synthetic_unitary_series(20, np.random.default_rng(6), strength=0.1)), encoding="utf-8")
+    out = tmp_path / "out.csv"
+
+    def config(k_prime):
+        cfg = tmp_path / f"modes_{k_prime}.cfg"
+        cfg.write_text(f"k = 1\nk_prime = {k_prime}\n", encoding="utf-8")
+        return str(cfg)
+
+    def argvs(k_prime):
+        # validate --channel refuses --modes, so its modes come from a config
+        return (
+            ["sweep", "--grid", "0.01", "--modes", f"1,{k_prime}"],
+            ["compare", "--modes", f"1,{k_prime}", "--state", "two_mode_squeezed"],
+            ["validate", "--config", config(k_prime)],
+        )
+
+    for verb in argvs(15):
+        assert main(verb + ["--channel", str(path), "--out", str(out)]) in (0, 1), verb
+        assert capsys.readouterr().err.count("error:") == 0
+        assert out.read_text(encoding="utf-8")
+        out.unlink()
+    for verb in argvs(21):
+        assert main(verb + ["--channel", str(path), "--out", str(out)]) == 2, verb
+        assert capsys.readouterr().err == "error: mode index 21 out of range 1..20\n"
+        assert not out.exists()
+
+
 def test_cli_overlaps_cache_builder(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "cache"
     assert main(["overlaps", "--nmax", "6", "--cache", str(cache)]) == 0
