@@ -12,8 +12,10 @@ or, equivalently, the real matrix ``S`` built from 2x2 blocks is symplectic,
 ``S Omega S^T = Omega``. :func:`identity_residual` measures that on a window
 of modes; truncating the mode ladder at ``n_max`` turns the identities into
 measured residuals. :class:`BogoliubovSeries` holds a channel to second
-order in its parameter, and :func:`covariance_series` reads the covariance
-orders of the probed modes off its block rows.
+order in its parameter, either whole or as the block rows of a few output
+modes on a stack of channels (one per grid point), and
+:func:`covariance_series` reads the covariance orders of the probed modes
+off its block rows.
 """
 
 from __future__ import annotations
@@ -26,20 +28,34 @@ from .states import GaussianState, quadrature_indices, symplectic_form
 
 
 def _assemble(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Real 2r x 2n matrix from complex r x n coefficient matrices.
+    """Real ``(..., 2r, 2n)`` matrices from complex ``(..., r, n)`` coefficients.
 
     With ``r = n`` this is the whole channel; with ``r`` selected rows it is
-    the block rows of those output modes.
+    the block rows of those output modes. Leading axes are a stack of
+    channels.
     """
-    r, n = alpha.shape
-    s = np.empty((2 * r, 2 * n))
-    d = alpha - beta
-    u = alpha + beta
-    s[0::2, 0::2] = d.real
-    s[0::2, 1::2] = u.imag
-    s[1::2, 0::2] = -d.imag
-    s[1::2, 1::2] = u.real
+    *stack, r, n = alpha.shape
+    s = np.empty((*stack, 2 * r, 2 * n))
+    # Re and Im of alpha -+ beta, written in place: no complex temporaries
+    np.subtract(alpha.real, beta.real, out=s[..., 0::2, 0::2])
+    np.add(alpha.imag, beta.imag, out=s[..., 0::2, 1::2])
+    lower = s[..., 1::2, 0::2]
+    np.negative(np.subtract(alpha.imag, beta.imag, out=lower), out=lower)
+    np.add(alpha.real, beta.real, out=s[..., 1::2, 1::2])
     return s
+
+
+def _view_rows(pos: np.ndarray):
+    """Row positions as a slice when they run consecutively, as a sweep stores
+    them, so that reading those rows of a stack makes no copy."""
+    if pos.size and np.array_equal(pos, np.arange(pos[0], pos[0] + pos.size)):
+        return slice(pos[0], pos[0] + pos.size)
+    return pos
+
+
+def _t(mat: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes: the matrix transpose on a stack."""
+    return mat.swapaxes(-1, -2)
 
 
 def identity_residual(alpha: np.ndarray, beta: np.ndarray, rows=None, cols=None) -> float:
@@ -76,6 +92,14 @@ class BogoliubovSeries:
     ``alpha(theta) = diag(G) + alpha1 theta + alpha2 theta^2`` and
     ``beta(theta) = beta1 theta + beta2 theta^2``, where the zeroth order is a
     pure phase ``G_n = exp(i phi_n)`` on each mode.
+
+    A whole channel stores ``G`` as ``(n_max,)`` and each matrix as
+    ``(n_max, n_max)``. With ``rows`` (1-based, distinct output modes) only
+    the block rows of those modes are stored, in that order, so each matrix
+    is ``(len(rows), n_max)``. Leading axes on every array make a stack of
+    channels, one per grid point. The perturbative kernel reads any stack of
+    the rows it needs; :meth:`evaluate`, :meth:`symplectic_orders` and the
+    oracle need one whole channel.
     """
 
     n_max: int
@@ -84,28 +108,51 @@ class BogoliubovSeries:
     alpha2: np.ndarray
     beta1: np.ndarray
     beta2: np.ndarray
+    rows: tuple | None = None
     #: quantities already derived from the read-only matrices: the
     #: perturbative truncation residual per probed-mode set, and the oracle's
     #: symplectic path (see :mod:`gaussfisher.qfi`)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = np.asarray(self.G, dtype=complex).reshape(-1)
-        if g.shape != (self.n_max,):
+        g = np.asarray(self.G, dtype=complex)
+        if g.ndim == 0 or g.shape[-1] != self.n_max:
             raise ValueError("G must have length n_max")
         if np.max(np.abs(np.abs(g) - 1.0)) > 1e-12:
             raise ValueError("zeroth-order phases G must have unit modulus")
+        rows = self.rows
+        if rows is not None:
+            rows = tuple(rows)
+            quadrature_indices(rows, self.n_max)
+        shape = (*g.shape[:-1], self.n_max if rows is None else len(rows), self.n_max)
         mats = {}
         for name in ("alpha1", "alpha2", "beta1", "beta2"):
             m = np.asarray(getattr(self, name), dtype=complex)
-            if m.shape != (self.n_max, self.n_max):
-                raise ValueError(f"{name} must be n_max x n_max")
+            if m.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}")
             m.setflags(write=False)
             mats[name] = m
         g.setflags(write=False)
         object.__setattr__(self, "G", g)
+        object.__setattr__(self, "rows", rows)
         for name, m in mats.items():
             object.__setattr__(self, name, m)
+
+    def _require_whole(self, what: str) -> None:
+        if self.rows is not None or self.G.ndim != 1:
+            raise ValueError(f"{what} needs one whole channel, not a stack or a subset of rows")
+
+    def row_positions(self, modes) -> np.ndarray:
+        """Positions of the block rows of the 1-based ``modes`` in the stored
+        matrices; ``ValueError`` when a row is not stored."""
+        cols = quadrature_indices(modes, self.n_max)[::2] // 2
+        if self.rows is None:
+            return cols
+        held = {m: i for i, m in enumerate(self.rows)}
+        missing = [k + 1 for k in cols if k + 1 not in held]
+        if missing:
+            raise ValueError(f"series stores no row for mode {missing[0]}")
+        return np.array([held[k + 1] for k in cols], dtype=int)
 
     def evaluate(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
         """Read-only coefficient matrices ``(alpha, beta)`` at a finite
@@ -115,6 +162,7 @@ class BogoliubovSeries:
         ``theta^3`` plus the mode-truncation tail; validity degrades beyond
         ``|theta| ~ 0.1``.
         """
+        self._require_whole("evaluate")
         alpha = np.diag(self.G) + self.alpha1 * theta + self.alpha2 * theta**2
         beta = self.beta1 * theta + self.beta2 * theta**2
         alpha.setflags(write=False)
@@ -123,13 +171,15 @@ class BogoliubovSeries:
 
     def symplectic_orders(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Real matrices ``(S0, S1, S2)`` with ``S(theta) = S0 + S1 theta + S2 theta^2``."""
+        self._require_whole("symplectic_orders")
         s0 = _assemble(np.diag(self.G), np.zeros((self.n_max, self.n_max), dtype=complex))
         s1 = _assemble(self.alpha1, self.beta1)
         s2 = _assemble(self.alpha2, self.beta2)
         return s0, s1, s2
 
-    def unitarity_residuals(self, modes=None) -> tuple[float, float]:
-        """Max-norm defects of the order-by-order channel identities.
+    def unitarity_residuals(self, modes=None):
+        """Max-norm defects ``(first, second)`` of the order-by-order channel
+        identities, one pair per channel of the stack.
 
         First order: ``diag(G) alpha1^dag + alpha1 diag(G)^dag = 0`` and
         ``G_m beta1_nm = G_n beta1_mn``. Second order:
@@ -139,34 +189,32 @@ class BogoliubovSeries:
         machine precision; truncated ones report their tail here. With
         ``modes`` given (1-based, distinct), the norms are restricted to the
         submatrix of those modes, which is the defect feeding the probed-mode
-        physics; unrestricted norms are dominated by the edge of the mode ladder.
-        Only that submatrix is computed: ``O(m^2 n)`` for ``m`` modes.
+        physics, and only their rows need be stored; unrestricted norms are
+        dominated by the edge of the mode ladder. Only that submatrix is
+        computed: ``O(m^2 n)`` for ``m`` modes. The pair is two floats for one
+        channel and two arrays of the stack's shape otherwise.
         """
-        # the x quadrature of mode k sits at 2k - 2
-        idx = np.arange(self.n_max) if modes is None else quadrature_indices(modes, self.n_max)[::2] // 2
-        sub = np.ix_(idx, idx)
+        modes = range(1, self.n_max + 1) if modes is None else modes
+        cols = quadrature_indices(modes, self.n_max)[::2] // 2
+        rows = _view_rows(self.row_positions(modes))
         # diag(G) acts by broadcasting: (diag(G) M)_ij = G_i M_ij
-        gi = self.G[idx][:, None]
-        gj = np.conj(self.G[idx])[None, :]
-        a1, b1 = self.alpha1[idx], self.beta1[idx]
-        a1_pp, b1_pp = a1[:, idx], b1[:, idx]
-        r1a = gi * a1_pp.conj().T + a1_pp * gj
-        gb1 = gi * b1_pp.T
-        r1b = gb1 - gb1.T
+        gi = self.G[..., cols][..., :, None]
+        gj = np.conj(self.G[..., cols])[..., None, :]
+        a1, b1 = self.alpha1[..., rows, :], self.beta1[..., rows, :]
+        a1_pp, b1_pp = a1[..., cols], b1[..., cols]
+        a2_pp, b2_pp = self.alpha2[..., rows, :][..., cols], self.beta2[..., rows, :][..., cols]
+        r1a = gi * _t(a1_pp).conj() + a1_pp * gj
+        gb1 = gi * _t(b1_pp)
+        r1b = gb1 - _t(gb1)
         # the spectator sums only need the probed rows of the first orders
-        r2a = (
-            gi * self.alpha2[sub].conj().T
-            + self.alpha2[sub] * gj
-            + a1 @ a1.conj().T
-            - b1 @ b1.conj().T
-        )
-        m = gi * self.beta2[sub].T + a1 @ b1.T
-        r2b = m - m.T
+        r2a = gi * _t(a2_pp).conj() + a2_pp * gj + a1 @ _t(a1).conj() - b1 @ _t(b1).conj()
+        m = gi * _t(b2_pp) + a1 @ _t(b1)
+        r2b = m - _t(m)
 
-        def norm(mat: np.ndarray) -> float:
-            return float(np.max(np.abs(mat)))
+        def norm(mat: np.ndarray):
+            return np.abs(mat).max(axis=(-2, -1))
 
-        return max(norm(r1a), norm(r1b)), max(norm(r2a), norm(r2b))
+        return np.maximum(norm(r1a), norm(r1b)), np.maximum(norm(r2a), norm(r2b))
 
 
 @dataclass(frozen=True)
@@ -185,41 +233,46 @@ def covariance_series(
 ) -> CovarianceSeries:
     """Collect theta powers of the reduced covariance of the probed modes.
 
-    ``input_state`` lives on the probed modes only (all other modes vacuum).
-    The coefficients are exact polynomials of the series matrices; no
-    numerical differentiation is involved. Only the ``2m`` probed rows of
-    ``S0``, ``S1`` and ``S2`` are assembled, so the cost is ``O(m^2 n)``
-    rather than the ``O(n^3)`` of the full ``S Sigma_in S^T``.
+    ``input_state`` lives on the probed modes only (all other modes vacuum),
+    and ``series`` must store the rows of ``modes``. The coefficients are
+    exact polynomials of the series matrices; no numerical differentiation
+    is involved. Only the ``2m`` probed rows of ``S0``, ``S1`` and ``S2`` are
+    assembled, so the cost is ``O(m^2 n)`` per channel rather than the
+    ``O(n^3)`` of the full ``S Sigma_in S^T``. A stack of channels gives
+    orders with the same leading axes: ``(..., 2m, 2m)`` and ``(..., 2m)``.
     """
     idx = quadrature_indices(modes, series.n_max)
     if 2 * input_state.n_modes != idx.size:
         raise ValueError("input state must live on the probed modes")
 
     # only the block rows of the probed modes are ever needed
-    rows = idx[::2] // 2
-    zeros = np.zeros((rows.size, series.n_max), dtype=complex)
-    s0 = _assemble(np.diag(series.G)[rows], zeros)
-    s1 = _assemble(series.alpha1[rows], series.beta1[rows])
-    s2 = _assemble(series.alpha2[rows], series.beta2[rows])
+    rows = _view_rows(series.row_positions(modes))
+    cols = idx[::2] // 2
+    phases = np.zeros((*series.G.shape[:-1], cols.size, series.n_max), dtype=complex)
+    phases[..., np.arange(cols.size), cols] = series.G[..., cols]
+    s0 = _assemble(phases, np.zeros((cols.size, series.n_max), dtype=complex))
     excess = input_state.covariance - np.eye(idx.size)
     x_in = input_state.first_moments
 
     def sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # rows of a Sigma_in b^T with Sigma_in = I + P (Sigma_pp - I) P^T
-        return a @ b.T + a[:, idx] @ excess @ b[:, idx].T
+        return a @ _t(b) + a[..., idx] @ excess @ _t(b[..., idx])
 
     sigma0 = sandwich(s0, s0)
+    # S2 enters once, so its rows of a stack are dropped before S1 is built
+    cross2 = sandwich(_assemble(series.alpha2[..., rows, :], series.beta2[..., rows, :]), s0)
+    s1 = _assemble(series.alpha1[..., rows, :], series.beta1[..., rows, :])
     cross1 = sandwich(s1, s0)
-    sigma1 = cross1 + cross1.T
-    cross2 = sandwich(s2, s0)
-    sigma2 = cross2 + cross2.T + sandwich(s1, s1)
-    mean0 = s0[:, idx] @ x_in
-    mean1 = s1[:, idx] @ x_in
+    sigma1 = cross1 + _t(cross1)
+    sigma2 = cross2 + _t(cross2) + sandwich(s1, s1)
+    mean0 = s0[..., idx] @ x_in
+    mean1 = s1[..., idx] @ x_in
     return CovarianceSeries(sigma0, sigma1, sigma2, mean0, mean1)
 
 
 def series_to_csv(series: BogoliubovSeries) -> str:
-    """Serialize a series as ``component,m,n,re,im`` lines (1-based m, n)."""
+    """Serialize a whole series as ``component,m,n,re,im`` lines (1-based m, n)."""
+    series._require_whole("series_to_csv")
     lines = ["component,m,n,re,im"]
     for n, g in enumerate(series.G, start=1):
         lines.append(f"g,{n},{n},{float(g.real)!r},{float(g.imag)!r}")

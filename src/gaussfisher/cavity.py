@@ -10,7 +10,9 @@ The channel is assembled from first principles in three steps:
    coefficients by polynomial fits over a ladder of small ``h`` values;
 3. :func:`compose_one_segment` chains "enter the accelerated frame, accrue
    mode phases for a proper duration, return to the inertial frame" into a
-   single series in ``h``.
+   single series in ``h``: the whole channel at one duration, or the block
+   rows of a few output modes stacked over a grid of durations, which is
+   all a perturbative sweep reads.
 
 Lengths are in units of the cavity length ``L``: every output is
 dimensionless in ``(h, u)``, and ``L`` would only set absolute frequencies.
@@ -19,6 +21,7 @@ dimensionless in ``(h, u)``, and ``L`` would only set absolute frequencies.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import tempfile
 import zipfile
@@ -62,6 +65,8 @@ class CavityScenario:
                 f"h={self.h!r} out of range (0, 2): the left wall must stay "
                 "outside the acceleration horizon"
             )
+        if not math.isfinite(self.u):
+            raise ValueError(f"duration parameter u={self.u!r} is not finite")
         if self.u < 0.0:
             raise ValueError("duration parameter u must be non-negative")
         quadrature_indices((self.k, self.k_prime), self.n_max)
@@ -193,17 +198,22 @@ def perturbative_overlaps(n_max: int) -> OverlapSeries:
     return OverlapSeries(n_max, *orders, worst)
 
 
-def mode_phases(n_max: int, u: float) -> np.ndarray:
-    """Phase factors ``G_n = exp(2 pi i n u)`` accrued during the segment."""
-    return np.exp(2j * np.pi * np.arange(1, n_max + 1) * u)
+def mode_phases(n_max: int, u) -> np.ndarray:
+    """Phase factors ``G_n = exp(2 pi i n u)`` accrued during the segment:
+    ``(n_max,)`` for one duration, ``(len(u), n_max)`` for a grid."""
+    return np.exp(2j * np.pi * np.arange(1, n_max + 1) * np.asarray(u, dtype=float)[..., None])
 
 
-def compose_one_segment(overlaps: OverlapSeries, u: float) -> BogoliubovSeries:
+def compose_one_segment(overlaps: OverlapSeries, u, rows=None) -> BogoliubovSeries:
     """Series of the full travel channel at duration parameter ``u``.
 
-    The exact composition is ``B_out = B_in^-1 o phases o B_in`` with
-    ``B_in`` the overlap channel; expanding ``B_in`` to second order gives,
-    with ``G = mode_phases(u)`` and real overlap coefficients,
+    ``u`` is one duration, which gives one channel, or a one-dimensional
+    grid, which gives a stack of channels along a leading axis. ``rows``
+    (1-based output modes) restricts every matrix to the block rows of those
+    modes; ``None`` keeps them all. The exact composition is
+    ``B_out = B_in^-1 o phases o B_in`` with ``B_in`` the overlap channel;
+    expanding ``B_in`` to second order gives, with ``G = mode_phases(u)``
+    and real overlap coefficients,
 
         alpha1_ij = oa1_ij (G_i - G_j)
         beta1_ij  = ob1_ij (G_i - conj(G_j))
@@ -212,33 +222,49 @@ def compose_one_segment(overlaps: OverlapSeries, u: float) -> BogoliubovSeries:
         beta2_ij  = G_i ob2_ij - conj(G_j) ob2_ji
                     + sum_k [G_k oa1_ki ob1_kj - conj(G_k) ob1_ki oa1_kj]
 
+    Each ``sum_k`` is one ``(U r, n) @ (n, n)`` product for ``U`` durations
+    and ``r`` rows, so a whole grid costs four matrix products.
+
     The relative signs follow from exact inversion of the truncated overlap
     channel; they are fixed by requiring the composed series to satisfy the
     second-order channel identities (and are verified that way in the tests).
     """
-    if u < 0.0:
+    u = np.asarray(u, dtype=float)
+    if u.ndim > 1:
+        raise ValueError("u must be one duration or a one-dimensional grid")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("u must be finite")
+    if np.any(u < 0.0):
         raise ValueError("u must be non-negative")
     n = overlaps.n_max
+    r = slice(None) if rows is None else quadrature_indices(rows, n)[::2] // 2
     g = mode_phases(n, u)
     gc = np.conj(g)
+    g_rows = g[..., r, None]
     oa1, oa2 = overlaps.alpha1, overlaps.alpha2
     ob1, ob2 = overlaps.beta1, overlaps.beta2
 
-    alpha1 = oa1 * (g[:, None] - g[None, :])
-    beta1 = ob1 * (g[:, None] - gc[None, :])
-    alpha2 = (
-        g[:, None] * oa2
-        + g[None, :] * oa2.T
-        + oa1.T @ (g[:, None] * oa1)
-        - ob1.T @ (gc[:, None] * ob1)
-    )
-    beta2 = (
-        g[:, None] * ob2
-        - gc[None, :] * ob2.T
-        + oa1.T @ (g[:, None] * ob1)
-        - ob1.T @ (gc[:, None] * oa1)
-    )
-    return BogoliubovSeries(n, g, alpha1, alpha2, beta1, beta2)
+    def spectator_sum(left: np.ndarray, phases: np.ndarray, right: np.ndarray) -> np.ndarray:
+        # sum_k phases_k left_ki right_kj for the rows i, as one product over
+        # the rows of every channel in the stack
+        weighted = left.T[r] * phases[..., None, :]
+        return (weighted.reshape(-1, n) @ right).reshape(weighted.shape)
+
+    # accumulated in place, in the order of the formulas above, so that no
+    # more than two temporaries of the stack's size are alive at once
+    alpha2 = g_rows * oa2[r]
+    alpha2 += g[..., None, :] * oa2.T[r]
+    alpha2 += spectator_sum(oa1, g, oa1)
+    alpha2 -= spectator_sum(ob1, gc, ob1)
+    beta2 = g_rows * ob2[r]
+    beta2 -= gc[..., None, :] * ob2.T[r]
+    beta2 += spectator_sum(oa1, g, ob1)
+    beta2 -= spectator_sum(ob1, gc, oa1)
+    alpha1 = g_rows - g[..., None, :]
+    alpha1 *= oa1[r]
+    beta1 = g_rows - gc[..., None, :]
+    beta1 *= ob1[r]
+    return BogoliubovSeries(n, g, alpha1, alpha2, beta1, beta2, rows)
 
 
 def cavity_series(

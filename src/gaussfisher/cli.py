@@ -11,7 +11,8 @@ Verbs:
 Every verb takes ``--config``, ``--nmax`` and ``--cache``; beyond those it
 registers only the flags it reads, from one table, so ``overlaps`` takes no
 others. With an imported ``--channel`` the flags in ``CAVITY_FLAGS``, which
-only shape the built-in cavity channel, are refused, and the probed modes are
+only shape the built-in cavity channel, are refused, as are the config keys
+in ``CAVITY_KEYS`` that set the same values, and the probed modes are
 checked against the channel's own ``n_max``. Scenario parameters come from
 ``key = value`` config files (keys in ``CONFIG_KEYS``) and/or flags;
 :func:`pick` resolves each value, and flags win. Everything is dimensionless in ``(h, u)``, so no cavity length is asked
@@ -24,6 +25,7 @@ inputs and BLAS thread count give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -86,18 +88,35 @@ CAVITY_FLAGS = {
 }
 
 
+#: config keys that set what ``CAVITY_FLAGS`` set, refused the same way
+CAVITY_KEYS = {
+    "sweep": ("n_max", "h"),
+    "compare": ("n_max", "u"),
+    "validate": ("n_max", "h"),
+}
+
+
+def finite(text: str, what: str) -> float:
+    """``float(text)``, refusing NaN and infinities by name."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} {text.strip()!r} is not finite")
+    return value
+
+
 def parse_grid(text: str) -> tuple:
-    """Grid syntax: ``start:stop:step`` (inclusive stop) or comma values."""
+    """Grid syntax: ``start:stop:step`` (inclusive stop) or comma values, all
+    finite."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid {text!r} must be start:stop:step or comma-separated")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (finite(p, "grid value") for p in parts)
         if step <= 0:
             raise ValueError("grid step must be positive")
         n = int(round((stop - start) / step))
         return tuple(np.round(start + step * np.arange(n + 1), 12))
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    return tuple(finite(tok, "grid value") for tok in text.split(",") if tok.strip())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,13 +198,17 @@ def emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def load_channel(args):
-    """The imported ``--channel`` series, or None; refuses ``CAVITY_FLAGS``."""
+def load_channel(args, config: dict):
+    """The imported ``--channel`` series, or None; refuses ``CAVITY_FLAGS``
+    and ``CAVITY_KEYS``."""
     if not getattr(args, "channel", None):
         return None
     for flag in CAVITY_FLAGS[args.command]:
         if getattr(args, flag[2:]) is not None:
             raise ValueError(f"{flag} is not read with an imported --channel")
+    for key in CAVITY_KEYS[args.command]:
+        if key in config:
+            raise ValueError(f"config key {key} is not read with an imported --channel")
     with open(args.channel, encoding="utf-8") as fh:
         return series_from_csv(fh.read())
 
@@ -202,7 +225,7 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     """Execute a parsed command; bad input raises, a failed check returns 1."""
     config = read_config(args.config) if args.config else {}
-    channel = load_channel(args)
+    channel = load_channel(args, config)
     scenario = scenario_from(args, config, channel)
 
     if args.command == "sweep":
@@ -224,7 +247,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "compare":
-        ladder = tuple(float(tok) for tok in args.ladder.split(","))
+        ladder = tuple(finite(tok, "ladder value") for tok in args.ladder.split(","))
         spec = SweepSpec(
             scenario=scenario,
             families=tuple(args.state or FAMILIES),

@@ -42,49 +42,72 @@ class QfiResult:
     For ``method="perturbative"`` the value is exactly ``4 (e2 + c2)`` and
     ``residual`` reports the mode-truncation tail estimate; for
     ``method="oracle"`` the split is not available (NaN) and ``residual`` is
-    the extrapolation error estimate.
+    the extrapolation error estimate. The numbers are floats for one channel
+    and arrays of the stack's shape for a stack of channels; every entry is
+    checked.
     """
 
-    value: float
-    e2: float
-    c2: float
+    value: float | np.ndarray
+    e2: float | np.ndarray
+    c2: float | np.ndarray
     method: str
-    residual: float
+    residual: float | np.ndarray
 
     def __post_init__(self):
         if self.method not in ("oracle", "perturbative"):
             raise ValueError("method must be 'oracle' or 'perturbative'")
+        for name in ("value", "e2", "c2", "residual"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, float(v) if v.ndim == 0 else v)
+        value = np.asarray(self.value)
         # a truncated channel can push a vanishing QFI slightly negative, but
         # never beyond its own truncation residual scale
-        floor = max(1e-9, 4.0 * self.residual) if math.isfinite(self.residual) else 1e-9
-        if self.value < -floor:
-            raise ValueError(f"negative QFI value {self.value!r}")
-        if self.method == "perturbative" and not math.isclose(
-            self.value, 4.0 * (self.e2 + self.c2), rel_tol=0.0, abs_tol=1e-12 * max(1.0, abs(self.value))
+        residual = np.asarray(self.residual)
+        floor = np.where(np.isfinite(residual), np.maximum(1e-9, 4.0 * residual), 1e-9)
+        negative = value < -floor
+        if np.any(negative):
+            raise ValueError(f"negative QFI value {float(value[negative].flat[0])!r}")
+        if self.method == "perturbative" and not np.all(
+            np.abs(value - 4.0 * (np.asarray(self.e2) + self.c2)) <= 1e-12 * np.maximum(1.0, np.abs(value))
         ):
             raise ValueError("perturbative QFI must equal 4 (e2 + c2)")
 
 
-def c2_from_orders(sigma0: np.ndarray, sigma1: np.ndarray, sigma2: np.ndarray) -> float:
+def c2_from_orders(sigma0: np.ndarray, sigma1: np.ndarray, sigma2: np.ndarray):
     """Covariance contribution to the QFI from the covariance orders.
 
     ``(1/16) [ (Tr X)^2 - Tr X^2 + 4 Tr Y ]`` with ``X = sigma0^-1 sigma1``
     and ``Y = sigma0^-1 sigma2``. Valid for channels whose first order
     preserves purity (then ``Tr X = 0`` up to truncation); the pure quadratic
-    term keeps the quoted normalization.
+    term keeps the quoted normalization. Leading axes are a stack of order
+    sets: ``(..., d, d)`` matrices give one value per stack entry, and a
+    singular ``sigma0`` anywhere in the stack raises ``ValueError``.
     """
     sigma0 = np.asarray(sigma0, dtype=float)
-    if abs(np.linalg.det(sigma0)) < 1e-12:
+    if np.any(np.abs(np.linalg.det(sigma0)) < 1e-12):
         raise ValueError("singular zeroth-order covariance")
     x = np.linalg.solve(sigma0, np.asarray(sigma1, dtype=float))
     y = np.linalg.solve(sigma0, np.asarray(sigma2, dtype=float))
-    tx = np.trace(x)
-    return float((tx**2 - np.trace(x @ x) + 4.0 * np.trace(y)) / 16.0)
+
+    def trace(mat: np.ndarray):
+        return mat.trace(axis1=-2, axis2=-1)
+
+    tx = trace(x)
+    return (tx**2 - trace(x @ x) + 4.0 * trace(y)) / 16.0
 
 
-def _perturbative_residual(series: BogoliubovSeries, probe_modes) -> float:
+def perturbative_rows(modes, n_max: int) -> tuple:
+    """Output modes whose block rows :func:`qfi_perturbative` reads for a
+    probe on ``modes``: the probed modes, then the last spectator (the
+    highest mode outside them) when there is one."""
+    modes = tuple(modes)
+    spectators = [n for n in range(1, n_max + 1) if n not in modes]
+    return modes + tuple(spectators[-1:])
+
+
+def _perturbative_residual(series: BogoliubovSeries, probe_modes):
     """Truncation estimate: spectator-sum tail plus the channel-identity
-    defect seen by the probed modes.
+    defect seen by the probed modes, per channel of the stack.
 
     It depends on the series and the mode set only, so it is memoized on the
     series: probe families on the same modes share one evaluation.
@@ -95,29 +118,29 @@ def _perturbative_residual(series: BogoliubovSeries, probe_modes) -> float:
     if key not in memo:
         # largest term of the last spectator row, an estimate of what the
         # truncation of the spectator sums discards
-        spectators = [n for n in range(series.n_max) if n + 1 not in modes]
+        spectator = perturbative_rows(modes, series.n_max)[len(modes):]
         tail = 0.0
-        if spectators:
+        if spectator:
+            (row,) = series.row_positions(spectator)
             cols = np.array(modes) - 1
-            tail = float(
-                max(
-                    0.5 * np.max(np.abs(series.alpha1[spectators[-1], cols]) ** 2),
-                    0.5 * np.max(np.abs(series.beta1[spectators[-1], cols]) ** 2),
-                )
+            tail = np.maximum(
+                0.5 * np.max(np.abs(series.alpha1[..., row, cols]) ** 2, axis=-1),
+                0.5 * np.max(np.abs(series.beta1[..., row, cols]) ** 2, axis=-1),
             )
         _, second = series.unitarity_residuals(modes=modes)
-        memo[key] = max(tail, second)
+        memo[key] = np.maximum(tail, second)
     return memo[key]
 
 
-def negativity_first_order(series: BogoliubovSeries, k: int, k_prime: int) -> float:
+def negativity_first_order(series: BogoliubovSeries, k: int, k_prime: int):
     """Entanglement (negativity) generated between two modes, per unit theta.
 
-    At first order this is just ``|beta1_{k k'}|``. The two modes must be
-    distinct and lie in ``1..n_max``.
+    At first order this is just ``|beta1_{k k'}|``, one value per channel of
+    a stack. The two modes must be distinct and lie in ``1..n_max``.
     """
     quadrature_indices((k, k_prime), series.n_max)
-    return float(abs(series.beta1[k - 1, k_prime - 1]))
+    (row,) = series.row_positions((k,))
+    return np.abs(series.beta1[..., row, k_prime - 1])
 
 
 def energy_budget(x: float, photons: float) -> tuple[float, float]:
@@ -180,13 +203,19 @@ def qfi_perturbative(series: BogoliubovSeries, modes, state: GaussianState) -> Q
     covariance orders, ``E2 = mean1^T (2 sigma0)^-1 mean1`` and ``C2`` is the
     trace form :func:`c2_from_orders`. The trace form holds for pure probes
     only, so a mixed ``state`` (``|det Sigma - 1| > 1e-9``) is refused.
+
+    ``series`` is one channel, or a stack of channels storing at least the
+    rows :func:`perturbative_rows` names; a stack gives a :class:`QfiResult`
+    of arrays with the stack's shape from one pass of the kernel, so a
+    whole grid costs one call per probe.
     """
     modes = tuple(modes)
     det = float(np.linalg.det(state.covariance))
     if abs(det - 1.0) > 1e-9:
         raise ValueError(f"perturbative QFI needs a pure probe state, got det Sigma = {det!r}")
     orders = covariance_series(series, modes, state)
-    e2 = float(orders.mean1 @ np.linalg.solve(2.0 * orders.sigma0, orders.mean1))
+    solved = np.linalg.solve(2.0 * orders.sigma0, orders.mean1[..., None])[..., 0]
+    e2 = np.sum(orders.mean1 * solved, axis=-1)
     c2 = c2_from_orders(orders.sigma0, orders.sigma1, orders.sigma2)
     return QfiResult(4.0 * (e2 + c2), e2, c2, "perturbative", _perturbative_residual(series, modes))
 

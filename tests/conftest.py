@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, expm_frechet
 
-from gaussfisher.cavity import compose_one_segment, perturbative_overlaps, rindler_overlaps
+from gaussfisher.cavity import compose_one_segment, mode_phases, perturbative_overlaps, rindler_overlaps
 from gaussfisher.bogoliubov import BogoliubovSeries, CovarianceSeries, _assemble
 from gaussfisher.fidelity import FidelityError, fidelity_one_mode, fidelity_two_mode
+from gaussfisher.qfi import qfi_perturbative
 from gaussfisher.states import GaussianState, embed_state, random_symplectic, symplectic_form
 
 # State and fidelity helpers that only the tests use: the package itself
@@ -221,6 +222,61 @@ def full_unitarity_residuals(series, modes=None):
         return float(np.max(np.abs(mat)))
 
     return max(norm(r1a), norm(r1b)), max(norm(r2a), norm(r2b))
+
+
+def compose_one_segment_reference(overlaps, u: float) -> BogoliubovSeries:
+    """Reference composition: the whole channel at one duration ``u``, by the
+    hand expansion the package used before it composed a grid in one pass.
+
+    Same formulas as :func:`gaussfisher.cavity.compose_one_segment`, with the
+    phase of each spectator sum on its right factor and one ``n x n``
+    product per sum and duration.
+    """
+    if u < 0.0:
+        raise ValueError("u must be non-negative")
+    n = overlaps.n_max
+    g = mode_phases(n, u)
+    gc = np.conj(g)
+    oa1, oa2 = overlaps.alpha1, overlaps.alpha2
+    ob1, ob2 = overlaps.beta1, overlaps.beta2
+
+    alpha1 = oa1 * (g[:, None] - g[None, :])
+    beta1 = ob1 * (g[:, None] - gc[None, :])
+    alpha2 = (
+        g[:, None] * oa2
+        + g[None, :] * oa2.T
+        + oa1.T @ (g[:, None] * oa1)
+        - ob1.T @ (gc[:, None] * ob1)
+    )
+    beta2 = (
+        g[:, None] * ob2
+        - gc[None, :] * ob2.T
+        + oa1.T @ (g[:, None] * ob1)
+        - ob1.T @ (gc[:, None] * oa1)
+    )
+    return BogoliubovSeries(n, g, alpha1, alpha2, beta1, beta2)
+
+
+def reference_sweep(spec, overlaps) -> list:
+    """Perturbative sweep rows evaluated one duration at a time.
+
+    Each grid point gets its own whole channel from
+    :func:`compose_one_segment_reference`, and the kernel runs on it once per
+    family. The truncation residual is rebuilt from the full-product
+    references: the last spectator row's tail (:func:`f_sums`) against the
+    second-order identity defect. Rows are
+    ``(u, family, qfi, e2, c2, residual, negativity)`` in the sweep's order.
+    """
+    sc = spec.scenario
+    rows = []
+    for u in spec.grid:
+        series = compose_one_segment_reference(overlaps, float(u))
+        negativity = abs(series.beta1[sc.k - 1, sc.k_prime - 1])
+        for family, _, _, state, modes in spec.probes():
+            result = qfi_perturbative(series, modes, state)
+            residual = max(f_sums(series, modes, modes).tail, full_unitarity_residuals(series, modes)[1])
+            rows.append((float(u), family, result.value, result.e2, result.c2, residual, negativity))
+    return rows
 
 
 def sigma_orders_from_blocks(series, k, k_prime, psi_k, psi_kp, phi):

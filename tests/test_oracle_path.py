@@ -105,3 +105,13 @@ def test_imported_channel_memo_holds_at_most_one_ladder(tmp_path, channel_file, 
     assert all(s is series for s in seen)
     # the last ladder's seven theta values plus at most one older point
     assert LADDER_THETAS <= len(series._memo["path"]) <= 8
+
+
+def test_compare_reads_each_ladder_theta_once_for_every_family(tmp_path, expm_calls):
+    # three rungs of seven theta values, shared by the three families
+    assert main(["compare", "--nmax", "10", "--out", str(tmp_path / "cmp.csv")]) == 0
+    assert len(expm_calls) == 3 * LADDER_THETAS
+    expm_calls.clear()
+    # validate's dual-path line runs the same ladder
+    assert main(["validate", "--nmax", "6", "--cache", str(tmp_path / "cache")]) == 0
+    assert len(expm_calls) == 3 * LADDER_THETAS

@@ -498,3 +498,53 @@ def test_cli_rejects_modes_beyond_imported_channel(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: mode index 4 out of range 1..3"), err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["sweep", "--grid", "nan"], "grid value 'nan' is not finite"),
+        (["sweep", "--grid", "inf"], "grid value 'inf' is not finite"),
+        (["sweep", "--grid", "0.1,nan"], "grid value 'nan' is not finite"),
+        (["sweep", "--grid", "0:inf:0.1"], "grid value 'inf' is not finite"),
+        (["sweep", "--grid", "nan", "--methods", "oracle"], "grid value 'nan' is not finite"),
+        (["compare", "--u", "nan"], "duration parameter u=nan is not finite"),
+        (["compare", "--ladder", "0.02,nan"], "ladder value 'nan' is not finite"),
+    ],
+)
+def test_cli_refuses_non_finite_values(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--nmax", "10", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+#: config keys that set what a verb's cavity flags set, and so cannot be read
+#: with an imported channel either
+CAVITY_ONLY_KEYS = [
+    ("sweep", "n_max = 3"),
+    ("sweep", "h = 0.07"),
+    ("compare", "n_max = 3"),
+    ("compare", "u = 0.7"),
+    ("validate", "n_max = 3"),
+    ("validate", "h = 0.07"),
+]
+
+
+@pytest.mark.parametrize("verb,line", CAVITY_ONLY_KEYS)
+def test_cli_refuses_cavity_config_keys_with_imported_channel(tmp_path, capsys, verb, line):
+    path = tmp_path / "channel.csv"
+    path.write_text(series_to_csv(synthetic_unitary_series(6, np.random.default_rng(4))), encoding="utf-8")
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(f"{line}\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    grid = ["--grid", "0.05"] if verb == "sweep" else []
+    argv = [verb, "--channel", str(path), "--config", str(cfg), *grid, "--out", str(out)]
+    assert main(argv) == 2
+    key = line.split(" = ")[0]
+    assert capsys.readouterr().err == f"error: config key {key} is not read with an imported --channel\n"
+    assert not out.exists()
+    # the same file is read without the channel
+    cfg.write_text(f"{line}\nn_max = 6\n" if key != "n_max" else "n_max = 6\n", encoding="utf-8")
+    argv = [verb, "--config", str(cfg), *grid, "--cache", str(tmp_path / "cache"), "--out", str(out)]
+    assert main(argv) in (0, 1)
