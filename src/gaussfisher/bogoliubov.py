@@ -20,7 +20,7 @@ off its block rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,10 +109,6 @@ class BogoliubovSeries:
     beta1: np.ndarray
     beta2: np.ndarray
     rows: tuple | None = None
-    #: quantities already derived from the read-only matrices: the
-    #: perturbative truncation residual per probed-mode set, and the oracle's
-    #: symplectic path (see :mod:`gaussfisher.qfi`)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.G, dtype=complex)

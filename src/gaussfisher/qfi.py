@@ -12,7 +12,8 @@ the probed modes and the probe state on those modes:
   (trace form).
 
 Probe families are data: a named family is just a :class:`GaussianState`
-from :func:`probe_state` plus its modes.
+from :func:`probe_state` plus its modes, and the oracle evaluates any list
+of such probes on one channel together.
 """
 
 from __future__ import annotations
@@ -107,29 +108,21 @@ def perturbative_rows(modes, n_max: int) -> tuple:
 
 def _perturbative_residual(series: BogoliubovSeries, probe_modes):
     """Truncation estimate: spectator-sum tail plus the channel-identity
-    defect seen by the probed modes, per channel of the stack.
-
-    It depends on the series and the mode set only, so it is memoized on the
-    series: probe families on the same modes share one evaluation.
-    """
+    defect seen by the probed modes, per channel of the stack."""
     modes = tuple(probe_modes)
-    key = ("residual", modes)
-    memo = series._memo
-    if key not in memo:
-        # largest term of the last spectator row, an estimate of what the
-        # truncation of the spectator sums discards
-        spectator = perturbative_rows(modes, series.n_max)[len(modes):]
-        tail = 0.0
-        if spectator:
-            (row,) = series.row_positions(spectator)
-            cols = np.array(modes) - 1
-            tail = np.maximum(
-                0.5 * np.max(np.abs(series.alpha1[..., row, cols]) ** 2, axis=-1),
-                0.5 * np.max(np.abs(series.beta1[..., row, cols]) ** 2, axis=-1),
-            )
-        _, second = series.unitarity_residuals(modes=modes)
-        memo[key] = np.maximum(tail, second)
-    return memo[key]
+    # largest term of the last spectator row, an estimate of what the
+    # truncation of the spectator sums discards
+    spectator = perturbative_rows(modes, series.n_max)[len(modes):]
+    tail = 0.0
+    if spectator:
+        (row,) = series.row_positions(spectator)
+        cols = np.array(modes) - 1
+        tail = np.maximum(
+            0.5 * np.max(np.abs(series.alpha1[..., row, cols]) ** 2, axis=-1),
+            0.5 * np.max(np.abs(series.beta1[..., row, cols]) ** 2, axis=-1),
+        )
+    _, second = series.unitarity_residuals(modes=modes)
+    return np.maximum(tail, second)
 
 
 def negativity_first_order(series: BogoliubovSeries, k: int, k_prime: int):
@@ -220,50 +213,9 @@ def qfi_perturbative(series: BogoliubovSeries, modes, state: GaussianState) -> Q
     return QfiResult(4.0 * (e2 + c2), e2, c2, "perturbative", _perturbative_residual(series, modes))
 
 
-#: symplectic-path matrices kept per series: one oracle ladder reads seven
-#: theta values (the base point and three symmetric pairs), so this holds a
-#: whole ladder while a sweep over an imported channel moves on
-_PATH_MEMO_SIZE = 8
-
-
-def _symplectic_path(series: BogoliubovSeries, theta: float) -> np.ndarray:
-    """Read-only ``S(theta) = expm(theta K1 + theta^2 K2) S0`` of the series.
-
-    The path depends on the channel only, never on the probe, so it is
-    memoized on the series: the generators once, and ``S`` for the
-    ``_PATH_MEMO_SIZE`` most recent theta values, so every probe family
-    evaluated at the same theta shares one ``expm``.
-    """
-    memo = series._memo
-    if "generators" not in memo:
-        s0, s1, s2 = series.symplectic_orders()
-        omega = symplectic_form(series.n_max)
-        s0_inv = s0.T  # zeroth order is a rotation on each mode
-        k1 = s1 @ s0_inv
-        k2 = s2 @ s0_inv - 0.5 * k1 @ k1
-        # project onto the symplectic algebra: K = Omega K^T Omega for
-        # generators of symplectic flows
-        k1 = 0.5 * (k1 + omega @ k1.T @ omega)
-        k2 = 0.5 * (k2 + omega @ k2.T @ omega)
-        for m in (s0, k1, k2):
-            m.setflags(write=False)
-        memo["generators"] = (s0, k1, k2)
-        memo["path"] = {}
-    paths = memo["path"]
-    s = paths.pop(theta, None)
-    if s is None:
-        s0, k1, k2 = memo["generators"]
-        s = expm(theta * k1 + theta**2 * k2) @ s0
-        s.setflags(write=False)
-    # reinsert as the most recent and drop the oldest beyond the bound
-    paths[theta] = s
-    while len(paths) > _PATH_MEMO_SIZE:
-        del paths[next(iter(paths))]
-    return s
-
-
-def probe_family(series: BogoliubovSeries, modes, state: GaussianState):
-    """Callable ``theta -> (reduced means, reduced covariance)`` for the oracle.
+def probe_family(series: BogoliubovSeries, probes):
+    """Callable ``theta -> [(reduced means, reduced covariance), ...]`` for the
+    oracle, one pair per ``(modes, state)`` entry of ``probes``, in order.
 
     The channel is realized as the exponential family
     ``S(theta) = exp(theta K1 + theta^2 K2) S0`` whose Taylor orders coincide
@@ -271,36 +223,49 @@ def probe_family(series: BogoliubovSeries, modes, state: GaussianState):
     algebra, which only symmetrizes conjugate coefficient pairs (the
     projection is local in the 2x2 block structure), so every state along the
     family is exactly physical. ``S(theta)`` depends on the channel only, so
-    families on the same series share one ``expm`` per distinct theta. The
-    probed block is still read off the full ``S Sigma_in S^T``: the oracle's
-    finite differences amplify roundoff, and an equivalent sum over the
-    probed rows only moves its value by about 1e-5 relative. ``state`` lives
-    on ``modes``; all other modes are vacuum.
+    each call forms it once and every probe reads it. Each probed block is
+    still read off the full ``S Sigma_in S^T``: the oracle's finite
+    differences amplify roundoff, and an equivalent sum over the probed rows
+    only moves its value by about 1e-5 relative. Each ``state`` lives on its
+    ``modes``; all other modes are vacuum.
     """
-    modes = tuple(modes)
-    full_input = embed_state(series.n_max, modes, state)
-    idx = quadrature_indices(modes, series.n_max)
+    inputs = []
+    for modes, state in probes:
+        modes = tuple(modes)
+        inputs.append((embed_state(series.n_max, modes, state), quadrature_indices(modes, series.n_max)))
+    s0, s1, s2 = series.symplectic_orders()
+    omega = symplectic_form(series.n_max)
+    s0_inv = s0.T  # zeroth order is a rotation on each mode
+    k1 = s1 @ s0_inv
+    k2 = s2 @ s0_inv - 0.5 * k1 @ k1
+    # project onto the symplectic algebra: K = Omega K^T Omega for
+    # generators of symplectic flows
+    k1 = 0.5 * (k1 + omega @ k1.T @ omega)
+    k2 = 0.5 * (k2 + omega @ k2.T @ omega)
 
-    def family(theta: float) -> tuple[np.ndarray, np.ndarray]:
-        s = _symplectic_path(series, theta)
-        mean = (s @ full_input.first_moments)[idx]
-        cov = (s @ full_input.covariance @ s.T)[np.ix_(idx, idx)]
-        return mean, cov
+    def family(theta: float) -> list[tuple[np.ndarray, np.ndarray]]:
+        s = expm(theta * k1 + theta**2 * k2) @ s0
+        return [
+            ((s @ full.first_moments)[idx], (s @ full.covariance @ s.T)[np.ix_(idx, idx)])
+            for full, idx in inputs
+        ]
 
     return family
 
 
-def qfi_oracle(family, theta: float, steps=(1e-2, 1e-3, 1e-4)) -> QfiResult:
-    """QFI from symmetric finite differences of the fidelity.
+def qfi_oracle(family, theta: float, steps=(1e-2, 1e-3, 1e-4)) -> list[QfiResult]:
+    """QFI from symmetric finite differences of the fidelity, one
+    :class:`QfiResult` per probe.
 
-    ``family`` maps ``theta`` to a ``(mean, covariance)`` pair, as the
-    callable from :func:`probe_family` does.
+    ``family`` maps ``theta`` to a list of ``(mean, covariance)`` pairs, one
+    per probe, as the callable from :func:`probe_family` does; it is called
+    once per theta, and the results follow its probe order.
 
     ``H(d) = 8 (1 - sqrt(F(state(theta - d), state(theta + d)))) / (2 d)^2``
     is evaluated on the decreasing step ladder and Richardson-extrapolated to
     ``d -> 0`` (the error series is even in ``d`` because the fidelity is
-    stationary at zero separation). The residual is the difference of the
-    last two extrapolants.
+    stationary at zero separation), separately for each probe. The residual
+    is the difference of the last two extrapolants.
     """
     steps = tuple(float(s) for s in steps)
     if not steps or any(s <= 0.0 for s in steps):
@@ -311,31 +276,36 @@ def qfi_oracle(family, theta: float, steps=(1e-2, 1e-3, 1e-4)) -> QfiResult:
     # Families built from truncated series can be marginally unphysical (a
     # symplectic eigenvalue below 1 by the cubic truncation defect), which
     # turns the fidelity at small separations into noise. A tiny isotropic
-    # noise floor, fixed once at the base point so it cannot introduce any
-    # step dependence, restores physicality; it vanishes for exact channels.
-    _, base_cov = family(theta)
-    dim = base_cov.shape[0]
-    if dim not in (2, 4):
-        raise ValueError("oracle supports one- and two-mode families only")
-    omega = symplectic_form(dim // 2)
-    min_eig = float(np.min(np.linalg.eigvalsh(base_cov + 1j * omega)))
-    noise_floor = 3.0 * max(0.0, -min_eig)
-    fid = fidelity_one_mode if dim == 2 else fidelity_two_mode
-    bump = noise_floor * np.eye(dim)
+    # noise floor per probe, fixed once at the base point so it cannot
+    # introduce any step dependence, restores physicality; it vanishes for
+    # exact channels.
+    per_probe = []
+    for _, base_cov in family(theta):
+        dim = base_cov.shape[0]
+        if dim not in (2, 4):
+            raise ValueError("oracle supports one- and two-mode families only")
+        omega = symplectic_form(dim // 2)
+        min_eig = float(np.min(np.linalg.eigvalsh(base_cov + 1j * omega)))
+        noise_floor = 3.0 * max(0.0, -min_eig)
+        fid = fidelity_one_mode if dim == 2 else fidelity_two_mode
+        per_probe.append((fid, noise_floor * np.eye(dim)))
 
-    def h_of(d: float) -> float:
-        mean_a, cov_a = family(theta - d)
-        mean_b, cov_b = family(theta + d)
-        f = fid(cov_a + bump, cov_b + bump, mean_b - mean_a)
-        return 8.0 * (1.0 - np.sqrt(f)) / (2.0 * d) ** 2
+    def h_of(d: float) -> list[float]:
+        pairs = zip(per_probe, family(theta - d), family(theta + d))
+        return [
+            8.0 * (1.0 - np.sqrt(fid(cov_a + bump, cov_b + bump, mean_b - mean_a))) / (2.0 * d) ** 2
+            for (fid, bump), (mean_a, cov_a), (mean_b, cov_b) in pairs
+        ]
 
-    tableau = [[h_of(steps[0])]]
-    for i in range(1, len(steps)):
-        row = [h_of(steps[i])]
-        for j in range(1, i + 1):
-            ratio = (steps[i - j] / steps[i]) ** 2
-            row.append(row[j - 1] + (row[j - 1] - tableau[i - 1][j - 1]) / (ratio - 1.0))
-        tableau.append(row)
-    value = tableau[-1][-1]
-    residual = abs(tableau[-1][-1] - tableau[-1][-2]) if len(steps) > 1 else math.inf
-    return QfiResult(max(value, 0.0), math.nan, math.nan, "oracle", residual)
+    results = []
+    for ladder in zip(*(h_of(d) for d in steps)):
+        tableau = [[ladder[0]]]
+        for i in range(1, len(steps)):
+            row = [ladder[i]]
+            for j in range(1, i + 1):
+                ratio = (steps[i - j] / steps[i]) ** 2
+                row.append(row[j - 1] + (row[j - 1] - tableau[i - 1][j - 1]) / (ratio - 1.0))
+            tableau.append(row)
+        residual = abs(tableau[-1][-1] - tableau[-1][-2]) if len(steps) > 1 else math.inf
+        results.append(QfiResult(max(tableau[-1][-1], 0.0), math.nan, math.nan, "oracle", residual))
+    return results

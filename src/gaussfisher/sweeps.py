@@ -9,13 +9,15 @@ must satisfy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bogoliubov import BogoliubovSeries, identity_residual
 from .cavity import (
     CavityScenario,
+    cavity_series,
     compose_one_segment,
     load_or_compute_overlap_series,
 )
@@ -60,6 +62,8 @@ class SweepSpec:
     def __post_init__(self):
         if not self.grid:
             raise ValueError("sweep grid must not be empty")
+        if not self.families:
+            raise ValueError("at least one state family must be requested")
         for fam in self.families:
             if fam not in FAMILIES:
                 raise ValueError(f"unknown state family {fam!r}")
@@ -68,6 +72,10 @@ class SweepSpec:
                 raise ValueError(f"unknown method {method!r}")
         if not self.methods:
             raise ValueError("at least one method must be requested")
+        for name in ("photons", "r", "delta"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name}={value!r} is not finite")
         if self.r is None and not 0.0 <= self.x <= 1.0:
             raise ValueError("x must lie in [0, 1]")
 
@@ -136,7 +144,8 @@ def run_sweep(spec: SweepSpec, cache_dir: str | None = None) -> list[SweepRow]:
     the grid, and the kernel runs once per family on that stack. An imported
     channel does not depend on the grid value, so its perturbative columns
     are evaluated once per family and repeat down the grid. The oracle needs
-    the whole channel at each grid point.
+    the whole channel at each grid point, and one oracle call there covers
+    every family.
 
     Rows are ordered by grid index, then family order, regardless of how the
     work is executed; identical specs (and cache content) give identical
@@ -166,26 +175,27 @@ def run_sweep(spec: SweepSpec, cache_dir: str | None = None) -> list[SweepRow]:
             columns = (result.value, result.e2, result.c2, result.residual)
             perturbative[family] = list(zip(*map(down_the_grid, columns)))
 
+    pairs = [(modes, state) for *_, state, modes in probes]
+    if "oracle" in spec.methods and spec.channel is not None:
+        # an imported series, and so its family, is the same down the grid
+        states_at = probe_family(spec.channel, pairs)
     rows = []
     for i, g in enumerate(grid):
+        oracle = [(None, None)] * len(probes)
         if "oracle" in spec.methods:
-            if spec.channel is not None:
-                series, theta = spec.channel, g
-            else:
-                series, theta = compose_one_segment(overlaps, g), sc.h
-        for family, r, delta, state, modes in probes:
+            theta = g
+            if spec.channel is None:
+                states_at, theta = probe_family(compose_one_segment(overlaps, g), pairs), sc.h
+            results = qfi_oracle(states_at, theta, steps=(theta / 10.0, theta / 30.0, theta / 100.0))
+            oracle = [(res.value, res.residual) for res in results]
+        for (family, r, delta, _, _), (orc, res_o) in zip(probes, oracle):
             pert = e2 = c2 = res_p = None
-            orc = res_o = None
             trunc = np.nan
             if family in perturbative:
                 pert, e2, c2, res_p = perturbative[family][i]
                 trunc = res_p
-            if "oracle" in spec.methods:
-                fam = probe_family(series, modes, state)
-                result = qfi_oracle(fam, theta, steps=(theta / 10.0, theta / 30.0, theta / 100.0))
-                orc, res_o = result.value, result.residual
-                if np.isnan(trunc):
-                    trunc = result.residual
+            if res_o is not None and np.isnan(trunc):
+                trunc = res_o
             rows.append(
                 SweepRow(g, family, r, delta, pert, e2, c2, res_p, orc, res_o, negativity[i], trunc)
             )
@@ -241,27 +251,19 @@ def compare_methods(
     """
     if len(set(h_ladder)) < 2:
         raise ValueError("compare needs at least two distinct h values on the ladder")
-    sc = spec.scenario
-    if spec.channel is not None:
-        series = spec.channel
-    else:
-        overlaps = load_or_compute_overlap_series(sc.n_max, cache_dir)
-        series = compose_one_segment(overlaps, float(sc.u))
+    series = spec.channel if spec.channel is not None else cavity_series(spec.scenario, cache_dir)
     probes = spec.probes()
     perts = [qfi_perturbative(series, modes, state).value for *_, state, modes in probes]
-    oracles = [probe_family(series, modes, state) for *_, state, modes in probes]
-    # the ladder runs outside the families, so that every family at one h
-    # reads the oracle's memoized path before the next h evicts it
-    ladders = [[] for _ in probes]
-    for h in h_ladder:
-        for (family, *_), pert, fam, ladder in zip(probes, perts, oracles, ladders):
-            orc = qfi_oracle(fam, float(h), steps=(h / 5.0, h / 15.0, h / 45.0)).value
-            dev = abs(pert - orc) / abs(orc) if orc != 0.0 else abs(pert - orc)
-            ladder.append(ComparisonRow(family, float(h), pert, orc, dev))
+    states_at = probe_family(series, [(modes, state) for *_, state, modes in probes])
+    # one oracle call per rung, read by every family
+    rungs = [qfi_oracle(states_at, float(h), steps=(h / 5.0, h / 15.0, h / 45.0)) for h in h_ladder]
     rows, slopes = [], {}
-    for (family, *_), ladder in zip(probes, ladders):
-        rows += ladder
-        devs = [row.relative_deviation for row in ladder]
+    for (family, *_), pert, results in zip(probes, perts, zip(*rungs)):
+        devs = []
+        for h, result in zip(h_ladder, results):
+            orc = result.value
+            devs.append(abs(pert - orc) / abs(orc) if orc != 0.0 else abs(pert - orc))
+            rows.append(ComparisonRow(family, float(h), pert, orc, devs[-1]))
         if max(devs) < 1e-13:
             # both routes vanish identically (trivial channel): nothing left
             # to fit, the agreement is exact
@@ -331,8 +333,7 @@ def validate(
         return ValidationReport(tuple(checks))
 
     scenario = scenario or CavityScenario()
-    overlaps = load_or_compute_overlap_series(scenario.n_max, cache_dir)
-    series = compose_one_segment(overlaps, scenario.u)
+    series = cavity_series(scenario, cache_dir)
     probes = (scenario.k, scenario.k_prime)
 
     add(
@@ -356,7 +357,7 @@ def validate(
     add("evaluated identity residual: cubic scaling slope", slope, 2.7, larger_is_fine=True)
 
     # periodicity in the duration parameter
-    shifted = compose_one_segment(overlaps, scenario.u + 1.0)
+    shifted = cavity_series(replace(scenario, u=scenario.u + 1.0), cache_dir)
     drift = max(
         np.max(np.abs(shifted.alpha1 - series.alpha1)),
         np.max(np.abs(shifted.beta2 - series.beta2)),
@@ -364,6 +365,6 @@ def validate(
     add("composed series: periodicity in u", drift, 1e-9)
 
     # dual-path agreement at the scenario point
-    report = compare_methods(SweepSpec(scenario=scenario, r=1.0, delta=0.0), cache_dir=cache_dir)
+    report = compare_methods(SweepSpec(scenario=scenario, r=1.0, delta=0.0, channel=series))
     add("dual-path deviation slope", min(report.slopes.values()), 0.8, larger_is_fine=True)
     return ValidationReport(tuple(checks))

@@ -174,10 +174,10 @@ def test_criterion_3_dual_path_agreement(overlap_series_10):
     ):
         state = probe_state(family_name, 1.0, 0.0)
         pert = qfi_perturbative(series, modes, state)
-        fam = probe_family(series, modes, state)
+        fam = probe_family(series, [(modes, state)])
         devs = []
         for h in ladder:
-            orc = qfi_oracle(fam, h, steps=(h / 5, h / 15, h / 45))
+            (orc,) = qfi_oracle(fam, h, steps=(h / 5, h / 15, h / 45))
             devs.append(abs(pert.value - orc.value) / abs(orc.value))
         slopes[family_name] = float(np.polyfit(np.log(ladder), np.log(devs), 1)[0])
     elapsed = time.monotonic() - start

@@ -178,8 +178,8 @@ def test_oracle_matches_two_mode_squeezed_wrapper(cavity_series_u03):
     h = 0.05
     state = probe_state("two_mode_squeezed", 1.0, 0.0)
     pert = qfi_perturbative(cavity_series_u03, (1, 2), state)
-    fam = probe_family(cavity_series_u03, (1, 2), state)
-    orc = qfi_oracle(fam, h, steps=(h / 5, h / 15, h / 45))
+    fam = probe_family(cavity_series_u03, [((1, 2), state)])
+    (orc,) = qfi_oracle(fam, h, steps=(h / 5, h / 15, h / 45))
     assert abs(pert.value - orc.value) / orc.value <= 10.0 * h
 
 
@@ -195,9 +195,11 @@ def test_oracle_matches_exact_qfi(overlap_series_10):
         series = compose_one_segment(overlap_series_10, u)
         mirrored = compose_one_segment(overlap_series_10, 1.0 - u)
         spec = SweepSpec(scenario=CavityScenario(h=h, u=u, n_max=10), x=0.5)
-        for family, _, _, state, modes in spec.probes():
+        probes = spec.probes()
+        family = probe_family(series, [(modes, state) for *_, state, modes in probes])
+        oracles = qfi_oracle(family, h, steps=(h / 10, h / 30, h / 100))
+        for (family, _, _, state, modes), oracle in zip(probes, oracles):
             exact = exact_qfi(series, modes, state, h)
-            oracle = qfi_oracle(probe_family(series, modes, state), h, steps=(h / 10, h / 30, h / 100))
             assert abs(oracle.value - exact) <= 1e-5 * exact, (u, family)
             assert abs(exact_qfi(mirrored, modes, state, h) - exact) <= 1e-10 * exact, (u, family)
 

@@ -23,7 +23,7 @@ ENTRY_POINTS = {
     "covariance_series": lambda s, modes: covariance_series(s, modes, vacuum_state(2)),
     "negativity_first_order": lambda s, modes: negativity_first_order(s, *modes),
     "embed_state": lambda s, modes: embed_state(N_MAX, modes, vacuum_state(2)),
-    "probe_family": lambda s, modes: probe_family(s, modes, vacuum_state(2)),
+    "probe_family": lambda s, modes: probe_family(s, [(modes, vacuum_state(2))]),
     "CavityScenario": lambda s, modes: CavityScenario(k=modes[0], k_prime=modes[1], n_max=N_MAX),
     "two_mode_squeezed_state": lambda s, modes: two_mode_squeezed_state(N_MAX, *modes, 0.3),
 }

@@ -102,7 +102,8 @@ def test_residual_shared_between_families_on_same_modes(monkeypatch):
     spec = SweepSpec(grid=(0.2, 0.4))
     rows = run_sweep(spec)
     assert len(rows) == 2 * len(FAMILIES)
-    # one evaluation per mode set, (1,) and (1, 2), for the whole grid
-    assert sorted(calls) == [(1,), (1, 2)]
+    # one evaluation per family for the whole grid: (1,) for the single-mode
+    # probe, (1, 2) for each two-mode one
+    assert sorted(calls) == [(1,), (1, 2), (1, 2)]
     two_mode = [r for r in rows if r.family != "single_squeezed_displaced"]
     assert two_mode[0].residual_perturbative == two_mode[1].residual_perturbative

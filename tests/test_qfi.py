@@ -140,8 +140,8 @@ def test_rotation_channel_displacement_qfi():
     assert np.isclose(pert.e2, delta**2, rtol=0, atol=1e-13)
     assert np.isclose(pert.c2, 0.0, atol=1e-13)
 
-    family = probe_family(series, (1,), probe_state(SINGLE, 0.0, delta))
-    oracle = qfi_oracle(family, 0.2, steps=(1e-2, 1e-3, 1e-4))
+    family = probe_family(series, [((1,), probe_state(SINGLE, 0.0, delta))])
+    (oracle,) = qfi_oracle(family, 0.2, steps=(1e-2, 1e-3, 1e-4))
     assert oracle.residual <= 1e-6
     assert np.isclose(oracle.value, 4.0 * delta**2, rtol=1e-7)
 
@@ -330,16 +330,16 @@ def test_oracle_constant_family():
     state = squeezed_displaced_state(1, 1, 0.5, 1.0)
 
     def family(theta):
-        return state.first_moments, state.covariance
+        return [(state.first_moments, state.covariance)]
 
-    result = qfi_oracle(family, 0.1)
+    (result,) = qfi_oracle(family, 0.1)
     assert abs(result.value) <= 1e-9
     assert math.isnan(result.e2) and math.isnan(result.c2)
 
 
 def test_oracle_step_validation():
     def family(theta):
-        return np.zeros(2), np.eye(2)
+        return [(np.zeros(2), np.eye(2))]
 
     with pytest.raises(ValueError):
         qfi_oracle(family, 0.1, steps=())
@@ -350,20 +350,20 @@ def test_oracle_step_validation():
 
 
 def test_oracle_convergence_flag(rng):
-    # a family with a jittery fidelity cannot reach a tight residual, while
-    # the same family without the jitter does
+    # a probe with a jittery fidelity cannot reach a tight residual, while
+    # the same probe without the jitter does, in the same family: each probe
+    # has its own tableau
     state = squeezed_displaced_state(1, 1, 0.0, 1.0)
 
-    def noisy(theta):
+    def family(theta):
         bump = 1e-5 * np.sin(1.0 / (abs(theta) + 1e-6))
-        return state.first_moments * (1.0 + theta + bump), state.covariance
+        noisy = state.first_moments * (1.0 + theta + bump), state.covariance
+        clean = state.first_moments * (1.0 + theta), state.covariance
+        return [noisy, clean]
 
-    def clean(theta):
-        return state.first_moments * (1.0 + theta), state.covariance
-
-    steps = (1e-2, 1e-3, 1e-4)
-    assert qfi_oracle(noisy, 0.05, steps=steps).residual > 1e-10
-    assert qfi_oracle(clean, 0.05, steps=steps).residual < 1e-10
+    noisy, clean = qfi_oracle(family, 0.05, steps=(1e-2, 1e-3, 1e-4))
+    assert noisy.residual > 1e-10
+    assert clean.residual < 1e-10
 
 
 def test_method_agreement_on_synthetic_channel(rng):
@@ -375,10 +375,10 @@ def test_method_agreement_on_synthetic_channel(rng):
     ):
         state = probe_state(family_name, r, delta)
         pert = qfi_perturbative(series, modes, state)
-        fam = probe_family(series, modes, state)
+        fam = probe_family(series, [(modes, state)])
         devs = []
         for theta in (0.02, 0.04, 0.08):
-            orc = qfi_oracle(fam, theta, steps=(theta / 5, theta / 15, theta / 45))
+            (orc,) = qfi_oracle(fam, theta, steps=(theta / 5, theta / 15, theta / 45))
             devs.append(abs(pert.value - orc.value) / abs(orc.value))
         slope = np.polyfit(np.log([0.02, 0.04, 0.08]), np.log(devs), 1)[0]
         assert slope >= 0.8, (family_name, devs)

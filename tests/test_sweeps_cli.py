@@ -28,6 +28,8 @@ def test_spec_validation():
         SweepSpec(grid=())
     with pytest.raises(ValueError):
         SweepSpec(families=("bogus",))
+    with pytest.raises(ValueError, match="at least one state family"):
+        SweepSpec(families=())
     with pytest.raises(ValueError):
         SweepSpec(methods=("guesswork",))
     with pytest.raises(ValueError):
@@ -510,9 +512,24 @@ def test_cli_rejects_modes_beyond_imported_channel(tmp_path, capsys):
         (["sweep", "--grid", "nan", "--methods", "oracle"], "grid value 'nan' is not finite"),
         (["compare", "--u", "nan"], "duration parameter u=nan is not finite"),
         (["compare", "--ladder", "0.02,nan"], "ladder value 'nan' is not finite"),
+        (["sweep", "--grid", "0.3", "--photons", "nan"], "photons=nan is not finite"),
+        (["sweep", "--grid", "0.3", "--photons", "inf"], "photons=inf is not finite"),
+        (["sweep", "--grid", "0.3", "--r", "inf"], "r=inf is not finite"),
+        (["sweep", "--grid", "0.3", "--r", "0.5", "--delta", "nan", "--state", "single_squeezed_displaced"],
+         "delta=nan is not finite"),
+        (["compare", "--r", "nan"], "r=nan is not finite"),
+        (["compare", "--delta", "inf"], "delta=inf is not finite"),
+        # the word after --config is the file's content
+        (["sweep", "--grid", "0.3", "--config", "N = nan"], "photons=nan is not finite"),
+        (["compare", "--config", "r = inf"], "r=inf is not finite"),
     ],
 )
 def test_cli_refuses_non_finite_values(tmp_path, capsys, argv, message):
+    if "--config" in argv:
+        cfg = tmp_path / "scenario.cfg"
+        at = argv.index("--config") + 1
+        cfg.write_text(argv[at] + "\n", encoding="utf-8")
+        argv = argv[:at] + [str(cfg)] + argv[at + 1:]
     out = tmp_path / "out.csv"
     assert main(argv + ["--nmax", "10", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
