@@ -1,8 +1,8 @@
 """CLI outputs pinned cell by cell against reference CSVs in ``tests/data``.
 
 The references were written by an earlier, independently reviewed version of
-the CLI. At ``n_max`` 10 they do not depend on the BLAS thread count, so a
-refactor that claims to leave the numbers alone is held to them here:
+the CLI. They do not depend on the BLAS thread count, so a refactor that
+claims to leave the numbers alone is held to them here:
 
 * text cells (header, family, grid and ladder values, empty cells) match
   exactly;
@@ -53,6 +53,14 @@ CASES = {
         SWEEP_TOLERANCES,
     ),
     "compare_nmax10.csv": (["compare", "--nmax", "10"], COMPARE_TOLERANCES),
+    # the inputs of the benchmark's seed-0 reference cell cold-1, where the oracle is most
+    # sensitive to roundoff: summing the probed block in another order moves qfi_oracle by
+    # 2.4e-3 relative; written by `gaussfisher sweep` with this argv at commit 2639393
+    "sweep_nmax60_oracle.csv": (
+        ["sweep", "--nmax", "60", "--grid", "0.02369,0.827318", "--photons", "1.897073",
+         "--x", "0.733772", "--methods", "oracle"],
+        SWEEP_TOLERANCES,
+    ),
     # one imported series serves every grid point, so the oracle's memo on it carries over;
     # written by `gaussfisher sweep` with this argv at commit f9abe2e, before that memo existed
     # channel file: series_to_csv(compose_one_segment(perturbative_overlaps(8), 0.3))
