@@ -39,7 +39,7 @@ def _sqrt_nonneg(value: float, label: str) -> float:
 
 def _finish(f: float) -> float:
     if f < 0.0 or f > 1.0 + OVERSHOOT_TOL:
-        raise FidelityError(f"fidelity {f!r} outside [0, 1]")
+        raise FidelityError(f"fidelity {float(f)!r} outside [0, 1]")
     return min(f, 1.0)
 
 

@@ -136,6 +136,19 @@ def full_identity_defect(alpha, beta) -> np.ndarray:
     return s @ omega @ s.T - omega
 
 
+def exponential_generators(series):
+    """``(S0, K1, K2)`` of the exponential family ``S(theta) = exp(theta K1 +
+    theta^2 K2) S0`` that :func:`gaussfisher.qfi.probe_family` builds, with
+    the projection onto the symplectic algebra written as matrix products."""
+    s0, s1, s2 = series.symplectic_orders()
+    omega = symplectic_form(series.n_max)
+    k1 = s1 @ s0.T
+    k2 = s2 @ s0.T - 0.5 * k1 @ k1
+    k1 = 0.5 * (k1 + omega @ k1.T @ omega)
+    k2 = 0.5 * (k2 + omega @ k2.T @ omega)
+    return s0, k1, k2
+
+
 def exact_qfi(series, modes, state, theta):
     """Test-only exact QFI of the family :func:`gaussfisher.qfi.probe_family`
     builds, from the Frechet derivative of its exponential.
@@ -147,12 +160,7 @@ def exact_qfi(series, modes, state, theta):
     mixed and the matrix invertible.
     """
     modes = tuple(modes)
-    s0, s1, s2 = series.symplectic_orders()
-    omega = symplectic_form(series.n_max)
-    k1 = s1 @ s0.T
-    k2 = s2 @ s0.T - 0.5 * k1 @ k1
-    k1 = 0.5 * (k1 + omega @ k1.T @ omega)
-    k2 = 0.5 * (k2 + omega @ k2.T @ omega)
+    s0, k1, k2 = exponential_generators(series)
     expo, frechet = expm_frechet(theta * k1 + theta**2 * k2, k1 + 2.0 * theta * k2)
     full = embed_state(series.n_max, modes, state)
     idx = np.concatenate([[2 * (k - 1), 2 * k - 1] for k in modes]).astype(int)

@@ -329,17 +329,28 @@ def test_energy_matched_params():
 def test_oracle_constant_family():
     state = squeezed_displaced_state(1, 1, 0.5, 1.0)
 
-    def family(theta):
-        return [(state.first_moments, state.covariance)]
+    def family(thetas):
+        return [[(state.first_moments, state.covariance)] for _ in thetas]
 
     (result,) = qfi_oracle(family, 0.1)
     assert abs(result.value) <= 1e-9
     assert math.isnan(result.e2) and math.isnan(result.c2)
 
 
+def test_oracle_calls_the_family_once_on_the_whole_ladder():
+    seen = []
+
+    def family(thetas):
+        seen.append(list(thetas))
+        return [[(np.zeros(2), np.eye(2))] for _ in thetas]
+
+    qfi_oracle(family, 0.1, steps=(1e-2, 1e-3))
+    assert seen == [[0.1, 0.1 - 1e-2, 0.1 + 1e-2, 0.1 - 1e-3, 0.1 + 1e-3]]
+
+
 def test_oracle_step_validation():
-    def family(theta):
-        return [(np.zeros(2), np.eye(2))]
+    def family(thetas):
+        return [[(np.zeros(2), np.eye(2))] for _ in thetas]
 
     with pytest.raises(ValueError):
         qfi_oracle(family, 0.1, steps=())
@@ -355,11 +366,14 @@ def test_oracle_convergence_flag(rng):
     # has its own tableau
     state = squeezed_displaced_state(1, 1, 0.0, 1.0)
 
-    def family(theta):
+    def probes(theta):
         bump = 1e-5 * np.sin(1.0 / (abs(theta) + 1e-6))
         noisy = state.first_moments * (1.0 + theta + bump), state.covariance
         clean = state.first_moments * (1.0 + theta), state.covariance
         return [noisy, clean]
+
+    def family(thetas):
+        return [probes(theta) for theta in thetas]
 
     noisy, clean = qfi_oracle(family, 0.05, steps=(1e-2, 1e-3, 1e-4))
     assert noisy.residual > 1e-10

@@ -153,6 +153,21 @@ def test_validate_default_scenario(tmp_path):
         assert not any(f"  {name}:" in line for line in report.lines()), name
 
 
+def test_validate_builds_the_overlap_series_once(monkeypatch):
+    # uncached, the scenario's channel and its copy one period later share one series
+    calls = []
+    real = cavity.perturbative_overlaps
+
+    def counting(n_max):
+        calls.append(n_max)
+        return real(n_max)
+
+    monkeypatch.setattr(cavity, "perturbative_overlaps", counting)
+    report = validate(small_scenario(n_max=6))
+    assert report.passed, "\n".join(report.lines())
+    assert calls == [6]
+
+
 def test_validate_flags_corrupted_channel():
     channel = synthetic_unitary_series(5, np.random.default_rng(8), strength=0.3)
     corrupted = BogoliubovSeries(
@@ -229,6 +244,15 @@ def test_cli_rejects_bad_scenario(tmp_path, capsys):
     cfg2.write_text("h = 2.5\nn_max = 6\n", encoding="utf-8")
     assert main(["validate", "--config", str(cfg2), "--h", "0.05",
                  "--cache", str(tmp_path / "cache")]) == 0
+
+
+def test_cli_prints_fidelity_overshoot_as_a_plain_number(tmp_path, capsys):
+    # at u = 0 the channel is trivial and the strongly squeezed probe's fidelity at the
+    # smallest step overshoots 1 by more than fidelity.OVERSHOOT_TOL: refused, with the number
+    argv = ["sweep", "--nmax", "10", "--grid", "0", "--methods", "oracle", "--photons", "1.3",
+            "--x", "0.4", "--cache", str(tmp_path / "cache"), "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: fidelity 1.0000000182501212 outside [0, 1]\n"
 
 
 def test_cli_validate_and_exit_codes(tmp_path):
