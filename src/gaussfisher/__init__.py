@@ -4,7 +4,6 @@ as the built-in worked example."""
 
 from .states import (
     GaussianState,
-    embed_state,
     random_pure_state,
     random_symplectic,
     squeezed_displaced_state,

@@ -24,6 +24,7 @@ import functools
 import math
 import os
 import tempfile
+import types
 import zipfile
 from dataclasses import dataclass
 
@@ -100,14 +101,22 @@ class OverlapSeries:
     fit_residual: float
 
 
-@functools.lru_cache(maxsize=len(QUADRATURE_ORDERS))
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1]; every ladder
-    quadrature reuses the same few orders."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+@functools.cache
+def _gauss_legendre() -> types.MappingProxyType:
+    """Read-only mapping of Gauss-Legendre rules on [-1, 1] by order, each a
+    read-only ``(2, order)`` array of nodes and weights.
+
+    The rules of ``QUADRATURE_ORDERS`` are package data, read once per
+    process on first use: ``gauss_legendre.npz`` stores the output of
+    ``numpy.polynomial.legendre.leggauss`` on numpy 2.4.6 bit for bit, so no
+    process pays for the eigensolve behind it and the overlaps do not move
+    with the installed numpy's node algorithm.
+    """
+    with np.load(os.path.join(os.path.dirname(__file__), "gauss_legendre.npz")) as data:
+        rules = {int(order): data[order] for order in data.files}
+    for rule in rules.values():
+        rule.setflags(write=False)
+    return types.MappingProxyType(rules)
 
 
 def _max_fit_residual(n_max: int) -> float:
@@ -116,8 +125,11 @@ def _max_fit_residual(n_max: int) -> float:
     return 1e-7 * max(1.0, (n_max / 10.0) ** 2)
 
 
-def _overlaps_at_order(h: float, n_max: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Overlap matrices by fixed-order Gauss-Legendre quadrature.
+def _overlaps_at_order(
+    h: float, n_max: int, nodes: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Overlap matrices by the Gauss-Legendre rule ``(nodes, weights)`` on
+    [-1, 1].
 
     With the cavity length as the unit, the walls sit at
     ``x_L, x_R = 1/h -+ 1/2``. Inertial modes ``sin(n pi (x - x_L)) / sqrt(n pi)``
@@ -134,7 +146,6 @@ def _overlaps_at_order(h: float, n_max: int, order: int) -> tuple[np.ndarray, np
     x_l = 1.0 / h - 0.5
     x_r = 1.0 / h + 0.5
     big_d = np.log(x_r / x_l)
-    nodes, weights = _gauss_legendre(order)
     x = 0.5 * (x_r - x_l) * nodes + 0.5 * (x_r + x_l)
     w = 0.5 * (x_r - x_l) * weights
 
@@ -158,9 +169,10 @@ def rindler_overlaps(h: float, n_max: int) -> RindlerOverlaps:
     when the largest order in ``QUADRATURE_ORDERS`` is not enough."""
     if not 0.0 < h < 2.0:
         raise ValueError("h must lie in (0, 2): wall positions require h < 2")
+    rules = _gauss_legendre()
     prev = None
     for order in QUADRATURE_ORDERS:
-        alpha, beta = _overlaps_at_order(h, n_max, order)
+        alpha, beta = _overlaps_at_order(h, n_max, *rules[order])
         if prev is not None:
             change = max(np.max(np.abs(alpha - prev[0])), np.max(np.abs(beta - prev[1])))
             if change < QUADRATURE_TOL:

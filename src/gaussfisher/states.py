@@ -128,21 +128,6 @@ def two_mode_squeezed_state(n_modes: int, k: int, k_prime: int, r: float) -> Gau
     return GaussianState(n_modes, np.zeros(2 * n_modes), cov)
 
 
-def embed_state(n_modes: int, modes, state: GaussianState) -> GaussianState:
-    """Embed a small state into ``n_modes`` modes, vacuum everywhere else.
-
-    ``modes`` (1-based, distinct) says where the given state's modes go.
-    """
-    idx = quadrature_indices(modes, n_modes)
-    if 2 * state.n_modes != idx.size:
-        raise ValueError("state size must match the number of target modes")
-    mean = np.zeros(2 * n_modes)
-    cov = np.eye(2 * n_modes)
-    mean[idx] = state.first_moments
-    cov[np.ix_(idx, idx)] = state.covariance
-    return GaussianState(n_modes, mean, cov)
-
-
 def random_symplectic(n_modes: int, rng: np.random.Generator, strength: float = 0.4) -> np.ndarray:
     """Random symplectic matrix ``exp(Omega Q)`` with ``Q`` symmetric."""
     q = rng.normal(scale=strength, size=(2 * n_modes, 2 * n_modes))

@@ -8,7 +8,7 @@ from gaussfisher.cavity import compose_one_segment, mode_phases, perturbative_ov
 from gaussfisher.bogoliubov import BogoliubovSeries, CovarianceSeries, _assemble
 from gaussfisher.fidelity import FidelityError, fidelity_one_mode, fidelity_two_mode
 from gaussfisher.qfi import qfi_perturbative
-from gaussfisher.states import GaussianState, embed_state, random_symplectic, symplectic_form
+from gaussfisher.states import GaussianState, quadrature_indices, random_symplectic, symplectic_form
 
 # State and fidelity helpers that only the tests use: the package itself
 # needs none of them.
@@ -21,6 +21,21 @@ def vacuum_state(n_modes: int) -> GaussianState:
     if n_modes < 1:
         raise ValueError("n_modes must be a positive integer")
     return GaussianState(n_modes, np.zeros(2 * n_modes), np.eye(2 * n_modes))
+
+
+def embed_state(n_modes: int, modes, state: GaussianState) -> GaussianState:
+    """Embed a small state into ``n_modes`` modes, vacuum everywhere else.
+
+    ``modes`` (1-based, distinct) says where the given state's modes go.
+    """
+    idx = quadrature_indices(modes, n_modes)
+    if 2 * state.n_modes != idx.size:
+        raise ValueError("state size must match the number of target modes")
+    mean = np.zeros(2 * n_modes)
+    cov = np.eye(2 * n_modes)
+    mean[idx] = state.first_moments
+    cov[np.ix_(idx, idx)] = state.covariance
+    return GaussianState(n_modes, mean, cov)
 
 
 def symplectic_eigenvalues(state_or_cov, tol: float = 1e-9) -> np.ndarray:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     _disassemble,
+    embed_state,
     full_identity_defect,
     random_exact_channel,
     synthetic_unitary_series,
@@ -18,7 +19,7 @@ from gaussfisher.bogoliubov import (
     series_from_csv,
     series_to_csv,
 )
-from gaussfisher.states import embed_state, squeezed_displaced_state
+from gaussfisher.states import squeezed_displaced_state
 
 
 def single_mode_block(alpha, beta):

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
@@ -54,7 +56,7 @@ def test_overlap_quadrature_convergence():
     # compare against the converged matrices instead of the truncated
     # identity, which carries an order-independent mode tail
     for order in (6, 10, 16):
-        alpha, beta = _overlaps_at_order(h, n, order)
+        alpha, beta = _overlaps_at_order(h, n, *np.polynomial.legendre.leggauss(order))
         errs.append(max(np.max(np.abs(alpha - converged.alpha)), np.max(np.abs(beta - converged.beta))))
     assert errs[0] > 1e-10  # start unconverged
     assert errs[1] < errs[0] and errs[2] < errs[1]
@@ -248,19 +250,90 @@ def test_failed_cache_write_keeps_previous_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
 
 
-def test_quadrature_nodes_memoized(monkeypatch):
-    first = rindler_overlaps(0.05, 5)  # warms every order it tries
-    nodes, weights = _gauss_legendre(QUADRATURE_ORDERS[0])
-    assert not nodes.flags.writeable and not weights.flags.writeable
-    assert np.isclose(np.sum(weights), 2.0)
-    assert _gauss_legendre.cache_info().maxsize == len(QUADRATURE_ORDERS)
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "gaussfisher"
 
+
+def test_gauss_legendre_table_holds_exactly_the_escalation_orders():
+    rules = _gauss_legendre()
+    assert tuple(sorted(rules)) == QUADRATURE_ORDERS
+    with pytest.raises(TypeError):
+        rules[1024] = rules[512]  # every process shares the one table
+
+
+@pytest.mark.parametrize("order", QUADRATURE_ORDERS)
+def test_gauss_legendre_table_matches_leggauss(order):
+    # bit-equal on numpy 2.4.6, which wrote the table; another numpy's
+    # leggauss may differ from it in the last bits
+    rule = _gauss_legendre()[order]
+    assert rule.dtype == np.float64 and rule.shape == (2, order)
+    assert not rule.flags.writeable
+    for stored, fresh in zip(rule, np.polynomial.legendre.leggauss(order)):
+        assert not stored.flags.writeable
+        assert np.max(np.abs(stored - fresh) / np.spacing(np.abs(fresh))) <= 2.0
+
+
+@pytest.mark.parametrize("order", QUADRATURE_ORDERS)
+def test_gauss_legendre_table_is_a_valid_rule(order):
+    # checked against what makes a Gauss-Legendre rule, not against leggauss
+    nodes, weights = _gauss_legendre()[order]
+    assert np.all(np.diff(nodes) > 0.0) and -1.0 < nodes[0] and nodes[-1] < 1.0
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert np.all(weights > 0.0) and np.array_equal(weights, weights[::-1])
+    assert np.sum(weights) == pytest.approx(2.0, rel=1e-14)
+    # exact for every polynomial of degree up to 2 order - 1; odd powers
+    # vanish by the antisymmetry above
+    for power in range(0, 2 * order - 1, 2):
+        integral = np.sum(weights * nodes**power)
+        assert integral == pytest.approx(2.0 / (power + 1), rel=1e-10), power
+
+
+def test_missing_quadrature_order_raises(monkeypatch):
+    monkeypatch.setattr(cavity, "QUADRATURE_ORDERS", (64, 1024))
+    with pytest.raises(KeyError):
+        rindler_overlaps(0.05, 5)  # the escalation always tries a second order
+
+
+def test_quadrature_nodes_memoized(monkeypatch, tmp_path):
     def refuse(order):
         raise AssertionError("Gauss-Legendre nodes recomputed")
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
-    again = rindler_overlaps(0.05, 5)
-    assert np.array_equal(first.alpha, again.alpha)
+    cavity._gauss_legendre.cache_clear()
+    # n_max 90 converges only with the order-512 rule
+    assert rindler_overlaps(cavity.H_LADDER[0], 90).quad_order == QUADRATURE_ORDERS[-1]
+    for n_max in ("10", "90"):
+        out = str(tmp_path / f"out{n_max}")
+        for argv in (
+            ["overlaps", "--nmax", n_max, "--cache", str(tmp_path / f"cache{n_max}")],
+            ["sweep", "--nmax", n_max, "--grid", "0.3", "--methods", "perturbative,oracle", "--out", out],
+            ["compare", "--nmax", n_max, "--out", out],
+            ["validate", "--nmax", n_max, "--out", out],
+        ):
+            assert main(argv) == 0, argv
+    assert cavity._gauss_legendre.cache_info().misses == 1  # the table is read once
+
+
+def test_no_package_code_calls_leggauss():
+    for path in SRC.glob("*.py"):
+        names = {
+            node.attr if isinstance(node, ast.Attribute) else node.id
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.Attribute, ast.Name))
+        }
+        assert "leggauss" not in names, path.name
+
+
+def test_every_data_file_is_declared_package_data():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    declared = set(pyproject["tool"]["setuptools"]["package-data"]["gaussfisher"])
+    data = {
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*")
+        if path.is_file() and path.suffix not in (".py", ".pyc")
+    }
+    assert data and data <= declared
 
 
 def test_quadrature_failure_is_typed():

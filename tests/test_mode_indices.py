@@ -7,11 +7,11 @@ be truncated to mode 1."""
 import numpy as np
 import pytest
 
-from conftest import synthetic_unitary_series, vacuum_state
+from conftest import embed_state, synthetic_unitary_series, vacuum_state
 from gaussfisher.bogoliubov import covariance_series, identity_residual
 from gaussfisher.cavity import CavityScenario
 from gaussfisher.qfi import negativity_first_order, probe_family
-from gaussfisher.states import embed_state, quadrature_indices, two_mode_squeezed_state
+from gaussfisher.states import quadrature_indices, two_mode_squeezed_state
 
 N_MAX = 5
 

@@ -8,11 +8,11 @@ import pytest
 
 from scipy.linalg import expm
 
-from conftest import exponential_generators, synthetic_unitary_series
+from conftest import embed_state, exponential_generators, synthetic_unitary_series
 from gaussfisher import qfi
 from gaussfisher.bogoliubov import series_to_csv
 from gaussfisher.cli import main
-from gaussfisher.states import embed_state, quadrature_indices, symplectic_form
+from gaussfisher.states import quadrature_indices, symplectic_form
 from gaussfisher.sweeps import FAMILIES, SweepSpec
 
 #: one oracle ladder reads the base point and three symmetric pairs

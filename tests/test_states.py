@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import random_mixed_state, symplectic_eigenvalues, vacuum_state
+from conftest import embed_state, random_mixed_state, symplectic_eigenvalues, vacuum_state
 from gaussfisher.states import (
     GaussianState,
-    embed_state,
     random_pure_state,
     random_symplectic,
     squeezed_displaced_state,
