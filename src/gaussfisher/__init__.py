@@ -4,8 +4,6 @@ as the built-in worked example."""
 
 from .states import (
     GaussianState,
-    random_pure_state,
-    random_symplectic,
     squeezed_displaced_state,
     symplectic_form,
     two_mode_squeezed_state,
@@ -35,14 +33,15 @@ from .cavity import (
     OverlapSeries,
     QuadratureError,
     RindlerOverlaps,
-    cavity_series,
     compose_one_segment,
     mode_phases,
     perturbative_overlaps,
     rindler_overlaps,
 )
 from .sweeps import (
+    CavityChannel,
     ComparisonReport,
+    ImportedChannel,
     SweepRow,
     SweepSpec,
     ValidationReport,

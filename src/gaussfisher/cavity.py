@@ -46,7 +46,7 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class CavityScenario:
-    """Geometry and probe configuration for the moving-cavity channel.
+    """Geometry and mode truncation of the moving-cavity channel.
 
     ``h`` is the dimensionless proper acceleration at the cavity center
     (natural units, ``h = a L / c^2``) and ``u`` the dimensionless duration
@@ -56,8 +56,6 @@ class CavityScenario:
 
     h: float = 0.05
     u: float = 0.3
-    k: int = 1
-    k_prime: int = 2
     n_max: int = 10
 
     def __post_init__(self):
@@ -70,7 +68,6 @@ class CavityScenario:
             raise ValueError(f"duration parameter u={self.u!r} is not finite")
         if self.u < 0.0:
             raise ValueError("duration parameter u must be non-negative")
-        quadrature_indices((self.k, self.k_prime), self.n_max)
 
 
 @dataclass(frozen=True)
@@ -277,14 +274,6 @@ def compose_one_segment(overlaps: OverlapSeries, u, rows=None) -> BogoliubovSeri
     beta1 = g_rows - gc[..., None, :]
     beta1 *= ob1[r]
     return BogoliubovSeries(n, g, alpha1, alpha2, beta1, beta2, rows)
-
-
-def cavity_series(
-    scenario: CavityScenario, cache_dir: str | None = None
-) -> BogoliubovSeries:
-    """Composed channel series for a scenario (theta is ``h``)."""
-    overlaps = load_or_compute_overlap_series(scenario.n_max, cache_dir)
-    return compose_one_segment(overlaps, scenario.u)
 
 
 # Overlap-series cache: one .npz file per n_max.

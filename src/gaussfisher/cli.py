@@ -10,13 +10,15 @@ Verbs:
 
 Every verb takes ``--config``, ``--nmax`` and ``--cache``; beyond those it
 registers only the flags it reads, from one table, so ``overlaps`` takes no
-others. With an imported ``--channel`` the flags in ``CAVITY_FLAGS``, which
-only shape the built-in cavity channel, are refused, as are the config keys
-in ``CAVITY_KEYS`` that set the same values, and the probed modes are
-checked against the channel's own ``n_max``. Scenario parameters come from
+others. :func:`channel_from` is the one place that picks the channel
+provider: an imported ``--channel``, or the cavity scenario's channel. With
+an imported channel the flags in ``CAVITY_FLAGS``, which only shape the
+built-in cavity channel, are refused, as are the config keys in
+``CAVITY_KEYS`` that set the same values, and the probed modes are checked
+against the channel's own ``n_max``. Scenario parameters come from
 ``key = value`` config files (keys in ``CONFIG_KEYS``) and/or flags;
-:func:`pick` resolves each value, and flags win. Everything is dimensionless in ``(h, u)``, so no cavity length is asked
-for.
+:func:`pick` resolves each value, and flags win. Everything is
+dimensionless in ``(h, u)``, so no cavity length is asked for.
 
 Output is UTF-8 CSV with LF endings and full-precision floats; identical
 inputs and BLAS thread count give byte-identical files.
@@ -37,8 +39,11 @@ from .cavity import (
     load_or_compute_overlap_series,
     series_cache_file,
 )
+from .states import quadrature_indices
 from .sweeps import (
     FAMILIES,
+    CavityChannel,
+    ImportedChannel,
     SweepSpec,
     compare_methods,
     comparison_to_csv,
@@ -96,11 +101,14 @@ CAVITY_KEYS = {
 }
 
 
-def finite(text: str, what: str) -> float:
-    """``float(text)``, refusing NaN and infinities by name."""
+def finite(text: str, what: str, positive: bool = False) -> float:
+    """``float(text)``, refusing NaN and infinities, and with ``positive``
+    every value not above zero, by name."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"{what} {text.strip()!r} is not finite")
+    if positive and value <= 0.0:
+        raise ValueError(f"{what} {text.strip()!r} must be positive")
     return value
 
 
@@ -172,22 +180,42 @@ def pick(args, config: dict, flag: str, key: str, default):
     return config.get(key, default) if value is None else value
 
 
-def scenario_from(args, config: dict, channel=None) -> CavityScenario:
-    """The cavity scenario; with an imported ``channel`` its ``n_max`` is the
-    channel's, so the probed modes are checked against the channel."""
+def channel_from(args, config: dict):
+    """``(modes, build)``: the probed modes, and a callable that builds the
+    channel provider the verb reads.
+
+    Every refusal comes first: ``CAVITY_FLAGS`` and ``CAVITY_KEYS`` with an
+    imported ``--channel``, the file itself, the scenario, and the modes
+    against the channel's ``n_max``. Only ``build`` reads or writes the
+    overlap-series cache, so a verb calls it once its own input is checked.
+    """
+    imported = None
+    if getattr(args, "channel", None):
+        for flag in CAVITY_FLAGS[args.command]:
+            if getattr(args, flag[2:]) is not None:
+                raise ValueError(f"{flag} is not read with an imported --channel")
+        for key in CAVITY_KEYS[args.command]:
+            if key in config:
+                raise ValueError(f"config key {key} is not read with an imported --channel")
+        with open(args.channel, encoding="utf-8") as fh:
+            imported = ImportedChannel(series_from_csv(fh.read()))
     modes = (config.get("k", 1), config.get("k_prime", 2))
     if getattr(args, "modes", None):
         parts = args.modes.split(",")
         if len(parts) != 2:
             raise ValueError("--modes expects 'k,k_prime'")
         modes = (int(parts[0]), int(parts[1]))
-    return CavityScenario(
+    # checked with an imported channel too, so a config h or u it reads no more stays valid
+    scenario = CavityScenario(
         h=pick(args, config, "h", "h", 0.05),
         u=pick(args, config, "u", "u", 0.3),
-        k=modes[0],
-        k_prime=modes[1],
-        n_max=pick(args, config, "nmax", "n_max", 10) if channel is None else channel.n_max,
+        n_max=pick(args, config, "nmax", "n_max", 10),
     )
+    if imported is not None:
+        quadrature_indices(modes, imported.n_max)
+        return modes, lambda: imported
+    quadrature_indices(modes, scenario.n_max)
+    return modes, lambda: CavityChannel(scenario, load_or_compute_overlap_series(scenario.n_max, args.cache))
 
 
 def emit(text: str, out_path: str | None) -> None:
@@ -196,21 +224,6 @@ def emit(text: str, out_path: str | None) -> None:
     else:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-
-
-def load_channel(args, config: dict):
-    """The imported ``--channel`` series, or None; refuses ``CAVITY_FLAGS``
-    and ``CAVITY_KEYS``."""
-    if not getattr(args, "channel", None):
-        return None
-    for flag in CAVITY_FLAGS[args.command]:
-        if getattr(args, flag[2:]) is not None:
-            raise ValueError(f"{flag} is not read with an imported --channel")
-    for key in CAVITY_KEYS[args.command]:
-        if key in config:
-            raise ValueError(f"config key {key} is not read with an imported --channel")
-    with open(args.channel, encoding="utf-8") as fh:
-        return series_from_csv(fh.read())
 
 
 def main(argv=None) -> int:
@@ -225,55 +238,56 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     """Execute a parsed command; bad input raises, a failed check returns 1."""
     config = read_config(args.config) if args.config else {}
-    channel = load_channel(args, config)
-    scenario = scenario_from(args, config, channel)
+    modes, channel = channel_from(args, config)
 
     if args.command == "sweep":
         spec_kwargs = dict(
-            scenario=scenario,
+            modes=modes,
             families=tuple(args.state or FAMILIES),
             photons=pick(args, config, "photons", "N", 1.0),
             x=pick(args, config, "x", "x", 1.0),
             r=pick(args, config, "r", "r", None),
             delta=pick(args, config, "delta", "delta", None),
             methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
-            channel=channel,
         )
         grid = pick(args, config, "grid", "u_grid", None)
         if grid is not None:
             spec_kwargs["grid"] = parse_grid(grid)
-        rows = run_sweep(SweepSpec(**spec_kwargs), cache_dir=args.cache)
-        emit(rows_to_csv(rows), args.out)
+        spec = SweepSpec(**spec_kwargs)
+        spec.probes()  # refuses a probe it cannot build before any overlap is read
+        emit(rows_to_csv(run_sweep(spec, channel())), args.out)
         return 0
 
     if args.command == "compare":
-        ladder = tuple(finite(tok, "ladder value") for tok in args.ladder.split(","))
+        ladder = tuple(finite(tok, "ladder value", positive=True) for tok in args.ladder.split(","))
         spec = SweepSpec(
-            scenario=scenario,
+            modes=modes,
             families=tuple(args.state or FAMILIES),
             r=pick(args, config, "r", "r", 1.0),
             delta=pick(args, config, "delta", "delta", 0.0),
-            channel=channel,
         )
-        report = compare_methods(spec, h_ladder=ladder, cache_dir=args.cache)
+        if len(set(ladder)) < 2:  # as compare_methods does, but before any overlap is read
+            raise ValueError("compare needs at least two distinct h values on the ladder")
+        spec.probes()  # likewise
+        report = compare_methods(spec, channel(), h_ladder=ladder)
         emit(comparison_to_csv(report), args.out)
         for family, slope in report.slopes.items():
             print(f"slope {family}: {slope:.3f}", file=sys.stderr)
         return 0 if report.passed else 1
 
     if args.command == "validate":
-        report = validate(scenario, channel=channel, cache_dir=args.cache)
+        report = validate(channel(), modes)
         text = "\n".join(report.lines()) + "\n"
         emit(text, args.out)
         if args.out is not None:
             print(text, end="")
         return 0 if report.passed else 1
 
-    # "overlaps", the only verb the parser leaves
+    # "overlaps", the only verb the parser leaves, and always a cavity
     if args.cache is None:
         raise ValueError("overlaps requires --cache")
-    ov = load_or_compute_overlap_series(scenario.n_max, args.cache)
-    path = series_cache_file(args.cache, scenario.n_max)
+    ov = channel().overlaps
+    path = series_cache_file(args.cache, ov.n_max)
     print(f"{path}: n_max={ov.n_max} fit residual {ov.fit_residual:.3e}")
     return 0
 

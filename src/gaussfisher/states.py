@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 SYMMETRY_TOL = 1e-12
 # Perturbatively built states can be unphysical at third order in the small
@@ -126,17 +125,3 @@ def two_mode_squeezed_state(n_modes: int, k: int, k_prime: int, r: float) -> Gau
     cov[ik:ik + 2, ip:ip + 2] = sz
     cov[ip:ip + 2, ik:ik + 2] = sz
     return GaussianState(n_modes, np.zeros(2 * n_modes), cov)
-
-
-def random_symplectic(n_modes: int, rng: np.random.Generator, strength: float = 0.4) -> np.ndarray:
-    """Random symplectic matrix ``exp(Omega Q)`` with ``Q`` symmetric."""
-    q = rng.normal(scale=strength, size=(2 * n_modes, 2 * n_modes))
-    q = 0.5 * (q + q.T)
-    return expm(symplectic_form(n_modes) @ q)
-
-
-def random_pure_state(n_modes: int, rng: np.random.Generator, strength: float = 0.4) -> GaussianState:
-    """Random pure Gaussian state ``S I S^T`` with random displacement."""
-    s = random_symplectic(n_modes, rng, strength)
-    mean = rng.normal(scale=1.0, size=2 * n_modes)
-    return GaussianState(n_modes, mean, s @ s.T)

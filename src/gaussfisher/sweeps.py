@@ -3,24 +3,23 @@
 This is the engine behind the command-line front end: it turns a sweep
 specification into rows of QFI values (one per grid point and probe family),
 compares the perturbative and oracle routes on an acceleration ladder, and
-checks the channel of a scenario, or an imported one, for the invariants it
-must satisfy.
+checks a channel for the invariants it must satisfy.
+
+The engines read a channel only through its provider's ``n_max``,
+``orders``, ``oracle_points`` and ``checks``: :class:`CavityChannel` for the
+moving cavity, whose grid holds durations, or :class:`ImportedChannel` for a
+given series, whose grid holds values of its parameter.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bogoliubov import BogoliubovSeries, identity_residual
-from .cavity import (
-    CavityScenario,
-    cavity_series,
-    compose_one_segment,
-    load_or_compute_overlap_series,
-)
+from .cavity import CavityScenario, OverlapSeries, compose_one_segment
 from .qfi import (
     energy_matched_params,
     negativity_first_order,
@@ -30,6 +29,7 @@ from .qfi import (
     qfi_oracle,
     qfi_perturbative,
 )
+from .states import quadrature_indices
 
 FAMILIES = (
     "single_squeezed_displaced",
@@ -39,17 +39,98 @@ FAMILIES = (
 
 
 @dataclass(frozen=True)
+class CavityChannel:
+    """The moving cavity's channel: the grid holds durations ``u``, and theta
+    is the scenario's acceleration ``h``. ``overlaps`` is the overlap series
+    at the scenario's ``n_max``, and sets the channel's."""
+
+    scenario: CavityScenario
+    overlaps: OverlapSeries
+
+    @property
+    def n_max(self) -> int:
+        return self.overlaps.n_max
+
+    def orders(self, grid=None, rows=None) -> BogoliubovSeries:
+        """The series at the scenario's duration, or at each duration of
+        ``grid`` as a stack, on the output ``rows`` (``None`` keeps all)."""
+        return compose_one_segment(self.overlaps, self.scenario.u if grid is None else grid, rows)
+
+    def oracle_points(self, grid, probes):
+        """``(family, h)`` at each duration of ``grid``: the oracle's family
+        of ``probes`` on the whole channel composed there."""
+        for u in grid:
+            yield probe_family(self.orders(u), probes), self.scenario.h
+
+    def checks(self, modes) -> list[Check]:
+        """First-order structure, the identity residual at ``h`` and its cubic
+        scaling on the probed ``modes``, periodicity in ``u``, and the
+        perturbative-vs-oracle slope."""
+        series = self.orders()
+        diagonal = max(np.max(np.abs(np.diag(series.alpha1))), np.max(np.abs(np.diag(series.beta1))))
+        first, _ = series.unitarity_residuals(modes=modes)
+        at_h = identity_residual(*series.evaluate(self.scenario.h), modes)
+        # evaluated identity residual must shrink like h^3 on the probed modes
+        hs = (0.02, 0.04, 0.08)
+        res = [identity_residual(*series.evaluate(h), modes, modes) for h in hs]
+        slope = float(np.polyfit(np.log(hs), np.log(res), 1)[0])
+        # periodicity in the duration parameter, from the same overlap series
+        shifted = self.orders(self.scenario.u + 1.0)
+        drift = max(np.max(np.abs(shifted.alpha1 - series.alpha1)),
+                    np.max(np.abs(shifted.beta2 - series.beta2)))
+        # dual-path agreement at the scenario point: the composed series is a
+        # channel in theta = h on its own, so it is not composed again
+        report = compare_methods(SweepSpec(modes=modes, r=1.0, delta=0.0), ImportedChannel(series))
+        return [
+            _check("composed series: diagonal first order", diagonal, 1e-8),
+            _check("composed series: first-order identity (probed modes)", first, 1e-8),
+            _check("symplectic residual at h (probed modes)", at_h, 1e-3),
+            _check("evaluated identity residual: cubic scaling slope", slope, 2.7, larger_is_fine=True),
+            _check("composed series: periodicity in u", drift, 1e-9),
+            _check("dual-path deviation slope", min(report.slopes.values()), 0.8, larger_is_fine=True),
+        ]
+
+
+@dataclass(frozen=True)
+class ImportedChannel:
+    """A channel given by its series, such as one read from a file: the grid
+    holds values of its parameter theta, and the series is the same at each."""
+
+    series: BogoliubovSeries
+
+    @property
+    def n_max(self) -> int:
+        return self.series.n_max
+
+    def orders(self, grid=None, rows=None) -> BogoliubovSeries:
+        """The one series, whatever the grid: its columns repeat down it."""
+        return self.series
+
+    def oracle_points(self, grid, probes):
+        """``(family, theta)`` at each theta of ``grid``, with the oracle's
+        family of ``probes`` built once."""
+        family = probe_family(self.series, probes)
+        for theta in grid:
+            yield family, theta
+
+    def checks(self, modes) -> list[Check]:
+        """The identity residual on the whole mode ladder, whatever the probed
+        ``modes``: this is how corrupt coefficient files are caught."""
+        return [_check("imported channel: identity residual", max(self.series.unitarity_residuals()), 1e-6)]
+
+
+@dataclass(frozen=True)
 class SweepSpec:
-    """What to sweep: a scenario, probe families, a grid, and an energy rule.
+    """What to sweep: probe families on two modes, a grid, and an energy rule.
 
     The probe parameters come either from the energy budget ``(x, photons)``
     (squeezing fraction ``x``, mean photon number per probe mode) or directly
-    from ``(r, delta)`` when ``r`` is not None. The grid holds duration
-    values ``u`` for a cavity scenario, or channel-parameter values ``theta``
-    when an imported series is swept.
+    from ``(r, delta)`` when ``r`` is not None. The grid holds what the
+    channel is swept over: durations ``u`` for the cavity, values of theta
+    for an imported series.
     """
 
-    scenario: CavityScenario = field(default_factory=CavityScenario)
+    modes: tuple = (1, 2)
     families: tuple = FAMILIES
     grid: tuple = tuple(np.round(np.arange(0.0, 1.0001, 0.01), 10))
     photons: float = 1.0
@@ -57,7 +138,6 @@ class SweepSpec:
     r: float | None = None
     delta: float | None = None
     methods: tuple = ("perturbative",)
-    channel: BogoliubovSeries | None = None
 
     def __post_init__(self):
         if not self.grid:
@@ -83,22 +163,16 @@ class SweepSpec:
         if self.r is not None:
             return self.r, 0.0 if self.delta is None else self.delta
         x = 1.0 if family == "two_mode_squeezed" else self.x
-        return energy_matched_params(
-            family, self.photons, self.scenario.k, self.scenario.k_prime, x
-        )
+        return energy_matched_params(family, self.photons, *self.modes, x)
 
     def probes(self) -> list[tuple]:
-        """``(family, r, delta, state, modes)`` for each requested family.
-
-        The probe state lives on the first ``state.n_modes`` of the
-        scenario's modes ``(k, k_prime)``.
-        """
+        """``(family, r, delta, state, modes)`` for each requested family; the
+        probe state lives on the first ``state.n_modes`` of the spec's modes."""
         out = []
         for family in self.families:
             r, delta = self.params_for(family)
             state = probe_state(family, r, delta)
-            modes = (self.scenario.k, self.scenario.k_prime)[: state.n_modes]
-            out.append((family, r, delta, state, modes))
+            out.append((family, r, delta, state, self.modes[: state.n_modes]))
         return out
 
 
@@ -136,38 +210,34 @@ SWEEP_COLUMNS = (
 )
 
 
-def run_sweep(spec: SweepSpec, cache_dir: str | None = None) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec, channel) -> list[SweepRow]:
     """Evaluate the requested methods on every grid point and family.
 
-    The perturbative columns come from one pass over the whole grid: the
-    cavity is composed once, on the rows the kernel reads, as a stack over
-    the grid, and the kernel runs once per family on that stack. An imported
-    channel does not depend on the grid value, so its perturbative columns
-    are evaluated once per family and repeat down the grid. The oracle needs
-    the whole channel at each grid point, and one oracle call there covers
-    every family.
+    The perturbative columns come from one pass over the whole grid: one
+    ``channel.orders`` call gives the rows the kernel reads for the whole
+    grid, and the kernel runs once per family on them. The cavity composes
+    them as a stack over the grid; an imported series does not depend on
+    the grid value, so its columns are evaluated once and repeat down the
+    grid. The oracle reads the channel's family and theta at each grid
+    point, and one oracle call there covers every family.
 
     Rows are ordered by grid index, then family order, regardless of how the
-    work is executed; identical specs (and cache content) give identical
-    output.
+    work is executed; identical specs and channels give identical output.
     """
-    sc = spec.scenario
+    k, k_prime = spec.modes
+    quadrature_indices(spec.modes, channel.n_max)
     probes = spec.probes()
     grid = tuple(float(g) for g in spec.grid)
-    if spec.channel is not None:
-        stack = spec.channel
-    else:
-        overlaps = load_or_compute_overlap_series(sc.n_max, cache_dir)
-        # the rows the kernel reads for every probe, and k's row for the negativity
-        read = {sc.k}.union(*(perturbative_rows(modes, sc.n_max) for *_, modes in probes))
-        stack = compose_one_segment(overlaps, grid, sorted(read))
+    # the rows the kernel reads for every probe, and k's row for the negativity
+    read = {k}.union(*(perturbative_rows(modes, channel.n_max) for *_, modes in probes))
+    stack = channel.orders(grid, sorted(read))
 
     def down_the_grid(values) -> list:
         # one value per grid point from a stack, or one value for all of them
         values = np.asarray(values)
         return values.tolist() if values.ndim else [values.item()] * len(grid)
 
-    negativity = down_the_grid(negativity_first_order(stack, sc.k, sc.k_prime))
+    negativity = down_the_grid(negativity_first_order(stack, k, k_prime))
     perturbative = {}
     if "perturbative" in spec.methods:
         for family, _, _, state, modes in probes:
@@ -176,17 +246,13 @@ def run_sweep(spec: SweepSpec, cache_dir: str | None = None) -> list[SweepRow]:
             perturbative[family] = list(zip(*map(down_the_grid, columns)))
 
     pairs = [(modes, state) for *_, state, modes in probes]
-    if "oracle" in spec.methods and spec.channel is not None:
-        # an imported series, and so its family, is the same down the grid
-        states_at = probe_family(spec.channel, pairs)
+    points = channel.oracle_points(grid, pairs) if "oracle" in spec.methods else [None] * len(grid)
     rows = []
-    for i, g in enumerate(grid):
+    for i, (g, point) in enumerate(zip(grid, points)):
         oracle = [(None, None)] * len(probes)
-        if "oracle" in spec.methods:
-            theta = g
-            if spec.channel is None:
-                states_at, theta = probe_family(compose_one_segment(overlaps, g), pairs), sc.h
-            results = qfi_oracle(states_at, theta, steps=(theta / 10.0, theta / 30.0, theta / 100.0))
+        if point is not None:
+            family, theta = point
+            results = qfi_oracle(family, theta, steps=(theta / 10.0, theta / 30.0, theta / 100.0))
             oracle = [(res.value, res.residual) for res in results]
         for (family, r, delta, _, _), (orc, res_o) in zip(probes, oracle):
             pert = e2 = c2 = res_p = None
@@ -235,23 +301,20 @@ class ComparisonReport:
         return all(s >= 0.8 for s in self.slopes.values())
 
 
-def compare_methods(
-    spec: SweepSpec,
-    h_ladder=(0.02, 0.04, 0.08),
-    cache_dir: str | None = None,
-) -> ComparisonReport:
+def compare_methods(spec: SweepSpec, channel, h_ladder=(0.02, 0.04, 0.08)) -> ComparisonReport:
     """Perturbative vs oracle on an acceleration ladder, per family.
 
-    The channel is the imported ``spec.channel`` or the scenario's at its
-    duration ``spec.scenario.u``; the spec's grid and methods are not read.
-    The perturbative value is the leading-order limit and does not depend on
-    ``h``; the oracle is evaluated at each ``h`` on the ladder. The fitted
-    log-log slope of the relative deviation measures the perturbative error
-    order (linear for this channel).
+    The channel's series is ``channel.orders()``: the cavity's at its
+    scenario's duration, or the imported series; the spec's grid and
+    methods are not read. The perturbative value is the leading-order limit
+    and does not depend on ``h``; the oracle is evaluated at each ``h`` on
+    the ladder. The fitted log-log slope of the relative deviation measures
+    the perturbative error order (linear for this channel).
     """
     if len(set(h_ladder)) < 2:
         raise ValueError("compare needs at least two distinct h values on the ladder")
-    series = spec.channel if spec.channel is not None else cavity_series(spec.scenario, cache_dir)
+    quadrature_indices(spec.modes, channel.n_max)
+    series = channel.orders()
     probes = spec.probes()
     perts = [qfi_perturbative(series, modes, state).value for *_, state, modes in probes]
     states_at = probe_family(series, [(modes, state) for *_, state, modes in probes])
@@ -297,6 +360,11 @@ class Check:
         return f"{tag}  {self.name}: measured {self.measured:.3e} vs bound {self.bound:.3e}"
 
 
+def _check(name: str, measured, bound: float, larger_is_fine: bool = False) -> Check:
+    ok = measured >= bound if larger_is_fine else measured <= bound
+    return Check(name, bool(ok), float(measured), float(bound))
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     checks: tuple
@@ -309,64 +377,8 @@ class ValidationReport:
         return [c.line() for c in self.checks]
 
 
-def validate(
-    scenario: CavityScenario | None = None,
-    channel: BogoliubovSeries | None = None,
-    cache_dir: str | None = None,
-) -> ValidationReport:
-    """Check the channel and report measured residuals.
-
-    With an imported ``channel`` its identity residual is checked (this is
-    how corrupt coefficient files are caught); otherwise the scenario's
-    cavity channel is built and checked: first-order structure, the identity
-    residual at ``h`` and its cubic scaling, periodicity in ``u``, and the
-    perturbative-vs-oracle slope.
-    """
-    checks = []
-
-    def add(name, measured, bound, larger_is_fine=False):
-        ok = measured >= bound if larger_is_fine else measured <= bound
-        checks.append(Check(name, bool(ok), float(measured), float(bound)))
-
-    if channel is not None:
-        add("imported channel: identity residual", max(channel.unitarity_residuals()), 1e-6)
-        return ValidationReport(tuple(checks))
-
-    scenario = scenario or CavityScenario()
-    # one overlap series serves the scenario's channel and its copy one period later
-    overlaps = load_or_compute_overlap_series(scenario.n_max, cache_dir)
-    series = compose_one_segment(overlaps, scenario.u)
-    probes = (scenario.k, scenario.k_prime)
-
-    add(
-        "composed series: diagonal first order",
-        max(np.max(np.abs(np.diag(series.alpha1))), np.max(np.abs(np.diag(series.beta1)))),
-        1e-8,
-    )
-    first, _ = series.unitarity_residuals(modes=probes)
-    add("composed series: first-order identity (probed modes)", first, 1e-8)
-
-    add(
-        "symplectic residual at h (probed modes)",
-        identity_residual(*series.evaluate(scenario.h), probes),
-        1e-3,
-    )
-
-    # evaluated identity residual must shrink like h^3 on the probed modes
-    hs = (0.02, 0.04, 0.08)
-    res = [identity_residual(*series.evaluate(h), probes, probes) for h in hs]
-    slope = float(np.polyfit(np.log(hs), np.log(res), 1)[0])
-    add("evaluated identity residual: cubic scaling slope", slope, 2.7, larger_is_fine=True)
-
-    # periodicity in the duration parameter
-    shifted = compose_one_segment(overlaps, scenario.u + 1.0)
-    drift = max(
-        np.max(np.abs(shifted.alpha1 - series.alpha1)),
-        np.max(np.abs(shifted.beta2 - series.beta2)),
-    )
-    add("composed series: periodicity in u", drift, 1e-9)
-
-    # dual-path agreement at the scenario point
-    report = compare_methods(SweepSpec(scenario=scenario, r=1.0, delta=0.0, channel=series))
-    add("dual-path deviation slope", min(report.slopes.values()), 0.8, larger_is_fine=True)
-    return ValidationReport(tuple(checks))
+def validate(channel, modes=(1, 2)) -> ValidationReport:
+    """Check the channel on the probed ``modes`` and report measured
+    residuals: the checks are the provider's own ``checks(modes)``."""
+    quadrature_indices(modes, channel.n_max)
+    return ValidationReport(tuple(channel.checks(modes)))

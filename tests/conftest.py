@@ -8,7 +8,7 @@ from gaussfisher.cavity import compose_one_segment, mode_phases, perturbative_ov
 from gaussfisher.bogoliubov import BogoliubovSeries, CovarianceSeries, _assemble
 from gaussfisher.fidelity import FidelityError, fidelity_one_mode, fidelity_two_mode
 from gaussfisher.qfi import qfi_perturbative
-from gaussfisher.states import GaussianState, quadrature_indices, random_symplectic, symplectic_form
+from gaussfisher.states import GaussianState, quadrature_indices, symplectic_form
 
 # State and fidelity helpers that only the tests use: the package itself
 # needs none of them.
@@ -59,6 +59,20 @@ def symplectic_eigenvalues(state_or_cov, tol: float = 1e-9) -> np.ndarray:
     if np.any(nu < 1.0 - tol):
         raise ValueError(f"unphysical covariance: min symplectic eigenvalue {nu.min():.12f}")
     return nu
+
+
+def random_symplectic(n_modes: int, rng: np.random.Generator, strength: float = 0.4) -> np.ndarray:
+    """Random symplectic matrix ``exp(Omega Q)`` with ``Q`` symmetric."""
+    q = rng.normal(scale=strength, size=(2 * n_modes, 2 * n_modes))
+    q = 0.5 * (q + q.T)
+    return expm(symplectic_form(n_modes) @ q)
+
+
+def random_pure_state(n_modes: int, rng: np.random.Generator, strength: float = 0.4) -> GaussianState:
+    """Random pure Gaussian state ``S I S^T`` with random displacement."""
+    s = random_symplectic(n_modes, rng, strength)
+    mean = rng.normal(scale=1.0, size=2 * n_modes)
+    return GaussianState(n_modes, mean, s @ s.T)
 
 
 def random_mixed_state(
@@ -290,16 +304,42 @@ def reference_sweep(spec, overlaps) -> list:
     second-order identity defect. Rows are
     ``(u, family, qfi, e2, c2, residual, negativity)`` in the sweep's order.
     """
-    sc = spec.scenario
+    k, k_prime = spec.modes
     rows = []
     for u in spec.grid:
         series = compose_one_segment_reference(overlaps, float(u))
-        negativity = abs(series.beta1[sc.k - 1, sc.k_prime - 1])
+        negativity = abs(series.beta1[k - 1, k_prime - 1])
         for family, _, _, state, modes in spec.probes():
             result = qfi_perturbative(series, modes, state)
             residual = max(f_sums(series, modes, modes).tail, full_unitarity_residuals(series, modes)[1])
             rows.append((float(u), family, result.value, result.e2, result.c2, residual, negativity))
     return rows
+
+
+class RecordingChannel:
+    """A channel provider by duck typing alone: it forwards every call to
+    ``inner`` and records it in ``calls`` as ``(method, args)``, so a test
+    can tell what an engine asks of its channel."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    @property
+    def n_max(self) -> int:
+        return self.inner.n_max
+
+    def orders(self, *args):
+        self.calls.append(("orders", args))
+        return self.inner.orders(*args)
+
+    def oracle_points(self, grid, probes):
+        self.calls.append(("oracle_points", (grid, probes)))
+        return self.inner.oracle_points(grid, probes)
+
+    def checks(self, modes):
+        self.calls.append(("checks", (modes,)))
+        return self.inner.checks(modes)
 
 
 def sigma_orders_from_blocks(series, k, k_prime, psi_k, psi_kp, phi):

@@ -37,7 +37,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[acceptance] {'PASS' if ok else 'FAIL'}  criterion {criterion}: {detail}")
 
 
-DEEP_SCENARIO_KWARGS = dict(h=0.05, k=1, k_prime=2, n_max=60)
+DEEP_SCENARIO_KWARGS = dict(h=0.05, n_max=60)
 
 
 @pytest.fixture(scope="module")
@@ -45,24 +45,21 @@ def deep_sweep(tmp_path_factory):
     """QFI curves of the three probe families at matched energy (N = 1) plus
     the vacuum (r = 0) curves, on the acceptance u grid, produced through
     the sweep pipeline."""
-    from gaussfisher.cavity import CavityScenario
-    from gaussfisher.sweeps import SweepSpec, run_sweep
+    from gaussfisher.cavity import CavityScenario, load_or_compute_overlap_series
+    from gaussfisher.sweeps import CavityChannel, SweepSpec, run_sweep
 
     cache = str(tmp_path_factory.mktemp("overlap-cache"))
     scenario = CavityScenario(**DEEP_SCENARIO_KWARGS)
-    matched = run_sweep(
-        SweepSpec(scenario=scenario, grid=U_GRID, photons=1.0, x=1.0),
-        cache_dir=cache,
-    )
+    channel = CavityChannel(scenario, load_or_compute_overlap_series(scenario.n_max, cache))
+    matched = run_sweep(SweepSpec(grid=U_GRID, photons=1.0, x=1.0), channel)
     vacuum = run_sweep(
         SweepSpec(
-            scenario=scenario,
             grid=U_GRID,
             families=("single_squeezed_displaced", "two_product_squeezed_displaced"),
             r=0.0,
             delta=0.0,
         ),
-        cache_dir=cache,
+        channel,
     )
 
     def column(rows, family):
@@ -350,15 +347,15 @@ def test_criterion_8_energy_split_features(overlap_series_60):
     # definition identity: the x = 0 budget column of the sweep equals the
     # directly parameterized displaced family at equal photon number
     from gaussfisher.cavity import CavityScenario
-    from gaussfisher.sweeps import SweepSpec, run_sweep
+    from gaussfisher.sweeps import CavityChannel, SweepSpec, run_sweep
 
-    scenario = CavityScenario(**DEEP_SCENARIO_KWARGS)
+    channel = CavityChannel(CavityScenario(**DEEP_SCENARIO_KWARGS), overlap_series_60)
     fams = ("two_product_squeezed_displaced",)
     budget_rows = run_sweep(
-        SweepSpec(scenario=scenario, grid=(0.2, 0.3, 0.45), families=fams, x=0.0, photons=1.0)
+        SweepSpec(grid=(0.2, 0.3, 0.45), families=fams, x=0.0, photons=1.0), channel
     )
     direct_rows = run_sweep(
-        SweepSpec(scenario=scenario, grid=(0.2, 0.3, 0.45), families=fams, r=0.0, delta=1.0)
+        SweepSpec(grid=(0.2, 0.3, 0.45), families=fams, r=0.0, delta=1.0), channel
     )
     identity_gap = max(
         abs(a.qfi_perturbative - b.qfi_perturbative)

@@ -15,7 +15,7 @@ from gaussfisher.bogoliubov import BogoliubovSeries, covariance_series, series_t
 from gaussfisher.cavity import CavityScenario, compose_one_segment, load_or_compute_overlap_series
 from gaussfisher.cli import main
 from gaussfisher.qfi import QfiResult, c2_from_orders, perturbative_rows, probe_state, qfi_perturbative
-from gaussfisher.sweeps import FAMILIES, SweepSpec, run_sweep
+from gaussfisher.sweeps import FAMILIES, CavityChannel, SweepSpec, run_sweep
 
 #: per unit of max(1, |v|). That is absolute for the residual columns,
 #: which sit near 1e-6, except at the edge of the mode ladder: a probe on
@@ -47,12 +47,10 @@ def test_batched_sweep_matches_per_u_reference(cache, n_max, above_one, more, ph
     # k' = n_max moves the last spectator of the two-mode probes to n_max - 1
     k_prime = data.draw(st.one_of(st.just(n_max), st.integers(1, n_max)))
     k = data.draw(st.integers(1, n_max).filter(lambda k: k != k_prime))
-    spec = SweepSpec(
-        scenario=CavityScenario(k=k, k_prime=k_prime, n_max=n_max),
-        grid=grid, photons=photons, x=x,
-    )
-    rows = run_sweep(spec, cache_dir=cache)
-    want = reference_sweep(spec, load_or_compute_overlap_series(n_max, cache))
+    spec = SweepSpec(modes=(k, k_prime), grid=grid, photons=photons, x=x)
+    overlaps = load_or_compute_overlap_series(n_max, cache)
+    rows = run_sweep(spec, CavityChannel(CavityScenario(n_max=n_max), overlaps))
+    want = reference_sweep(spec, overlaps)
     assert len(rows) == len(want) == len(grid) * len(FAMILIES)
     for row, (u, family, qfi, e2, c2, residual, negativity) in zip(rows, want):
         assert (row.grid_value, row.family) == (u, family)

@@ -12,7 +12,6 @@ from gaussfisher.cavity import (
     QUADRATURE_ORDERS,
     CavityScenario,
     QuadratureError,
-    cavity_series,
     compose_one_segment,
     load_or_compute_overlap_series,
     mode_phases,
@@ -25,9 +24,10 @@ from gaussfisher.cavity import (
     _overlaps_at_order,
 )
 from gaussfisher.cli import main
+from gaussfisher.sweeps import CavityChannel, validate
 
 
-def test_scenario_validation():
+def test_scenario_validation(overlap_series_10):
     CavityScenario()  # defaults are valid
     with pytest.raises(ValueError):
         CavityScenario(h=2.5)  # left wall behind the horizon
@@ -35,10 +35,12 @@ def test_scenario_validation():
         CavityScenario(h=0.0)
     with pytest.raises(ValueError):
         CavityScenario(u=-0.1)
+    # the probed modes are checked against the channel's n_max where they are read
+    channel = CavityChannel(CavityScenario(), overlap_series_10)
     with pytest.raises(ValueError):
-        CavityScenario(k=1, k_prime=1)
+        validate(channel, (1, 1))
     with pytest.raises(ValueError):
-        CavityScenario(k=11, n_max=10)
+        validate(channel, (11, 2))
 
 
 def test_overlaps_identity_limit():
@@ -196,7 +198,7 @@ def test_oracle_matches_exact_qfi(overlap_series_10):
     for u in (0.3, 0.5):
         series = compose_one_segment(overlap_series_10, u)
         mirrored = compose_one_segment(overlap_series_10, 1.0 - u)
-        spec = SweepSpec(scenario=CavityScenario(h=h, u=u, n_max=10), x=0.5)
+        spec = SweepSpec(x=0.5)
         probes = spec.probes()
         family = probe_family(series, [(modes, state) for *_, state, modes in probes])
         oracles = qfi_oracle(family, h, steps=(h / 10, h / 30, h / 100))
@@ -344,6 +346,6 @@ def test_quadrature_failure_is_typed():
 
 def test_cavity_series_from_scenario(tmp_path):
     scenario = CavityScenario(n_max=6, u=0.25)
-    series = cavity_series(scenario, cache_dir=str(tmp_path / "c"))
+    series = CavityChannel(scenario, load_or_compute_overlap_series(6, str(tmp_path / "c"))).orders()
     assert series.n_max == 6
     assert np.allclose(series.G, mode_phases(6, 0.25))

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import fidelity, random_mixed_state, vacuum_state
+from conftest import fidelity, random_mixed_state, random_pure_state, vacuum_state
 from gaussfisher.fidelity import FidelityError, fidelity_one_mode, fidelity_two_mode
-from gaussfisher.states import random_pure_state
 
 
 def test_identical_states_give_one(rng):

@@ -15,12 +15,14 @@ from conftest import (
     _c2_single_mode_explicit,
     e2_single_mode,
     e2_two_mode,
+    random_pure_state,
+    random_symplectic,
     sigma_orders_from_blocks,
     synthetic_unitary_series,
 )
 from gaussfisher.bogoliubov import BogoliubovSeries
 from gaussfisher.qfi import c2_from_orders, probe_state, qfi_perturbative
-from gaussfisher.states import GaussianState, random_pure_state, random_symplectic
+from gaussfisher.states import GaussianState
 
 REL = 1e-12
 SETTINGS = settings(max_examples=60, deadline=None)

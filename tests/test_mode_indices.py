@@ -9,9 +9,9 @@ import pytest
 
 from conftest import embed_state, synthetic_unitary_series, vacuum_state
 from gaussfisher.bogoliubov import covariance_series, identity_residual
-from gaussfisher.cavity import CavityScenario
 from gaussfisher.qfi import negativity_first_order, probe_family
 from gaussfisher.states import quadrature_indices, two_mode_squeezed_state
+from gaussfisher.sweeps import ImportedChannel, SweepSpec, run_sweep, validate
 
 N_MAX = 5
 
@@ -24,8 +24,9 @@ ENTRY_POINTS = {
     "negativity_first_order": lambda s, modes: negativity_first_order(s, *modes),
     "embed_state": lambda s, modes: embed_state(N_MAX, modes, vacuum_state(2)),
     "probe_family": lambda s, modes: probe_family(s, [(modes, vacuum_state(2))]),
-    "CavityScenario": lambda s, modes: CavityScenario(k=modes[0], k_prime=modes[1], n_max=N_MAX),
+    "run_sweep": lambda s, modes: run_sweep(SweepSpec(modes=modes, grid=(0.05,)), ImportedChannel(s)),
     "two_mode_squeezed_state": lambda s, modes: two_mode_squeezed_state(N_MAX, *modes, 0.3),
+    "validate": lambda s, modes: validate(ImportedChannel(s), modes),
 }
 
 BAD_MODES = {

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import embed_state, random_mixed_state, symplectic_eigenvalues, vacuum_state
-from gaussfisher.states import (
-    GaussianState,
+from conftest import (
+    embed_state,
+    random_mixed_state,
     random_pure_state,
     random_symplectic,
+    symplectic_eigenvalues,
+    vacuum_state,
+)
+from gaussfisher.states import (
+    GaussianState,
     squeezed_displaced_state,
     symplectic_form,
     two_mode_squeezed_state,

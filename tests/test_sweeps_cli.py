@@ -6,9 +6,11 @@ import pytest
 from conftest import synthetic_unitary_series
 from gaussfisher import cavity
 from gaussfisher.bogoliubov import BogoliubovSeries, series_to_csv
-from gaussfisher.cavity import CavityScenario, perturbative_overlaps, save_overlaps_csv
+from gaussfisher.cavity import CavityScenario, load_or_compute_overlap_series, perturbative_overlaps, save_overlaps_csv
 from gaussfisher.cli import main, parse_grid, read_config
 from gaussfisher.sweeps import (
+    CavityChannel,
+    ImportedChannel,
     SweepSpec,
     compare_methods,
     rows_to_csv,
@@ -23,6 +25,11 @@ def small_scenario(**kwargs):
     return CavityScenario(**defaults)
 
 
+def small_channel(cache=None, **kwargs):
+    scenario = small_scenario(**kwargs)
+    return CavityChannel(scenario, load_or_compute_overlap_series(scenario.n_max, cache))
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(grid=())
@@ -35,14 +42,14 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(x=1.5)
     # a two-mode squeezed probe state has no displacement to carry
-    spec = SweepSpec(scenario=small_scenario(), r=0.5, delta=0.2)
+    spec = SweepSpec(r=0.5, delta=0.2)
     with pytest.raises(ValueError, match="two-mode squeezed probes carry no displacement"):
         spec.probes()
 
 
 def test_run_sweep_rows_and_determinism(tmp_path):
-    spec = SweepSpec(scenario=small_scenario(), grid=(0.2, 0.5), photons=1.0)
-    rows = run_sweep(spec, cache_dir=str(tmp_path / "cache"))
+    spec = SweepSpec(grid=(0.2, 0.5), photons=1.0)
+    rows = run_sweep(spec, small_channel(str(tmp_path / "cache")))
     assert len(rows) == 2 * 3
     # rows ordered by grid point then family, all perturbative columns filled
     assert [r.grid_value for r in rows] == [0.2, 0.2, 0.2, 0.5, 0.5, 0.5]
@@ -52,18 +59,17 @@ def test_run_sweep_rows_and_determinism(tmp_path):
         assert row.negativity >= 0.0
         assert np.isfinite(row.truncation_residual)
     csv_a = rows_to_csv(rows)
-    csv_b = rows_to_csv(run_sweep(spec, cache_dir=str(tmp_path / "cache")))
+    csv_b = rows_to_csv(run_sweep(spec, small_channel(str(tmp_path / "cache"))))
     assert csv_a == csv_b  # byte identical given identical spec and cache
 
 
 def test_run_sweep_oracle_columns(tmp_path):
     spec = SweepSpec(
-        scenario=small_scenario(),
         grid=(0.3,),
         families=("two_mode_squeezed",),
         methods=("perturbative", "oracle"),
     )
-    (row,) = run_sweep(spec, cache_dir=str(tmp_path / "cache"))
+    (row,) = run_sweep(spec, small_channel(str(tmp_path / "cache")))
     assert row.qfi_oracle is not None and row.residual_oracle is not None
     assert abs(row.qfi_perturbative - row.qfi_oracle) / row.qfi_oracle < 0.05
 
@@ -71,26 +77,24 @@ def test_run_sweep_oracle_columns(tmp_path):
 def test_energy_budget_definition_identity(tmp_path):
     # the x = 0 budget column IS the directly parameterized (r=0, delta=sqrt(N))
     # family, by definition
-    cache = str(tmp_path / "cache")
+    channel = small_channel(str(tmp_path / "cache"))
     by_budget = run_sweep(
         SweepSpec(
-            scenario=small_scenario(),
             grid=(0.25, 0.5),
             families=("two_product_squeezed_displaced",),
             x=0.0,
             photons=1.0,
         ),
-        cache_dir=cache,
+        channel,
     )
     direct = run_sweep(
         SweepSpec(
-            scenario=small_scenario(),
             grid=(0.25, 0.5),
             families=("two_product_squeezed_displaced",),
             r=0.0,
             delta=1.0,
         ),
-        cache_dir=cache,
+        channel,
     )
     for a, b in zip(by_budget, direct):
         assert a.qfi_perturbative == b.qfi_perturbative
@@ -100,14 +104,12 @@ def test_energy_budget_definition_identity(tmp_path):
 def test_imported_channel_sweep():
     channel = synthetic_unitary_series(6, np.random.default_rng(3), strength=0.3)
     spec = SweepSpec(
-        scenario=small_scenario(),
         grid=(0.02, 0.05),
         families=("two_mode_squeezed",),
         r=0.6,
         methods=("perturbative", "oracle"),
-        channel=channel,
     )
-    rows = run_sweep(spec)
+    rows = run_sweep(spec, ImportedChannel(channel))
     assert len(rows) == 2
     # grid values are channel-parameter evaluation points for the oracle
     assert rows[0].qfi_perturbative == rows[1].qfi_perturbative
@@ -115,8 +117,8 @@ def test_imported_channel_sweep():
 
 
 def test_compare_methods_report(tmp_path):
-    spec = SweepSpec(scenario=small_scenario(n_max=10), r=1.0, delta=0.0)
-    report = compare_methods(spec, cache_dir=str(tmp_path / "cache"))
+    spec = SweepSpec(r=1.0, delta=0.0)
+    report = compare_methods(spec, small_channel(str(tmp_path / "cache"), n_max=10))
     assert set(report.slopes) == set(spec.families)
     assert report.passed
     assert len(report.rows) == 3 * 3
@@ -130,10 +132,8 @@ def test_compare_methods_identity_channel():
     n = 4
     zeros = np.zeros((n, n), dtype=complex)
     identity_channel = BogoliubovSeries(n, np.ones(n, dtype=complex), zeros, zeros, zeros, zeros)
-    spec = SweepSpec(
-        scenario=small_scenario(), r=0.7, delta=0.0, channel=identity_channel
-    )
-    report = compare_methods(spec)
+    spec = SweepSpec(r=0.7, delta=0.0)
+    report = compare_methods(spec, ImportedChannel(identity_channel))
     for row in report.rows:
         assert row.qfi_perturbative == 0.0
         assert abs(row.qfi_oracle) <= 1e-12
@@ -141,7 +141,7 @@ def test_compare_methods_identity_channel():
 
 
 def test_validate_default_scenario(tmp_path):
-    report = validate(small_scenario(n_max=8), cache_dir=str(tmp_path / "cache"))
+    report = validate(small_channel(str(tmp_path / "cache"), n_max=8))
     assert report.passed, "\n".join(report.lines())
     # building or loading the series already enforces the fit bound, so
     # validate has no fit-residual line that could never fail
@@ -153,8 +153,9 @@ def test_validate_default_scenario(tmp_path):
         assert not any(f"  {name}:" in line for line in report.lines()), name
 
 
-def test_validate_builds_the_overlap_series_once(monkeypatch):
-    # uncached, the scenario's channel and its copy one period later share one series
+def test_validate_builds_the_overlap_series_once(monkeypatch, capsys):
+    # uncached, the scenario's channel and its copy one period later share one
+    # series: the provider the command line builds holds it
     calls = []
     real = cavity.perturbative_overlaps
 
@@ -163,8 +164,7 @@ def test_validate_builds_the_overlap_series_once(monkeypatch):
         return real(n_max)
 
     monkeypatch.setattr(cavity, "perturbative_overlaps", counting)
-    report = validate(small_scenario(n_max=6))
-    assert report.passed, "\n".join(report.lines())
+    assert main(["validate", "--nmax", "6"]) == 0, capsys.readouterr().out
     assert calls == [6]
 
 
@@ -173,7 +173,7 @@ def test_validate_flags_corrupted_channel():
     corrupted = BogoliubovSeries(
         5, channel.G, channel.alpha1, channel.alpha2, 2.0 * channel.beta1, channel.beta2
     )
-    report = validate(channel=corrupted)
+    report = validate(ImportedChannel(corrupted))
     assert not report.passed
     failing = [c for c in report.checks if not c.passed]
     assert any("identity" in c.name for c in failing)
@@ -389,6 +389,33 @@ def test_cli_checks_modes_against_imported_channel(tmp_path, capsys):
         assert not out.exists()
 
 
+#: refusals of the cavity's own inputs: each comes before the overlap series
+#: is loaded or built, so the cache directory is never made
+REFUSED_BEFORE_ANY_BUILD = [
+    (["sweep", "--modes", "1,7"], "mode index 7 out of range 1..6"),
+    (["sweep", "--grid", "nan"], "grid value 'nan' is not finite"),
+    (["compare", "--u", "-1"], "duration parameter u must be non-negative"),
+    (["validate", "--h", "2.5"], "h=2.5 out of range (0, 2): the left wall must stay outside the acceleration horizon"),
+]
+
+
+@pytest.mark.parametrize("argv,message", REFUSED_BEFORE_ANY_BUILD)
+def test_cli_refuses_before_any_overlap_build(tmp_path, capsys, monkeypatch, argv, message):
+    calls = []
+    real = cavity.perturbative_overlaps
+
+    def counting(n_max):
+        calls.append(n_max)
+        return real(n_max)
+
+    monkeypatch.setattr(cavity, "perturbative_overlaps", counting)
+    cache = tmp_path / "cache"
+    assert main(argv + ["--nmax", "6", "--cache", str(cache)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not cache.exists() or not list(cache.iterdir())
+    assert calls == []
+
+
 def test_cli_overlaps_cache_builder(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "cache"
     assert main(["overlaps", "--nmax", "6", "--cache", str(cache)]) == 0
@@ -546,6 +573,8 @@ def test_cli_rejects_modes_beyond_imported_channel(tmp_path, capsys):
         # the word after --config is the file's content
         (["sweep", "--grid", "0.3", "--config", "N = nan"], "photons=nan is not finite"),
         (["compare", "--config", "r = inf"], "r=inf is not finite"),
+        # not a non-finite value, but refused in the same place, by name
+        (["compare", "--ladder", "0,0.02"], "ladder value '0' must be positive"),
     ],
 )
 def test_cli_refuses_non_finite_values(tmp_path, capsys, argv, message):
