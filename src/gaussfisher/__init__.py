@@ -2,12 +2,7 @@
 bosonic field under Bogoliubov channels, with a non-uniformly moving cavity
 as the built-in worked example."""
 
-from .states import (
-    GaussianState,
-    squeezed_displaced_state,
-    symplectic_form,
-    two_mode_squeezed_state,
-)
+from .states import GaussianState, symplectic_form
 from .bogoliubov import (
     BogoliubovSeries,
     CovarianceSeries,
@@ -20,7 +15,6 @@ from .fidelity import FidelityError, fidelity_one_mode, fidelity_two_mode
 from .qfi import (
     QfiResult,
     c2_from_orders,
-    energy_budget,
     energy_matched_params,
     negativity_first_order,
     probe_family,

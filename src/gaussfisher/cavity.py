@@ -59,6 +59,8 @@ class CavityScenario:
     n_max: int = 10
 
     def __post_init__(self):
+        if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 1:
+            raise ValueError(f"n_max={self.n_max!r} must be an integer >= 1")
         if not 0.0 < self.h < 2.0:
             raise ValueError(
                 f"h={self.h!r} out of range (0, 2): the left wall must stay "

@@ -186,8 +186,9 @@ def channel_from(args, config: dict):
 
     Every refusal comes first: ``CAVITY_FLAGS`` and ``CAVITY_KEYS`` with an
     imported ``--channel``, the file itself, the scenario, and the modes
-    against the channel's ``n_max``. Only ``build`` reads or writes the
-    overlap-series cache, so a verb calls it once its own input is checked.
+    against the channel's ``n_max`` for every verb but ``overlaps``, which
+    probes none. Only ``build`` reads or writes the overlap-series cache, so
+    a verb calls it once its own input is checked.
     """
     imported = None
     if getattr(args, "channel", None):
@@ -214,7 +215,8 @@ def channel_from(args, config: dict):
     if imported is not None:
         quadrature_indices(modes, imported.n_max)
         return modes, lambda: imported
-    quadrature_indices(modes, scenario.n_max)
+    if args.command != "overlaps":  # the one verb that probes no modes
+        quadrature_indices(modes, scenario.n_max)
     return modes, lambda: CavityChannel(scenario, load_or_compute_overlap_series(scenario.n_max, args.cache))
 
 

@@ -11,10 +11,11 @@ the probed modes and the probe state on those modes:
   ``H = 4 (E2 + C2)``, both read off the order-by-order reduced covariance
   (trace form).
 
-Probe families are data: a named family is just a :class:`GaussianState`
-from :func:`probe_state` plus its modes, and the oracle evaluates any list
-of such probes on one channel together: its whole step ladder in one
-matrix exponential call, and each probe on its own rows of the channel.
+Probe families are data: a named family is a row of :data:`FAMILIES`, and
+its probe just a :class:`GaussianState` from :func:`probe_state` plus its
+modes. The oracle evaluates any list of such probes on one channel
+together: its whole step ladder in one matrix exponential call, and each
+probe on its own rows of the channel.
 """
 
 from __future__ import annotations
@@ -27,13 +28,15 @@ from scipy.linalg import expm
 
 from .bogoliubov import BogoliubovSeries, covariance_series
 from .fidelity import fidelity_one_mode, fidelity_two_mode
-from .states import (
-    GaussianState,
-    quadrature_indices,
-    squeezed_displaced_state,
-    symplectic_form,
-    two_mode_squeezed_state,
-)
+from .states import GaussianState, quadrature_indices, symplectic_form
+
+#: the named probe families, in sweep row order: each family's number of
+#: probed modes, and whether it carries displacement
+FAMILIES = {
+    "single_squeezed_displaced": (1, True),
+    "two_product_squeezed_displaced": (2, True),
+    "two_mode_squeezed": (2, False),
+}
 
 
 @dataclass(frozen=True)
@@ -136,19 +139,11 @@ def negativity_first_order(series: BogoliubovSeries, k: int, k_prime: int):
     return np.abs(series.beta1[..., row, k_prime - 1])
 
 
-def energy_budget(x: float, photons: float) -> tuple[float, float]:
-    """Split a mean photon number into squeezing and displacement.
-
-    ``sinh^2 r = x N`` and ``delta^2 = (1 - x) N``, so the total photon
-    number per mode is preserved for any fraction ``x`` in [0, 1].
-    """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    if photons < 0.0:
-        raise ValueError("photon number must be non-negative")
-    r = float(np.arcsinh(np.sqrt(x * photons)))
-    delta = float(np.sqrt((1.0 - x) * photons))
-    return r, delta
+def _family(family: str) -> tuple[int, bool]:
+    """``(n_modes, displaced)`` of a named family, from :data:`FAMILIES`."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown state family {family!r}")
+    return FAMILIES[family]
 
 
 def energy_matched_params(
@@ -159,34 +154,39 @@ def energy_matched_params(
     The budget is ``E0 = N (omega_k + omega_k')`` in units of hbar. The
     two-mode families put ``N`` photons in each probe mode; the single-mode
     family concentrates the whole budget in mode ``k``, whose frequency is
-    proportional to ``k``, hence the rescaled photon number.
+    proportional to ``k``, hence the rescaled photon number ``N_f``. That is
+    split into squeezing, ``sinh^2 r = x N_f``, and displacement,
+    ``delta^2 = (1 - x) N_f``, for a fraction ``x`` in [0, 1]; a family
+    without displacement takes ``x = 1`` only.
     """
-    if family == "single_squeezed_displaced":
-        scaled = photons * (k + k_prime) / k
-        return energy_budget(x, scaled)
-    if family == "two_product_squeezed_displaced":
-        return energy_budget(x, photons)
-    if family == "two_mode_squeezed":
-        if x != 1.0:
-            raise ValueError("a two-mode squeezed probe carries no displacement; use x = 1")
-        return energy_budget(1.0, photons)
-    raise ValueError(f"unknown state family {family!r}")
+    n_modes, displaced = _family(family)
+    if not displaced and x != 1.0:
+        raise ValueError("a two-mode squeezed probe carries no displacement; use x = 1")
+    if not 0.0 <= x <= 1.0:
+        raise ValueError("x must lie in [0, 1]")
+    if n_modes == 1:
+        photons = photons * (k + k_prime) / k
+    if photons < 0.0:
+        raise ValueError("photon number must be non-negative")
+    return float(np.arcsinh(np.sqrt(x * photons))), float(np.sqrt((1.0 - x) * photons))
 
 
 def probe_state(family: str, r: float, delta: float) -> GaussianState:
-    """Initial reduced state of the probed modes for a named family."""
-    if family == "single_squeezed_displaced":
-        return squeezed_displaced_state(1, 1, r, delta)
-    if family == "two_product_squeezed_displaced":
-        mean = np.zeros(4)
-        mean[0] = mean[2] = np.sqrt(2.0) * delta
-        cov = np.diag([np.exp(r), np.exp(-r), np.exp(r), np.exp(-r)])
-        return GaussianState(2, mean, cov)
-    if family == "two_mode_squeezed":
-        if delta != 0.0:
-            raise ValueError("two-mode squeezed probes carry no displacement")
-        return two_mode_squeezed_state(2, 1, 2, r)
-    raise ValueError(f"unknown state family {family!r}")
+    """Initial reduced state of the probed modes for a named family.
+
+    A displaced family puts ``diag(e^r, e^-r)`` and first moments
+    ``(sqrt(2) delta, 0)`` on each of its modes: the product probe is the
+    single-mode probe on two modes. The two-mode squeezed vacuum has
+    diagonal blocks ``cosh(r) I`` and cross blocks ``sinh(r) diag(1, -1)``.
+    """
+    n_modes, displaced = _family(family)
+    if displaced:
+        mean = np.tile([np.sqrt(2.0) * delta, 0.0], n_modes)
+        return GaussianState(n_modes, mean, np.diag(np.tile([np.exp(r), np.exp(-r)], n_modes)))
+    if delta != 0.0:
+        raise ValueError("two-mode squeezed probes carry no displacement")
+    diagonal, cross = np.cosh(r) * np.eye(2), np.sinh(r) * np.diag([1.0, -1.0])
+    return GaussianState(2, np.zeros(4), np.block([[diagonal, cross], [cross, diagonal]]))
 
 
 def qfi_perturbative(series: BogoliubovSeries, modes, state: GaussianState) -> QfiResult:

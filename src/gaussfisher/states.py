@@ -93,35 +93,3 @@ class GaussianState:
         cov.setflags(write=False)
         object.__setattr__(self, "first_moments", mean)
         object.__setattr__(self, "covariance", cov)
-
-
-def squeezed_displaced_state(n_modes: int, k: int, r: float, delta: float) -> GaussianState:
-    """All modes vacuum except mode ``k``, which is squeezed and displaced.
-
-    Mode ``k`` carries covariance ``diag(e^r, e^-r)`` and first moments
-    ``(sqrt(2)*delta, 0)``. Mode indices are 1-based.
-    """
-    x, p = quadrature_indices((k,), n_modes)
-    mean = np.zeros(2 * n_modes)
-    mean[x] = np.sqrt(2.0) * delta
-    cov = np.eye(2 * n_modes)
-    cov[x, x] = np.exp(r)
-    cov[p, p] = np.exp(-r)
-    return GaussianState(n_modes, mean, cov)
-
-
-def two_mode_squeezed_state(n_modes: int, k: int, k_prime: int, r: float) -> GaussianState:
-    """Two-mode squeezed vacuum on modes ``k`` and ``k_prime``.
-
-    Diagonal 2x2 blocks are ``cosh(r) I``, the cross block is
-    ``sinh(r) diag(1, -1)``; first moments vanish.
-    """
-    idx = quadrature_indices((k, k_prime), n_modes)
-    ik, ip = idx[0], idx[2]
-    cov = np.eye(2 * n_modes)
-    cov[idx, idx] = np.cosh(r)
-    sh = np.sinh(r)
-    sz = np.diag([sh, -sh])
-    cov[ik:ik + 2, ip:ip + 2] = sz
-    cov[ip:ip + 2, ik:ik + 2] = sz
-    return GaussianState(n_modes, np.zeros(2 * n_modes), cov)

@@ -21,6 +21,7 @@ import numpy as np
 from .bogoliubov import BogoliubovSeries, identity_residual
 from .cavity import CavityScenario, OverlapSeries, compose_one_segment
 from .qfi import (
+    FAMILIES,
     energy_matched_params,
     negativity_first_order,
     perturbative_rows,
@@ -30,12 +31,6 @@ from .qfi import (
     qfi_perturbative,
 )
 from .states import quadrature_indices
-
-FAMILIES = (
-    "single_squeezed_displaced",
-    "two_product_squeezed_displaced",
-    "two_mode_squeezed",
-)
 
 
 @dataclass(frozen=True)
@@ -131,7 +126,7 @@ class SweepSpec:
     """
 
     modes: tuple = (1, 2)
-    families: tuple = FAMILIES
+    families: tuple = tuple(FAMILIES)
     grid: tuple = tuple(np.round(np.arange(0.0, 1.0001, 0.01), 10))
     photons: float = 1.0
     x: float = 1.0
@@ -162,8 +157,8 @@ class SweepSpec:
     def params_for(self, family: str) -> tuple[float, float]:
         if self.r is not None:
             return self.r, 0.0 if self.delta is None else self.delta
-        x = 1.0 if family == "two_mode_squeezed" else self.x
-        return energy_matched_params(family, self.photons, *self.modes, x)
+        _, displaced = FAMILIES[family]
+        return energy_matched_params(family, self.photons, *self.modes, self.x if displaced else 1.0)
 
     def probes(self) -> list[tuple]:
         """``(family, r, delta, state, modes)`` for each requested family; the

@@ -93,7 +93,7 @@ def stacked(series_list, rows=None):
     return BogoliubovSeries(series_list[0].n_max, np.stack([s.G for s in series_list]), rows=rows, **fields)
 
 
-@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("family", list(FAMILIES))
 def test_kernel_on_a_stack_is_the_kernel_on_each_entry(family):
     channels = [synthetic_unitary_series(7, np.random.default_rng(seed), strength=0.3) for seed in range(4)]
     state = probe_state(family, 0.7, 0.0 if family == "two_mode_squeezed" else 0.9)
@@ -118,9 +118,9 @@ def test_a_stack_refuses_what_needs_one_whole_channel(overlap_series_10):
                 call(series)
     # the kernel reads only the rows the series stores
     with pytest.raises(ValueError, match="stores no row for mode 3"):
-        covariance_series(rows, (1, 3), probe_state(FAMILIES[1], 0.5, 0.5))
+        covariance_series(rows, (1, 3), probe_state("two_product_squeezed_displaced", 0.5, 0.5))
     with pytest.raises(ValueError, match="stores no row for mode 10"):
-        qfi_perturbative(rows, (1, 2), probe_state(FAMILIES[2], 0.5, 0.0))
+        qfi_perturbative(rows, (1, 2), probe_state("two_mode_squeezed", 0.5, 0.0))
     with pytest.raises(ValueError, match="alpha1 must have shape"):
         BogoliubovSeries(10, rows.G, rows.alpha1[:1], rows.alpha2, rows.beta1, rows.beta2, rows=(1, 2))
 

@@ -19,7 +19,7 @@ from gaussfisher.bogoliubov import (
     series_from_csv,
     series_to_csv,
 )
-from gaussfisher.states import squeezed_displaced_state
+from gaussfisher.qfi import probe_state
 
 
 def single_mode_block(alpha, beta):
@@ -156,7 +156,7 @@ def test_covariance_series_zeroth_and_first(unitary_series):
     # first moments: mode k feeds through the first-order diagonal block
     k = 2
     delta = 0.7
-    probe = squeezed_displaced_state(1, 1, 0.0, delta)
+    probe = probe_state("single_squeezed_displaced", 0.0, delta)
     orders = covariance_series(unitary_series, (k,), probe)
     w = unitary_series.alpha1[k - 1, k - 1] - unitary_series.beta1[k - 1, k - 1]
     expected = np.sqrt(2.0) * delta * np.array([w.real, -w.imag])
@@ -164,7 +164,7 @@ def test_covariance_series_zeroth_and_first(unitary_series):
 
 
 def test_covariance_series_matches_finite_difference(unitary_series):
-    probe = squeezed_displaced_state(1, 1, 0.6, 0.0)
+    probe = probe_state("single_squeezed_displaced", 0.6, 0.0)
     orders = covariance_series(unitary_series, (2,), probe)
     full = embed_state(unitary_series.n_max, (2,), probe)
 

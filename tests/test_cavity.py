@@ -35,6 +35,10 @@ def test_scenario_validation(overlap_series_10):
         CavityScenario(h=0.0)
     with pytest.raises(ValueError):
         CavityScenario(u=-0.1)
+    for n_max in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="n_max"):
+            CavityScenario(n_max=n_max)
+    assert CavityScenario(n_max=np.int64(1)).n_max == 1
     # the probed modes are checked against the channel's n_max where they are read
     channel = CavityChannel(CavityScenario(), overlap_series_10)
     with pytest.raises(ValueError):

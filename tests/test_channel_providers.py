@@ -43,7 +43,7 @@ def test_run_sweep_through_a_duck_typed_provider(provider):
 
 def test_compare_and_validate_through_a_duck_typed_provider(provider):
     channel, _ = provider
-    spec = SweepSpec(families=FAMILIES[:2], r=0.8, delta=0.3)
+    spec = SweepSpec(families=tuple(FAMILIES)[:2], r=0.8, delta=0.3)
     recording = RecordingChannel(channel)
     assert compare_methods(spec, recording) == compare_methods(spec, channel)
     assert recording.calls == [("orders", ())]

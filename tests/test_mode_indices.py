@@ -9,8 +9,8 @@ import pytest
 
 from conftest import embed_state, synthetic_unitary_series, vacuum_state
 from gaussfisher.bogoliubov import covariance_series, identity_residual
-from gaussfisher.qfi import negativity_first_order, probe_family
-from gaussfisher.states import quadrature_indices, two_mode_squeezed_state
+from gaussfisher.qfi import negativity_first_order, probe_family, probe_state
+from gaussfisher.states import quadrature_indices
 from gaussfisher.sweeps import ImportedChannel, SweepSpec, run_sweep, validate
 
 N_MAX = 5
@@ -25,7 +25,8 @@ ENTRY_POINTS = {
     "embed_state": lambda s, modes: embed_state(N_MAX, modes, vacuum_state(2)),
     "probe_family": lambda s, modes: probe_family(s, [(modes, vacuum_state(2))]),
     "run_sweep": lambda s, modes: run_sweep(SweepSpec(modes=modes, grid=(0.05,)), ImportedChannel(s)),
-    "two_mode_squeezed_state": lambda s, modes: two_mode_squeezed_state(N_MAX, *modes, 0.3),
+    # the two-mode squeezed state of the probed modes, embedded in the whole ladder
+    "two_mode_squeezed_state": lambda s, modes: embed_state(N_MAX, modes, probe_state("two_mode_squeezed", 0.3, 0.0)),
     "validate": lambda s, modes: validate(ImportedChannel(s), modes),
 }
 

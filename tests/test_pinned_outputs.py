@@ -69,6 +69,20 @@ CASES = {
          "--x", "0.37", "--photons", "1.4", "--methods", "perturbative,oracle"],
         SWEEP_TOLERANCES,
     ),
+    # the two probe-parameter paths other than the energy budget, written by `gaussfisher sweep`
+    # with these argvs at commit 995d9bd: (r, delta) given directly for the product probe, and
+    # r given alone for the single-mode and two-mode squeezed probes (no single-mode probe with
+    # delta != 0: its e2 is roundoff)
+    "sweep_nmax10_r_delta_product.csv": (
+        ["sweep", "--nmax", "10", "--grid", "0.137,0.5", "--r", "0.6", "--delta", "0.4",
+         "--state", "two_product_squeezed_displaced"],
+        SWEEP_TOLERANCES,
+    ),
+    "sweep_nmax10_r_single_two_mode_squeezed.csv": (
+        ["sweep", "--nmax", "10", "--grid", "0.3", "--r", "0.8", "--state", "single_squeezed_displaced",
+         "--state", "two_mode_squeezed"],
+        SWEEP_TOLERANCES,
+    ),
 }
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     _c2_single_mode_explicit,
@@ -17,10 +19,10 @@ from conftest import (
 )
 from gaussfisher.bogoliubov import BogoliubovSeries, covariance_series
 from gaussfisher.qfi import (
+    FAMILIES,
     QfiResult,
     _perturbative_residual,
     c2_from_orders,
-    energy_budget,
     energy_matched_params,
     negativity_first_order,
     probe_family,
@@ -28,7 +30,6 @@ from gaussfisher.qfi import (
     qfi_oracle,
     qfi_perturbative,
 )
-from gaussfisher.states import squeezed_displaced_state
 
 SINGLE, PRODUCT, TMS = "single_squeezed_displaced", "two_product_squeezed_displaced", "two_mode_squeezed"
 
@@ -156,7 +157,7 @@ def test_e2_matches_first_moment_quadratic_form(unitary_series):
     # which the kernel evaluates
     r, delta = 0.6, 0.9
     orders = covariance_series(
-        unitary_series, (2,), squeezed_displaced_state(1, 1, r, delta)
+        unitary_series, (2,), probe_state(SINGLE, r, delta)
     )
     quadratic = float(orders.mean1 @ np.linalg.solve(2.0 * orders.sigma0, orders.mean1))
     assert np.isclose(e2_single_mode(unitary_series, 2, r, delta), quadratic, rtol=1e-12)
@@ -303,17 +304,44 @@ def test_negativity_examples():
 
 
 def test_energy_budget():
-    r, delta = energy_budget(1.0, 1.0)
+    # the budget split on a two-mode family, whose probe modes carry N each
+    r, delta = energy_matched_params(PRODUCT, 1.0, 1, 2, x=1.0)
     assert np.isclose(r, np.arcsinh(1.0)) and delta == 0.0
-    r, delta = energy_budget(0.0, 4.0)
+    r, delta = energy_matched_params(PRODUCT, 4.0, 1, 2, x=0.0)
     assert r == 0.0 and np.isclose(delta, 2.0)
-    r, delta = energy_budget(0.5, 2.0)
+    r, delta = energy_matched_params(PRODUCT, 2.0, 1, 2, x=0.5)
     assert np.isclose(np.sinh(r) ** 2, 1.0) and np.isclose(delta**2, 1.0)
-    assert np.isclose(np.sinh(r) ** 2 + delta**2, 2.0, atol=1e-12)
-    with pytest.raises(ValueError):
-        energy_budget(1.5, 1.0)
-    with pytest.raises(ValueError):
-        energy_budget(0.5, -1.0)
+    for family in (SINGLE, PRODUCT):
+        with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
+            energy_matched_params(family, 1.0, 1, 2, x=1.5)
+        with pytest.raises(ValueError, match="photon number must be non-negative"):
+            energy_matched_params(family, -1.0, 1, 2, x=0.5)
+    with pytest.raises(ValueError, match="photon number must be non-negative"):
+        energy_matched_params(TMS, -1.0, 1, 2)
+    with pytest.raises(ValueError, match="unknown state family"):
+        energy_matched_params("squeezed_thermal", 1.0, 1, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.sampled_from(list(FAMILIES)),
+    photons=st.floats(0.0, 5.0),
+    x=st.floats(0.0, 1.0),
+    k=st.integers(1, 30),
+    gap=st.integers(1, 30),
+)
+def test_energy_rule_splits_the_stated_budget(family, photons, x, k, gap):
+    # sinh^2 r = x N_f and delta^2 = (1 - x) N_f, with N_f the photon number
+    # of the single-mode probe's one mode, N (k + k') / k, or N for the
+    # two-mode families. This pins the convention: sinh^2 r is not the
+    # photon number of a diag(e^r, e^-r) mode, which carries sinh^2(r / 2)
+    k_prime = k + gap
+    _, displaced = FAMILIES[family]
+    x = x if displaced else 1.0
+    n_f = photons * (k + k_prime) / k if family == SINGLE else photons
+    r, delta = energy_matched_params(family, photons, k, k_prime, x)
+    assert math.isclose(np.sinh(r) ** 2, x * n_f, rel_tol=1e-12, abs_tol=1e-12)
+    assert math.isclose(delta**2, (1.0 - x) * n_f, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_energy_matched_params():
@@ -327,7 +355,7 @@ def test_energy_matched_params():
 
 
 def test_oracle_constant_family():
-    state = squeezed_displaced_state(1, 1, 0.5, 1.0)
+    state = probe_state(SINGLE, 0.5, 1.0)
 
     def family(thetas):
         return [[(state.first_moments, state.covariance)] for _ in thetas]
@@ -364,7 +392,7 @@ def test_oracle_convergence_flag(rng):
     # a probe with a jittery fidelity cannot reach a tight residual, while
     # the same probe without the jitter does, in the same family: each probe
     # has its own tableau
-    state = squeezed_displaced_state(1, 1, 0.0, 1.0)
+    state = probe_state(SINGLE, 0.0, 1.0)
 
     def probes(theta):
         bump = 1e-5 * np.sin(1.0 / (abs(theta) + 1e-6))

@@ -9,12 +9,8 @@ from conftest import (
     symplectic_eigenvalues,
     vacuum_state,
 )
-from gaussfisher.states import (
-    GaussianState,
-    squeezed_displaced_state,
-    symplectic_form,
-    two_mode_squeezed_state,
-)
+from gaussfisher.qfi import probe_state
+from gaussfisher.states import GaussianState, symplectic_form
 
 
 def test_symplectic_form_structure():
@@ -37,26 +33,30 @@ def test_vacuum_examples():
 
 
 def test_squeezed_displaced_examples():
-    trivial = squeezed_displaced_state(2, 1, 0.0, 0.0)
+    trivial = embed_state(2, (1,), probe_state("single_squeezed_displaced", 0.0, 0.0))
     assert np.array_equal(trivial.covariance, vacuum_state(2).covariance)
     assert np.array_equal(trivial.first_moments, np.zeros(4))
 
-    squeezed = squeezed_displaced_state(1, 1, 1.0, 0.0)
+    squeezed = probe_state("single_squeezed_displaced", 1.0, 0.0)
     assert np.allclose(squeezed.covariance, np.diag([np.e, 1.0 / np.e]))
     assert np.isclose(np.linalg.det(squeezed.covariance), 1.0)
 
-    displaced = squeezed_displaced_state(1, 1, 0.0, 2.0)
+    displaced = probe_state("single_squeezed_displaced", 0.0, 2.0)
     assert np.allclose(displaced.first_moments, [2.0 * np.sqrt(2.0), 0.0])
 
+    # the product probe is the single-mode probe on each of two modes
+    product = probe_state("two_product_squeezed_displaced", 0.7, 0.4)
+    one = probe_state("single_squeezed_displaced", 0.7, 0.4)
+    assert np.array_equal(product.covariance, np.kron(np.eye(2), one.covariance))
+    assert np.array_equal(product.first_moments, np.tile(one.first_moments, 2))
+
     with pytest.raises(ValueError):
-        squeezed_displaced_state(2, 3, 0.5, 0.0)
+        embed_state(2, (3,), squeezed)
 
 
 def test_two_mode_squeezed_examples():
-    assert np.array_equal(
-        two_mode_squeezed_state(2, 1, 2, 0.0).covariance, np.eye(4)
-    )
-    tms = two_mode_squeezed_state(2, 1, 2, 1.0)
+    assert np.array_equal(probe_state("two_mode_squeezed", 0.0, 0.0).covariance, np.eye(4))
+    tms = probe_state("two_mode_squeezed", 1.0, 0.0)
     assert np.allclose(symplectic_eigenvalues(tms), [1.0, 1.0])
 
     # partial trace by explicit row/column deletion of the 4x4 matrix
@@ -65,7 +65,7 @@ def test_two_mode_squeezed_examples():
     assert np.allclose(symplectic_eigenvalues(kept), [np.cosh(1.0)])
 
     with pytest.raises(ValueError):
-        two_mode_squeezed_state(2, 1, 1, 1.0)
+        embed_state(2, (1, 1), tms)
 
 
 def test_constructor_validation():

@@ -438,6 +438,22 @@ def test_cli_overlaps_cache_builder(tmp_path, capsys, monkeypatch):
     assert main(["overlaps", "--nmax", "5"]) == 2  # cache dir required
 
 
+def test_cli_overlaps_reads_no_probed_modes(tmp_path, capsys):
+    # overlaps probes no modes, so the default modes 1, 2 do not bound its n_max
+    cache = tmp_path / "cache"
+    assert main(["overlaps", "--nmax", "1", "--cache", str(cache)]) == 0
+    assert list(cache.iterdir()) == [cache / "overlap_series_n1.npz"]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [["overlaps", "--cache", "cache"], ["sweep"]])
+def test_cli_refuses_an_empty_mode_ladder(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--nmax", "0"]) == 2
+    assert capsys.readouterr().err == "error: n_max=0 must be an integer >= 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def _flip_byte(path, series):
     # a byte inside the stored alpha1 data, which the archive's CRC covers
     data = bytearray(path.read_bytes())
