@@ -8,17 +8,16 @@ Verbs:
   with measured residuals (exit 1 on failure)
 * ``overlaps`` -- precompute and cache the overlap series
 
-Every verb takes ``--config``, ``--nmax`` and ``--cache``; beyond those it
-registers only the flags it reads, from one table, so ``overlaps`` takes no
-others. :func:`channel_from` is the one place that picks the channel
-provider: an imported ``--channel``, or the cavity scenario's channel. With
-an imported channel the flags in ``CAVITY_FLAGS``, which only shape the
-built-in cavity channel, are refused, as are the config keys in
-``CAVITY_KEYS`` that set the same values, and the probed modes are checked
-against the channel's own ``n_max``. Scenario parameters come from
-``key = value`` config files (keys in ``CONFIG_KEYS``) and/or flags;
-:func:`pick` resolves each value, and flags win. Everything is
-dimensionless in ``(h, u)``, so no cavity length is asked for.
+Every verb takes ``--config``, ``--nmax`` and ``--cache``, and beyond those
+only the flags it reads. Each value input is one row of ``INPUTS``: the
+keyword of :class:`CavityScenario` or :class:`SweepSpec` that reads it, its
+config keys, type and help. A flag wins over its config keys, and the class
+holds every default. :func:`channel_from` is the one place that picks the
+channel provider: an imported ``--channel``, or the scenario's cavity
+channel. With an imported channel the ``CAVITY_FLAGS``, which only shape
+the cavity channel, are refused with their config keys, and the probed
+modes are checked against its ``n_max``. Everything is dimensionless in
+``(h, u)``, so no cavity length is asked for.
 
 Output is UTF-8 CSV with LF endings and full-precision floats; identical
 inputs and BLAS thread count give byte-identical files.
@@ -52,18 +51,20 @@ from .sweeps import (
     validate,
 )
 
-CONFIG_KEYS = {
-    "h": float,
-    "u": float,
-    "u_grid": str,
-    "k": int,
-    "k_prime": int,
-    "n_max": int,
-    "r": float,
-    "delta": float,
-    "x": float,
-    "N": float,
+#: every value input by flag: the class and keyword that read it, config keys,
+#: type and help; a flag of two keys takes them as one comma list
+INPUTS = {
+    "--h": (CavityScenario, "h", ("h",), float, "acceleration parameter h = aL/c^2"),
+    "--u": (CavityScenario, "u", ("u",), float, "duration parameter (default from config/scenario)"),
+    "--nmax": (CavityScenario, "n_max", ("n_max",), int, "mode-ladder truncation"),
+    "--modes": (SweepSpec, "modes", ("k", "k_prime"), int, "probed modes as 'k,k_prime' (default %d,%d)" % SweepSpec.modes),
+    "--grid": (SweepSpec, "grid", ("u_grid",), str, "u grid 'start:stop:step' or comma list"),
+    "--photons": (SweepSpec, "photons", ("N",), float, "mean photon number per probe mode"),
+    "--x": (SweepSpec, "x", ("x",), float, "squeezing fraction of the energy budget"),
+    "--r": (SweepSpec, "r", ("r",), float, "squeezing parameter (sweep: instead of the energy budget; compare: default 1)"),
+    "--delta": (SweepSpec, "delta", ("delta",), float, "displacement parameter (sweep: with --r; compare: default 0)"),
 }
+CONFIG_KEYS = {key: kind for _, _, keys, kind, _ in INPUTS.values() for key in keys}
 
 
 def read_config(path: str) -> dict:
@@ -84,20 +85,12 @@ def read_config(path: str) -> dict:
 
 
 #: flags that only shape the built-in cavity channel, per verb that also
-#: takes ``--channel``; an imported channel leaves them unread (``validate``
-#: checks only its identity residual, on no probed modes)
+#: takes ``--channel``: an imported channel leaves them, and the config keys
+#: of those in ``INPUTS``, unread
 CAVITY_FLAGS = {
     "sweep": ("--nmax", "--cache", "--h"),
     "compare": ("--nmax", "--cache", "--u"),
-    "validate": ("--nmax", "--cache", "--h", "--modes"),
-}
-
-
-#: config keys that set what ``CAVITY_FLAGS`` set, refused the same way
-CAVITY_KEYS = {
-    "sweep": ("n_max", "h"),
-    "compare": ("n_max", "u"),
-    "validate": ("n_max", "h"),
+    "validate": ("--nmax", "--cache", "--h"),
 }
 
 
@@ -135,89 +128,88 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # each verb registers only the flags it reads, and refuses abbreviations:
-    # otherwise a flag it lacks, such as ``--h``, would match ``--help``
-    optional = {
+    options = {
+        "--config": dict(help="key = value scenario file"),
+        "--cache": dict(help="directory for the cached overlap series"),
         "--out": dict(help="output CSV path (default: stdout)"),
-        "--h": dict(type=float, help="acceleration parameter h = aL/c^2"),
-        "--modes": dict(help="probed modes as 'k,k_prime' (default 1,2)"),
         "--channel": dict(help="CSV file with an imported channel series"),
         "--state": dict(action="append", choices=FAMILIES, help="probe family (repeatable; default: all three)"),
-        "--r": dict(type=float, help="squeezing parameter (sweep: instead of the energy budget; compare: default 1)"),
-        "--delta": dict(type=float, help="displacement parameter (sweep: with --r; compare: default 0)"),
+        "--methods": dict(help="comma list: perturbative,oracle"),
+        "--ladder": dict(default="0.02,0.04,0.08", help="comma list of h values"),
     }
-
-    def add_common(p, *flags):
-        p.add_argument("--config", help="key = value scenario file")
-        p.add_argument("--nmax", type=int, help="mode-ladder truncation")
-        p.add_argument("--cache", help="directory for the cached overlap series")
-        for flag in flags:
-            p.add_argument(flag, **optional[flag])
-
-    p_sweep = sub.add_parser("sweep", allow_abbrev=False, help="QFI over a duration grid")
-    add_common(p_sweep, "--out", "--h", "--modes", "--channel", "--state", "--r", "--delta")
-    p_sweep.add_argument("--grid", help="u grid 'start:stop:step' or comma list")
-    p_sweep.add_argument("--x", type=float, help="squeezing fraction of the energy budget")
-    p_sweep.add_argument("--photons", type=float, help="mean photon number per probe mode")
-    p_sweep.add_argument("--methods", default="perturbative", help="comma list: perturbative,oracle")
-
-    p_cmp = sub.add_parser("compare", allow_abbrev=False, help="perturbative vs oracle on an h ladder")
-    add_common(p_cmp, "--out", "--modes", "--channel", "--state", "--r", "--delta")
-    p_cmp.add_argument("--u", type=float, help="duration parameter (default from config/scenario)")
-    p_cmp.add_argument("--ladder", default="0.02,0.04,0.08", help="comma list of h values")
-
-    p_val = sub.add_parser("validate", allow_abbrev=False, help="check the channel's invariants")
-    add_common(p_val, "--out", "--h", "--modes", "--channel")
-
-    p_ov = sub.add_parser("overlaps", allow_abbrev=False, help="build the overlap-series cache")
-    add_common(p_ov)
+    for flag, (_, _, keys, kind, text) in INPUTS.items():
+        options[flag] = dict(type=kind if len(keys) == 1 else str, help=text)
+    verbs = (
+        ("sweep", "QFI over a duration grid",
+         ("--out", "--h", "--modes", "--channel", "--state", "--r", "--delta", "--grid", "--x", "--photons", "--methods")),
+        ("compare", "perturbative vs oracle on an h ladder",
+         ("--out", "--modes", "--channel", "--state", "--r", "--delta", "--u", "--ladder")),
+        ("validate", "check the channel's invariants", ("--out", "--h", "--modes", "--channel")),
+        ("overlaps", "build the overlap-series cache", ()),
+    )
+    # each verb registers only the flags it reads, and refuses abbreviations:
+    # otherwise a flag it lacks, such as ``--h``, would match ``--help``
+    for verb, text, flags in verbs:
+        p = sub.add_parser(verb, allow_abbrev=False, help=text)
+        for flag in ("--config", "--nmax", "--cache") + flags:
+            p.add_argument(flag, **options[flag])
     return parser
 
 
-def pick(args, config: dict, flag: str, key: str, default):
-    """The value of ``--flag`` if given, else config ``key``, else ``default``."""
-    value = getattr(args, flag, None)
-    return config.get(key, default) if value is None else value
+def given(args, config: dict, cls) -> dict:
+    """The keywords of ``cls`` that a flag or its config keys gave, the flag
+    first. A verb reads the config keys of the probe flags it takes, and all
+    of the cavity scenario's, which it builds whole."""
+    values = {}
+    for flag, (owner, keyword, keys, kind, _) in INPUTS.items():
+        if owner is not cls or not (hasattr(args, flag[2:]) or owner is CavityScenario):
+            continue
+        value = getattr(args, flag[2:], None)
+        if value is not None and len(keys) > 1:
+            parts = value.split(",")
+            if len(parts) != len(keys):
+                raise ValueError(f"{flag} expects '{','.join(keys)}'")
+            value = tuple(kind(part) for part in parts)
+        elif value is None and any(key in config for key in keys):
+            # a key left out keeps its element of the default
+            value = config[keys[0]] if len(keys) == 1 else tuple(
+                config.get(key, default) for key, default in zip(keys, getattr(cls, keyword)))
+        if value is not None:
+            values[keyword] = value
+    return values
 
 
 def channel_from(args, config: dict):
-    """``(modes, build)``: the probed modes, and a callable that builds the
-    channel provider the verb reads.
+    """``(probe, build)``: the :class:`SweepSpec` keywords that a flag or
+    config key gave, and a callable that builds the channel provider.
 
-    Every refusal comes first: ``CAVITY_FLAGS`` and ``CAVITY_KEYS`` with an
-    imported ``--channel``, the file itself, the scenario, and the modes
-    against the channel's ``n_max`` for every verb but ``overlaps``, which
-    probes none. Only ``build`` reads or writes the overlap-series cache, so
-    a verb calls it once its own input is checked.
+    Every refusal comes first: ``CAVITY_FLAGS`` and their config keys with
+    an imported ``--channel``, the file, the scenario, and the modes against
+    the channel's ``n_max`` (not for ``overlaps``, which probes none). Only
+    ``build`` reads or writes the cache, so a verb calls it once its own
+    input is checked.
     """
     imported = None
     if getattr(args, "channel", None):
-        for flag in CAVITY_FLAGS[args.command]:
+        unread = CAVITY_FLAGS[args.command]
+        for flag in unread:
             if getattr(args, flag[2:]) is not None:
                 raise ValueError(f"{flag} is not read with an imported --channel")
-        for key in CAVITY_KEYS[args.command]:
+        for key in (key for flag in unread if flag in INPUTS for key in INPUTS[flag][2]):
             if key in config:
                 raise ValueError(f"config key {key} is not read with an imported --channel")
         with open(args.channel, encoding="utf-8") as fh:
             imported = ImportedChannel(series_from_csv(fh.read()))
-    modes = (config.get("k", 1), config.get("k_prime", 2))
-    if getattr(args, "modes", None):
-        parts = args.modes.split(",")
-        if len(parts) != 2:
-            raise ValueError("--modes expects 'k,k_prime'")
-        modes = (int(parts[0]), int(parts[1]))
+    probe = given(args, config, SweepSpec)
+    modes = probe.get("modes", SweepSpec.modes)
     # checked with an imported channel too, so a config h or u it reads no more stays valid
-    scenario = CavityScenario(
-        h=pick(args, config, "h", "h", 0.05),
-        u=pick(args, config, "u", "u", 0.3),
-        n_max=pick(args, config, "nmax", "n_max", 10),
-    )
+    scenario = CavityScenario(**given(args, config, CavityScenario))
     if imported is not None:
         quadrature_indices(modes, imported.n_max)
-        return modes, lambda: imported
+        return probe, lambda: imported
     if args.command != "overlaps":  # the one verb that probes no modes
         quadrature_indices(modes, scenario.n_max)
-    return modes, lambda: CavityChannel(scenario, load_or_compute_overlap_series(scenario.n_max, args.cache))
+    return probe, lambda: CavityChannel(scenario, load_or_compute_overlap_series(scenario.n_max, args.cache))
 
 
 def emit(text: str, out_path: str | None) -> None:
@@ -240,34 +232,27 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     """Execute a parsed command; bad input raises, a failed check returns 1."""
     config = read_config(args.config) if args.config else {}
-    modes, channel = channel_from(args, config)
+    probe, channel = channel_from(args, config)
+    if getattr(args, "state", None):
+        probe["families"] = tuple(args.state)
 
     if args.command == "sweep":
-        spec_kwargs = dict(
-            modes=modes,
-            families=tuple(args.state or FAMILIES),
-            photons=pick(args, config, "photons", "N", 1.0),
-            x=pick(args, config, "x", "x", 1.0),
-            r=pick(args, config, "r", "r", None),
-            delta=pick(args, config, "delta", "delta", None),
-            methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
-        )
-        grid = pick(args, config, "grid", "u_grid", None)
-        if grid is not None:
-            spec_kwargs["grid"] = parse_grid(grid)
-        spec = SweepSpec(**spec_kwargs)
+        # r chooses (r, delta) over the energy budget; refuse the flags left unread
+        for flag in ("--photons", "--x") if "r" in probe else ("--delta",):
+            if getattr(args, flag[2:]) is not None:
+                raise ValueError(f"{flag} is not read {'when' if 'r' in probe else 'unless'} r is given")
+        if "grid" in probe:
+            probe["grid"] = parse_grid(probe["grid"])
+        if args.methods is not None:
+            probe["methods"] = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+        spec = SweepSpec(**probe)
         spec.probes()  # refuses a probe it cannot build before any overlap is read
         emit(rows_to_csv(run_sweep(spec, channel())), args.out)
         return 0
 
     if args.command == "compare":
         ladder = tuple(finite(tok, "ladder value", positive=True) for tok in args.ladder.split(","))
-        spec = SweepSpec(
-            modes=modes,
-            families=tuple(args.state or FAMILIES),
-            r=pick(args, config, "r", "r", 1.0),
-            delta=pick(args, config, "delta", "delta", 0.0),
-        )
+        spec = SweepSpec(**{"r": 1.0, "delta": 0.0, **probe})
         if len(set(ladder)) < 2:  # as compare_methods does, but before any overlap is read
             raise ValueError("compare needs at least two distinct h values on the ladder")
         spec.probes()  # likewise
@@ -278,7 +263,7 @@ def _run(args) -> int:
         return 0 if report.passed else 1
 
     if args.command == "validate":
-        report = validate(channel(), modes)
+        report = validate(channel(), probe.get("modes", SweepSpec.modes))
         text = "\n".join(report.lines()) + "\n"
         emit(text, args.out)
         if args.out is not None:

@@ -109,9 +109,9 @@ class ImportedChannel:
             yield family, theta
 
     def checks(self, modes) -> list[Check]:
-        """The identity residual on the whole mode ladder, whatever the probed
-        ``modes``: this is how corrupt coefficient files are caught."""
-        return [_check("imported channel: identity residual", max(self.series.unitarity_residuals()), 1e-6)]
+        """The identity residual on the probed ``modes``, the window a sweep
+        reads: corrupt coefficients show there, the truncated ladder's edge does not."""
+        return [_check("imported channel: identity residual", max(self.series.unitarity_residuals(modes)), 1e-6)]
 
 
 @dataclass(frozen=True)
@@ -120,9 +120,11 @@ class SweepSpec:
 
     The probe parameters come either from the energy budget ``(x, photons)``
     (squeezing fraction ``x``, mean photon number per probe mode) or directly
-    from ``(r, delta)`` when ``r`` is not None. The grid holds what the
-    channel is swept over: durations ``u`` for the cavity, values of theta
-    for an imported series.
+    from ``(r, delta)`` when ``r`` is not None. A family without
+    displacement takes none on either path, and a displacement that no
+    requested family carries is refused. The grid holds what the channel is
+    swept over: durations ``u`` for the cavity, values of theta for an
+    imported series.
     """
 
     modes: tuple = (1, 2)
@@ -153,11 +155,14 @@ class SweepSpec:
                 raise ValueError(f"{name}={value!r} is not finite")
         if self.r is None and not 0.0 <= self.x <= 1.0:
             raise ValueError("x must lie in [0, 1]")
+        displacement = self.x != 1.0 if self.r is None else bool(self.delta)
+        if displacement and not any(FAMILIES[family][1] for family in self.families):
+            raise ValueError("two-mode squeezed probes carry no displacement")
 
     def params_for(self, family: str) -> tuple[float, float]:
-        if self.r is not None:
-            return self.r, 0.0 if self.delta is None else self.delta
         _, displaced = FAMILIES[family]
+        if self.r is not None:
+            return self.r, 0.0 if self.delta is None or not displaced else self.delta
         return energy_matched_params(family, self.photons, *self.modes, self.x if displaced else 1.0)
 
     def probes(self) -> list[tuple]:

@@ -1,11 +1,12 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import synthetic_unitary_series
 from gaussfisher import cavity
-from gaussfisher.bogoliubov import BogoliubovSeries, series_to_csv
+from gaussfisher.bogoliubov import BogoliubovSeries, series_from_csv, series_to_csv
 from gaussfisher.cavity import CavityScenario, load_or_compute_overlap_series, perturbative_overlaps, save_overlaps_csv
 from gaussfisher.cli import main, parse_grid, read_config
 from gaussfisher.sweeps import (
@@ -41,10 +42,12 @@ def test_spec_validation():
         SweepSpec(methods=("guesswork",))
     with pytest.raises(ValueError):
         SweepSpec(x=1.5)
-    # a two-mode squeezed probe state has no displacement to carry
-    spec = SweepSpec(r=0.5, delta=0.2)
-    with pytest.raises(ValueError, match="two-mode squeezed probes carry no displacement"):
-        spec.probes()
+    # a two-mode squeezed probe state has no displacement to carry: beside a
+    # displaced family it takes none, and on its own it refuses one on either path
+    assert SweepSpec(r=0.5, delta=0.2).params_for("two_mode_squeezed") == (0.5, 0.0)
+    for displacement in (dict(r=0.5, delta=0.2), dict(x=0.5)):
+        with pytest.raises(ValueError, match="two-mode squeezed probes carry no displacement"):
+            SweepSpec(families=("two_mode_squeezed",), **displacement)
 
 
 def test_run_sweep_rows_and_determinism(tmp_path):
@@ -333,12 +336,11 @@ def test_cli_refuses_flags_the_verb_does_not_read(tmp_path, capsys, verb, flag, 
 
 
 #: flags a verb registers for the cavity channel, and so cannot read with an
-#: imported one; ``validate --channel`` checks no probed modes
+#: imported one
 CAVITY_ONLY_FLAGS = [
     ("sweep", "--h", "0.07"),
     ("validate", "--h", "0.07"),
     ("compare", "--u", "0.7"),
-    ("validate", "--modes", "1,2"),
 ] + [
     (verb, flag, value)
     for verb in ("sweep", "compare", "validate")
@@ -371,7 +373,7 @@ def test_cli_checks_modes_against_imported_channel(tmp_path, capsys):
         return str(cfg)
 
     def argvs(k_prime):
-        # validate --channel refuses --modes, so its modes come from a config
+        # validate reads its modes from a config here, as sweep and compare do from --modes
         return (
             ["sweep", "--grid", "0.01", "--modes", f"1,{k_prime}"],
             ["compare", "--modes", f"1,{k_prime}", "--state", "two_mode_squeezed"],
@@ -396,6 +398,15 @@ REFUSED_BEFORE_ANY_BUILD = [
     (["sweep", "--grid", "nan"], "grid value 'nan' is not finite"),
     (["compare", "--u", "-1"], "duration parameter u must be non-negative"),
     (["validate", "--h", "2.5"], "h=2.5 out of range (0, 2): the left wall must stay outside the acceleration horizon"),
+    # a probe flag that the choice of r leaves unread, or a displacement no family carries
+    (["sweep", "--grid", "0.3", "--delta", "0.4"], "--delta is not read unless r is given"),
+    (["sweep", "--grid", "0.3", "--r", "0.5", "--photons", "3", "--x", "0.2", "--state", "single_squeezed_displaced"],
+     "--photons is not read when r is given"),
+    (["sweep", "--grid", "0.3", "--r", "0.5", "--x", "1"], "--x is not read when r is given"),
+    (["sweep", "--grid", "0.3", "--state", "two_mode_squeezed", "--x", "0.5"],
+     "two-mode squeezed probes carry no displacement"),
+    (["sweep", "--grid", "0.3", "--state", "two_mode_squeezed", "--r", "0.5", "--delta", "1"],
+     "two-mode squeezed probes carry no displacement"),
 ]
 
 
@@ -414,6 +425,73 @@ def test_cli_refuses_before_any_overlap_build(tmp_path, capsys, monkeypatch, arg
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not cache.exists() or not list(cache.iterdir())
     assert calls == []
+
+
+def test_cli_reads_r_from_a_config_key_as_from_the_flag(tmp_path, capsys):
+    # r chooses (r, delta) whether a flag or a config key gives it; the config
+    # keys a verb does not read stay tolerated, as scenario files are shared
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("r = 0.5\n", encoding="utf-8")
+    argv = ["sweep", "--nmax", "6", "--grid", "0.3", "--config", str(cfg)]
+    assert main(argv + ["--x", "0.2"]) == 2
+    assert capsys.readouterr().err == "error: --x is not read when r is given\n"
+    cfg.write_text("r = 0.5\nN = 3\nx = 0.2\n", encoding="utf-8")
+    assert main(argv + ["--out", str(tmp_path / "config.csv")]) == 0
+    assert main(["sweep", "--nmax", "6", "--grid", "0.3", "--r", "0.5", "--out", str(tmp_path / "flag.csv")]) == 0
+    assert (tmp_path / "config.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+    cfg.write_text("delta = 0.4\n", encoding="utf-8")
+    assert main(argv + ["--out", str(tmp_path / "delta.csv")]) == 0
+    assert main(["sweep", "--nmax", "6", "--grid", "0.3", "--out", str(tmp_path / "plain.csv")]) == 0
+    assert (tmp_path / "delta.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+def test_cli_r_delta_sweep_leaves_the_undisplaced_family_undisplaced(tmp_path):
+    """``--r R --delta D`` over every family gives the rows of the per-family
+    runs, the two-mode squeezed probe's without ``--delta``, in grid then
+    family order."""
+    cache = str(tmp_path / "cache")
+
+    def rows(*flags) -> list:
+        out = tmp_path / "out.csv"
+        argv = ["sweep", "--nmax", "10", "--grid", "0.137,0.5", "--r", "0.6", "--cache", cache, "--out", str(out)]
+        assert main(argv + list(flags)) == 0
+        return out.read_bytes().split(b"\n")
+
+    whole = rows("--delta", "0.4")
+    per_family = [
+        rows("--delta", "0.4", "--state", "single_squeezed_displaced"),
+        rows("--delta", "0.4", "--state", "two_product_squeezed_displaced"),
+        rows("--state", "two_mode_squeezed"),
+    ]
+    header, *grid_rows = zip(*(family[:-1] for family in per_family))
+    assert whole[0] == header[0]
+    assert whole[1:-1] == [row for point in grid_rows for row in point]
+    assert len(whole) == 2 + 2 * 3 and whole[-1] == b""
+
+
+def test_cli_validate_channel_checks_the_probed_window(capsys):
+    """An imported channel's identity residual is measured on the probed
+    modes; on the window 1, 2 it is the two-mode rows' perturbative residual
+    in the pinned sweep of the same channel."""
+    path = Path(__file__).resolve().parent / "data" / "channel_cavity_nmax8_u0.3.csv"
+    series = series_from_csv(path.read_text(encoding="utf-8"))
+    for modes, flags in (((1, 2), []), ((2, 5), ["--modes", "2,5"])):
+        assert main(["validate", "--channel", str(path), *flags]) == 1
+        measured = max(series.unitarity_residuals(modes))
+        expected = f"FAIL  imported channel: identity residual: measured {measured:.3e} vs bound 1.000e-06\n"
+        assert capsys.readouterr().out == expected, modes
+    pinned = (path.parent / "sweep_channel_nmax8_oracle.csv").read_text(encoding="utf-8").splitlines()
+    residual = float(pinned[2].split(",")[7])  # two_product_squeezed_displaced, residual_perturbative
+    assert f"{residual:.3e}" == f"{max(series.unitarity_residuals((1, 2))):.3e}" == "1.659e-05"
+
+
+def test_cli_adds_no_defaults_of_its_own(capsys):
+    """Without flags or config, the CLI leaves every default to the classes."""
+    channel = CavityChannel(CavityScenario(n_max=6), perturbative_overlaps(6))
+    assert main(["sweep", "--nmax", "6", "--grid", "0.3"]) == 0
+    assert capsys.readouterr().out == rows_to_csv(run_sweep(SweepSpec(grid=(0.3,)), channel))
+    assert main(["validate", "--nmax", "6"]) == 0
+    assert capsys.readouterr().out.splitlines() == validate(channel).lines()
 
 
 def test_cli_overlaps_cache_builder(tmp_path, capsys, monkeypatch):
