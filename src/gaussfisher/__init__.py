@@ -23,7 +23,6 @@ from .qfi import (
     qfi_perturbative,
 )
 from .cavity import (
-    CavityScenario,
     OverlapSeries,
     QuadratureError,
     RindlerOverlaps,

@@ -21,7 +21,6 @@ dimensionless in ``(h, u)``, and ``L`` would only set absolute frequencies.
 from __future__ import annotations
 
 import functools
-import math
 import os
 import tempfile
 import types
@@ -42,34 +41,6 @@ QUADRATURE_TOL = 1e-10
 
 class QuadratureError(RuntimeError):
     """The overlap quadrature did not converge within ``QUADRATURE_ORDERS``."""
-
-
-@dataclass(frozen=True)
-class CavityScenario:
-    """Geometry and mode truncation of the moving-cavity channel.
-
-    ``h`` is the dimensionless proper acceleration at the cavity center
-    (natural units, ``h = a L / c^2``) and ``u`` the dimensionless duration
-    of the accelerated segment; one unit of ``u`` is a full phase revolution
-    of every mode, so everything downstream is periodic in ``u``.
-    """
-
-    h: float = 0.05
-    u: float = 0.3
-    n_max: int = 10
-
-    def __post_init__(self):
-        if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 1:
-            raise ValueError(f"n_max={self.n_max!r} must be an integer >= 1")
-        if not 0.0 < self.h < 2.0:
-            raise ValueError(
-                f"h={self.h!r} out of range (0, 2): the left wall must stay "
-                "outside the acceleration horizon"
-            )
-        if not math.isfinite(self.u):
-            raise ValueError(f"duration parameter u={self.u!r} is not finite")
-        if self.u < 0.0:
-            raise ValueError("duration parameter u must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -4,20 +4,22 @@ Verbs:
 
 * ``sweep``    -- QFI over a duration grid for the selected probe families
 * ``compare``  -- perturbative vs oracle on an acceleration ladder
-* ``validate`` -- checks of the scenario's channel, or of an imported one,
+* ``validate`` -- checks of the cavity channel, or of an imported one,
   with measured residuals (exit 1 on failure)
 * ``overlaps`` -- precompute and cache the overlap series
 
 Every verb takes ``--config``, ``--nmax`` and ``--cache``, and beyond those
 only the flags it reads. Each value input is one row of ``INPUTS``: the
-keyword of :class:`CavityScenario` or :class:`SweepSpec` that reads it, its
+keyword of :class:`CavityChannel` or :class:`SweepSpec` that reads it, its
 config keys, type and help. A flag wins over its config keys, and the class
 holds every default. :func:`channel_from` is the one place that picks the
-channel provider: an imported ``--channel``, or the scenario's cavity
-channel. With an imported channel the ``CAVITY_FLAGS``, which only shape
-the cavity channel, are refused with their config keys, and the probed
-modes are checked against its ``n_max``. Everything is dimensionless in
-``(h, u)``, so no cavity length is asked for.
+channel provider: an imported ``--channel``, or the :class:`CavityChannel`
+of ``--h``, ``--u``, ``--nmax`` and ``--cache``, which reads or builds its
+overlap series only when an engine first reads the channel, after the
+engine's own refusals. With an imported channel the ``CAVITY_FLAGS``, which
+only shape the cavity channel, are refused with their config keys, and the
+probed modes are checked against its ``n_max``. Everything is dimensionless
+in ``(h, u)``, so no cavity length is asked for.
 
 Output is UTF-8 CSV with LF endings and full-precision floats; identical
 inputs and BLAS thread count give byte-identical files.
@@ -32,12 +34,7 @@ import sys
 import numpy as np
 
 from .bogoliubov import series_from_csv
-from .cavity import (
-    CavityScenario,
-    QuadratureError,
-    load_or_compute_overlap_series,
-    series_cache_file,
-)
+from .cavity import QuadratureError, series_cache_file
 from .states import quadrature_indices
 from .sweeps import (
     FAMILIES,
@@ -54,9 +51,9 @@ from .sweeps import (
 #: every value input by flag: the class and keyword that read it, config keys,
 #: type and help; a flag of two keys takes them as one comma list
 INPUTS = {
-    "--h": (CavityScenario, "h", ("h",), float, "acceleration parameter h = aL/c^2"),
-    "--u": (CavityScenario, "u", ("u",), float, "duration parameter (default from config/scenario)"),
-    "--nmax": (CavityScenario, "n_max", ("n_max",), int, "mode-ladder truncation"),
+    "--h": (CavityChannel, "h", ("h",), float, "acceleration parameter h = aL/c^2"),
+    "--u": (CavityChannel, "u", ("u",), float, "duration parameter (default from config/scenario)"),
+    "--nmax": (CavityChannel, "n_max", ("n_max",), int, "mode-ladder truncation"),
     "--modes": (SweepSpec, "modes", ("k", "k_prime"), int, "probed modes as 'k,k_prime' (default %d,%d)" % SweepSpec.modes),
     "--grid": (SweepSpec, "grid", ("u_grid",), str, "u grid 'start:stop:step' or comma list"),
     "--photons": (SweepSpec, "photons", ("N",), float, "mean photon number per probe mode"),
@@ -159,10 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
 def given(args, config: dict, cls) -> dict:
     """The keywords of ``cls`` that a flag or its config keys gave, the flag
     first. A verb reads the config keys of the probe flags it takes, and all
-    of the cavity scenario's, which it builds whole."""
+    of the cavity channel's, which it builds whole."""
     values = {}
     for flag, (owner, keyword, keys, kind, _) in INPUTS.items():
-        if owner is not cls or not (hasattr(args, flag[2:]) or owner is CavityScenario):
+        if owner is not cls or not (hasattr(args, flag[2:]) or owner is CavityChannel):
             continue
         value = getattr(args, flag[2:], None)
         if value is not None and len(keys) > 1:
@@ -180,17 +177,18 @@ def given(args, config: dict, cls) -> dict:
 
 
 def channel_from(args, config: dict):
-    """``(probe, build)``: the :class:`SweepSpec` keywords that a flag or
-    config key gave, and a callable that builds the channel provider.
+    """``(probe, channel)``: the :class:`SweepSpec` keywords that a flag or
+    config key gave, and the channel provider.
 
-    Every refusal comes first: ``CAVITY_FLAGS`` and their config keys with
-    an imported ``--channel``, the file, the scenario, and the modes against
-    the channel's ``n_max`` (not for ``overlaps``, which probes none). Only
-    ``build`` reads or writes the cache, so a verb calls it once its own
-    input is checked.
+    Every refusal of the channel's input comes here: ``CAVITY_FLAGS`` and
+    their config keys with an imported ``--channel``, the file, the cavity's
+    ``h``, ``u`` and ``n_max``, and the modes against the channel's
+    ``n_max`` (not for ``overlaps``, which probes none). Nothing here reads
+    or writes the cache: a :class:`CavityChannel` does that on its first
+    read, which each engine makes after its own refusals.
     """
     imported = None
-    if getattr(args, "channel", None):
+    if getattr(args, "channel", None) is not None:
         unread = CAVITY_FLAGS[args.command]
         for flag in unread:
             if getattr(args, flag[2:]) is not None:
@@ -203,13 +201,11 @@ def channel_from(args, config: dict):
     probe = given(args, config, SweepSpec)
     modes = probe.get("modes", SweepSpec.modes)
     # checked with an imported channel too, so a config h or u it reads no more stays valid
-    scenario = CavityScenario(**given(args, config, CavityScenario))
-    if imported is not None:
-        quadrature_indices(modes, imported.n_max)
-        return probe, lambda: imported
+    cavity = CavityChannel(**given(args, config, CavityChannel), cache=args.cache)
+    channel = cavity if imported is None else imported
     if args.command != "overlaps":  # the one verb that probes no modes
-        quadrature_indices(modes, scenario.n_max)
-    return probe, lambda: CavityChannel(scenario, load_or_compute_overlap_series(scenario.n_max, args.cache))
+        quadrature_indices(modes, channel.n_max)
+    return probe, channel
 
 
 def emit(text: str, out_path: str | None) -> None:
@@ -245,25 +241,20 @@ def _run(args) -> int:
             probe["grid"] = parse_grid(probe["grid"])
         if args.methods is not None:
             probe["methods"] = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-        spec = SweepSpec(**probe)
-        spec.probes()  # refuses a probe it cannot build before any overlap is read
-        emit(rows_to_csv(run_sweep(spec, channel())), args.out)
+        emit(rows_to_csv(run_sweep(SweepSpec(**probe), channel)), args.out)
         return 0
 
     if args.command == "compare":
         ladder = tuple(finite(tok, "ladder value", positive=True) for tok in args.ladder.split(","))
         spec = SweepSpec(**{"r": 1.0, "delta": 0.0, **probe})
-        if len(set(ladder)) < 2:  # as compare_methods does, but before any overlap is read
-            raise ValueError("compare needs at least two distinct h values on the ladder")
-        spec.probes()  # likewise
-        report = compare_methods(spec, channel(), h_ladder=ladder)
+        report = compare_methods(spec, channel, h_ladder=ladder)
         emit(comparison_to_csv(report), args.out)
         for family, slope in report.slopes.items():
             print(f"slope {family}: {slope:.3f}", file=sys.stderr)
         return 0 if report.passed else 1
 
     if args.command == "validate":
-        report = validate(channel(), probe.get("modes", SweepSpec.modes))
+        report = validate(channel, probe.get("modes", SweepSpec.modes))
         text = "\n".join(report.lines()) + "\n"
         emit(text, args.out)
         if args.out is not None:
@@ -273,7 +264,7 @@ def _run(args) -> int:
     # "overlaps", the only verb the parser leaves, and always a cavity
     if args.cache is None:
         raise ValueError("overlaps requires --cache")
-    ov = channel().overlaps
+    ov = channel.overlaps
     path = series_cache_file(args.cache, ov.n_max)
     print(f"{path}: n_max={ov.n_max} fit residual {ov.fit_residual:.3e}")
     return 0

@@ -13,13 +13,14 @@ given series, whose grid holds values of its parameter.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bogoliubov import BogoliubovSeries, identity_residual
-from .cavity import CavityScenario, OverlapSeries, compose_one_segment
+from .cavity import OverlapSeries, compose_one_segment, load_or_compute_overlap_series
 from .qfi import (
     FAMILIES,
     energy_matched_params,
@@ -36,26 +37,49 @@ from .states import quadrature_indices
 @dataclass(frozen=True)
 class CavityChannel:
     """The moving cavity's channel: the grid holds durations ``u``, and theta
-    is the scenario's acceleration ``h``. ``overlaps`` is the overlap series
-    at the scenario's ``n_max``, and sets the channel's."""
+    is the acceleration ``h``.
 
-    scenario: CavityScenario
-    overlaps: OverlapSeries
+    ``h`` is the dimensionless proper acceleration at the cavity center
+    (natural units, ``h = a L / c^2``), ``u`` the dimensionless duration of
+    the accelerated segment, and ``n_max`` the mode-ladder truncation; one
+    unit of ``u`` is a full phase revolution of every mode, so everything
+    downstream is periodic in ``u``. The overlap series at ``n_max`` is read
+    from ``cache``, or built and written there, on first use, and kept for
+    the channel's lifetime; without ``cache`` it is built in memory.
+    """
 
-    @property
-    def n_max(self) -> int:
-        return self.overlaps.n_max
+    h: float = 0.05
+    u: float = 0.3
+    n_max: int = 10
+    cache: str | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 1:
+            raise ValueError(f"n_max={self.n_max!r} must be an integer >= 1")
+        if not 0.0 < self.h < 2.0:
+            raise ValueError(
+                f"h={self.h!r} out of range (0, 2): the left wall must stay "
+                "outside the acceleration horizon"
+            )
+        if not math.isfinite(self.u):
+            raise ValueError(f"duration parameter u={self.u!r} is not finite")
+        if self.u < 0.0:
+            raise ValueError("duration parameter u must be non-negative")
+
+    @functools.cached_property
+    def overlaps(self) -> OverlapSeries:
+        return load_or_compute_overlap_series(self.n_max, self.cache)
 
     def orders(self, grid=None, rows=None) -> BogoliubovSeries:
-        """The series at the scenario's duration, or at each duration of
+        """The series at the channel's duration, or at each duration of
         ``grid`` as a stack, on the output ``rows`` (``None`` keeps all)."""
-        return compose_one_segment(self.overlaps, self.scenario.u if grid is None else grid, rows)
+        return compose_one_segment(self.overlaps, self.u if grid is None else grid, rows)
 
     def oracle_points(self, grid, probes):
         """``(family, h)`` at each duration of ``grid``: the oracle's family
         of ``probes`` on the whole channel composed there."""
         for u in grid:
-            yield probe_family(self.orders(u), probes), self.scenario.h
+            yield probe_family(self.orders(u), probes), self.h
 
     def checks(self, modes) -> list[Check]:
         """First-order structure, the identity residual at ``h`` and its cubic
@@ -64,16 +88,16 @@ class CavityChannel:
         series = self.orders()
         diagonal = max(np.max(np.abs(np.diag(series.alpha1))), np.max(np.abs(np.diag(series.beta1))))
         first, _ = series.unitarity_residuals(modes=modes)
-        at_h = identity_residual(*series.evaluate(self.scenario.h), modes)
+        at_h = identity_residual(*series.evaluate(self.h), modes)
         # evaluated identity residual must shrink like h^3 on the probed modes
         hs = (0.02, 0.04, 0.08)
         res = [identity_residual(*series.evaluate(h), modes, modes) for h in hs]
         slope = float(np.polyfit(np.log(hs), np.log(res), 1)[0])
         # periodicity in the duration parameter, from the same overlap series
-        shifted = self.orders(self.scenario.u + 1.0)
+        shifted = self.orders(self.u + 1.0)
         drift = max(np.max(np.abs(shifted.alpha1 - series.alpha1)),
                     np.max(np.abs(shifted.beta2 - series.beta2)))
-        # dual-path agreement at the scenario point: the composed series is a
+        # dual-path agreement at the channel's point: the composed series is a
         # channel in theta = h on its own, so it is not composed again
         report = compare_methods(SweepSpec(modes=modes, r=1.0, delta=0.0), ImportedChannel(series))
         return [
@@ -305,7 +329,7 @@ def compare_methods(spec: SweepSpec, channel, h_ladder=(0.02, 0.04, 0.08)) -> Co
     """Perturbative vs oracle on an acceleration ladder, per family.
 
     The channel's series is ``channel.orders()``: the cavity's at its
-    scenario's duration, or the imported series; the spec's grid and
+    duration, or the imported series; the spec's grid and
     methods are not read. The perturbative value is the leading-order limit
     and does not depend on ``h``; the oracle is evaluated at each ``h`` on
     the ladder. The fitted log-log slope of the relative deviation measures
@@ -314,8 +338,8 @@ def compare_methods(spec: SweepSpec, channel, h_ladder=(0.02, 0.04, 0.08)) -> Co
     if len(set(h_ladder)) < 2:
         raise ValueError("compare needs at least two distinct h values on the ladder")
     quadrature_indices(spec.modes, channel.n_max)
+    probes = spec.probes()  # refuses a probe it cannot build before the channel is read
     series = channel.orders()
-    probes = spec.probes()
     perts = [qfi_perturbative(series, modes, state).value for *_, state, modes in probes]
     states_at = probe_family(series, [(modes, state) for *_, state, modes in probes])
     # one oracle call per rung, read by every family

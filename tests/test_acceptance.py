@@ -45,12 +45,10 @@ def deep_sweep(tmp_path_factory):
     """QFI curves of the three probe families at matched energy (N = 1) plus
     the vacuum (r = 0) curves, on the acceptance u grid, produced through
     the sweep pipeline."""
-    from gaussfisher.cavity import CavityScenario, load_or_compute_overlap_series
     from gaussfisher.sweeps import CavityChannel, SweepSpec, run_sweep
 
     cache = str(tmp_path_factory.mktemp("overlap-cache"))
-    scenario = CavityScenario(**DEEP_SCENARIO_KWARGS)
-    channel = CavityChannel(scenario, load_or_compute_overlap_series(scenario.n_max, cache))
+    channel = CavityChannel(**DEEP_SCENARIO_KWARGS, cache=cache)
     matched = run_sweep(SweepSpec(grid=U_GRID, photons=1.0, x=1.0), channel)
     vacuum = run_sweep(
         SweepSpec(
@@ -343,13 +341,12 @@ def test_criterion_7_product_vs_two_mode_squeezed(deep_sweep):
     )
 
 
-def test_criterion_8_energy_split_features(overlap_series_60):
+def test_criterion_8_energy_split_features():
     # definition identity: the x = 0 budget column of the sweep equals the
     # directly parameterized displaced family at equal photon number
-    from gaussfisher.cavity import CavityScenario
     from gaussfisher.sweeps import CavityChannel, SweepSpec, run_sweep
 
-    channel = CavityChannel(CavityScenario(**DEEP_SCENARIO_KWARGS), overlap_series_60)
+    channel = CavityChannel(**DEEP_SCENARIO_KWARGS)
     fams = ("two_product_squeezed_displaced",)
     budget_rows = run_sweep(
         SweepSpec(grid=(0.2, 0.3, 0.45), families=fams, x=0.0, photons=1.0), channel
@@ -366,7 +363,7 @@ def test_criterion_8_energy_split_features(overlap_series_60):
     # is alive
     orderings = []
     for u in (0.1, 0.25, 0.4, 0.5, 0.75):
-        series = compose_one_segment(overlap_series_60, u)
+        series = compose_one_segment(channel.overlaps, u)
         values = []
         for x in (0.0, 0.25, 0.5, 0.75, 1.0):
             r, d = energy_matched_params("two_product_squeezed_displaced", 1.0, 1, 2, x=x)

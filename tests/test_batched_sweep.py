@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import compose_one_segment_reference, reference_sweep, synthetic_unitary_series
 from gaussfisher import sweeps
 from gaussfisher.bogoliubov import BogoliubovSeries, covariance_series, series_to_csv
-from gaussfisher.cavity import CavityScenario, compose_one_segment, load_or_compute_overlap_series
+from gaussfisher.cavity import compose_one_segment
 from gaussfisher.cli import main
 from gaussfisher.qfi import QfiResult, c2_from_orders, perturbative_rows, probe_state, qfi_perturbative
 from gaussfisher.sweeps import FAMILIES, CavityChannel, SweepSpec, run_sweep
@@ -48,9 +48,9 @@ def test_batched_sweep_matches_per_u_reference(cache, n_max, above_one, more, ph
     k_prime = data.draw(st.one_of(st.just(n_max), st.integers(1, n_max)))
     k = data.draw(st.integers(1, n_max).filter(lambda k: k != k_prime))
     spec = SweepSpec(modes=(k, k_prime), grid=grid, photons=photons, x=x)
-    overlaps = load_or_compute_overlap_series(n_max, cache)
-    rows = run_sweep(spec, CavityChannel(CavityScenario(n_max=n_max), overlaps))
-    want = reference_sweep(spec, overlaps)
+    channel = CavityChannel(n_max=n_max, cache=cache)
+    rows = run_sweep(spec, channel)
+    want = reference_sweep(spec, channel.overlaps)
     assert len(rows) == len(want) == len(grid) * len(FAMILIES)
     for row, (u, family, qfi, e2, c2, residual, negativity) in zip(rows, want):
         assert (row.grid_value, row.family) == (u, family)

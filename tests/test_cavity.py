@@ -10,7 +10,6 @@ from gaussfisher import cavity
 from gaussfisher.bogoliubov import BogoliubovSeries, identity_residual
 from gaussfisher.cavity import (
     QUADRATURE_ORDERS,
-    CavityScenario,
     QuadratureError,
     compose_one_segment,
     load_or_compute_overlap_series,
@@ -27,20 +26,20 @@ from gaussfisher.cli import main
 from gaussfisher.sweeps import CavityChannel, validate
 
 
-def test_scenario_validation(overlap_series_10):
-    CavityScenario()  # defaults are valid
+def test_scenario_validation():
+    CavityChannel()  # defaults are valid
     with pytest.raises(ValueError):
-        CavityScenario(h=2.5)  # left wall behind the horizon
+        CavityChannel(h=2.5)  # left wall behind the horizon
     with pytest.raises(ValueError):
-        CavityScenario(h=0.0)
+        CavityChannel(h=0.0)
     with pytest.raises(ValueError):
-        CavityScenario(u=-0.1)
+        CavityChannel(u=-0.1)
     for n_max in (0, -3, 2.5):
         with pytest.raises(ValueError, match="n_max"):
-            CavityScenario(n_max=n_max)
-    assert CavityScenario(n_max=np.int64(1)).n_max == 1
+            CavityChannel(n_max=n_max)
+    assert CavityChannel(n_max=np.int64(1)).n_max == 1
     # the probed modes are checked against the channel's n_max where they are read
-    channel = CavityChannel(CavityScenario(), overlap_series_10)
+    channel = CavityChannel()
     with pytest.raises(ValueError):
         validate(channel, (1, 1))
     with pytest.raises(ValueError):
@@ -349,7 +348,6 @@ def test_quadrature_failure_is_typed():
 
 
 def test_cavity_series_from_scenario(tmp_path):
-    scenario = CavityScenario(n_max=6, u=0.25)
-    series = CavityChannel(scenario, load_or_compute_overlap_series(6, str(tmp_path / "c"))).orders()
+    series = CavityChannel(n_max=6, u=0.25, cache=str(tmp_path / "c")).orders()
     assert series.n_max == 6
     assert np.allclose(series.G, mode_phases(6, 0.25))

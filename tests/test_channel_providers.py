@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import RecordingChannel, synthetic_unitary_series
-from gaussfisher.cavity import CavityScenario
+from gaussfisher import cavity
 from gaussfisher.sweeps import (
     FAMILIES,
     CavityChannel,
@@ -20,13 +20,13 @@ from gaussfisher.sweeps import (
 
 
 @pytest.fixture(params=["imported", "cavity"])
-def provider(request, overlap_series_10):
+def provider(request):
     """A provider, and a grid of its own parameter: theta values for an
     imported series, durations for the cavity."""
     if request.param == "imported":
         series = synthetic_unitary_series(6, np.random.default_rng(21), strength=0.2)
         return ImportedChannel(series), (0.02, 0.05, 0.08)
-    return CavityChannel(CavityScenario(), overlap_series_10), (0.137, 0.5, 0.771)
+    return CavityChannel(), (0.137, 0.5, 0.771)
 
 
 def test_run_sweep_through_a_duck_typed_provider(provider):
@@ -50,3 +50,32 @@ def test_compare_and_validate_through_a_duck_typed_provider(provider):
     recording.calls.clear()
     assert validate(recording, (2, 1)) == validate(channel, (2, 1))
     assert recording.calls == [("checks", ((2, 1),))]
+
+
+def test_cavity_channel_builds_its_series_once_and_only_after_every_refusal(tmp_path, monkeypatch):
+    """A cavity channel reads or builds its overlap series on the first
+    ``orders`` call, which each engine makes after its own refusals, and
+    keeps it for every later call."""
+    calls = []
+    real = cavity.perturbative_overlaps
+
+    def counting(n_max):
+        calls.append(n_max)
+        return real(n_max)
+
+    monkeypatch.setattr(cavity, "perturbative_overlaps", counting)
+    cache = tmp_path / "c"
+    channel = CavityChannel(n_max=6, cache=str(cache))
+    refused = (
+        lambda: run_sweep(SweepSpec(photons=-1.0), channel),
+        lambda: compare_methods(SweepSpec(photons=-1.0), channel),
+        lambda: compare_methods(SweepSpec(r=1.0), channel, h_ladder=(0.02,)),
+        lambda: validate(channel, (1, 7)),
+    )
+    for engine in refused:
+        with pytest.raises(ValueError):
+            engine()
+        assert calls == [] and not cache.exists()
+    run_sweep(SweepSpec(grid=(0.3,)), channel)
+    validate(channel)
+    assert calls == [6]

@@ -10,7 +10,6 @@ import pytest
 
 from conftest import full_covariance_series, full_unitarity_residuals, synthetic_unitary_series
 from gaussfisher.bogoliubov import BogoliubovSeries, covariance_series
-from gaussfisher.cavity import CavityScenario
 from gaussfisher.qfi import probe_state, qfi_perturbative
 from gaussfisher.sweeps import FAMILIES, CavityChannel, SweepSpec, run_sweep
 
@@ -91,7 +90,7 @@ def test_perturbative_route_builds_no_full_matrix(monkeypatch, synthetic, cavity
             assert np.isfinite(result.value) and result.value >= 0.0
 
 
-def test_residual_shared_between_families_on_same_modes(monkeypatch, overlap_series_10):
+def test_residual_shared_between_families_on_same_modes(monkeypatch):
     calls = []
     original = BogoliubovSeries.unitarity_residuals
 
@@ -101,7 +100,7 @@ def test_residual_shared_between_families_on_same_modes(monkeypatch, overlap_ser
 
     monkeypatch.setattr(BogoliubovSeries, "unitarity_residuals", counted)
     spec = SweepSpec(grid=(0.2, 0.4))
-    rows = run_sweep(spec, CavityChannel(CavityScenario(), overlap_series_10))
+    rows = run_sweep(spec, CavityChannel())
     assert len(rows) == 2 * len(FAMILIES)
     # one evaluation per family for the whole grid: (1,) for the single-mode
     # probe, (1, 2) for each two-mode one

@@ -7,8 +7,8 @@ import pytest
 from conftest import synthetic_unitary_series
 from gaussfisher import cavity
 from gaussfisher.bogoliubov import BogoliubovSeries, series_from_csv, series_to_csv
-from gaussfisher.cavity import CavityScenario, load_or_compute_overlap_series, perturbative_overlaps, save_overlaps_csv
-from gaussfisher.cli import main, parse_grid, read_config
+from gaussfisher.cavity import perturbative_overlaps, save_overlaps_csv
+from gaussfisher.cli import INPUTS, main, parse_grid, read_config
 from gaussfisher.sweeps import (
     CavityChannel,
     ImportedChannel,
@@ -20,15 +20,8 @@ from gaussfisher.sweeps import (
 )
 
 
-def small_scenario(**kwargs):
-    defaults = dict(n_max=6, u=0.3, h=0.05)
-    defaults.update(kwargs)
-    return CavityScenario(**defaults)
-
-
 def small_channel(cache=None, **kwargs):
-    scenario = small_scenario(**kwargs)
-    return CavityChannel(scenario, load_or_compute_overlap_series(scenario.n_max, cache))
+    return CavityChannel(**{"n_max": 6, **kwargs}, cache=cache)
 
 
 def test_spec_validation():
@@ -355,10 +348,15 @@ def test_cli_refuses_cavity_flags_with_imported_channel(tmp_path, capsys, verb, 
     out = tmp_path / "out.csv"
     grid = ["--grid", "0.05"] if verb == "sweep" else []
     value = str(tmp_path / value) if flag == "--cache" else value
-    argv = [verb, "--channel", str(path), *grid, flag, value, "--out", str(out)]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: {flag} is not read with an imported --channel\n"
-    assert not out.exists() and not (tmp_path / "cache").exists()
+    # an empty --channel names an imported channel too
+    for channel in (str(path), ""):
+        argv = [verb, "--channel", channel, *grid, flag, value, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {flag} is not read with an imported --channel\n"
+        assert not out.exists() and not (tmp_path / "cache").exists()
+    # and without a cavity flag it is a file that cannot be opened: no output, no check line
+    assert main([verb, "--channel", "", *grid]) == 2
+    assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: ''\n")
 
 
 def test_cli_checks_modes_against_imported_channel(tmp_path, capsys):
@@ -485,9 +483,20 @@ def test_cli_validate_channel_checks_the_probed_window(capsys):
     assert f"{residual:.3e}" == f"{max(series.unitarity_residuals((1, 2))):.3e}" == "1.659e-05"
 
 
+def test_cli_input_table_names_fields_of_its_classes():
+    """Each ``INPUTS`` row names a field of the class that reads it, and
+    every cavity channel field but its cache has a flag."""
+    owners = {owner for owner, *_ in INPUTS.values()}
+    assert owners == {CavityChannel, SweepSpec}
+    for flag, (owner, keyword, *_) in INPUTS.items():
+        assert keyword in {f.name for f in dataclasses.fields(owner)}, flag
+    flagged = {keyword for owner, keyword, *_ in INPUTS.values() if owner is CavityChannel}
+    assert flagged == {f.name for f in dataclasses.fields(CavityChannel)} - {"cache"}
+
+
 def test_cli_adds_no_defaults_of_its_own(capsys):
     """Without flags or config, the CLI leaves every default to the classes."""
-    channel = CavityChannel(CavityScenario(n_max=6), perturbative_overlaps(6))
+    channel = CavityChannel(n_max=6)
     assert main(["sweep", "--nmax", "6", "--grid", "0.3"]) == 0
     assert capsys.readouterr().out == rows_to_csv(run_sweep(SweepSpec(grid=(0.3,)), channel))
     assert main(["validate", "--nmax", "6"]) == 0
