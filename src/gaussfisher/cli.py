@@ -112,7 +112,10 @@ def parse_grid(text: str) -> tuple:
         start, stop, step = (finite(p, "grid value") for p in parts)
         if step <= 0:
             raise ValueError("grid step must be positive")
-        n = int(round((stop - start) / step))
+        if stop < start:
+            raise ValueError(f"grid {text!r} stops below its start")
+        # the last point stays at or below stop, up to roundoff in the step
+        n = math.floor((stop - start) / step + 1e-9)
         return tuple(np.round(start + step * np.arange(n + 1), 12))
     return tuple(finite(tok, "grid value") for tok in text.split(",") if tok.strip())
 

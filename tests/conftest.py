@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, expm_frechet
 
+from gaussfisher import cavity
 from gaussfisher.cavity import compose_one_segment, mode_phases, perturbative_overlaps, rindler_overlaps
 from gaussfisher.bogoliubov import BogoliubovSeries, CovarianceSeries, _assemble
 from gaussfisher.fidelity import FidelityError, fidelity_one_mode, fidelity_two_mode
@@ -292,6 +293,44 @@ def compose_one_segment_reference(overlaps, u: float) -> BogoliubovSeries:
         - ob1.T @ (gc[:, None] * oa1)
     )
     return BogoliubovSeries(n, g, alpha1, alpha2, beta1, beta2)
+
+
+def perturbative_overlaps_reference(n_max: int) -> cavity.OverlapSeries:
+    """Reference overlap series: the ladder walked in ascending ``h``, each
+    point's quadrature escalated from the smallest order, as the package did
+    before it started each point at the order that decided the previous one.
+
+    Same node evaluation, convergence test, fit and refusals as
+    :func:`gaussfisher.cavity.perturbative_overlaps`.
+    """
+    h = np.asarray(cavity.H_LADDER)
+    rules = cavity._gauss_legendre()
+    alphas, betas = [], []
+    for hv in h:
+        prev = None
+        for order in cavity.QUADRATURE_ORDERS:
+            alpha, beta = cavity._overlaps_at_order(hv, n_max, *rules[order])
+            if prev is not None:
+                change = max(np.max(np.abs(alpha - prev[0])), np.max(np.abs(beta - prev[1])))
+                if change < cavity.QUADRATURE_TOL:
+                    break
+            prev = (alpha, beta)
+        else:
+            raise cavity.QuadratureError(
+                f"quadrature did not converge to {cavity.QUADRATURE_TOL:g} "
+                f"at order {cavity.QUADRATURE_ORDERS[-1]}"
+            )
+        alphas.append((alpha - np.eye(n_max)).reshape(-1))
+        betas.append(beta.reshape(-1))
+    design = np.vander(h, 5, increasing=True)[:, 1:]
+    coef_a, res_a, *_ = np.linalg.lstsq(design, np.stack(alphas), rcond=None)
+    coef_b, res_b, *_ = np.linalg.lstsq(design, np.stack(betas), rcond=None)
+    worst = float(np.sqrt(max(np.max(res_a), np.max(res_b)) / (h.size - 4)))
+    bound = cavity._max_fit_residual(n_max)
+    if worst > bound:
+        raise ValueError(f"overlap series fit residual {worst:.3e} above {bound:.3e}")
+    orders = (c.reshape(n_max, n_max) for c in (coef_a[0], coef_a[1], coef_b[0], coef_b[1]))
+    return cavity.OverlapSeries(n_max, *orders, worst)
 
 
 def reference_sweep(spec, overlaps) -> list:

@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from conftest import alpha1_closed_form, beta1_closed_form, exact_qfi
+from conftest import alpha1_closed_form, beta1_closed_form, exact_qfi, perturbative_overlaps_reference
 from gaussfisher import cavity
 from gaussfisher.bogoliubov import BogoliubovSeries, identity_residual
 from gaussfisher.cavity import (
@@ -234,7 +234,7 @@ def test_cached_series_enforces_fit_bound(tmp_path):
     series = load_or_compute_overlap_series(6, cache)
     bad = dataclasses.replace(series, fit_residual=2.0 * _max_fit_residual(6))
     save_overlaps_csv(series_cache_file(cache, 6), bad)
-    with pytest.raises(ValueError, match="fit residual 2.000e-07 above 1e-07"):
+    with pytest.raises(ValueError, match="fit residual 2.000e-07 above 1.000e-07"):
         load_or_compute_overlap_series(6, cache)
 
 
@@ -345,6 +345,45 @@ def test_quadrature_failure_is_typed():
     with pytest.raises(QuadratureError):
         rindler_overlaps(0.04, 150)
     assert issubclass(QuadratureError, RuntimeError)
+
+
+@pytest.mark.parametrize("n_max", [1, 10, 29, 30, 60, 66, 67, 68, 90, 120, 135])
+def test_ladder_walk_matches_full_escalation(n_max):
+    # one n_max per convergence regime: every point at 128 (up to 29), at
+    # 256 (30-66), h = 0.04 at 256 and the rest at 512 (67), all at 512
+    # (68-135); an ascending walk would differ at 67
+    series = perturbative_overlaps(n_max)
+    reference = perturbative_overlaps_reference(n_max)
+    for name in ("alpha1", "alpha2", "beta1", "beta2"):
+        assert np.array_equal(getattr(series, name), getattr(reference, name)), name
+    assert series.fit_residual == reference.fit_residual
+
+
+@pytest.mark.parametrize("n_max, error", [(136, ValueError), (145, QuadratureError)])
+def test_ladder_walk_refuses_as_full_escalation(n_max, error):
+    # 136-144 fail the fit's residual bound, 145 and above the quadrature
+    with pytest.raises(error) as reference:
+        perturbative_overlaps_reference(n_max)
+    with pytest.raises(error) as walked:
+        perturbative_overlaps(n_max)
+    assert str(walked.value) == str(reference.value)
+
+
+def test_ladder_walk_skips_only_unconverged_orders(monkeypatch):
+    calls = []
+
+    def count(h, n_max, nodes, weights):
+        calls.append(nodes.size)
+        return _overlaps_at_order(h, n_max, nodes, weights)
+
+    monkeypatch.setattr(cavity, "_overlaps_at_order", count)
+    counts = {}
+    for n_max in (10, 30, 60, 67, 90, 120):
+        calls.clear()
+        perturbative_overlaps(n_max)
+        counts[n_max] = len(calls)
+    # a full escalation at every point takes 12, 18, 18, 23, 24 and 24
+    assert counts == {10: 12, 30: 13, 60: 13, 67: 14, 90: 14, 120: 14}
 
 
 def test_cavity_series_from_scenario(tmp_path):

@@ -198,6 +198,14 @@ def test_parse_grid():
         parse_grid("0:1:0:9")
     with pytest.raises(ValueError):
         parse_grid("0:1:-0.1")
+    # the stop is inclusive and never overshot, up to roundoff in the step
+    assert parse_grid("0:1:0.6") == (0.0, 0.6)
+    assert parse_grid("0:0.3:0.1") == (0.0, 0.1, 0.2, 0.3)
+    fine = parse_grid("0:1:0.01")
+    assert len(fine) == 101 and fine[-1] == 1.0
+    assert parse_grid("0.5:0.5:0.1") == (0.5,)
+    with pytest.raises(ValueError, match=r"^grid '1:0:0.1' stops below its start$"):
+        parse_grid("1:0:0.1")
 
 
 def test_cli_sweep_writes_deterministic_csv(tmp_path):
@@ -573,7 +581,7 @@ DAMAGED_CACHES = {
     "nan entry": (_with_nan, "alpha2 is not a finite float64 array of shape (6, 6)"),
     "residual above bound": (
         lambda path, series: save_overlaps_csv(str(path), dataclasses.replace(series, fit_residual=1e-3)),
-        "fit residual 1.000e-03 above 1e-07",
+        "fit residual 1.000e-03 above 1.000e-07",
     ),
     "missing key": (_without_beta2, "beta2 is not a file in the archive"),
 }
@@ -601,13 +609,19 @@ def test_cli_rejects_damaged_cache(tmp_path, capsys, case):
     [
         ["sweep", "--nmax", "150", "--grid", "0.3", "--out", "{tmp}/out.csv"],
         ["overlaps", "--nmax", "150", "--cache", "{tmp}/cache"],
+        # 136-144 converge but fail the series fit's residual bound
+        ["sweep", "--nmax", "136", "--grid", "0.3", "--out", "{tmp}/out.csv"],
     ],
 )
 def test_cli_quadrature_failure_exits_2(tmp_path, capsys, argv):
+    expected = {
+        "150": "error: quadrature did not converge to 1e-10 at order 512",
+        "136": "error: overlap series fit residual 1.873e-05 above 1.850e-05",
+    }[argv[2]]
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: quadrature did not converge")
+    assert err.startswith(expected), err
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
