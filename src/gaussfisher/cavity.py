@@ -6,8 +6,12 @@ The channel is assembled from first principles in three steps:
 1. :func:`rindler_overlaps` computes the inertial-to-accelerated mode
    overlaps at finite ``h = a L / c^2`` by Gauss-Legendre quadrature of the
    Klein-Gordon inner product on the shared ``t = 0`` slice;
-2. :func:`perturbative_overlaps` extracts their first- and second-order
-   coefficients by polynomial fits over a ladder of small ``h`` values;
+2. their first- and second-order coefficients in ``h`` come from
+   :func:`taylor_overlaps`, exactly, by expanding that inner product's
+   integrand in ``h``; the perturbative route reads only these.
+   :func:`perturbative_overlaps` fits the same coefficients to the
+   quadrature over a ladder of small ``h`` values, and the oracle still
+   completes that fitted series, read from or written to an ``.npz`` cache;
 3. :func:`compose_one_segment` chains "enter the accelerated frame, accrue
    mode phases for a proper duration, return to the inertial frame" into a
    single series in ``h``: the whole channel at one duration, or the block
@@ -60,7 +64,8 @@ class OverlapSeries:
 
     All matrices are real in the phase convention where the overlap matrix
     tends to the identity as ``h -> 0``. ``fit_residual`` is the worst
-    per-entry RMS misfit of the polynomial regression.
+    per-entry RMS misfit of the polynomial regression, and 0 for the exact
+    coefficients of :func:`taylor_overlaps`.
     """
 
     n_max: int
@@ -196,6 +201,50 @@ def perturbative_overlaps(n_max: int) -> OverlapSeries:
         raise ValueError(f"overlap series fit residual {worst:.3e} above {bound:.3e}")
     orders = (c.reshape(n_max, n_max) for c in (coef_a[0], coef_a[1], coef_b[0], coef_b[1]))
     return OverlapSeries(n_max, *orders, worst)
+
+
+def taylor_overlaps(n_max: int) -> OverlapSeries:
+    """Exact first- and second-order coefficients of the overlaps in ``h``.
+
+    With ``t = x - x_L`` in [0, 1], the integrand of :func:`_overlaps_at_order`
+    expands in ``h`` through the accelerated modes' phase and the ``1/x``
+    weight of their frequency:
+
+        xi = ln(x/x_L)/D = t + h t(1-t)/2 + h^2 t(1-t)(1-2t)/6 + O(h^3)
+        1/(D x)          = 1 + h (1/2 - t) + h^2 (t^2 - t + 1/6) + O(h^3)
+
+    Each order of the integrand is a polynomial in ``t`` times sines and
+    cosines of ``(n -+ m) pi t``. Integrating by parts leaves only boundary
+    terms, and those collapse, for rows ``m`` and columns ``n``, to
+
+        alpha1_mn = 2 sqrt(mn) / (pi^2 (n - m)^3)             m + n odd
+        beta1_mn  = 2 sqrt(mn) / (pi^2 (n + m)^3)             m + n odd
+        alpha2_mn = sqrt(mn) (m + 2n) / (pi^2 (n - m)^4)      m + n even, m != n
+        alpha2_nn = -n^2 pi^2 / 240
+        beta2_mn  = sqrt(mn) (2n - m) / (pi^2 (n + m)^4)      m + n even
+
+    and zero otherwise: reflecting the cavity about its centre maps ``h`` to
+    ``-h`` and multiplies the overlap of modes ``m`` and ``n`` by
+    ``(-1)^(m+n)``, so first orders vanish for even ``m + n`` and second
+    orders for odd. There is no quadrature, no fit (``fit_residual`` is 0)
+    and no bound on ``n_max``.
+    """
+    idx = np.arange(1, n_max + 1, dtype=float)
+    m, n = idx[:, None], idx[None, :]
+    odd = (m + n) % 2 == 1
+    root = np.sqrt(m * n) / np.pi**2
+    # powers by products: a float power is several times slower per entry;
+    # the diagonal, where n - m vanishes, is even and takes alpha2_nn
+    gap = 1.0 / np.where(m == n, 1.0, n - m)
+    gap2 = gap * gap
+    span = 1.0 / (n + m)
+    span2 = span * span
+    alpha1 = np.where(odd, 2.0 * root * gap2 * gap, 0.0)
+    beta1 = np.where(odd, 2.0 * root * span2 * span, 0.0)
+    alpha2 = np.where(odd, 0.0, root * (m + 2.0 * n) * gap2 * gap2)
+    np.fill_diagonal(alpha2, -((np.pi * idx) ** 2) / 240.0)
+    beta2 = np.where(odd, 0.0, root * (2.0 * n - m) * span2 * span2)
+    return OverlapSeries(n_max, alpha1, alpha2, beta1, beta2, 0.0)
 
 
 def mode_phases(n_max: int, u) -> np.ndarray:

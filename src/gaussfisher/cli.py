@@ -6,20 +6,22 @@ Verbs:
 * ``compare``  -- perturbative vs oracle on an acceleration ladder
 * ``validate`` -- checks of the cavity channel, or of an imported one,
   with measured residuals (exit 1 on failure)
-* ``overlaps`` -- precompute and cache the overlap series
+* ``overlaps`` -- precompute and cache the fitted overlap series
 
-Every verb takes ``--config``, ``--nmax`` and ``--cache``, and beyond those
-only the flags it reads. Each value input is one row of ``INPUTS``: the
-keyword of :class:`CavityChannel` or :class:`SweepSpec` that reads it, its
-config keys, type and help. A flag wins over its config keys, and the class
-holds every default. :func:`channel_from` is the one place that picks the
-channel provider: an imported ``--channel``, or the :class:`CavityChannel`
-of ``--h``, ``--u``, ``--nmax`` and ``--cache``, which reads or builds its
-overlap series only when an engine first reads the channel, after the
-engine's own refusals. With an imported channel the ``CAVITY_FLAGS``, which
+Every verb takes ``--config`` and ``--nmax``, and beyond those only the
+flags it reads: ``--cache`` only ``sweep``, whose oracle completes the
+fitted overlap series, and ``overlaps``. Each value input is one row of
+``INPUTS``: the keyword of :class:`CavityChannel` or :class:`SweepSpec`
+that reads it, its config keys, type and help. A flag wins over its config
+keys, and the class holds every default. :func:`channel_from` is the one
+place that picks the channel provider: an imported ``--channel``, or the
+:class:`CavityChannel` of ``--h``, ``--u``, ``--nmax`` and ``--cache``,
+which builds its overlap series only when an engine first reads the
+channel, after the engine's own refusals, and reads or writes the cache
+only for the oracle. With an imported channel the ``CAVITY_FLAGS``, which
 only shape the cavity channel, are refused with their config keys, and the
-probed modes are checked against its ``n_max``. Everything is dimensionless
-in ``(h, u)``, so no cavity length is asked for.
+probed modes are checked by the provider. Everything is dimensionless in
+``(h, u)``, so no cavity length is asked for.
 
 Output is UTF-8 CSV with LF endings and full-precision floats; identical
 inputs and BLAS thread count give byte-identical files.
@@ -35,7 +37,6 @@ import numpy as np
 
 from .bogoliubov import series_from_csv
 from .cavity import QuadratureError, series_cache_file
-from .states import quadrature_indices
 from .sweeps import (
     FAMILIES,
     CavityChannel,
@@ -86,8 +87,8 @@ def read_config(path: str) -> dict:
 #: of those in ``INPUTS``, unread
 CAVITY_FLAGS = {
     "sweep": ("--nmax", "--cache", "--h"),
-    "compare": ("--nmax", "--cache", "--u"),
-    "validate": ("--nmax", "--cache", "--h"),
+    "compare": ("--nmax", "--u"),
+    "validate": ("--nmax", "--h"),
 }
 
 
@@ -130,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     options = {
         "--config": dict(help="key = value scenario file"),
-        "--cache": dict(help="directory for the cached overlap series"),
+        "--cache": dict(help="directory for the cached fitted overlap series"),
         "--out": dict(help="output CSV path (default: stdout)"),
         "--channel": dict(help="CSV file with an imported channel series"),
         "--state": dict(action="append", choices=FAMILIES, help="probe family (repeatable; default: all three)"),
@@ -141,17 +142,18 @@ def build_parser() -> argparse.ArgumentParser:
         options[flag] = dict(type=kind if len(keys) == 1 else str, help=text)
     verbs = (
         ("sweep", "QFI over a duration grid",
-         ("--out", "--h", "--modes", "--channel", "--state", "--r", "--delta", "--grid", "--x", "--photons", "--methods")),
+         ("--out", "--cache", "--h", "--modes", "--channel", "--state", "--r", "--delta", "--grid", "--x", "--photons",
+          "--methods")),
         ("compare", "perturbative vs oracle on an h ladder",
          ("--out", "--modes", "--channel", "--state", "--r", "--delta", "--u", "--ladder")),
         ("validate", "check the channel's invariants", ("--out", "--h", "--modes", "--channel")),
-        ("overlaps", "build the overlap-series cache", ()),
+        ("overlaps", "build the fitted overlap-series cache", ("--cache",)),
     )
     # each verb registers only the flags it reads, and refuses abbreviations:
     # otherwise a flag it lacks, such as ``--h``, would match ``--help``
     for verb, text, flags in verbs:
         p = sub.add_parser(verb, allow_abbrev=False, help=text)
-        for flag in ("--config", "--nmax", "--cache") + flags:
+        for flag in ("--config", "--nmax") + flags:
             p.add_argument(flag, **options[flag])
     return parser
 
@@ -185,10 +187,11 @@ def channel_from(args, config: dict):
 
     Every refusal of the channel's input comes here: ``CAVITY_FLAGS`` and
     their config keys with an imported ``--channel``, the file, the cavity's
-    ``h``, ``u`` and ``n_max``, and the modes against the channel's
-    ``n_max`` (not for ``overlaps``, which probes none). Nothing here reads
-    or writes the cache: a :class:`CavityChannel` does that on its first
-    read, which each engine makes after its own refusals.
+    ``h``, ``u`` and ``n_max``, and the modes by the provider's
+    ``check_modes`` (not for ``overlaps``, which probes none). Nothing here
+    reads or writes the cache: a :class:`CavityChannel` does that when the
+    oracle or ``overlaps`` first reads its fitted series, after the
+    engine's own refusals.
     """
     imported = None
     if getattr(args, "channel", None) is not None:
@@ -204,10 +207,10 @@ def channel_from(args, config: dict):
     probe = given(args, config, SweepSpec)
     modes = probe.get("modes", SweepSpec.modes)
     # checked with an imported channel too, so a config h or u it reads no more stays valid
-    cavity = CavityChannel(**given(args, config, CavityChannel), cache=args.cache)
+    cavity = CavityChannel(**given(args, config, CavityChannel), cache=getattr(args, "cache", None))
     channel = cavity if imported is None else imported
     if args.command != "overlaps":  # the one verb that probes no modes
-        quadrature_indices(modes, channel.n_max)
+        channel.check_modes(modes)
     return probe, channel
 
 

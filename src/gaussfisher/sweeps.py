@@ -6,9 +6,10 @@ compares the perturbative and oracle routes on an acceleration ladder, and
 checks a channel for the invariants it must satisfy.
 
 The engines read a channel only through its provider's ``n_max``,
-``orders``, ``oracle_points`` and ``checks``: :class:`CavityChannel` for the
-moving cavity, whose grid holds durations, or :class:`ImportedChannel` for a
-given series, whose grid holds values of its parameter.
+``check_modes``, ``orders``, ``oracle_points`` and ``checks``:
+:class:`CavityChannel` for the moving cavity, whose grid holds durations,
+or :class:`ImportedChannel` for a given series, whose grid holds values of
+its parameter.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import BogoliubovSeries, identity_residual
-from .cavity import OverlapSeries, compose_one_segment, load_or_compute_overlap_series
+from .cavity import OverlapSeries, compose_one_segment, load_or_compute_overlap_series, taylor_overlaps
 from .qfi import (
     FAMILIES,
     energy_matched_params,
@@ -43,9 +44,14 @@ class CavityChannel:
     (natural units, ``h = a L / c^2``), ``u`` the dimensionless duration of
     the accelerated segment, and ``n_max`` the mode-ladder truncation; one
     unit of ``u`` is a full phase revolution of every mode, so everything
-    downstream is periodic in ``u``. The overlap series at ``n_max`` is read
-    from ``cache``, or built and written there, on first use, and kept for
-    the channel's lifetime; without ``cache`` it is built in memory.
+    downstream is periodic in ``u``.
+
+    ``orders`` composes the exact overlap coefficients of
+    :func:`taylor_overlaps`, so the perturbative columns, ``compare`` and
+    ``validate`` read no quadrature and no fit. ``oracle_points`` composes
+    the fitted series of :func:`perturbative_overlaps`, read from ``cache``
+    or built and written there (in memory without ``cache``). Each series
+    is made on first use and kept for the channel's lifetime.
     """
 
     h: float = 0.05
@@ -66,20 +72,38 @@ class CavityChannel:
         if self.u < 0.0:
             raise ValueError("duration parameter u must be non-negative")
 
+    def check_modes(self, modes) -> None:
+        """Refuse probed ``modes`` outside ``1..n_max`` or repeated, and any
+        mode above ``n_max/2``: a probe there has its spectator sums cut at
+        the ladder's edge, where the QFI can come out negative."""
+        quadrature_indices(modes, self.n_max)
+        edge = max(modes)
+        if 2 * edge > self.n_max:
+            raise ValueError(
+                f"mode {edge} lies above n_max/2 = {self.n_max / 2:g}, at the edge of the "
+                f"mode ladder; probing it needs --nmax {2 * edge} or more"
+            )
+
+    @functools.cached_property
+    def taylor(self) -> OverlapSeries:
+        """The exact overlap coefficients at ``n_max``, which ``orders`` composes."""
+        return taylor_overlaps(self.n_max)
+
     @functools.cached_property
     def overlaps(self) -> OverlapSeries:
+        """The fitted overlap series at ``n_max``, which the oracle completes."""
         return load_or_compute_overlap_series(self.n_max, self.cache)
 
     def orders(self, grid=None, rows=None) -> BogoliubovSeries:
         """The series at the channel's duration, or at each duration of
         ``grid`` as a stack, on the output ``rows`` (``None`` keeps all)."""
-        return compose_one_segment(self.overlaps, self.u if grid is None else grid, rows)
+        return compose_one_segment(self.taylor, self.u if grid is None else grid, rows)
 
     def oracle_points(self, grid, probes):
         """``(family, h)`` at each duration of ``grid``: the oracle's family
-        of ``probes`` on the whole channel composed there."""
+        of ``probes`` on the whole channel composed there from the fitted series."""
         for u in grid:
-            yield probe_family(self.orders(u), probes), self.h
+            yield probe_family(compose_one_segment(self.overlaps, u), probes), self.h
 
     def checks(self, modes) -> list[Check]:
         """First-order structure, the identity residual at ``h`` and its cubic
@@ -120,6 +144,12 @@ class ImportedChannel:
     @property
     def n_max(self) -> int:
         return self.series.n_max
+
+    def check_modes(self, modes) -> None:
+        """Refuse probed ``modes`` outside ``1..n_max`` or repeated. Every
+        mode of the series may be probed: it may be a whole channel, and not
+        a truncated ladder."""
+        quadrature_indices(modes, self.n_max)
 
     def orders(self, grid=None, rows=None) -> BogoliubovSeries:
         """The one series, whatever the grid: its columns repeat down it."""
@@ -249,7 +279,7 @@ def run_sweep(spec: SweepSpec, channel) -> list[SweepRow]:
     work is executed; identical specs and channels give identical output.
     """
     k, k_prime = spec.modes
-    quadrature_indices(spec.modes, channel.n_max)
+    channel.check_modes(spec.modes)
     probes = spec.probes()
     grid = tuple(float(g) for g in spec.grid)
     # the rows the kernel reads for every probe, and k's row for the negativity
@@ -337,7 +367,7 @@ def compare_methods(spec: SweepSpec, channel, h_ladder=(0.02, 0.04, 0.08)) -> Co
     """
     if len(set(h_ladder)) < 2:
         raise ValueError("compare needs at least two distinct h values on the ladder")
-    quadrature_indices(spec.modes, channel.n_max)
+    channel.check_modes(spec.modes)
     probes = spec.probes()  # refuses a probe it cannot build before the channel is read
     series = channel.orders()
     perts = [qfi_perturbative(series, modes, state).value for *_, state, modes in probes]
@@ -404,5 +434,5 @@ class ValidationReport:
 def validate(channel, modes=(1, 2)) -> ValidationReport:
     """Check the channel on the probed ``modes`` and report measured
     residuals: the checks are the provider's own ``checks(modes)``."""
-    quadrature_indices(modes, channel.n_max)
+    channel.check_modes(modes)
     return ValidationReport(tuple(channel.checks(modes)))

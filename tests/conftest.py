@@ -357,8 +357,9 @@ def reference_sweep(spec, overlaps) -> list:
 
 class RecordingChannel:
     """A channel provider by duck typing alone: it forwards every call to
-    ``inner`` and records it in ``calls`` as ``(method, args)``, so a test
-    can tell what an engine asks of its channel."""
+    ``inner`` and records each call that reads the channel in ``calls`` as
+    ``(method, args)``, so a test can tell what an engine asks of its
+    channel; ``n_max`` and the mode check are forwarded unrecorded."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -367,6 +368,9 @@ class RecordingChannel:
     @property
     def n_max(self) -> int:
         return self.inner.n_max
+
+    def check_modes(self, modes):
+        return self.inner.check_modes(modes)
 
     def orders(self, *args):
         self.calls.append(("orders", args))

@@ -18,22 +18,15 @@ from gaussfisher.qfi import QfiResult, c2_from_orders, perturbative_rows, probe_
 from gaussfisher.sweeps import FAMILIES, CavityChannel, SweepSpec, run_sweep
 
 #: per unit of max(1, |v|). That is absolute for the residual columns,
-#: which sit near 1e-6, except at the edge of the mode ladder: a probe on
-#: mode n_max - 1 or n_max sees a second-order identity defect of order 10,
-#: where 1e-14 is a few units in the last place.
+#: which sit near 1e-6.
 REL = 1e-14
-
-
-@pytest.fixture(scope="module")
-def cache(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("overlap-cache"))
 
 
 def close(got, want, tol):
     return abs(got - want) <= tol
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     n_max=st.integers(6, 12),
     above_one=st.floats(1.0, 3.0, exclude_min=True),
@@ -42,15 +35,21 @@ def close(got, want, tol):
     x=st.floats(0.0, 1.0),
     data=st.data(),
 )
-def test_batched_sweep_matches_per_u_reference(cache, n_max, above_one, more, photons, x, data):
+def test_batched_sweep_matches_per_u_reference(n_max, above_one, more, photons, x, data):
     grid = tuple(data.draw(st.permutations([0.0, 1.0, above_one, *more])))
-    # k' = n_max moves the last spectator of the two-mode probes to n_max - 1
+    # k' = n_max is the ladder's edge, where a probe's spectator sums are cut:
+    # every mode above n_max/2 is refused, naming the n_max it needs
     k_prime = data.draw(st.one_of(st.just(n_max), st.integers(1, n_max)))
     k = data.draw(st.integers(1, n_max).filter(lambda k: k != k_prime))
     spec = SweepSpec(modes=(k, k_prime), grid=grid, photons=photons, x=x)
-    channel = CavityChannel(n_max=n_max, cache=cache)
+    channel = CavityChannel(n_max=n_max)
+    edge = max(k, k_prime)
+    if 2 * edge > n_max:
+        with pytest.raises(ValueError, match=f"^mode {edge} lies above n_max/2 .* needs --nmax {2 * edge} or more$"):
+            run_sweep(spec, channel)
+        return
     rows = run_sweep(spec, channel)
-    want = reference_sweep(spec, channel.overlaps)
+    want = reference_sweep(spec, channel.taylor)
     assert len(rows) == len(want) == len(grid) * len(FAMILIES)
     for row, (u, family, qfi, e2, c2, residual, negativity) in zip(rows, want):
         assert (row.grid_value, row.family) == (u, family)

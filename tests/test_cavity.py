@@ -2,8 +2,10 @@ import ast
 import dataclasses
 import pathlib
 
+import mpmath
 import numpy as np
 import pytest
+from mpmath.calculus.quadrature import GaussLegendre
 
 from conftest import alpha1_closed_form, beta1_closed_form, exact_qfi, perturbative_overlaps_reference
 from gaussfisher import cavity
@@ -18,6 +20,7 @@ from gaussfisher.cavity import (
     rindler_overlaps,
     save_overlaps_csv,
     series_cache_file,
+    taylor_overlaps,
     _gauss_legendre,
     _max_fit_residual,
     _overlaps_at_order,
@@ -96,17 +99,101 @@ def test_parity_pattern(overlap_series_10):
                     assert abs(overlap_series_10.alpha1[m - 1, k - 1]) <= 1e-6
 
 
-def test_series_reproduces_exact_overlaps_cubically(overlap_series_10):
-    # residual against fresh quadrature points (not in the fit ladder)
+def expanded_overlap_coefficients(m: int, n: int) -> list:
+    """``(alpha1, alpha2, beta1, beta2)`` of modes ``m`` (row) and ``n``
+    (column) by a 30-digit Gauss-Legendre quadrature of the overlap
+    integrand expanded in ``h``, independent of the package's closed forms:
+    24 nodes on each of ``m + n`` pieces of ``t`` in [0, 1], so no piece
+    holds more than half a period of either frequency."""
+    with mpmath.workdps(30):
+        rule = GaussLegendre(mpmath.mp).calc_nodes(4, mpmath.mp.prec)
+        big_m, big_n = mpmath.pi * m, mpmath.pi * n
+        half, sixth = mpmath.mpf(1) / 2, mpmath.mpf(1) / 6
+        pieces = m + n
+        # per sigma: first = (N + sigma M) a + sigma b, second = (N + sigma M) c + sigma d
+        a = b = c = d = mpmath.mpf(0)
+        for piece in range(pieces):
+            for node, weight in rule:
+                t = (piece + (node + 1) / 2) / pieces
+                w = weight / (2 * pieces) * mpmath.sin(big_n * t)
+                d1, d2 = t * (1 - t) / 2, t * (1 - t) * (1 - 2 * t) / 6
+                cos_m, sin_m = mpmath.cos_sin(big_m * t)
+                a += w * big_m * d1 * cos_m
+                b += w * big_m * (half - t) * sin_m
+                c += w * big_m * (d2 * cos_m - big_m / 2 * d1**2 * sin_m)
+                d += w * big_m * (big_m * (half - t) * d1 * cos_m + (t * t - t + sixth) * sin_m)
+        norm = mpmath.pi * mpmath.sqrt(m * n)
+        out = []
+        for sigma in (1, -1):
+            lead = big_n + sigma * big_m
+            out += [float((lead * a + sigma * b) / norm), float((lead * c + sigma * d) / norm)]
+        return out
+
+
+#: both parities, the diagonal and the corners of the 20-mode block, then random pairs
+TAYLOR_PAIRS = [(1, 1), (7, 7), (20, 20), (1, 20), (20, 1), (2, 19), (19, 20), (3, 5)] + [
+    tuple(int(v) for v in pair) for pair in np.random.default_rng(2).integers(1, 21, (12, 2))
+]
+
+
+def test_taylor_overlaps_match_a_quadrature_of_the_expanded_integrand():
+    series = taylor_overlaps(20)
+    for m, n in TAYLOR_PAIRS:
+        got = [getattr(series, name)[m - 1, n - 1] for name in ("alpha1", "alpha2", "beta1", "beta2")]
+        for name, g, want in zip(("alpha1", "alpha2", "beta1", "beta2"), got, expanded_overlap_coefficients(m, n)):
+            if g == 0.0:  # a parity zero: the quadrature's is roundoff at 30 digits
+                assert abs(want) <= 1e-25, (m, n, name, want)
+            else:
+                assert abs(g - want) <= 1e-13 * abs(want), (m, n, name, g, want)
+
+
+def test_taylor_overlaps_closed_forms():
+    n_max = 200
+    series = taylor_overlaps(n_max)
+    assert series.n_max == n_max and series.fit_residual == 0.0
+    idx = range(1, n_max + 1)
+    a1 = np.array([[alpha1_closed_form(m, k) for k in idx] for m in idx])
+    b1 = np.array([[beta1_closed_form(m, k) for k in idx] for m in idx])
+    assert np.allclose(series.alpha1, a1, rtol=4e-15, atol=0.0)
+    assert np.allclose(series.beta1, b1, rtol=4e-15, atol=0.0)
+    n = np.arange(1, n_max + 1)
+    assert np.allclose(np.diag(series.alpha2), -(n**2) * np.pi**2 / 240, rtol=4e-15, atol=0.0)
+    assert np.allclose(np.diag(series.beta2), 1.0 / (16 * np.pi**2 * n**2), rtol=4e-15, atol=0.0)
+    assert f"{series.alpha2[0, 2]:.7f}" == "0.0767784"
+    # reflection about the centre flips h and multiplies the overlap by
+    # (-1)^(m+n): exact zeros at first order for even m + n, at second for odd
+    odd = (n[:, None] + n[None, :]) % 2 == 1
+    for name in ("alpha1", "beta1"):
+        assert np.all(getattr(series, name)[~odd] == 0.0) and np.all(getattr(series, name)[odd] != 0.0)
+    for name in ("alpha2", "beta2"):
+        assert np.all(getattr(series, name)[odd] == 0.0)
+
+
+def test_taylor_overlaps_agree_with_the_fit_within_its_error(overlap_series_10):
+    exact = taylor_overlaps(10)
+    for name, bound in (("alpha1", 4e-8), ("beta1", 4e-8), ("alpha2", 2e-5), ("beta2", 2e-5)):
+        assert np.max(np.abs(getattr(exact, name) - getattr(overlap_series_10, name))) <= bound, name
+
+
+def residual_slope(series) -> float:
+    """Log-log slope of the series' worst entry misfit against fresh
+    finite-h quadratures (not in the fit ladder) at ``n_max`` 10."""
     hs = (0.015, 0.03, 0.06)
     res = []
     for h in hs:
         exact = rindler_overlaps(h, 10)
-        model_a = np.eye(10) + overlap_series_10.alpha1 * h + overlap_series_10.alpha2 * h**2
-        model_b = overlap_series_10.beta1 * h + overlap_series_10.beta2 * h**2
+        model_a = np.eye(10) + series.alpha1 * h + series.alpha2 * h**2
+        model_b = series.beta1 * h + series.beta2 * h**2
         res.append(max(np.max(np.abs(exact.alpha - model_a)), np.max(np.abs(exact.beta - model_b))))
-    slope = np.polyfit(np.log(hs), np.log(res), 1)[0]
-    assert slope >= 2.7
+    return np.polyfit(np.log(hs), np.log(res), 1)[0]
+
+
+def test_taylor_overlaps_reproduce_finite_h_overlaps_cubically():
+    assert residual_slope(taylor_overlaps(10)) >= 2.95
+
+
+def test_series_reproduces_exact_overlaps_cubically(overlap_series_10):
+    assert residual_slope(overlap_series_10) >= 2.7
 
 
 def test_compose_trivial_at_integer_u(overlap_series_10):

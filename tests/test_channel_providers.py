@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import RecordingChannel, synthetic_unitary_series
-from gaussfisher import cavity
+from gaussfisher import cavity, sweeps
 from gaussfisher.sweeps import (
     FAMILIES,
     CavityChannel,
@@ -53,17 +53,20 @@ def test_compare_and_validate_through_a_duck_typed_provider(provider):
 
 
 def test_cavity_channel_builds_its_series_once_and_only_after_every_refusal(tmp_path, monkeypatch):
-    """A cavity channel reads or builds its overlap series on the first
+    """A cavity channel builds its exact overlap series on the first
     ``orders`` call, which each engine makes after its own refusals, and
-    keeps it for every later call."""
-    calls = []
-    real = cavity.perturbative_overlaps
+    keeps it for every later call; only the oracle builds, and caches, the
+    fitted series."""
+    calls = {"taylor": [], "fit": []}
 
-    def counting(n_max):
-        calls.append(n_max)
-        return real(n_max)
+    def counting(name, real):
+        def build(n_max):
+            calls[name].append(n_max)
+            return real(n_max)
+        return build
 
-    monkeypatch.setattr(cavity, "perturbative_overlaps", counting)
+    monkeypatch.setattr(sweeps, "taylor_overlaps", counting("taylor", sweeps.taylor_overlaps))
+    monkeypatch.setattr(cavity, "perturbative_overlaps", counting("fit", cavity.perturbative_overlaps))
     cache = tmp_path / "c"
     channel = CavityChannel(n_max=6, cache=str(cache))
     refused = (
@@ -71,11 +74,15 @@ def test_cavity_channel_builds_its_series_once_and_only_after_every_refusal(tmp_
         lambda: compare_methods(SweepSpec(photons=-1.0), channel),
         lambda: compare_methods(SweepSpec(r=1.0), channel, h_ladder=(0.02,)),
         lambda: validate(channel, (1, 7)),
+        lambda: run_sweep(SweepSpec(modes=(1, 4), methods=("oracle",)), channel),
     )
     for engine in refused:
         with pytest.raises(ValueError):
             engine()
-        assert calls == [] and not cache.exists()
+        assert calls == {"taylor": [], "fit": []} and not cache.exists()
     run_sweep(SweepSpec(grid=(0.3,)), channel)
+    compare_methods(SweepSpec(r=1.0), channel)
     validate(channel)
-    assert calls == [6]
+    assert calls == {"taylor": [6], "fit": []} and not cache.exists()
+    run_sweep(SweepSpec(grid=(0.3, 0.5), methods=("oracle",)), channel)
+    assert calls == {"taylor": [6], "fit": [6]} and [p.name for p in cache.iterdir()] == ["overlap_series_n6.npz"]

@@ -137,5 +137,5 @@ def test_compare_reads_each_ladder_theta_once_for_every_family(tmp_path, expm_ca
     assert [len(stack) for stack in expm_calls] == [LADDER_THETAS] * 3
     expm_calls.clear()
     # validate's dual-path line runs the same ladder
-    assert main(["validate", "--nmax", "6", "--cache", str(tmp_path / "cache")]) == 0
+    assert main(["validate", "--nmax", "6"]) == 0
     assert [len(stack) for stack in expm_calls] == [LADDER_THETAS] * 3

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_unitary_series
-from gaussfisher import cavity
+from gaussfisher import cavity, sweeps
 from gaussfisher.bogoliubov import BogoliubovSeries, series_from_csv, series_to_csv
 from gaussfisher.cavity import perturbative_overlaps, save_overlaps_csv
 from gaussfisher.cli import INPUTS, main, parse_grid, read_config
@@ -149,19 +149,19 @@ def test_validate_default_scenario(tmp_path):
         assert not any(f"  {name}:" in line for line in report.lines()), name
 
 
-def test_validate_builds_the_overlap_series_once(monkeypatch, capsys):
-    # uncached, the scenario's channel and its copy one period later share one
-    # series: the provider the command line builds holds it
-    calls = []
-    real = cavity.perturbative_overlaps
+def test_perturbative_verbs_run_no_overlap_quadrature(tmp_path, monkeypatch, capsys):
+    """A perturbative sweep, compare and validate compose the exact overlap
+    coefficients: none of them runs the finite-h quadrature behind the fit."""
 
-    def counting(n_max):
-        calls.append(n_max)
-        return real(n_max)
+    def refuse(*args):
+        raise AssertionError("overlap quadrature ran on the perturbative route")
 
-    monkeypatch.setattr(cavity, "perturbative_overlaps", counting)
-    assert main(["validate", "--nmax", "6"]) == 0, capsys.readouterr().out
-    assert calls == [6]
+    monkeypatch.setattr(cavity, "rindler_overlaps", refuse)
+    out = ["--out", str(tmp_path / "out.csv")]
+    assert main(["sweep", "--nmax", "6", "--grid", "0.3"] + out) == 0
+    assert main(["compare", "--nmax", "6"] + out) == 0
+    assert main(["validate", "--nmax", "6"] + out) == 0
+    assert "error:" not in capsys.readouterr().err
 
 
 def test_validate_flags_corrupted_channel():
@@ -246,8 +246,7 @@ def test_cli_rejects_bad_scenario(tmp_path, capsys):
     # flags take precedence over the config file
     cfg2 = tmp_path / "ok.cfg"
     cfg2.write_text("h = 2.5\nn_max = 6\n", encoding="utf-8")
-    assert main(["validate", "--config", str(cfg2), "--h", "0.05",
-                 "--cache", str(tmp_path / "cache")]) == 0
+    assert main(["validate", "--config", str(cfg2), "--h", "0.05"]) == 0
 
 
 def test_cli_prints_fidelity_overshoot_as_a_plain_number(tmp_path, capsys):
@@ -260,7 +259,7 @@ def test_cli_prints_fidelity_overshoot_as_a_plain_number(tmp_path, capsys):
 
 
 def test_cli_validate_and_exit_codes(tmp_path):
-    code = main(["validate", "--nmax", "6", "--cache", str(tmp_path / "cache")])
+    code = main(["validate", "--nmax", "6"])
     assert code == 0
 
 
@@ -283,8 +282,7 @@ def test_cli_compare(tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     code = main([
         "compare", "--nmax", "10", "--u", "0.3", "--r", "1.0",
-        "--state", "two_mode_squeezed",
-        "--cache", str(tmp_path / "cache"), "--out", str(out),
+        "--state", "two_mode_squeezed", "--out", str(out),
     ])
     assert code == 0
     text = out.read_text()
@@ -324,13 +322,17 @@ UNREAD_FLAGS = [
     ("compare", "--seed", "1"),
     ("validate", "--seed", "1"),
     ("compare", "--h", "0.05"),
+    # compare and validate read no fitted overlap series, so no cache
+    ("compare", "--cache", "cache"),
+    ("validate", "--cache", "cache"),
 ] + [(verb, "--length", "2") for verb in ("sweep", "compare", "validate", "overlaps")]
 
 
 @pytest.mark.parametrize("verb,flag,value", UNREAD_FLAGS)
 def test_cli_refuses_flags_the_verb_does_not_read(tmp_path, capsys, verb, flag, value):
+    cache = ["--cache", str(tmp_path / "cache")] if verb in ("sweep", "overlaps") else []
     with pytest.raises(SystemExit) as exit_info:
-        main([verb, "--nmax", "6", "--cache", str(tmp_path / "cache"), flag, value])
+        main([verb, "--nmax", "6", *cache, flag, value])
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not (tmp_path / "cache").exists()
@@ -342,11 +344,8 @@ CAVITY_ONLY_FLAGS = [
     ("sweep", "--h", "0.07"),
     ("validate", "--h", "0.07"),
     ("compare", "--u", "0.7"),
-] + [
-    (verb, flag, value)
-    for verb in ("sweep", "compare", "validate")
-    for flag, value in (("--nmax", "3"), ("--cache", "cache"))
-]
+    ("sweep", "--cache", "cache"),
+] + [(verb, "--nmax", "3") for verb in ("sweep", "compare", "validate")]
 
 
 @pytest.mark.parametrize("verb,flag,value", CAVITY_ONLY_FLAGS)
@@ -397,7 +396,7 @@ def test_cli_checks_modes_against_imported_channel(tmp_path, capsys):
         assert not out.exists()
 
 
-#: refusals of the cavity's own inputs: each comes before the overlap series
+#: refusals of the cavity's own inputs: each comes before either overlap series
 #: is loaded or built, so the cache directory is never made
 REFUSED_BEFORE_ANY_BUILD = [
     (["sweep", "--modes", "1,7"], "mode index 7 out of range 1..6"),
@@ -413,21 +412,31 @@ REFUSED_BEFORE_ANY_BUILD = [
      "two-mode squeezed probes carry no displacement"),
     (["sweep", "--grid", "0.3", "--state", "two_mode_squeezed", "--r", "0.5", "--delta", "1"],
      "two-mode squeezed probes carry no displacement"),
+    # a probe above n_max/2 has its spectator sums cut at the ladder's edge
+    (["sweep", "--modes", "1,4", "--methods", "perturbative,oracle"],
+     "mode 4 lies above n_max/2 = 3, at the edge of the mode ladder; probing it needs --nmax 8 or more"),
+    (["compare", "--modes", "4,1"],
+     "mode 4 lies above n_max/2 = 3, at the edge of the mode ladder; probing it needs --nmax 8 or more"),
+    (["validate", "--modes", "2,5"],
+     "mode 5 lies above n_max/2 = 3, at the edge of the mode ladder; probing it needs --nmax 10 or more"),
 ]
 
 
 @pytest.mark.parametrize("argv,message", REFUSED_BEFORE_ANY_BUILD)
 def test_cli_refuses_before_any_overlap_build(tmp_path, capsys, monkeypatch, argv, message):
     calls = []
-    real = cavity.perturbative_overlaps
 
-    def counting(n_max):
-        calls.append(n_max)
-        return real(n_max)
+    def counting(real):
+        def build(n_max):
+            calls.append(n_max)
+            return real(n_max)
+        return build
 
-    monkeypatch.setattr(cavity, "perturbative_overlaps", counting)
+    monkeypatch.setattr(cavity, "perturbative_overlaps", counting(cavity.perturbative_overlaps))
+    monkeypatch.setattr(sweeps, "taylor_overlaps", counting(sweeps.taylor_overlaps))
     cache = tmp_path / "cache"
-    assert main(argv + ["--nmax", "6", "--cache", str(cache)]) == 2
+    flags = ["--cache", str(cache)] if argv[0] == "sweep" else []
+    assert main(argv + ["--nmax", "6", *flags]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not cache.exists() or not list(cache.iterdir())
     assert calls == []
@@ -519,7 +528,7 @@ def test_cli_overlaps_cache_builder(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out.count("\n") == 1 and out.startswith(f"{path}: n_max=6 fit residual ")
 
-    sweep = ["sweep", "--nmax", "6", "--grid", "0.37"]
+    sweep = ["sweep", "--nmax", "6", "--grid", "0.37", "--methods", "perturbative,oracle"]
     assert main(sweep + ["--out", str(tmp_path / "uncached.csv")]) == 0
 
     def refuse(*args):
@@ -595,9 +604,11 @@ def test_cli_rejects_damaged_cache(tmp_path, capsys, case):
     path = cache / "overlap_series_n6.npz"
     damage(path, perturbative_overlaps(6))
     capsys.readouterr()
-    for verb in (["sweep", "--grid", "0.37"], ["compare"], ["validate"], ["overlaps"]):
-        out = [] if verb == ["overlaps"] else ["--out", str(tmp_path / "out.csv")]
-        assert main(verb + ["--nmax", "6", "--cache", str(cache)] + out) == 2
+    # the perturbative route reads no fitted series, so the damage does not reach it
+    out = ["--out", str(tmp_path / "out.csv")]
+    assert main(["sweep", "--grid", "0.37", "--nmax", "6", "--cache", str(cache)] + out) == 0
+    for verb in (["sweep", "--grid", "0.37", "--methods", "oracle"] + out, ["overlaps"]):
+        assert main(verb + ["--nmax", "6", "--cache", str(cache)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: overlap-series cache file {path}: "), err
         assert message in err and err.count("\n") == 1 and "Traceback" not in err
@@ -607,13 +618,16 @@ def test_cli_rejects_damaged_cache(tmp_path, capsys, case):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["sweep", "--nmax", "150", "--grid", "0.3", "--out", "{tmp}/out.csv"],
+        ["sweep", "--nmax", "150", "--grid", "0.3", "--methods", "oracle", "--out", "{tmp}/out.csv"],
         ["overlaps", "--nmax", "150", "--cache", "{tmp}/cache"],
         # 136-144 converge but fail the series fit's residual bound
-        ["sweep", "--nmax", "136", "--grid", "0.3", "--out", "{tmp}/out.csv"],
+        ["sweep", "--nmax", "136", "--grid", "0.3", "--methods", "oracle", "--out", "{tmp}/out.csv"],
+        ["overlaps", "--nmax", "136", "--cache", "{tmp}/cache"],
     ],
 )
 def test_cli_quadrature_failure_exits_2(tmp_path, capsys, argv):
+    """Only the fitted series, which the oracle and ``overlaps`` read, has
+    these refusals."""
     expected = {
         "150": "error: quadrature did not converge to 1e-10 at order 512",
         "136": "error: overlap series fit residual 1.873e-05 above 1.850e-05",
@@ -623,6 +637,30 @@ def test_cli_quadrature_failure_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith(expected), err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n_max", [150, 200])
+def test_cli_perturbative_sweep_runs_past_the_fit_bounds(tmp_path, capsys, n_max):
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--nmax", str(n_max), "--grid", "0.3,0.5", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 2 * 3
+    assert all(float(row.split(",")[4]) > 0.0 for row in rows)
+
+
+def test_cli_refuses_a_probe_at_the_ladder_edge(tmp_path, capsys):
+    # mode 12 of a 12-mode ladder gave qfi_perturbative -25.67 with exit 0
+    out = tmp_path / "out.csv"
+    argv = ["sweep", "--nmax", "12", "--modes", "1,12", "--x", "0", "--photons", "1",
+            "--grid", "2.4621479825035744", "--state", "two_product_squeezed_displaced", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: mode 12 lies above n_max/2 = 6, at the edge of the mode ladder; probing it needs --nmax 24 or more\n")
+    assert not out.exists()
+    argv[2] = "24"
+    assert main(argv) == 0
+    assert float(out.read_text(encoding="utf-8").splitlines()[1].split(",")[4]) > 0.0
 
 
 def _replace(index, line):
@@ -733,5 +771,5 @@ def test_cli_refuses_cavity_config_keys_with_imported_channel(tmp_path, capsys, 
     assert not out.exists()
     # the same file is read without the channel
     cfg.write_text(f"{line}\nn_max = 6\n" if key != "n_max" else "n_max = 6\n", encoding="utf-8")
-    argv = [verb, "--config", str(cfg), *grid, "--cache", str(tmp_path / "cache"), "--out", str(out)]
+    argv = [verb, "--config", str(cfg), *grid, "--out", str(out)]
     assert main(argv) in (0, 1)
