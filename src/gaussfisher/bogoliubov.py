@@ -12,10 +12,11 @@ or, equivalently, the real matrix ``S`` built from 2x2 blocks is symplectic,
 ``S Omega S^T = Omega``. :func:`identity_residual` measures that on a window
 of modes; truncating the mode ladder at ``n_max`` turns the identities into
 measured residuals. :class:`BogoliubovSeries` holds a channel to second
-order in its parameter, either whole or as the block rows of a few output
-modes on a stack of channels (one per grid point), and
+order in its parameter, either whole or, on a stack of channels (one per
+grid point), as what a probe on a few output modes reads: their block rows
+of the first orders and their square block of the second orders.
 :func:`covariance_series` reads the covariance orders of the probed modes
-off its block rows.
+off those.
 """
 
 from __future__ import annotations
@@ -95,11 +96,14 @@ class BogoliubovSeries:
 
     A whole channel stores ``G`` as ``(n_max,)`` and each matrix as
     ``(n_max, n_max)``. With ``rows`` (1-based, distinct output modes) only
-    the block rows of those modes are stored, in that order, so each matrix
-    is ``(len(rows), n_max)``. Leading axes on every array make a stack of
-    channels, one per grid point. The perturbative kernel reads any stack of
-    the rows it needs; :meth:`evaluate`, :meth:`symplectic_orders` and the
-    oracle need one whole channel.
+    what a probe on those modes reads is stored: the first orders on their
+    block rows, ``(len(rows), n_max)``, and the second orders on the square
+    block ``rows x rows``, ``(len(rows), len(rows))``, rows and columns both
+    in ``rows`` order. A whole channel is the case where ``rows`` is every
+    mode. Leading axes on every array make a stack of channels, one per grid
+    point. The perturbative kernel reads any stack of the rows it needs;
+    :meth:`evaluate`, :meth:`symplectic_orders` and the oracle need one
+    whole channel.
     """
 
     n_max: int
@@ -114,15 +118,17 @@ class BogoliubovSeries:
         g = np.asarray(self.G, dtype=complex)
         if g.ndim == 0 or g.shape[-1] != self.n_max:
             raise ValueError("G must have length n_max")
-        if np.max(np.abs(np.abs(g) - 1.0)) > 1e-12:
+        # written so that a NaN phase fails it too
+        if not np.all(np.abs(np.abs(g) - 1.0) <= 1e-12):
             raise ValueError("zeroth-order phases G must have unit modulus")
         rows = self.rows
         if rows is not None:
             rows = tuple(rows)
             quadrature_indices(rows, self.n_max)
-        shape = (*g.shape[:-1], self.n_max if rows is None else len(rows), self.n_max)
+        width = self.n_max if rows is None else len(rows)
+        first, second = ((*g.shape[:-1], width, cols) for cols in (self.n_max, width))
         mats = {}
-        for name in ("alpha1", "alpha2", "beta1", "beta2"):
+        for name, shape in (("alpha1", first), ("alpha2", second), ("beta1", first), ("beta2", second)):
             m = np.asarray(getattr(self, name), dtype=complex)
             if m.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}")
@@ -149,6 +155,12 @@ class BogoliubovSeries:
         if missing:
             raise ValueError(f"series stores no row for mode {missing[0]}")
         return np.array([held[k + 1] for k in cols], dtype=int)
+
+    def second_order_block(self, modes) -> tuple[np.ndarray, np.ndarray]:
+        """``(alpha2, beta2)`` on the block ``modes x modes``, rows and columns
+        in the order of ``modes``; ``ValueError`` when a row is not stored."""
+        pos = _view_rows(self.row_positions(modes))
+        return self.alpha2[..., pos, :][..., pos], self.beta2[..., pos, :][..., pos]
 
     def evaluate(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
         """Read-only coefficient matrices ``(alpha, beta)`` at a finite
@@ -198,7 +210,7 @@ class BogoliubovSeries:
         gj = np.conj(self.G[..., cols])[..., None, :]
         a1, b1 = self.alpha1[..., rows, :], self.beta1[..., rows, :]
         a1_pp, b1_pp = a1[..., cols], b1[..., cols]
-        a2_pp, b2_pp = self.alpha2[..., rows, :][..., cols], self.beta2[..., rows, :][..., cols]
+        a2_pp, b2_pp = self.second_order_block(modes)
         r1a = gi * _t(a1_pp).conj() + a1_pp * gj
         gb1 = gi * _t(b1_pp)
         r1b = gb1 - _t(gb1)
@@ -232,10 +244,20 @@ def covariance_series(
     ``input_state`` lives on the probed modes only (all other modes vacuum),
     and ``series`` must store the rows of ``modes``. The coefficients are
     exact polynomials of the series matrices; no numerical differentiation
-    is involved. Only the ``2m`` probed rows of ``S0``, ``S1`` and ``S2`` are
-    assembled, so the cost is ``O(m^2 n)`` per channel rather than the
-    ``O(n^3)`` of the full ``S Sigma_in S^T``. A stack of channels gives
-    orders with the same leading axes: ``(..., 2m, 2m)`` and ``(..., 2m)``.
+    is involved. ``S0`` vanishes outside the probed columns, so with
+    ``Sigma_in = I + P (Sigma - I) P^T`` every product that meets it needs
+    only the probed ``2m x 2m`` blocks ``S0_p`` and ``S2_p`` and the probed
+    columns ``S1_p`` of the ``2m`` block rows of ``S1``:
+
+        sigma0 = S0_p Sigma S0_p^T
+        sigma1 = S1_p Sigma S0_p^T + transpose
+        sigma2 = S2_p Sigma S0_p^T + transpose
+                 + S1 S1^T + S1_p (Sigma - I) S1_p^T
+
+    ``S1 S1^T`` is the only product over all ``n`` columns, so the cost is
+    ``O(m^2 n)`` per channel rather than the ``O(n^3)`` of the full
+    ``S Sigma_in S^T``. A stack of channels gives orders with the same
+    leading axes: ``(..., 2m, 2m)`` and ``(..., 2m)``.
     """
     idx = quadrature_indices(modes, series.n_max)
     if 2 * input_state.n_modes != idx.size:
@@ -243,26 +265,22 @@ def covariance_series(
 
     # only the block rows of the probed modes are ever needed
     rows = _view_rows(series.row_positions(modes))
-    cols = idx[::2] // 2
-    phases = np.zeros((*series.G.shape[:-1], cols.size, series.n_max), dtype=complex)
-    phases[..., np.arange(cols.size), cols] = series.G[..., cols]
-    s0 = _assemble(phases, np.zeros((cols.size, series.n_max), dtype=complex))
-    excess = input_state.covariance - np.eye(idx.size)
+    m = idx.size // 2
+    s0 = _assemble(series.G[..., idx[::2] // 2, None] * np.eye(m), np.zeros((m, m)))
+    s2 = _assemble(*series.second_order_block(modes))
+    s1 = _assemble(series.alpha1[..., rows, :], series.beta1[..., rows, :])
+    s1_p = s1[..., idx]
+    sigma = input_state.covariance
     x_in = input_state.first_moments
 
-    def sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # rows of a Sigma_in b^T with Sigma_in = I + P (Sigma_pp - I) P^T
-        return a @ _t(b) + a[..., idx] @ excess @ _t(b[..., idx])
-
-    sigma0 = sandwich(s0, s0)
-    # S2 enters once, so its rows of a stack are dropped before S1 is built
-    cross2 = sandwich(_assemble(series.alpha2[..., rows, :], series.beta2[..., rows, :]), s0)
-    s1 = _assemble(series.alpha1[..., rows, :], series.beta1[..., rows, :])
-    cross1 = sandwich(s1, s0)
+    sigma_s0 = sigma @ _t(s0)
+    sigma0 = s0 @ sigma_s0
+    cross2 = s2 @ sigma_s0
+    cross1 = s1_p @ sigma_s0
     sigma1 = cross1 + _t(cross1)
-    sigma2 = cross2 + _t(cross2) + sandwich(s1, s1)
-    mean0 = s0[..., idx] @ x_in
-    mean1 = s1[..., idx] @ x_in
+    sigma2 = cross2 + _t(cross2) + s1 @ _t(s1) + s1_p @ (sigma - np.eye(idx.size)) @ _t(s1_p)
+    mean0 = s0 @ x_in
+    mean1 = s1_p @ x_in
     return CovarianceSeries(sigma0, sigma1, sigma2, mean0, mean1)
 
 

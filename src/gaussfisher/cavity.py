@@ -14,9 +14,10 @@ The channel is assembled from first principles in three steps:
    completes that fitted series, read from or written to an ``.npz`` cache;
 3. :func:`compose_one_segment` chains "enter the accelerated frame, accrue
    mode phases for a proper duration, return to the inertial frame" into a
-   single series in ``h``: the whole channel at one duration, or the block
-   rows of a few output modes stacked over a grid of durations, which is
-   all a perturbative sweep reads.
+   single series in ``h``: the whole channel at one duration, or, stacked
+   over a grid of durations, the first-order block rows and the
+   second-order square block of a few output modes, which is all a
+   perturbative sweep reads.
 
 Lengths are in units of the cavity length ``L``: every output is
 dimensionless in ``(h, u)``, and ``L`` would only set absolute frequencies.
@@ -249,8 +250,15 @@ def taylor_overlaps(n_max: int) -> OverlapSeries:
 
 def mode_phases(n_max: int, u) -> np.ndarray:
     """Phase factors ``G_n = exp(2 pi i n u)`` accrued during the segment:
-    ``(n_max,)`` for one duration, ``(len(u), n_max)`` for a grid."""
-    return np.exp(2j * np.pi * np.arange(1, n_max + 1) * np.asarray(u, dtype=float)[..., None])
+    ``(n_max,)`` for one duration, ``(len(u), n_max)`` for a grid. A
+    duration whose phase ``2 pi n_max u`` is not finite raises ``ValueError``."""
+    u = np.asarray(u, dtype=float)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(2.0 * np.pi * n_max * u)
+    if not np.all(finite):
+        bad = float(u[~finite][0])
+        raise ValueError(f"duration u={bad!r} gives mode phases 2 pi n u that are not finite at n_max {n_max}")
+    return np.exp(2j * np.pi * np.arange(1, n_max + 1) * u[..., None])
 
 
 def compose_one_segment(overlaps: OverlapSeries, u, rows=None) -> BogoliubovSeries:
@@ -258,8 +266,9 @@ def compose_one_segment(overlaps: OverlapSeries, u, rows=None) -> BogoliubovSeri
 
     ``u`` is one duration, which gives one channel, or a one-dimensional
     grid, which gives a stack of channels along a leading axis. ``rows``
-    (1-based output modes) restricts every matrix to the block rows of those
-    modes; ``None`` keeps them all. The exact composition is
+    (1-based output modes) restricts the first orders to the block rows of
+    those modes and the second orders to the block ``rows x rows``, all a
+    probe on them reads; ``None`` keeps every mode. The exact composition is
     ``B_out = B_in^-1 o phases o B_in`` with ``B_in`` the overlap channel;
     expanding ``B_in`` to second order gives, with ``G = mode_phases(u)``
     and real overlap coefficients,
@@ -271,8 +280,10 @@ def compose_one_segment(overlaps: OverlapSeries, u, rows=None) -> BogoliubovSeri
         beta2_ij  = G_i ob2_ij - conj(G_j) ob2_ji
                     + sum_k [G_k oa1_ki ob1_kj - conj(G_k) ob1_ki oa1_kj]
 
-    Each ``sum_k`` is one ``(U r, n) @ (n, n)`` product for ``U`` durations
-    and ``r`` rows, so a whole grid costs four matrix products.
+    for ``i, j`` in ``rows``. Each ``sum_k`` is one ``(U r, n) @ (n, r)``
+    product for ``U`` durations and ``r`` rows, so a whole grid costs four
+    such products, ``O(U r^2 n)``, and the second orders never span all
+    ``n`` columns unless ``rows`` is every mode.
 
     The relative signs follow from exact inversion of the truncated overlap
     channel; they are fixed by requiring the composed series to satisfy the
@@ -289,24 +300,24 @@ def compose_one_segment(overlaps: OverlapSeries, u, rows=None) -> BogoliubovSeri
     r = slice(None) if rows is None else quadrature_indices(rows, n)[::2] // 2
     g = mode_phases(n, u)
     gc = np.conj(g)
-    g_rows = g[..., r, None]
-    oa1, oa2 = overlaps.alpha1, overlaps.alpha2
-    ob1, ob2 = overlaps.beta1, overlaps.beta2
+    g_rows, g_cols, gc_cols = g[..., r, None], g[..., None, r], gc[..., None, r]
+    oa1, ob1 = overlaps.alpha1, overlaps.beta1
+    oa2, ob2 = overlaps.alpha2[r][:, r], overlaps.beta2[r][:, r]
 
     def spectator_sum(left: np.ndarray, phases: np.ndarray, right: np.ndarray) -> np.ndarray:
-        # sum_k phases_k left_ki right_kj for the rows i, as one product over
-        # the rows of every channel in the stack
+        # sum_k phases_k left_ki right_kj for the rows i and columns j, as
+        # one product over the rows of every channel in the stack
         weighted = left.T[r] * phases[..., None, :]
-        return (weighted.reshape(-1, n) @ right).reshape(weighted.shape)
+        return (weighted.reshape(-1, n) @ right[:, r]).reshape(*weighted.shape[:-1], -1)
 
     # accumulated in place, in the order of the formulas above, so that no
     # more than two temporaries of the stack's size are alive at once
-    alpha2 = g_rows * oa2[r]
-    alpha2 += g[..., None, :] * oa2.T[r]
+    alpha2 = g_rows * oa2
+    alpha2 += g_cols * oa2.T
     alpha2 += spectator_sum(oa1, g, oa1)
     alpha2 -= spectator_sum(ob1, gc, ob1)
-    beta2 = g_rows * ob2[r]
-    beta2 -= gc[..., None, :] * ob2.T[r]
+    beta2 = g_rows * ob2
+    beta2 -= gc_cols * ob2.T
     beta2 += spectator_sum(oa1, g, ob1)
     beta2 -= spectator_sum(ob1, gc, oa1)
     alpha1 = g_rows - g[..., None, :]

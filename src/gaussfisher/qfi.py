@@ -37,6 +37,9 @@ FAMILIES = {
     "two_product_squeezed_displaced": (2, True),
     "two_mode_squeezed": (2, False),
 }
+#: the largest squeezing |r| a probe state holds: e^|r| stays below a quarter
+#: of the largest float, so a sum of two covariance entries stays finite
+MAX_SQUEEZING = float(np.log(np.finfo(float).max / 4.0))
 
 
 @dataclass(frozen=True)
@@ -180,6 +183,9 @@ def probe_state(family: str, r: float, delta: float) -> GaussianState:
     diagonal blocks ``cosh(r) I`` and cross blocks ``sinh(r) diag(1, -1)``.
     """
     n_modes, displaced = _family(family)
+    # e^|r| past the float range would leave the covariance infinite
+    if not abs(r) <= MAX_SQUEEZING:
+        raise ValueError(f"squeezing r={float(r)!r} overflows the probe covariance: |r| must not exceed {MAX_SQUEEZING:.4f}")
     if displaced:
         mean = np.tile([np.sqrt(2.0) * delta, 0.0], n_modes)
         return GaussianState(n_modes, mean, np.diag(np.tile([np.exp(r), np.exp(-r)], n_modes)))

@@ -79,6 +79,8 @@ class GaussianState:
             raise ValueError(f"first_moments must have length {dim}")
         if cov.shape != (dim, dim):
             raise ValueError(f"covariance must be {dim}x{dim}")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise ValueError("first moments and covariance must be finite")
         asym = np.max(np.abs(cov - cov.T))
         if asym > SYMMETRY_TOL:
             raise ValueError(f"covariance asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import compose_one_segment_reference, reference_sweep, synthetic_unitary_series
 from gaussfisher import sweeps
 from gaussfisher.bogoliubov import BogoliubovSeries, covariance_series, series_to_csv
-from gaussfisher.cavity import compose_one_segment
+from gaussfisher.cavity import compose_one_segment, taylor_overlaps
 from gaussfisher.cli import main
 from gaussfisher.qfi import QfiResult, c2_from_orders, perturbative_rows, probe_state, qfi_perturbative
 from gaussfisher.sweeps import FAMILIES, CavityChannel, SweepSpec, run_sweep
@@ -65,6 +65,7 @@ def test_whole_channel_is_the_one_u_all_rows_composition(overlap_series_10):
     assert stack.G.shape == (len(grid), 10) and stack.alpha2.shape == (len(grid), 10, 10)
     rows = (2, 10, 5)
     probed = compose_one_segment(overlap_series_10, grid, rows)
+    pick = np.array(rows) - 1
     for i, u in enumerate(grid):
         whole = compose_one_segment(overlap_series_10, u)
         ref = compose_one_segment_reference(overlap_series_10, u)
@@ -72,12 +73,39 @@ def test_whole_channel_is_the_one_u_all_rows_composition(overlap_series_10):
         for name in ("alpha1", "alpha2", "beta1", "beta2"):
             assert np.max(np.abs(getattr(whole, name) - getattr(ref, name))) <= 1e-15
             assert np.array_equal(getattr(stack, name)[i], getattr(whole, name))
-            assert np.max(np.abs(getattr(probed, name)[i] - getattr(whole, name)[np.array(rows) - 1])) <= 1e-15
+        # first orders on the block rows, second orders on the block rows x rows
+        for name, want in (("alpha1", whole.alpha1[pick]), ("beta1", whole.beta1[pick]),
+                           ("alpha2", whole.alpha2[np.ix_(pick, pick)]), ("beta2", whole.beta2[np.ix_(pick, pick)])):
+            assert np.max(np.abs(getattr(probed, name)[i] - want)) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_max=st.integers(2, 40),
+    grid=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_row_restricted_composition_is_the_whole_channel_block(n_max, grid, data):
+    # unsorted row sets included: (2, 10, 5) is one draw at n_max 10
+    rows = tuple(data.draw(st.permutations(range(1, n_max + 1)))[: data.draw(st.integers(1, min(n_max, 5)))])
+    overlaps = taylor_overlaps(n_max)
+    probed = compose_one_segment(overlaps, grid, rows)
+    pick = np.array(rows) - 1
+    assert probed.alpha1.shape == (len(grid), len(rows), n_max)
+    assert probed.alpha2.shape == (len(grid), len(rows), len(rows))
+    for i, u in enumerate(grid):
+        whole = compose_one_segment(overlaps, u)
+        assert np.array_equal(probed.alpha1[i], whole.alpha1[pick])
+        assert np.array_equal(probed.beta1[i], whole.beta1[pick])
+        for name in ("alpha2", "beta2"):
+            want = getattr(whole, name)[np.ix_(pick, pick)]
+            assert np.max(np.abs(getattr(probed, name)[i] - want)) <= 1e-15 * max(1.0, np.max(np.abs(want))), name
 
 
 def test_composition_refuses_bad_durations(overlap_series_10):
     for grid, message in (((0.2, -0.1), "non-negative"), ((0.2, np.nan), "finite"),
-                          ((np.inf,), "finite"), (((0.1, 0.2),), "one-dimensional")):
+                          ((np.inf,), "finite"), (((0.1, 0.2),), "one-dimensional"),
+                          ((0.2, 1e308), "^duration u=1e\\+308 gives mode phases 2 pi n u that are not finite")):
         with pytest.raises(ValueError, match=message):
             compose_one_segment(overlap_series_10, grid)
     with pytest.raises(ValueError, match="out of range"):
@@ -85,10 +113,11 @@ def test_composition_refuses_bad_durations(overlap_series_10):
 
 
 def stacked(series_list, rows=None):
-    """One stack from several whole channels, optionally on some rows."""
+    """One stack from several whole channels, optionally on some rows: their
+    block rows of the first orders and block rows x rows of the second."""
     pick = slice(None) if rows is None else np.array(rows) - 1
-    fields = {name: np.stack([getattr(s, name)[pick] for s in series_list])
-              for name in ("alpha1", "alpha2", "beta1", "beta2")}
+    fields = {name: np.stack([getattr(s, name)[pick] for s in series_list]) for name in ("alpha1", "beta1")}
+    fields |= {name: np.stack([getattr(s, name)[pick][:, pick] for s in series_list]) for name in ("alpha2", "beta2")}
     return BogoliubovSeries(series_list[0].n_max, np.stack([s.G for s in series_list]), rows=rows, **fields)
 
 

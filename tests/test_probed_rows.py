@@ -10,7 +10,8 @@ import pytest
 
 from conftest import full_covariance_series, full_unitarity_residuals, synthetic_unitary_series
 from gaussfisher.bogoliubov import BogoliubovSeries, covariance_series
-from gaussfisher.qfi import probe_state, qfi_perturbative
+from gaussfisher.cavity import compose_one_segment
+from gaussfisher.qfi import perturbative_rows, probe_state, qfi_perturbative
 from gaussfisher.sweeps import FAMILIES, CavityChannel, SweepSpec, run_sweep
 
 MODE_SETS = ((1,), (1, 3), (4, 1), (2, 5))
@@ -53,6 +54,24 @@ def test_covariance_orders_match_full_products_cavity(cavity_series_u03, modes):
     for family in families_for(modes):
         r, delta = 0.5, (0.0 if family == "two_mode_squeezed" else 1.1)
         assert_orders_agree(cavity_series_u03, modes, probe_state(family, r, delta))
+
+
+@pytest.mark.parametrize("modes", MODE_SETS)
+def test_row_restricted_stack_orders_match_full_products(overlap_series_10, modes):
+    # the stack stores the probed block rows and their rows x rows second
+    # orders, in an order that is neither sorted nor the probe's own
+    grid = (0.0, 0.137, 0.3, 0.5, 1.37)
+    rows = tuple(reversed(perturbative_rows(modes, 10))) + (6,)
+    stack = compose_one_segment(overlap_series_10, grid, rows)
+    for family in families_for(modes):
+        state = probe_state(family, 0.5, 0.0 if family == "two_mode_squeezed" else 1.1)
+        fast = covariance_series(stack, modes, state)
+        for i, u in enumerate(grid):
+            ref = full_covariance_series(compose_one_segment(overlap_series_10, u), modes, state)
+            for name in ("sigma0", "sigma1", "sigma2", "mean0", "mean1"):
+                a, b = getattr(fast, name)[i], getattr(ref, name)
+                assert a.shape == b.shape
+                assert np.max(np.abs(a - b)) <= TOL * max(1.0, np.max(np.abs(b))), (name, u)
 
 
 @pytest.mark.parametrize("modes", MODE_SETS)

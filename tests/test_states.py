@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from conftest import (
     symplectic_eigenvalues,
     vacuum_state,
 )
-from gaussfisher.qfi import probe_state
+from gaussfisher.qfi import MAX_SQUEEZING, probe_state
 from gaussfisher.states import GaussianState, symplectic_form
 
 
@@ -75,6 +77,10 @@ def test_constructor_validation():
         GaussianState(1, np.zeros(2), 0.1 * np.eye(2))  # below vacuum noise
     with pytest.raises(ValueError):
         GaussianState(1, np.zeros(3), np.eye(2))
+    for mean, cov in ((np.array([np.inf, 0.0]), np.eye(2)), (np.zeros(2), np.diag([np.inf, 0.0])),
+                      (np.zeros(2), np.diag([np.nan, 1.0]))):
+        with pytest.raises(ValueError, match="must be finite"):
+            GaussianState(1, mean, cov)
     state = vacuum_state(1)
     assert not state.covariance.flags.writeable
     assert not state.first_moments.flags.writeable
@@ -113,3 +119,14 @@ def test_embed_and_reduce_roundtrip(rng):
     assert np.array_equal(outer.first_moments[idx], inner.first_moments)
     assert np.array_equal(outer.covariance[:2, :], np.eye(10)[:2, :])
 
+
+@pytest.mark.parametrize("family", ["single_squeezed_displaced", "two_product_squeezed_displaced", "two_mode_squeezed"])
+def test_probe_refuses_a_squeezing_that_overflows_by_name(family):
+    delta = 0.0 if family == "two_mode_squeezed" else 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (MAX_SQUEEZING, -MAX_SQUEEZING):
+            assert np.all(np.isfinite(probe_state(family, r, delta).covariance))
+        for r in (np.nextafter(MAX_SQUEEZING, np.inf), -800.0, 800.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"^squeezing r={float(r)!r} overflows the probe covariance"):
+                probe_state(family, r, delta)

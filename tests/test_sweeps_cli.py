@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +257,28 @@ def test_cli_prints_fidelity_overshoot_as_a_plain_number(tmp_path, capsys):
             "--x", "0.4", "--cache", str(tmp_path / "cache"), "--out", str(tmp_path / "out.csv")]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: fidelity 1.0000000182501212 outside [0, 1]\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # 2 pi n u overflows: refused before exp, naming u
+        (["--grid", "1e308"], "duration u=1e+308 gives mode phases 2 pi n u that are not finite at n_max 10"),
+        (["--grid", "0.3", "--r", "800"],
+         "squeezing r=800.0 overflows the probe covariance: |r| must not exceed 708.3964"),
+        # 1e18 grid points: numpy refuses the 6.94 EiB array before allocating any of it
+        (["--grid", "0:1e9:1e-9"], "Unable to allocate 6.94 EiB for an array with shape (1000000000000000000,)"),
+    ],
+)
+def test_cli_refuses_overflowing_input_in_one_line(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    # warnings raise: numpy's RuntimeWarnings would otherwise reach stderr first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()
 
 
 def test_cli_validate_and_exit_codes(tmp_path):
