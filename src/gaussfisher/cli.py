@@ -24,7 +24,11 @@ probed modes are checked by the provider. Everything is dimensionless in
 ``(h, u)``, so no cavity length is asked for.
 
 Output is UTF-8 CSV with LF endings and full-precision floats; identical
-inputs and BLAS thread count give byte-identical files.
+inputs give byte-identical files at a fixed BLAS build. The oracle runs on
+one BLAS thread, so its columns, ``compare`` and ``validate`` do not depend
+on the thread count; the fitted overlap series, which ``overlaps`` writes
+and the ``sweep`` oracle completes, is built at the environment's count and
+can differ in its last bits.
 """
 
 from __future__ import annotations

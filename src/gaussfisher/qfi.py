@@ -20,7 +20,11 @@ probe on its own rows of the channel.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +34,57 @@ from .bogoliubov import BogoliubovSeries, covariance_series
 from .fidelity import fidelity_one_mode, fidelity_two_mode
 from .states import GaussianState, quadrature_indices, symplectic_form
 
+
+@functools.cache
+def _blas_thread_controls() -> tuple:
+    """``(get, set)`` thread-count functions of each OpenBLAS loaded in this
+    process, found once from ``/proc/self/maps``; empty where there is no
+    ``/proc`` or no OpenBLAS. numpy and scipy each bundle their own."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            names = {line.split()[-1] for line in fh}
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(names):
+        library = os.path.basename(path)
+        if not (library.startswith("lib") and "blas" in library.lower()):
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            try:
+                get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = (), ctypes.c_int
+            set_.argtypes, set_.restype = (ctypes.c_int,), None
+            controls.append((get, set_))
+            break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every loaded OpenBLAS pool at one thread, and give
+    each pool back its count on exit. The oracle's products are too small to
+    gain from a second thread, and the spinning workers of one pool take the
+    cores from the other's; its output bits do not depend on the count. The
+    counts are process-wide, so the oracle is not for concurrent threads."""
+    controls = _blas_thread_controls()
+    counts = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, counts):
+            set_(count)
+
+
 #: the named probe families, in sweep row order: each family's number of
 #: probed modes, and whether it carries displacement
 FAMILIES = {
@@ -37,9 +92,16 @@ FAMILIES = {
     "two_product_squeezed_displaced": (2, True),
     "two_mode_squeezed": (2, False),
 }
-#: the largest squeezing |r| a probe state holds: e^|r| stays below a quarter
-#: of the largest float, so a sum of two covariance entries stays finite
-MAX_SQUEEZING = float(np.log(np.finfo(float).max / 4.0))
+#: the largest squeezing |r| a probe may carry, on every family and route: the
+#: probe covariance spans e^(2|r|), and its roundoff grows with it. The
+#: two-mode squeezed oracle fails first, its fidelity determinants coming out
+#: complex from r 5.3 on modes 1,60 at n_max 120 (5.8 on modes 1,30 at n_max
+#: 60, 6.9 on modes 1,2 at n_max 10)
+MAX_SQUEEZING = 5.0
+#: the largest displacement |delta| a probe may carry: its photon number
+#: delta^2 stays 1e100 below the largest float, room for the factors (up to
+#: about 1e5) that the channel and the squeezing put on it in ``e2``
+MAX_DISPLACEMENT = 1e100
 
 
 @dataclass(frozen=True)
@@ -181,11 +243,20 @@ def probe_state(family: str, r: float, delta: float) -> GaussianState:
     ``(sqrt(2) delta, 0)`` on each of its modes: the product probe is the
     single-mode probe on two modes. The two-mode squeezed vacuum has
     diagonal blocks ``cosh(r) I`` and cross blocks ``sinh(r) diag(1, -1)``.
+    A squeezing above :data:`MAX_SQUEEZING` or a displacement above
+    :data:`MAX_DISPLACEMENT` is refused by name.
     """
     n_modes, displaced = _family(family)
-    # e^|r| past the float range would leave the covariance infinite
     if not abs(r) <= MAX_SQUEEZING:
-        raise ValueError(f"squeezing r={float(r)!r} overflows the probe covariance: |r| must not exceed {MAX_SQUEEZING:.4f}")
+        raise ValueError(
+            f"squeezing r={float(r)!r} is out of range: |r| must not exceed {MAX_SQUEEZING:g}, "
+            "beyond which the probe covariance's spread e^(2|r|) leaves the QFI routes too few digits"
+        )
+    if not abs(delta) <= MAX_DISPLACEMENT:
+        raise ValueError(
+            f"displacement delta={float(delta)!r} is out of range: |delta| must not exceed "
+            f"{MAX_DISPLACEMENT:g}, beyond which its photon number delta^2 overflows the QFI"
+        )
     if displaced:
         mean = np.tile([np.sqrt(2.0) * delta, 0.0], n_modes)
         return GaussianState(n_modes, mean, np.diag(np.tile([np.exp(r), np.exp(-r)], n_modes)))
@@ -216,9 +287,14 @@ def qfi_perturbative(series: BogoliubovSeries, modes, state: GaussianState) -> Q
     solved = np.linalg.solve(2.0 * orders.sigma0, orders.mean1[..., None])[..., 0]
     e2 = np.sum(orders.mean1 * solved, axis=-1)
     c2 = c2_from_orders(orders.sigma0, orders.sigma1, orders.sigma2)
+    for name, term in (("e2", e2), ("c2", c2)):
+        bad = np.asarray(term)[~np.isfinite(term)]
+        if bad.size:
+            raise ValueError(f"perturbative {name}={float(bad.flat[0])!r} is not finite")
     return QfiResult(4.0 * (e2 + c2), e2, c2, "perturbative", _perturbative_residual(series, modes))
 
 
+@_one_blas_thread()
 def probe_family(series: BogoliubovSeries, probes):
     """Callable ``thetas -> [[(reduced means, reduced covariance), ...], ...]``
     for the oracle: for each theta of the sequence, one pair per
@@ -236,11 +312,11 @@ def probe_family(series: BogoliubovSeries, probes):
 
     A probe reads only its own rows: its mean is ``S[idx] mu_in`` and its
     covariance the ``idx`` columns of ``(S[idx] Sigma_in) S^T``. These give
-    the same bits as the full ``S Sigma_in S^T``, at a fixed BLAS build and
-    thread count. The oracle's finite differences amplify roundoff far
-    beyond their residual, so the products keep exactly this form:
-    restricting the columns as well, ``S[idx] Sigma_in S[idx]^T``, moves
-    ``qfi_oracle`` by up to 1.7e-2 relative at ``n_max`` 60, where its
+    the same bits as the full ``S Sigma_in S^T`` at a fixed BLAS build, on
+    the one BLAS thread the oracle runs on. The oracle's finite differences
+    amplify roundoff far beyond their residual, so the products keep exactly
+    this form: restricting the columns as well, ``S[idx] Sigma_in S[idx]^T``,
+    moves ``qfi_oracle`` by up to 1.7e-2 relative at ``n_max`` 60, where its
     residual is 3.1e-6. Each ``state`` lives on its ``modes`` and every
     other mode is vacuum, so the embedded state is physical because the
     probe is.
@@ -286,6 +362,7 @@ def probe_family(series: BogoliubovSeries, probes):
     return family
 
 
+@_one_blas_thread()
 def qfi_oracle(family, theta: float, steps=(1e-2, 1e-3, 1e-4)) -> list[QfiResult]:
     """QFI from symmetric finite differences of the fidelity, one
     :class:`QfiResult` per probe.

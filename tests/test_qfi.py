@@ -30,6 +30,7 @@ from gaussfisher.qfi import (
     qfi_oracle,
     qfi_perturbative,
 )
+from gaussfisher.states import GaussianState
 
 SINGLE, PRODUCT, TMS = "single_squeezed_displaced", "two_product_squeezed_displaced", "two_mode_squeezed"
 
@@ -150,6 +151,15 @@ def test_rotation_channel_displacement_qfi():
     assert np.isclose(
         e2_single_mode_literature(series, 1, 0.0, delta), 2.0 * delta**2, atol=1e-13
     )
+
+
+def test_kernel_refuses_a_non_finite_term_by_name():
+    # a first moment of 1e200 overflows e2 (probe_state refuses it; a state
+    # built directly does not): refused by name, not through H = 4 (e2 + c2)
+    state = GaussianState(1, np.array([1e200, 0.0]), np.eye(2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^perturbative e2=inf is not finite$"):
+            qfi_perturbative(rotation_series(), (1,), state)
 
 
 def test_e2_matches_first_moment_quadratic_form(unitary_series):

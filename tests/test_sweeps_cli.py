@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_unitary_series
-from gaussfisher import cavity, sweeps
+from gaussfisher import cavity, qfi, sweeps
 from gaussfisher.bogoliubov import BogoliubovSeries, series_from_csv, series_to_csv
 from gaussfisher.cavity import perturbative_overlaps, save_overlaps_csv
 from gaussfisher.cli import INPUTS, main, parse_grid, read_config
@@ -265,9 +265,21 @@ def test_cli_prints_fidelity_overshoot_as_a_plain_number(tmp_path, capsys):
         # 2 pi n u overflows: refused before exp, naming u
         (["--grid", "1e308"], "duration u=1e+308 gives mode phases 2 pi n u that are not finite at n_max 10"),
         (["--grid", "0.3", "--r", "800"],
-         "squeezing r=800.0 overflows the probe covariance: |r| must not exceed 708.3964"),
+         "squeezing r=800.0 is out of range: |r| must not exceed 5, beyond which the probe covariance's "
+         "spread e^(2|r|) leaves the QFI routes too few digits"),
         # 1e18 grid points: numpy refuses the 6.94 EiB array before allocating any of it
         (["--grid", "0:1e9:1e-9"], "Unable to allocate 6.94 EiB for an array with shape (1000000000000000000,)"),
+        # each failed later, at the oracle's or the kernel's numerics, without naming r
+        *((["--grid", "0.3", "--r", r], f"squeezing r={float(r)!r} is out of range: |r| must not exceed 5")
+          for r in ("30", "100", "400", "700")),
+        # delta^2 overflowed e2 with RuntimeWarnings, or sqrt(2) delta overflowed in the probe
+        *((["--grid", "0.3", "--r", "0.5", "--delta", delta],
+           f"displacement delta={float(delta)!r} is out of range: |delta| must not exceed 1e+100, "
+           "beyond which its photon number delta^2 overflows the QFI")
+          for delta in ("1e200", "1.3e308")),
+        # the energy budget gives the single-mode probe delta^2 = 3 N at x = 0
+        (["--grid", "0.3", "--photons", "1e300", "--x", "0"],
+         "displacement delta=1.7320508075688775e+150 is out of range"),
     ],
 )
 def test_cli_refuses_overflowing_input_in_one_line(tmp_path, capsys, argv, message):
@@ -279,6 +291,26 @@ def test_cli_refuses_overflowing_input_in_one_line(tmp_path, capsys, argv, messa
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        ["--nmax", "10", "--grid", "0.3,0.55,0.9", f"--delta={qfi.MAX_DISPLACEMENT!r}"],
+        ["--nmax", "10", "--grid", "0.3,0.55,0.9", f"--delta={-qfi.MAX_DISPLACEMENT!r}"],
+        # the widest mode pair of n_max 60, where the two-mode squeezed oracle failed from r 5.8
+        ["--nmax", "60", "--modes", "1,30", "--grid", "0.3,0.55,0.9", "--state", "two_mode_squeezed"],
+    ],
+)
+@pytest.mark.parametrize("r", [qfi.MAX_SQUEEZING, -qfi.MAX_SQUEEZING, qfi.MAX_SQUEEZING - 0.1])
+def test_both_routes_hold_at_the_largest_squeezing_and_displacement(tmp_path, settings, r):
+    out = tmp_path / "out.csv"
+    argv = ["sweep", *settings, f"--r={r!r}", "--methods", "perturbative,oracle", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert rows and all(np.isfinite(float(v)) for row in rows for v in row.split(",")[2:])
 
 
 def test_cli_validate_and_exit_codes(tmp_path):
