@@ -94,19 +94,18 @@ class BogoliubovSeries:
     ``beta(theta) = beta1 theta + beta2 theta^2``, where the zeroth order is a
     pure phase ``G_n = exp(i phi_n)`` on each mode.
 
-    A whole channel stores ``G`` as ``(n_max,)`` and each matrix as
-    ``(n_max, n_max)``. With ``rows`` (1-based, distinct output modes) only
+    ``n_max`` is the length of ``G``. A whole channel stores ``G`` as
+    ``(n_max,)`` and each matrix as ``(n_max, n_max)``. With ``rows`` (1-based, distinct output modes) only
     what a probe on those modes reads is stored: the first orders on their
     block rows, ``(len(rows), n_max)``, and the second orders on the square
     block ``rows x rows``, ``(len(rows), len(rows))``, rows and columns both
     in ``rows`` order. A whole channel is the case where ``rows`` is every
     mode. Leading axes on every array make a stack of channels, one per grid
-    point. The perturbative kernel reads any stack of the rows it needs;
-    :meth:`evaluate`, :meth:`symplectic_orders` and the oracle need one
-    whole channel.
+    point. The perturbative kernel reads any stack that stores the probed
+    modes' rows; :meth:`evaluate`, :meth:`symplectic_orders` and the oracle
+    need one whole channel.
     """
 
-    n_max: int
     G: np.ndarray
     alpha1: np.ndarray
     alpha2: np.ndarray
@@ -116,17 +115,15 @@ class BogoliubovSeries:
 
     def __post_init__(self):
         g = np.asarray(self.G, dtype=complex)
-        if g.ndim == 0 or g.shape[-1] != self.n_max:
-            raise ValueError("G must have length n_max")
         # written so that a NaN phase fails it too
         if not np.all(np.abs(np.abs(g) - 1.0) <= 1e-12):
             raise ValueError("zeroth-order phases G must have unit modulus")
-        rows = self.rows
+        *stack, n_max = g.shape
+        rows = None if self.rows is None else tuple(self.rows)
         if rows is not None:
-            rows = tuple(rows)
-            quadrature_indices(rows, self.n_max)
-        width = self.n_max if rows is None else len(rows)
-        first, second = ((*g.shape[:-1], width, cols) for cols in (self.n_max, width))
+            quadrature_indices(rows, n_max)
+        width = n_max if rows is None else len(rows)
+        first, second = ((*stack, width, cols) for cols in (n_max, width))
         mats = {}
         for name, shape in (("alpha1", first), ("alpha2", second), ("beta1", first), ("beta2", second)):
             m = np.asarray(getattr(self, name), dtype=complex)
@@ -139,6 +136,10 @@ class BogoliubovSeries:
         object.__setattr__(self, "rows", rows)
         for name, m in mats.items():
             object.__setattr__(self, name, m)
+
+    @property
+    def n_max(self) -> int:
+        return self.G.shape[-1]
 
     def _require_whole(self, what: str) -> None:
         if self.rows is not None or self.G.ndim != 1:
@@ -344,4 +345,4 @@ def series_from_csv(text: str) -> BogoliubovSeries:
     if missing:
         comp, m, n = missing[0]
         raise ValueError(f"channel file lacks {len(missing)} entries, first {comp} ({m}, {n})")
-    return BogoliubovSeries(n_max, g, mats["alpha1"], mats["alpha2"], mats["beta1"], mats["beta2"])
+    return BogoliubovSeries(g, mats["alpha1"], mats["alpha2"], mats["beta1"], mats["beta2"])

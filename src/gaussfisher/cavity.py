@@ -52,11 +52,13 @@ class QuadratureError(RuntimeError):
 class RindlerOverlaps:
     """Inertial-to-accelerated mode overlaps at one finite ``h``."""
 
-    n_max: int
-    h: float
     alpha: np.ndarray
     beta: np.ndarray
     quad_order: int
+
+    @property
+    def n_max(self) -> int:
+        return self.alpha.shape[0]
 
 
 @dataclass(frozen=True)
@@ -69,12 +71,15 @@ class OverlapSeries:
     coefficients of :func:`taylor_overlaps`.
     """
 
-    n_max: int
     alpha1: np.ndarray
     alpha2: np.ndarray
     beta1: np.ndarray
     beta2: np.ndarray
     fit_residual: float
+
+    @property
+    def n_max(self) -> int:
+        return self.alpha1.shape[0]
 
 
 @functools.cache
@@ -159,7 +164,7 @@ def rindler_overlaps(h: float, n_max: int, first_order: int | None = None) -> Ri
         if prev is not None:
             change = max(np.max(np.abs(alpha - prev[0])), np.max(np.abs(beta - prev[1])))
             if change < QUADRATURE_TOL:
-                return RindlerOverlaps(n_max, h, alpha, beta, order)
+                return RindlerOverlaps(alpha, beta, order)
         prev = (alpha, beta)
     raise QuadratureError(
         f"quadrature did not converge to {QUADRATURE_TOL:g} at order {orders[-1]}"
@@ -201,7 +206,7 @@ def perturbative_overlaps(n_max: int) -> OverlapSeries:
     if worst > bound:
         raise ValueError(f"overlap series fit residual {worst:.3e} above {bound:.3e}")
     orders = (c.reshape(n_max, n_max) for c in (coef_a[0], coef_a[1], coef_b[0], coef_b[1]))
-    return OverlapSeries(n_max, *orders, worst)
+    return OverlapSeries(*orders, worst)
 
 
 def taylor_overlaps(n_max: int) -> OverlapSeries:
@@ -245,7 +250,7 @@ def taylor_overlaps(n_max: int) -> OverlapSeries:
     alpha2 = np.where(odd, 0.0, root * (m + 2.0 * n) * gap2 * gap2)
     np.fill_diagonal(alpha2, -((np.pi * idx) ** 2) / 240.0)
     beta2 = np.where(odd, 0.0, root * (2.0 * n - m) * span2 * span2)
-    return OverlapSeries(n_max, alpha1, alpha2, beta1, beta2, 0.0)
+    return OverlapSeries(alpha1, alpha2, beta1, beta2, 0.0)
 
 
 def mode_phases(n_max: int, u) -> np.ndarray:
@@ -324,7 +329,7 @@ def compose_one_segment(overlaps: OverlapSeries, u, rows=None) -> BogoliubovSeri
     alpha1 *= oa1[r]
     beta1 = g_rows - gc[..., None, :]
     beta1 *= ob1[r]
-    return BogoliubovSeries(n, g, alpha1, alpha2, beta1, beta2, rows)
+    return BogoliubovSeries(g, alpha1, alpha2, beta1, beta2, rows)
 
 
 # Overlap-series cache: one .npz file per n_max.
@@ -374,7 +379,7 @@ def load_overlaps_csv(path: str, n_max: int) -> OverlapSeries:
     except (zipfile.BadZipFile, KeyError, EOFError, ValueError, NotImplementedError,
             RuntimeError, OSError) as exc:
         raise ValueError(f"overlap-series cache file {path}: {exc}; delete it to rebuild") from exc
-    return OverlapSeries(n_max, *(arrays[name] for name in SERIES_ARRAYS), residual)
+    return OverlapSeries(*(arrays[name] for name in SERIES_ARRAYS), residual)
 
 
 def load_or_compute_overlap_series(n_max: int, cache_dir: str | None = None) -> OverlapSeries:

@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--channel": dict(help="CSV file with an imported channel series"),
         "--state": dict(action="append", choices=FAMILIES, help="probe family (repeatable; default: all three)"),
         "--methods": dict(help="comma list: perturbative,oracle"),
-        "--ladder": dict(default="0.02,0.04,0.08", help="comma list of h values"),
+        "--ladder": dict(help="comma list of h values (default: compare_methods')"),
     }
     for flag, (_, _, keys, kind, text) in INPUTS.items():
         options[flag] = dict(type=kind if len(keys) == 1 else str, help=text)
@@ -255,9 +255,10 @@ def _run(args) -> int:
         return 0
 
     if args.command == "compare":
-        ladder = tuple(finite(tok, "ladder value", positive=True) for tok in args.ladder.split(","))
+        ladder = {} if args.ladder is None else {
+            "h_ladder": tuple(finite(tok, "ladder value", positive=True) for tok in args.ladder.split(","))}
         spec = SweepSpec(**{"r": 1.0, "delta": 0.0, **probe})
-        report = compare_methods(spec, channel, h_ladder=ladder)
+        report = compare_methods(spec, channel, **ladder)
         emit(comparison_to_csv(report), args.out)
         for family, slope in report.slopes.items():
             print(f"slope {family}: {slope:.3f}", file=sys.stderr)

@@ -165,29 +165,18 @@ def c2_from_orders(sigma0: np.ndarray, sigma1: np.ndarray, sigma2: np.ndarray):
     return (tx**2 - trace(x @ x) + 4.0 * trace(y)) / 16.0
 
 
-def perturbative_rows(modes, n_max: int) -> tuple:
-    """Output modes whose block rows :func:`qfi_perturbative` reads for a
-    probe on ``modes``: the probed modes, then the last spectator (the
-    highest mode outside them) when there is one."""
-    modes = tuple(modes)
-    spectators = [n for n in range(1, n_max + 1) if n not in modes]
-    return modes + tuple(spectators[-1:])
-
-
-def _perturbative_residual(series: BogoliubovSeries, probe_modes):
+def _perturbative_residual(series: BogoliubovSeries, modes: tuple):
     """Truncation estimate: spectator-sum tail plus the channel-identity
     defect seen by the probed modes, per channel of the stack."""
-    modes = tuple(probe_modes)
-    # largest term of the last spectator row, an estimate of what the
-    # truncation of the spectator sums discards
-    spectator = perturbative_rows(modes, series.n_max)[len(modes):]
+    # the probed rows' largest term in the highest spectator's column: the last
+    # that the sums of ``S1 S1^T`` keep, an estimate of what the cut discards
+    spectators = [n for n in range(1, series.n_max + 1) if n not in modes]
     tail = 0.0
-    if spectator:
-        (row,) = series.row_positions(spectator)
-        cols = np.array(modes) - 1
+    if spectators:
+        rows, last = series.row_positions(modes), spectators[-1] - 1
         tail = np.maximum(
-            0.5 * np.max(np.abs(series.alpha1[..., row, cols]) ** 2, axis=-1),
-            0.5 * np.max(np.abs(series.beta1[..., row, cols]) ** 2, axis=-1),
+            0.5 * np.max(np.abs(series.alpha1[..., rows, last]) ** 2, axis=-1),
+            0.5 * np.max(np.abs(series.beta1[..., rows, last]) ** 2, axis=-1),
         )
     _, second = series.unitarity_residuals(modes=modes)
     return np.maximum(tail, second)
@@ -259,11 +248,11 @@ def probe_state(family: str, r: float, delta: float) -> GaussianState:
         )
     if displaced:
         mean = np.tile([np.sqrt(2.0) * delta, 0.0], n_modes)
-        return GaussianState(n_modes, mean, np.diag(np.tile([np.exp(r), np.exp(-r)], n_modes)))
+        return GaussianState(mean, np.diag(np.tile([np.exp(r), np.exp(-r)], n_modes)))
     if delta != 0.0:
         raise ValueError("two-mode squeezed probes carry no displacement")
     diagonal, cross = np.cosh(r) * np.eye(2), np.sinh(r) * np.diag([1.0, -1.0])
-    return GaussianState(2, np.zeros(4), np.block([[diagonal, cross], [cross, diagonal]]))
+    return GaussianState(np.zeros(4), np.block([[diagonal, cross], [cross, diagonal]]))
 
 
 def qfi_perturbative(series: BogoliubovSeries, modes, state: GaussianState) -> QfiResult:
@@ -275,9 +264,9 @@ def qfi_perturbative(series: BogoliubovSeries, modes, state: GaussianState) -> Q
     only, so a mixed ``state`` (``|det Sigma - 1| > 1e-9``) is refused.
 
     ``series`` is one channel, or a stack of channels storing at least the
-    rows :func:`perturbative_rows` names; a stack gives a :class:`QfiResult`
-    of arrays with the stack's shape from one pass of the kernel, so a
-    whole grid costs one call per probe.
+    rows of ``modes``, which are all the kernel and its residual read; a
+    stack gives a :class:`QfiResult` of arrays with the stack's shape from
+    one pass of the kernel, so a whole grid costs one call per probe.
     """
     modes = tuple(modes)
     det = float(np.linalg.det(state.covariance))
@@ -377,7 +366,10 @@ def qfi_oracle(family, theta: float, steps=(1e-2, 1e-3, 1e-4)) -> list[QfiResult
     is evaluated on the decreasing step ladder and Richardson-extrapolated to
     ``d -> 0`` (the error series is even in ``d`` because the fidelity is
     stationary at zero separation), separately for each probe. The residual
-    is the difference of the last two extrapolants.
+    is the difference of the last two extrapolants. The smallest step
+    carries the extrapolant, so a fidelity below 1/2 there is refused by
+    name: no step is then a second difference, and the extrapolant is a
+    number of the steps alone.
     """
     steps = tuple(float(s) for s in steps)
     if not steps or any(s <= 0.0 for s in steps):
@@ -404,10 +396,12 @@ def qfi_oracle(family, theta: float, steps=(1e-2, 1e-3, 1e-4)) -> list[QfiResult
         per_probe.append((fid, noise_floor * np.eye(dim)))
 
     def h_of(d: float, minus, plus) -> list[float]:
-        return [
-            8.0 * (1.0 - np.sqrt(fid(cov_a + bump, cov_b + bump, mean_b - mean_a))) / (2.0 * d) ** 2
-            for (fid, bump), (mean_a, cov_a), (mean_b, cov_b) in zip(per_probe, minus, plus)
-        ]
+        fids = [fid(cov_a + bump, cov_b + bump, mean_b - mean_a)
+                for (fid, bump), (mean_a, cov_a), (mean_b, cov_b) in zip(per_probe, minus, plus)]
+        if d == steps[-1] and not min(fids) >= 0.5:
+            raise ValueError(f"oracle fidelity F={float(min(fids))!r} at theta={theta!r}, step d={d!r} is below 1/2: "
+                             "the ladder's closest states are too far apart for a finite difference of the QFI")
+        return [8.0 * (1.0 - np.sqrt(f)) / (2.0 * d) ** 2 for f in fids]
 
     results = []
     for ladder in zip(*map(h_of, steps, shifted[::2], shifted[1::2])):

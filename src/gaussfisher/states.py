@@ -54,38 +54,33 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Gaussian state of ``n_modes`` bosonic modes.
+    """Gaussian state of a few bosonic modes, as many as its first moments
+    hold pairs of quadratures.
 
     Instances are immutable: the wrapped arrays are marked read-only, so a
     state can be shared freely between workers.
 
     Attributes:
-        n_modes (int): number of modes
         first_moments (array): quadrature expectation values, length ``2 n``
         covariance (array): symmetric ``2n x 2n`` covariance matrix
     """
 
-    n_modes: int
     first_moments: np.ndarray
     covariance: np.ndarray
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be a positive integer")
         mean = np.asarray(self.first_moments, dtype=float).reshape(-1)
         cov = np.asarray(self.covariance, dtype=float)
-        dim = 2 * self.n_modes
-        if mean.shape != (dim,):
-            raise ValueError(f"first_moments must have length {dim}")
-        if cov.shape != (dim, dim):
-            raise ValueError(f"covariance must be {dim}x{dim}")
+        dim = mean.size
+        if dim == 0 or dim % 2 or cov.shape != (dim, dim):
+            raise ValueError(f"{dim} first moments and a covariance of shape {cov.shape} are not 2n > 0 and 2n x 2n")
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise ValueError("first moments and covariance must be finite")
         asym = np.max(np.abs(cov - cov.T))
         if asym > SYMMETRY_TOL:
             raise ValueError(f"covariance asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
         cov = 0.5 * (cov + cov.T)
-        omega = symplectic_form(self.n_modes)
+        omega = symplectic_form(dim // 2)
         nu_min = np.min(np.linalg.eigvalsh(cov + 1j * omega))
         if nu_min < -PHYSICALITY_TOL:
             raise ValueError(
@@ -95,3 +90,7 @@ class GaussianState:
         cov.setflags(write=False)
         object.__setattr__(self, "first_moments", mean)
         object.__setattr__(self, "covariance", cov)
+
+    @property
+    def n_modes(self) -> int:
+        return self.first_moments.size // 2

@@ -26,7 +26,6 @@ from .qfi import (
     FAMILIES,
     energy_matched_params,
     negativity_first_order,
-    perturbative_rows,
     probe_family,
     probe_state,
     qfi_oracle,
@@ -268,12 +267,13 @@ def run_sweep(spec: SweepSpec, channel) -> list[SweepRow]:
     """Evaluate the requested methods on every grid point and family.
 
     The perturbative columns come from one pass over the whole grid: one
-    ``channel.orders`` call gives the rows the kernel reads for the whole
-    grid, and the kernel runs once per family on them. The cavity composes
-    them as a stack over the grid; an imported series does not depend on
-    the grid value, so its columns are evaluated once and repeat down the
-    grid. The oracle reads the channel's family and theta at each grid
-    point, and one oracle call there covers every family.
+    ``channel.orders`` call gives the rows of the spec's modes, all that the
+    kernel and the negativity read, for the whole grid, and the kernel runs
+    once per family on them. The cavity composes them as a stack over the
+    grid; an imported series does not depend on the grid value, so its
+    columns are evaluated once and repeat down the grid. The oracle reads
+    the channel's family and theta at each grid point, and one oracle call
+    there covers every family.
 
     Rows are ordered by grid index, then family order, regardless of how the
     work is executed; identical specs and channels give identical output.
@@ -282,9 +282,8 @@ def run_sweep(spec: SweepSpec, channel) -> list[SweepRow]:
     channel.check_modes(spec.modes)
     probes = spec.probes()
     grid = tuple(float(g) for g in spec.grid)
-    # the rows the kernel reads for every probe, and k's row for the negativity
-    read = {k}.union(*(perturbative_rows(modes, channel.n_max) for *_, modes in probes))
-    stack = channel.orders(grid, sorted(read))
+    # every probe reads only its own modes' rows, and the negativity k's
+    stack = channel.orders(grid, sorted(spec.modes))
 
     def down_the_grid(values) -> list:
         # one value per grid point from a stack, or one value for all of them
@@ -431,7 +430,7 @@ class ValidationReport:
         return [c.line() for c in self.checks]
 
 
-def validate(channel, modes=(1, 2)) -> ValidationReport:
+def validate(channel, modes=SweepSpec.modes) -> ValidationReport:
     """Check the channel on the probed ``modes`` and report measured
     residuals: the checks are the provider's own ``checks(modes)``."""
     channel.check_modes(modes)

@@ -21,7 +21,7 @@ def vacuum_state(n_modes: int) -> GaussianState:
     """Vacuum of ``n_modes`` modes: zero means, identity covariance."""
     if n_modes < 1:
         raise ValueError("n_modes must be a positive integer")
-    return GaussianState(n_modes, np.zeros(2 * n_modes), np.eye(2 * n_modes))
+    return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
 
 def embed_state(n_modes: int, modes, state: GaussianState) -> GaussianState:
@@ -36,7 +36,7 @@ def embed_state(n_modes: int, modes, state: GaussianState) -> GaussianState:
     cov = np.eye(2 * n_modes)
     mean[idx] = state.first_moments
     cov[np.ix_(idx, idx)] = state.covariance
-    return GaussianState(n_modes, mean, cov)
+    return GaussianState(mean, cov)
 
 
 def symplectic_eigenvalues(state_or_cov, tol: float = 1e-9) -> np.ndarray:
@@ -73,7 +73,7 @@ def random_pure_state(n_modes: int, rng: np.random.Generator, strength: float = 
     """Random pure Gaussian state ``S I S^T`` with random displacement."""
     s = random_symplectic(n_modes, rng, strength)
     mean = rng.normal(scale=1.0, size=2 * n_modes)
-    return GaussianState(n_modes, mean, s @ s.T)
+    return GaussianState(mean, s @ s.T)
 
 
 def random_mixed_state(
@@ -87,7 +87,7 @@ def random_mixed_state(
     nu = 1.0 + rng.uniform(0.0, max_excess, size=n_modes)
     d = np.repeat(nu, 2)
     mean = rng.normal(scale=1.0, size=2 * n_modes)
-    return GaussianState(n_modes, mean, s @ np.diag(d) @ s.T)
+    return GaussianState(mean, s @ np.diag(d) @ s.T)
 
 
 def fidelity(state: GaussianState, other: GaussianState) -> float:
@@ -149,7 +149,7 @@ def synthetic_unitary_series(
     s2 = (k2 + 0.5 * k1 @ k1) @ s0
     a1, b1 = _disassemble(s1)
     a2, b2 = _disassemble(s2)
-    return BogoliubovSeries(n_max, g, a1, a2, b1, b2)
+    return BogoliubovSeries(g, a1, a2, b1, b2)
 
 
 def random_exact_channel(n_max: int, rng: np.random.Generator, strength: float = 0.5):
@@ -292,7 +292,7 @@ def compose_one_segment_reference(overlaps, u: float) -> BogoliubovSeries:
         + oa1.T @ (g[:, None] * ob1)
         - ob1.T @ (gc[:, None] * oa1)
     )
-    return BogoliubovSeries(n, g, alpha1, alpha2, beta1, beta2)
+    return BogoliubovSeries(g, alpha1, alpha2, beta1, beta2)
 
 
 def perturbative_overlaps_reference(n_max: int) -> cavity.OverlapSeries:
@@ -330,7 +330,7 @@ def perturbative_overlaps_reference(n_max: int) -> cavity.OverlapSeries:
     if worst > bound:
         raise ValueError(f"overlap series fit residual {worst:.3e} above {bound:.3e}")
     orders = (c.reshape(n_max, n_max) for c in (coef_a[0], coef_a[1], coef_b[0], coef_b[1]))
-    return cavity.OverlapSeries(n_max, *orders, worst)
+    return cavity.OverlapSeries(*orders, worst)
 
 
 def reference_sweep(spec, overlaps) -> list:
@@ -339,7 +339,7 @@ def reference_sweep(spec, overlaps) -> list:
     Each grid point gets its own whole channel from
     :func:`compose_one_segment_reference`, and the kernel runs on it once per
     family. The truncation residual is rebuilt from the full-product
-    references: the last spectator row's tail (:func:`f_sums`) against the
+    references: the last spectator column's tail (:func:`f_sums`) against the
     second-order identity defect. Rows are
     ``(u, family, qfi, e2, c2, residual, negativity)`` in the sweep's order.
     """
@@ -525,8 +525,10 @@ class FSums:
     ``f_alpha[i] = 1/2 sum_n |alpha1_{n, i}|^2`` and likewise for ``beta``,
     with ``n`` running over 1..n_max outside the exclusion set and ``i`` over
     the probe modes (column index). ``g_alpha_beta[i, j] = sum_n alpha1_{n, i}
-    conj(beta1_{n, j})``. ``tail`` is the magnitude of the largest last-row
-    term, an estimate of what the truncation discards.
+    conj(beta1_{n, j})``. ``tail`` is the largest ``1/2 |alpha1_{i, s}|^2`` or
+    ``1/2 |beta1_{i, s}|^2`` of the probe modes' rows ``i`` in the column of
+    the last spectator ``s``: the last term the kernel's spectator sums keep,
+    an estimate of what the truncation discards.
     """
 
     probe_modes: tuple
@@ -557,8 +559,8 @@ def f_sums(series: BogoliubovSeries, exclusion, probe_modes) -> FSums:
     if rows.size:
         tail = float(
             max(
-                0.5 * np.max(np.abs(a[-1, :]) ** 2),
-                0.5 * np.max(np.abs(b[-1, :]) ** 2),
+                0.5 * np.max(np.abs(series.alpha1[cols, rows[-1]]) ** 2),
+                0.5 * np.max(np.abs(series.beta1[cols, rows[-1]]) ** 2),
             )
         )
     return FSums(probe_modes, exclusion, f_alpha, f_beta, g, tail)

@@ -14,7 +14,7 @@ from gaussfisher import sweeps
 from gaussfisher.bogoliubov import BogoliubovSeries, covariance_series, series_to_csv
 from gaussfisher.cavity import compose_one_segment, taylor_overlaps
 from gaussfisher.cli import main
-from gaussfisher.qfi import QfiResult, c2_from_orders, perturbative_rows, probe_state, qfi_perturbative
+from gaussfisher.qfi import QfiResult, c2_from_orders, probe_state, qfi_perturbative
 from gaussfisher.sweeps import FAMILIES, CavityChannel, SweepSpec, run_sweep
 
 #: per unit of max(1, |v|). That is absolute for the residual columns,
@@ -79,6 +79,38 @@ def test_whole_channel_is_the_one_u_all_rows_composition(overlap_series_10):
             assert np.max(np.abs(getattr(probed, name)[i] - want)) <= 1e-15
 
 
+def summation_bounds(overlaps, rows) -> dict:
+    """Largest roundoff gap between two summation orders of the second orders
+    on ``rows x rows``, per entry: ``4 n_max eps`` times the sum of the
+    absolute values of the entry's ``n_max + 2`` terms in
+    :func:`compose_one_segment`'s formulas. Each order's rounding error is at
+    most about ``(n_max + 4) eps/2`` times that sum (the sum's own rounding
+    plus the products'), and two orders differ by at most twice that; the
+    factor 4 covers ``n_max + 4 <= 3 n_max`` and the complex arithmetic.
+    ``|G| = 1``, so the bound holds at every duration."""
+    p = np.array(rows) - 1
+    a1, b1, a2, b2 = (np.abs(getattr(overlaps, name)) for name in ("alpha1", "beta1", "alpha2", "beta2"))
+    terms = {"alpha2": a2 + a2.T + a1.T @ a1 + b1.T @ b1, "beta2": b2 + b2.T + a1.T @ b1 + b1.T @ a1}
+    return {name: 4.0 * overlaps.n_max * np.finfo(float).eps * t[np.ix_(p, p)] for name, t in terms.items()}
+
+
+def assert_is_whole_channel_block(overlaps, grid, rows, probed, shift=0.0):
+    """``probed`` holds the whole channel's block rows of the first orders
+    bit for bit, and its second orders within :func:`summation_bounds`; a
+    ``shift`` moves the reference's first second-order entry."""
+    pick = np.array(rows) - 1
+    bounds = summation_bounds(overlaps, rows)
+    for i, u in enumerate(grid):
+        whole = compose_one_segment(overlaps, u)
+        assert np.array_equal(probed.alpha1[i], whole.alpha1[pick])
+        assert np.array_equal(probed.beta1[i], whole.beta1[pick])
+        for name in ("alpha2", "beta2"):
+            want = getattr(whole, name)[np.ix_(pick, pick)].copy()
+            want[0, 0] += shift
+            gap = np.abs(getattr(probed, name)[i] - want)
+            assert np.all(gap <= bounds[name]), (name, u, float(np.max(gap - bounds[name])))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n_max=st.integers(2, 40),
@@ -90,16 +122,21 @@ def test_row_restricted_composition_is_the_whole_channel_block(n_max, grid, data
     rows = tuple(data.draw(st.permutations(range(1, n_max + 1)))[: data.draw(st.integers(1, min(n_max, 5)))])
     overlaps = taylor_overlaps(n_max)
     probed = compose_one_segment(overlaps, grid, rows)
-    pick = np.array(rows) - 1
     assert probed.alpha1.shape == (len(grid), len(rows), n_max)
     assert probed.alpha2.shape == (len(grid), len(rows), len(rows))
-    for i, u in enumerate(grid):
-        whole = compose_one_segment(overlaps, u)
-        assert np.array_equal(probed.alpha1[i], whole.alpha1[pick])
-        assert np.array_equal(probed.beta1[i], whole.beta1[pick])
-        for name in ("alpha2", "beta2"):
-            want = getattr(whole, name)[np.ix_(pick, pick)]
-            assert np.max(np.abs(getattr(probed, name)[i] - want)) <= 1e-15 * max(1.0, np.max(np.abs(want))), name
+    assert_is_whole_channel_block(overlaps, grid, rows, probed)
+
+
+def test_summation_bound_holds_a_cancelling_sum_and_catches_a_wrong_term():
+    # a draw whose alpha2 sums cancel: the two orders differ by 3.55e-15,
+    # more than 1e-15 of |alpha2|, and within the bound (6.4e-13 there)
+    overlaps, grid, rows = taylor_overlaps(17), (0.0, 0.0625), (16,)
+    probed = compose_one_segment(overlaps, grid, rows)
+    assert np.max(np.abs(probed.alpha2[1] - compose_one_segment(overlaps, 0.0625).alpha2[15, 15])) > 1e-15
+    assert_is_whole_channel_block(overlaps, grid, rows, probed)
+    # one spectator term off by 1e-12 moves its entry by as much, and fails
+    with pytest.raises(AssertionError, match="alpha2"):
+        assert_is_whole_channel_block(overlaps, grid, rows, probed, shift=1e-12)
 
 
 def test_composition_refuses_bad_durations(overlap_series_10):
@@ -118,7 +155,7 @@ def stacked(series_list, rows=None):
     pick = slice(None) if rows is None else np.array(rows) - 1
     fields = {name: np.stack([getattr(s, name)[pick] for s in series_list]) for name in ("alpha1", "beta1")}
     fields |= {name: np.stack([getattr(s, name)[pick][:, pick] for s in series_list]) for name in ("alpha2", "beta2")}
-    return BogoliubovSeries(series_list[0].n_max, np.stack([s.G for s in series_list]), rows=rows, **fields)
+    return BogoliubovSeries(np.stack([s.G for s in series_list]), rows=rows, **fields)
 
 
 @pytest.mark.parametrize("family", list(FAMILIES))
@@ -126,7 +163,8 @@ def test_kernel_on_a_stack_is_the_kernel_on_each_entry(family):
     channels = [synthetic_unitary_series(7, np.random.default_rng(seed), strength=0.3) for seed in range(4)]
     state = probe_state(family, 0.7, 0.0 if family == "two_mode_squeezed" else 0.9)
     modes = (7, 2)[: state.n_modes]
-    stack = stacked(channels, perturbative_rows(modes, 7))
+    # the probed rows and one the kernel does not read, unsorted
+    stack = stacked(channels, modes + (4,))
     result = qfi_perturbative(stack, modes, state)
     assert result.value.shape == (4,)
     first, second = stack.unitarity_residuals(modes)
@@ -147,10 +185,16 @@ def test_a_stack_refuses_what_needs_one_whole_channel(overlap_series_10):
     # the kernel reads only the rows the series stores
     with pytest.raises(ValueError, match="stores no row for mode 3"):
         covariance_series(rows, (1, 3), probe_state("two_product_squeezed_displaced", 0.5, 0.5))
-    with pytest.raises(ValueError, match="stores no row for mode 10"):
-        qfi_perturbative(rows, (1, 2), probe_state("two_mode_squeezed", 0.5, 0.0))
+    state = probe_state("two_mode_squeezed", 0.5, 0.0)
+    with pytest.raises(ValueError, match="stores no row for mode 3"):
+        qfi_perturbative(rows, (3, 1), state)
+    # the probed rows are all it reads, the residual's spectator tail included
+    got = qfi_perturbative(rows, (1, 2), state)
+    want = qfi_perturbative(compose_one_segment(overlap_series_10, 0.2), (1, 2), state)
+    for name in ("value", "e2", "c2", "residual"):
+        assert close(getattr(got, name), getattr(want, name), REL * max(1.0, abs(getattr(want, name)))), name
     with pytest.raises(ValueError, match="alpha1 must have shape"):
-        BogoliubovSeries(10, rows.G, rows.alpha1[:1], rows.alpha2, rows.beta1, rows.beta2, rows=(1, 2))
+        BogoliubovSeries(rows.G, rows.alpha1[:1], rows.alpha2, rows.beta1, rows.beta2, rows=(1, 2))
 
 
 def test_checks_hold_on_every_stack_entry():

@@ -137,17 +137,16 @@ def test_series_requires_unit_phases():
     n = 2
     zeros = np.zeros((n, n), dtype=complex)
     with pytest.raises(ValueError):
-        BogoliubovSeries(n, np.array([1.0, 1.1]), zeros, zeros, zeros, zeros)
+        BogoliubovSeries(np.array([1.0, 1.1]), zeros, zeros, zeros, zeros)
     for bad in (np.nan, np.inf, complex(np.nan, 1.0)):
         with pytest.raises(ValueError, match="unit modulus"):
-            BogoliubovSeries(n, np.array([1.0, bad]), zeros, zeros, zeros, zeros)
+            BogoliubovSeries(np.array([1.0, bad]), zeros, zeros, zeros, zeros)
 
 
 def test_covariance_series_zeroth_and_first(unitary_series):
     n = unitary_series.n_max
     vac_in = vacuum_state(1)
     trivial = BogoliubovSeries(
-        n,
         np.ones(n, dtype=complex),
         *(np.zeros((n, n), dtype=complex) for _ in range(4)),
     )

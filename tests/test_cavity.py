@@ -245,7 +245,7 @@ def test_composition_sign_is_fixed_by_unitarity(overlap_series_10):
         + ov.alpha1.T @ (g[:, None] * ov.alpha1)
         - ov.beta1.T @ (np.conj(g)[:, None] * ov.beta1)
     )
-    bad = BogoliubovSeries(10, g, good.alpha1, alpha2_flipped, good.beta1, good.beta2)
+    bad = BogoliubovSeries(g, good.alpha1, alpha2_flipped, good.beta1, good.beta2)
     _, second_good = good.unitarity_residuals(modes=(1, 2))
     _, second_bad = bad.unitarity_residuals(modes=(1, 2))
     assert second_bad > 100.0 * second_good

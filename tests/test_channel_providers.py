@@ -41,6 +41,16 @@ def test_run_sweep_through_a_duck_typed_provider(provider):
     assert [modes for modes, _ in probes] == [(1,), (1, 2), (1, 2)]
 
 
+@pytest.mark.parametrize("modes", [(1, 2), (7, 3)])
+def test_run_sweep_asks_for_the_probed_rows_alone(modes):
+    # every probe and the negativity read only the spec's modes' rows, the
+    # truncation tail included: a two-mode sweep composes two rows
+    recording = RecordingChannel(CavityChannel(n_max=20))
+    run_sweep(SweepSpec(modes=modes, grid=(0.3, 0.7)), recording)
+    ((orders, (_, rows)),) = recording.calls
+    assert orders == "orders" and rows == sorted(modes)
+
+
 def test_compare_and_validate_through_a_duck_typed_provider(provider):
     channel, _ = provider
     spec = SweepSpec(families=tuple(FAMILIES)[:2], r=0.8, delta=0.3)

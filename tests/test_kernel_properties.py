@@ -40,7 +40,7 @@ def non_unitary_series(n, rng):
     def block():
         return scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
 
-    return BogoliubovSeries(n, np.exp(1j * rng.uniform(0.0, 2 * np.pi, n)), block(), block(), block(), block())
+    return BogoliubovSeries(np.exp(1j * rng.uniform(0.0, 2 * np.pi, n)), block(), block(), block(), block())
 
 
 def make_series(kind, n, seed):
@@ -94,7 +94,7 @@ def test_kernel_matches_closed_forms(kind, family, n, seed, r, delta, data):
 def swapped(state):
     """The same two-mode state with its mode blocks exchanged."""
     perm = np.array([2, 3, 0, 1])
-    return GaussianState(2, state.first_moments[perm], state.covariance[np.ix_(perm, perm)])
+    return GaussianState(state.first_moments[perm], state.covariance[np.ix_(perm, perm)])
 
 
 @SETTINGS
@@ -120,9 +120,7 @@ def test_kernel_invariant_under_mode_relabelling(kind, n, seed, data):
 def test_kernel_scales_quadratically_under_reparametrization(kind, n, seed, c, data):
     # theta -> c theta multiplies the first orders by c and the second by c^2
     series = make_series(kind, n, seed)
-    scaled = BogoliubovSeries(
-        n, series.G, c * series.alpha1, c**2 * series.alpha2, c * series.beta1, c**2 * series.beta2
-    )
+    scaled = BogoliubovSeries(series.G, c * series.alpha1, c**2 * series.alpha2, c * series.beta1, c**2 * series.beta2)
     m = data.draw(st.integers(1, 2))
     state = random_pure_state(m, np.random.default_rng(seed + 2))
     modes = tuple(data.draw(st.permutations(range(1, n + 1)))[:m])
@@ -142,7 +140,7 @@ def test_kernel_refuses_mixed_probe(n, seed, nu, data):
     series = synthetic_unitary_series(n, rng, strength=0.3)
     m = len(nu)
     s = random_symplectic(m, rng)
-    state = GaussianState(m, rng.normal(size=2 * m), s @ np.diag(np.repeat(nu, 2)) @ s.T)
+    state = GaussianState(rng.normal(size=2 * m), s @ np.diag(np.repeat(nu, 2)) @ s.T)
     modes = tuple(data.draw(st.permutations(range(1, n + 1)))[:m])
     with pytest.raises(ValueError, match="pure probe"):
         qfi_perturbative(series, modes, state)

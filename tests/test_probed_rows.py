@@ -11,7 +11,7 @@ import pytest
 from conftest import full_covariance_series, full_unitarity_residuals, synthetic_unitary_series
 from gaussfisher.bogoliubov import BogoliubovSeries, covariance_series
 from gaussfisher.cavity import compose_one_segment
-from gaussfisher.qfi import perturbative_rows, probe_state, qfi_perturbative
+from gaussfisher.qfi import probe_state, qfi_perturbative
 from gaussfisher.sweeps import FAMILIES, CavityChannel, SweepSpec, run_sweep
 
 MODE_SETS = ((1,), (1, 3), (4, 1), (2, 5))
@@ -59,9 +59,10 @@ def test_covariance_orders_match_full_products_cavity(cavity_series_u03, modes):
 @pytest.mark.parametrize("modes", MODE_SETS)
 def test_row_restricted_stack_orders_match_full_products(overlap_series_10, modes):
     # the stack stores the probed block rows and their rows x rows second
-    # orders, in an order that is neither sorted nor the probe's own
+    # orders, with rows the probe does not read, in an order that is neither
+    # sorted nor the probe's own
     grid = (0.0, 0.137, 0.3, 0.5, 1.37)
-    rows = tuple(reversed(perturbative_rows(modes, 10))) + (6,)
+    rows = (10,) + tuple(reversed(modes)) + (6,)
     stack = compose_one_segment(overlap_series_10, grid, rows)
     for family in families_for(modes):
         state = probe_state(family, 0.5, 0.0 if family == "two_mode_squeezed" else 1.1)
@@ -88,10 +89,7 @@ def test_identity_residuals_unrestricted(synthetic, cavity_series_u03):
         ref = full_unitarity_residuals(series)
         assert np.allclose(fast, ref, rtol=0.0, atol=TOL)
     # a broken second order shows up in both, and identically
-    bad = BogoliubovSeries(
-        synthetic.n_max, synthetic.G, synthetic.alpha1, 1.5 * synthetic.alpha2,
-        synthetic.beta1, synthetic.beta2,
-    )
+    bad = BogoliubovSeries(synthetic.G, synthetic.alpha1, 1.5 * synthetic.alpha2, synthetic.beta1, synthetic.beta2)
     assert bad.unitarity_residuals()[1] > 1e-3
     assert np.allclose(bad.unitarity_residuals(), full_unitarity_residuals(bad), rtol=0.0, atol=TOL)
 

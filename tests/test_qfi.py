@@ -49,13 +49,12 @@ def tms(series, k, k_prime, r):
 
 def null_series(n):
     zeros = np.zeros((n, n), dtype=complex)
-    return BogoliubovSeries(n, np.ones(n, dtype=complex), zeros, zeros, zeros, zeros)
+    return BogoliubovSeries(np.ones(n, dtype=complex), zeros, zeros, zeros, zeros)
 
 
 def rotation_series():
     """Exact phase-rotation channel on one mode: alpha(theta) = e^{i theta}."""
     return BogoliubovSeries(
-        1,
         np.ones(1, dtype=complex),
         np.array([[1j]]),
         np.array([[-0.5 + 0j]]),
@@ -83,10 +82,8 @@ def test_f_sums_examples():
 
     alpha1 = np.zeros((4, 4), dtype=complex)
     alpha1[2, 0] = 2.0  # row 3, column 1
-    series = BogoliubovSeries(
-        4, np.ones(4, dtype=complex), alpha1, np.zeros((4, 4), dtype=complex),
-        np.zeros((4, 4), dtype=complex), np.zeros((4, 4), dtype=complex),
-    )
+    zeros = np.zeros((4, 4), dtype=complex)
+    series = BogoliubovSeries(np.ones(4, dtype=complex), alpha1, zeros, zeros, zeros)
     sums = f_sums(series, (1, 2), (1,))
     assert np.isclose(sums.f_alpha[0], 2.0)
     assert sums.f_beta[0] == 0.0
@@ -156,7 +153,7 @@ def test_rotation_channel_displacement_qfi():
 def test_kernel_refuses_a_non_finite_term_by_name():
     # a first moment of 1e200 overflows e2 (probe_state refuses it; a state
     # built directly does not): refused by name, not through H = 4 (e2 + c2)
-    state = GaussianState(1, np.array([1e200, 0.0]), np.eye(2))
+    state = GaussianState(np.array([1e200, 0.0]), np.eye(2))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match=r"^perturbative e2=inf is not finite$"):
             qfi_perturbative(rotation_series(), (1,), state)
@@ -229,7 +226,7 @@ def test_c2_single_mode_explicit_spectator_sum_matches_loop(rng):
         a1z, b1z = series.alpha1.copy(), series.beta1.copy()
         a1z[i, np.arange(series.n_max) != i] = 0.0
         b1z[i, np.arange(series.n_max) != i] = 0.0
-        stripped = BogoliubovSeries(series.n_max, series.G, a1z, series.alpha2, b1z, series.beta2)
+        stripped = BogoliubovSeries(series.G, a1z, series.alpha2, b1z, series.beta2)
         diff = _c2_single_mode_explicit(series, k, r) - _c2_single_mode_explicit(stripped, k, r)
         assert abs(diff - loop / 4.0) <= 1e-12 * max(1.0, abs(loop))
 
@@ -304,10 +301,8 @@ def test_negativity_examples():
     assert negativity_first_order(null_series(3), 1, 2) == 0.0
     beta1 = np.zeros((3, 3), dtype=complex)
     beta1[0, 1] = 3.0 + 4.0j
-    series = BogoliubovSeries(
-        3, np.ones(3, dtype=complex), np.zeros((3, 3), dtype=complex),
-        np.zeros((3, 3), dtype=complex), beta1, np.zeros((3, 3), dtype=complex),
-    )
+    zeros = np.zeros((3, 3), dtype=complex)
+    series = BogoliubovSeries(np.ones(3, dtype=complex), zeros, zeros, beta1, zeros)
     assert np.isclose(negativity_first_order(series, 1, 2), 5.0)
     with pytest.raises(ValueError):
         negativity_first_order(series, 2, 2)

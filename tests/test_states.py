@@ -72,15 +72,15 @@ def test_two_mode_squeezed_examples():
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
-        GaussianState(1, np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric
+        GaussianState(np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric
     with pytest.raises(ValueError):
-        GaussianState(1, np.zeros(2), 0.1 * np.eye(2))  # below vacuum noise
+        GaussianState(np.zeros(2), 0.1 * np.eye(2))  # below vacuum noise
     with pytest.raises(ValueError):
-        GaussianState(1, np.zeros(3), np.eye(2))
+        GaussianState(np.zeros(3), np.eye(2))
     for mean, cov in ((np.array([np.inf, 0.0]), np.eye(2)), (np.zeros(2), np.diag([np.inf, 0.0])),
                       (np.zeros(2), np.diag([np.nan, 1.0]))):
         with pytest.raises(ValueError, match="must be finite"):
-            GaussianState(1, mean, cov)
+            GaussianState(mean, cov)
     state = vacuum_state(1)
     assert not state.covariance.flags.writeable
     assert not state.first_moments.flags.writeable

@@ -15,6 +15,7 @@ from gaussfisher.sweeps import (
     ImportedChannel,
     SweepSpec,
     compare_methods,
+    comparison_to_csv,
     rows_to_csv,
     run_sweep,
     validate,
@@ -128,7 +129,7 @@ def test_compare_methods_report(tmp_path):
 def test_compare_methods_identity_channel():
     n = 4
     zeros = np.zeros((n, n), dtype=complex)
-    identity_channel = BogoliubovSeries(n, np.ones(n, dtype=complex), zeros, zeros, zeros, zeros)
+    identity_channel = BogoliubovSeries(np.ones(n, dtype=complex), zeros, zeros, zeros, zeros)
     spec = SweepSpec(r=0.7, delta=0.0)
     report = compare_methods(spec, ImportedChannel(identity_channel))
     for row in report.rows:
@@ -167,9 +168,7 @@ def test_perturbative_verbs_run_no_overlap_quadrature(tmp_path, monkeypatch, cap
 
 def test_validate_flags_corrupted_channel():
     channel = synthetic_unitary_series(5, np.random.default_rng(8), strength=0.3)
-    corrupted = BogoliubovSeries(
-        5, channel.G, channel.alpha1, channel.alpha2, 2.0 * channel.beta1, channel.beta2
-    )
+    corrupted = BogoliubovSeries(channel.G, channel.alpha1, channel.alpha2, 2.0 * channel.beta1, channel.beta2)
     report = validate(ImportedChannel(corrupted))
     assert not report.passed
     failing = [c for c in report.checks if not c.passed]
@@ -303,14 +302,26 @@ def test_cli_refuses_overflowing_input_in_one_line(tmp_path, capsys, argv, messa
     ],
 )
 @pytest.mark.parametrize("r", [qfi.MAX_SQUEEZING, -qfi.MAX_SQUEEZING, qfi.MAX_SQUEEZING - 0.1])
-def test_both_routes_hold_at_the_largest_squeezing_and_displacement(tmp_path, settings, r):
-    out = tmp_path / "out.csv"
-    argv = ["sweep", *settings, f"--r={r!r}", "--methods", "perturbative,oracle", "--out", str(out)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(argv) == 0
-    rows = out.read_text(encoding="utf-8").splitlines()[1:]
-    assert rows and all(np.isfinite(float(v)) for row in rows for v in row.split(",")[2:])
+def test_both_routes_hold_at_the_largest_squeezing_and_displacement(tmp_path, capsys, settings, r):
+    # with warnings as errors: each route writes finite numbers, except the
+    # oracle at the largest displacement, whose means at the smallest step lie
+    # so far apart that F = 0, and which refuses by name
+    displaced = any(arg.startswith("--delta") for arg in settings)
+    for methods in ("perturbative", "oracle"):
+        out = tmp_path / f"{methods}.csv"
+        argv = ["sweep", *settings, f"--r={r!r}", "--methods", methods, "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        if methods == "oracle" and displaced:
+            assert code == 2 and not out.exists()
+            assert capsys.readouterr().err == (
+                "error: oracle fidelity F=0.0 at theta=0.05, step d=0.0005 is below 1/2: "
+                "the ladder's closest states are too far apart for a finite difference of the QFI\n")
+            continue
+        assert code == 0
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert rows and all(np.isfinite(float(v)) for row in rows for v in row.split(",")[2:] if v)
 
 
 def test_cli_validate_and_exit_codes(tmp_path):
@@ -324,10 +335,7 @@ def test_cli_validate_channels(tmp_path):
     good.write_text(series_to_csv(channel), encoding="utf-8")
     assert main(["validate", "--channel", str(good)]) == 0
 
-    tampered = BogoliubovSeries(
-        channel.n_max, channel.G, channel.alpha1, channel.alpha2,
-        2.0 * channel.beta1, channel.beta2,
-    )
+    tampered = BogoliubovSeries(channel.G, channel.alpha1, channel.alpha2, 2.0 * channel.beta1, channel.beta2)
     bad = tmp_path / "bad.csv"
     bad.write_text(series_to_csv(tampered), encoding="utf-8")
     assert main(["validate", "--channel", str(bad)]) == 1
@@ -573,6 +581,9 @@ def test_cli_adds_no_defaults_of_its_own(capsys):
     assert capsys.readouterr().out == rows_to_csv(run_sweep(SweepSpec(grid=(0.3,)), channel))
     assert main(["validate", "--nmax", "6"]) == 0
     assert capsys.readouterr().out.splitlines() == validate(channel).lines()
+    # compare's own probe, r 1 and no displacement, on the library's ladder
+    assert main(["compare", "--nmax", "6"]) == 0
+    assert capsys.readouterr().out == comparison_to_csv(compare_methods(SweepSpec(r=1.0, delta=0.0), channel))
 
 
 def test_cli_overlaps_cache_builder(tmp_path, capsys, monkeypatch):
