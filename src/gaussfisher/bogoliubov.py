@@ -260,8 +260,16 @@ def covariance_series(
     ``S Sigma_in S^T``. A stack of channels gives orders with the same
     leading axes: ``(..., 2m, 2m)`` and ``(..., 2m)``.
     """
+    (orders,) = _covariance_orders(series, modes, [input_state])
+    return orders
+
+
+def _covariance_orders(series: BogoliubovSeries, modes, states) -> list[CovarianceSeries]:
+    """:func:`covariance_series` of each of ``states`` on the same ``modes``:
+    the blocks ``S0_p``, ``S2_p``, ``S1`` and ``S1_p`` are assembled and
+    ``S1 S1^T`` is formed once for all of them."""
     idx = quadrature_indices(modes, series.n_max)
-    if 2 * input_state.n_modes != idx.size:
+    if any(2 * state.n_modes != idx.size for state in states):
         raise ValueError("input state must live on the probed modes")
 
     # only the block rows of the probed modes are ever needed
@@ -271,18 +279,19 @@ def covariance_series(
     s2 = _assemble(*series.second_order_block(modes))
     s1 = _assemble(series.alpha1[..., rows, :], series.beta1[..., rows, :])
     s1_p = s1[..., idx]
-    sigma = input_state.covariance
-    x_in = input_state.first_moments
-
-    sigma_s0 = sigma @ _t(s0)
-    sigma0 = s0 @ sigma_s0
-    cross2 = s2 @ sigma_s0
-    cross1 = s1_p @ sigma_s0
-    sigma1 = cross1 + _t(cross1)
-    sigma2 = cross2 + _t(cross2) + s1 @ _t(s1) + s1_p @ (sigma - np.eye(idx.size)) @ _t(s1_p)
-    mean0 = s0 @ x_in
-    mean1 = s1_p @ x_in
-    return CovarianceSeries(sigma0, sigma1, sigma2, mean0, mean1)
+    s1_s1 = s1 @ _t(s1)
+    out = []
+    for state in states:
+        sigma = state.covariance
+        x_in = state.first_moments
+        sigma_s0 = sigma @ _t(s0)
+        sigma0 = s0 @ sigma_s0
+        cross2 = s2 @ sigma_s0
+        cross1 = s1_p @ sigma_s0
+        sigma1 = cross1 + _t(cross1)
+        sigma2 = cross2 + _t(cross2) + s1_s1 + s1_p @ (sigma - np.eye(idx.size)) @ _t(s1_p)
+        out.append(CovarianceSeries(sigma0, sigma1, sigma2, s0 @ x_in, s1_p @ x_in))
+    return out
 
 
 def series_to_csv(series: BogoliubovSeries) -> str:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .bogoliubov import BogoliubovSeries, covariance_series
+from .bogoliubov import BogoliubovSeries, _covariance_orders
 from .fidelity import fidelity_one_mode, fidelity_two_mode
 from .states import GaussianState, quadrature_indices, symplectic_form
 
@@ -266,21 +266,35 @@ def qfi_perturbative(series: BogoliubovSeries, modes, state: GaussianState) -> Q
     ``series`` is one channel, or a stack of channels storing at least the
     rows of ``modes``, which are all the kernel and its residual read; a
     stack gives a :class:`QfiResult` of arrays with the stack's shape from
-    one pass of the kernel, so a whole grid costs one call per probe.
+    one pass of the kernel. This is :func:`_qfi_perturbative_states` on one
+    state; a sweep calls that once per mode set, for all its probes there.
     """
+    (result,) = _qfi_perturbative_states(series, modes, [state])
+    return result
+
+
+def _qfi_perturbative_states(series: BogoliubovSeries, modes, states) -> list[QfiResult]:
+    """:func:`qfi_perturbative` of each of ``states`` on the same ``modes``,
+    in order. What the probed modes alone fix is done once for all of them:
+    the assembled blocks and ``S1 S1^T`` of the covariance orders, and the
+    truncation residual, which every result shares."""
     modes = tuple(modes)
-    det = float(np.linalg.det(state.covariance))
-    if abs(det - 1.0) > 1e-9:
-        raise ValueError(f"perturbative QFI needs a pure probe state, got det Sigma = {det!r}")
-    orders = covariance_series(series, modes, state)
-    solved = np.linalg.solve(2.0 * orders.sigma0, orders.mean1[..., None])[..., 0]
-    e2 = np.sum(orders.mean1 * solved, axis=-1)
-    c2 = c2_from_orders(orders.sigma0, orders.sigma1, orders.sigma2)
-    for name, term in (("e2", e2), ("c2", c2)):
-        bad = np.asarray(term)[~np.isfinite(term)]
-        if bad.size:
-            raise ValueError(f"perturbative {name}={float(bad.flat[0])!r} is not finite")
-    return QfiResult(4.0 * (e2 + c2), e2, c2, "perturbative", _perturbative_residual(series, modes))
+    for state in states:
+        det = float(np.linalg.det(state.covariance))
+        if abs(det - 1.0) > 1e-9:
+            raise ValueError(f"perturbative QFI needs a pure probe state, got det Sigma = {det!r}")
+    terms = []
+    for orders in _covariance_orders(series, modes, states):
+        solved = np.linalg.solve(2.0 * orders.sigma0, orders.mean1[..., None])[..., 0]
+        e2 = np.sum(orders.mean1 * solved, axis=-1)
+        c2 = c2_from_orders(orders.sigma0, orders.sigma1, orders.sigma2)
+        for name, term in (("e2", e2), ("c2", c2)):
+            bad = np.asarray(term)[~np.isfinite(term)]
+            if bad.size:
+                raise ValueError(f"perturbative {name}={float(bad.flat[0])!r} is not finite")
+        terms.append((e2, c2))
+    residual = _perturbative_residual(series, modes)
+    return [QfiResult(4.0 * (e2 + c2), e2, c2, "perturbative", residual) for e2, c2 in terms]
 
 
 @_one_blas_thread()

@@ -15,8 +15,10 @@ its parameter.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,12 +26,12 @@ from .bogoliubov import BogoliubovSeries, identity_residual
 from .cavity import OverlapSeries, compose_one_segment, load_or_compute_overlap_series, taylor_overlaps
 from .qfi import (
     FAMILIES,
+    _qfi_perturbative_states,
     energy_matched_params,
     negativity_first_order,
     probe_family,
     probe_state,
     qfi_oracle,
-    qfi_perturbative,
 )
 from .states import quadrature_indices
 
@@ -229,8 +231,7 @@ class SweepSpec:
         return out
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One grid point for one probe family; the fields are in ``SWEEP_COLUMNS`` order."""
 
     grid_value: float
@@ -263,17 +264,27 @@ SWEEP_COLUMNS = (
 )
 
 
+def _perturbative_results(series: BogoliubovSeries, pairs) -> list:
+    """The perturbative :class:`QfiResult` of each ``(modes, state)`` probe,
+    in order, from one kernel call per mode set for all its states."""
+    states = {}
+    for modes, state in pairs:
+        states.setdefault(modes, []).append(state)
+    results = {modes: iter(_qfi_perturbative_states(series, modes, group)) for modes, group in states.items()}
+    return [next(results[modes]) for modes, _ in pairs]
+
+
 def run_sweep(spec: SweepSpec, channel) -> list[SweepRow]:
     """Evaluate the requested methods on every grid point and family.
 
     The perturbative columns come from one pass over the whole grid: one
     ``channel.orders`` call gives the rows of the spec's modes, all that the
     kernel and the negativity read, for the whole grid, and the kernel runs
-    once per family on them. The cavity composes them as a stack over the
-    grid; an imported series does not depend on the grid value, so its
-    columns are evaluated once and repeat down the grid. The oracle reads
-    the channel's family and theta at each grid point, and one oracle call
-    there covers every family.
+    once per mode set on them, for every family probing it. The cavity
+    composes them as a stack over the grid; an imported series does not
+    depend on the grid value, so its columns are evaluated once and repeat
+    down the grid. The oracle reads the channel's family and theta at each
+    grid point, and one oracle call there covers every family.
 
     Rows are ordered by grid index, then family order, regardless of how the
     work is executed; identical specs and channels give identical output.
@@ -291,14 +302,12 @@ def run_sweep(spec: SweepSpec, channel) -> list[SweepRow]:
         return values.tolist() if values.ndim else [values.item()] * len(grid)
 
     negativity = down_the_grid(negativity_first_order(stack, k, k_prime))
-    perturbative = {}
-    if "perturbative" in spec.methods:
-        for family, _, _, state, modes in probes:
-            result = qfi_perturbative(stack, modes, state)
-            columns = (result.value, result.e2, result.c2, result.residual)
-            perturbative[family] = list(zip(*map(down_the_grid, columns)))
-
     pairs = [(modes, state) for *_, state, modes in probes]
+    perturbative = [[(None,) * 4] * len(grid)] * len(probes)
+    if "perturbative" in spec.methods:
+        perturbative = [list(zip(*map(down_the_grid, (res.value, res.e2, res.c2, res.residual))))
+                        for res in _perturbative_results(stack, pairs)]
+
     points = channel.oracle_points(grid, pairs) if "oracle" in spec.methods else [None] * len(grid)
     rows = []
     for i, (g, point) in enumerate(zip(grid, points)):
@@ -307,31 +316,31 @@ def run_sweep(spec: SweepSpec, channel) -> list[SweepRow]:
             family, theta = point
             results = qfi_oracle(family, theta, steps=(theta / 10.0, theta / 30.0, theta / 100.0))
             oracle = [(res.value, res.residual) for res in results]
-        for (family, r, delta, _, _), (orc, res_o) in zip(probes, oracle):
-            pert = e2 = c2 = res_p = None
-            trunc = np.nan
-            if family in perturbative:
-                pert, e2, c2, res_p = perturbative[family][i]
-                trunc = res_p
-            if res_o is not None and np.isnan(trunc):
+        for (family, r, delta, _, _), columns, (orc, res_o) in zip(probes, perturbative, oracle):
+            pert, e2, c2, res_p = columns[i]
+            trunc = math.nan if res_p is None else res_p
+            if res_o is not None and math.isnan(trunc):
                 trunc = res_o
-            rows.append(
-                SweepRow(g, family, r, delta, pert, e2, c2, res_p, orc, res_o, negativity[i], trunc)
-            )
+            rows.append(SweepRow(g, family, r, delta, pert, e2, c2, res_p, orc, res_o, negativity[i], trunc))
     return rows
 
 
 def rows_to_csv(rows) -> str:
-    """Render sweep rows as CSV: full-precision floats, LF endings."""
-    def fmt(v) -> str:
-        if v is None:
-            return ""
-        if isinstance(v, str):
-            return v
-        return repr(float(v))
+    """Render sweep rows as CSV: each number as ``repr(float(v))`` at full
+    precision, ``None`` as an empty cell, strings as they are, LF endings.
 
+    A sweep repeats its grid values, negativities and probe parameters down
+    the families, so each distinct cell object is formatted once per call.
+    That memo is keyed on identity, not on value: ``-0.0 == 0.0`` with equal
+    hashes, yet they print apart. ``cells`` keeps every cell alive for the
+    call, so no two of them share an identity.
+    """
+    cells = list(itertools.chain.from_iterable(rows))
+    ids = list(map(id, cells))
+    text = {key: "" if v is None else v if isinstance(v, str) else repr(float(v))
+            for key, v in dict(zip(ids, cells)).items()}
     lines = [",".join(SWEEP_COLUMNS)]
-    lines += [",".join(fmt(v) for v in vars(row).values()) for row in rows]
+    lines += map(",".join, zip(*[map(text.__getitem__, ids)] * len(SWEEP_COLUMNS)))
     return "\n".join(lines) + "\n"
 
 
@@ -369,8 +378,9 @@ def compare_methods(spec: SweepSpec, channel, h_ladder=(0.02, 0.04, 0.08)) -> Co
     channel.check_modes(spec.modes)
     probes = spec.probes()  # refuses a probe it cannot build before the channel is read
     series = channel.orders()
-    perts = [qfi_perturbative(series, modes, state).value for *_, state, modes in probes]
-    states_at = probe_family(series, [(modes, state) for *_, state, modes in probes])
+    pairs = [(modes, state) for *_, state, modes in probes]
+    perts = [result.value for result in _perturbative_results(series, pairs)]
+    states_at = probe_family(series, pairs)
     # one oracle call per rung, read by every family
     rungs = [qfi_oracle(states_at, float(h), steps=(h / 5.0, h / 15.0, h / 45.0)) for h in h_ladder]
     rows, slopes = [], {}

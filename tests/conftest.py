@@ -10,6 +10,7 @@ from gaussfisher.bogoliubov import BogoliubovSeries, CovarianceSeries, _assemble
 from gaussfisher.fidelity import FidelityError, fidelity_one_mode, fidelity_two_mode
 from gaussfisher.qfi import qfi_perturbative
 from gaussfisher.states import GaussianState, quadrature_indices, symplectic_form
+from gaussfisher.sweeps import SWEEP_COLUMNS
 
 # State and fidelity helpers that only the tests use: the package itself
 # needs none of them.
@@ -353,6 +354,24 @@ def reference_sweep(spec, overlaps) -> list:
             residual = max(f_sums(series, modes, modes).tail, full_unitarity_residuals(series, modes)[1])
             rows.append((float(u), family, result.value, result.e2, result.c2, residual, negativity))
     return rows
+
+
+def csv_cell(value) -> str:
+    """One sweep CSV cell: empty for ``None``, a string as it is, and any
+    number as ``repr(float(value))``, so an ``np.float64`` prints as a float."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    return repr(float(value))
+
+
+def reference_rows_to_csv(rows) -> str:
+    """Sweep rows as CSV, formatted one cell at a time: the reference for
+    ``sweeps.rows_to_csv``. Each row is a sequence of cells in
+    ``SWEEP_COLUMNS`` order."""
+    lines = [",".join(SWEEP_COLUMNS)] + [",".join(csv_cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 class RecordingChannel:

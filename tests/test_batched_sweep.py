@@ -1,6 +1,6 @@
 """The perturbative sweep evaluates the whole grid in one pass: one
 composition of the probed block rows stacked over the grid, then one kernel
-call per probe family. It must give what composing and evaluating each
+call per probed mode set, for every family on it. It must give what composing and evaluating each
 duration on its own gives (``conftest.reference_sweep``), and every check of
 the per-duration kernel must still hold on each entry of a stack."""
 
@@ -222,20 +222,21 @@ def counted(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(sweeps, "compose_one_segment", counting("compose", sweeps.compose_one_segment))
-    monkeypatch.setattr(sweeps, "qfi_perturbative", counting("kernel", sweeps.qfi_perturbative))
+    monkeypatch.setattr(sweeps, "_qfi_perturbative_states", counting("kernel", sweeps._qfi_perturbative_states))
     return calls
 
 
-def test_cavity_sweep_composes_once_and_calls_the_kernel_once_per_family(tmp_path, counted):
+def test_cavity_sweep_composes_once_and_calls_the_kernel_once_per_mode_set(tmp_path, counted):
     argv = ["sweep", "--nmax", "8", "--grid", "0:1.2:0.05", "--out", str(tmp_path / "out.csv")]
     assert main(argv) == 0
-    assert counted == {"compose": 1, "kernel": len(FAMILIES)}
+    # the single-mode probe on (1,), both two-mode probes on (1, 2)
+    assert counted == {"compose": 1, "kernel": 2}
     assert len((tmp_path / "out.csv").read_text().splitlines()) == 1 + 25 * len(FAMILIES)
 
 
-def test_imported_channel_sweep_calls_the_kernel_once_per_family(tmp_path, counted):
+def test_imported_channel_sweep_calls_the_kernel_once_per_mode_set(tmp_path, counted):
     path = tmp_path / "channel.csv"
     path.write_text(series_to_csv(synthetic_unitary_series(6, np.random.default_rng(5), strength=0.2)), encoding="utf-8")
     argv = ["sweep", "--channel", str(path), "--grid", "0.01:0.2:0.01", "--out", str(tmp_path / "out.csv")]
     assert main(argv) == 0
-    assert counted == {"compose": 0, "kernel": len(FAMILIES)}
+    assert counted == {"compose": 0, "kernel": 2}

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import full_covariance_series, full_unitarity_residuals, synthetic_unitary_series
+from gaussfisher import qfi
 from gaussfisher.bogoliubov import BogoliubovSeries, covariance_series
 from gaussfisher.cavity import compose_one_segment
-from gaussfisher.qfi import probe_state, qfi_perturbative
-from gaussfisher.sweeps import FAMILIES, CavityChannel, SweepSpec, run_sweep
+from gaussfisher.qfi import _qfi_perturbative_states, probe_state, qfi_perturbative
+from gaussfisher.sweeps import FAMILIES, CavityChannel, SweepSpec, compare_methods, run_sweep
 
 MODE_SETS = ((1,), (1, 3), (4, 1), (2, 5))
 TOL = 1e-13
@@ -119,8 +120,37 @@ def test_residual_shared_between_families_on_same_modes(monkeypatch):
     spec = SweepSpec(grid=(0.2, 0.4))
     rows = run_sweep(spec, CavityChannel())
     assert len(rows) == 2 * len(FAMILIES)
-    # one evaluation per family for the whole grid: (1,) for the single-mode
-    # probe, (1, 2) for each two-mode one
-    assert sorted(calls) == [(1,), (1, 2), (1, 2)]
+    # one evaluation per mode set for the whole grid: (1,) for the single-mode
+    # probe, and (1, 2) once for both two-mode ones
+    assert sorted(calls) == [(1,), (1, 2)]
     two_mode = [r for r in rows if r.family != "single_squeezed_displaced"]
     assert two_mode[0].residual_perturbative == two_mode[1].residual_perturbative
+
+
+def test_blocks_assembled_once_per_mode_set(monkeypatch):
+    calls = []
+    original = qfi._covariance_orders
+
+    def counted(series, modes, states):
+        calls.append((tuple(modes), len(states)))
+        return original(series, modes, states)
+
+    monkeypatch.setattr(qfi, "_covariance_orders", counted)
+    spec = SweepSpec(grid=(0.2, 0.4), r=1.0, delta=0.0)
+    run_sweep(spec, CavityChannel())
+    compare_methods(spec, CavityChannel())
+    # S1 S1^T and the assembled blocks: once on (1,), once on (1, 2) for two states
+    assert sorted(calls) == [((1,), 1), ((1,), 1), ((1, 2), 2), ((1, 2), 2)]
+
+
+@pytest.mark.parametrize("modes", [(1, 2), (4, 1)])
+def test_states_sharing_modes_give_the_bits_of_one_call_each(modes, synthetic):
+    stack = compose_one_segment(CavityChannel(n_max=12).taylor, (0.0, 0.3, 0.71), sorted(modes))
+    states = [probe_state("two_product_squeezed_displaced", 0.6, 0.8), probe_state("two_mode_squeezed", 1.1, 0.0),
+              probe_state("two_product_squeezed_displaced", -0.3, 2.0)]
+    for series in (stack, synthetic):
+        shared = _qfi_perturbative_states(series, modes, states)
+        for state, got in zip(states, shared):
+            want = qfi_perturbative(series, modes, state)
+            for name in ("value", "e2", "c2", "residual"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
