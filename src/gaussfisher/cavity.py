@@ -8,7 +8,8 @@ The channel is assembled from first principles in three steps:
    Klein-Gordon inner product on the shared ``t = 0`` slice;
 2. their first- and second-order coefficients in ``h`` come from
    :func:`taylor_overlaps`, exactly, by expanding that inner product's
-   integrand in ``h``; the perturbative route reads only these.
+   integrand in ``h``, on every mode or on the rows a probe reads; the
+   perturbative route reads only these.
    :func:`perturbative_overlaps` fits the same coefficients to the
    quadrature over a ladder of small ``h`` values, and the oracle still
    completes that fitted series, read from or written to an ``.npz`` cache;
@@ -69,6 +70,12 @@ class OverlapSeries:
     tends to the identity as ``h -> 0``. ``fit_residual`` is the worst
     per-entry RMS misfit of the polynomial regression, and 0 for the exact
     coefficients of :func:`taylor_overlaps`.
+
+    A whole series stores ``(n_max, n_max)`` matrices, rows ``m`` and
+    columns ``n``. With ``rows`` (1-based, distinct modes) it stores only
+    what :func:`compose_one_segment` reads for those output modes: the
+    first orders on their rows, ``(len(rows), n_max)``, and the second
+    orders on the block ``rows x rows``, both in ``rows`` order.
     """
 
     alpha1: np.ndarray
@@ -76,10 +83,11 @@ class OverlapSeries:
     beta1: np.ndarray
     beta2: np.ndarray
     fit_residual: float
+    rows: tuple | None = None
 
     @property
     def n_max(self) -> int:
-        return self.alpha1.shape[0]
+        return self.alpha1.shape[-1]
 
 
 @functools.cache
@@ -209,7 +217,7 @@ def perturbative_overlaps(n_max: int) -> OverlapSeries:
     return OverlapSeries(*orders, worst)
 
 
-def taylor_overlaps(n_max: int) -> OverlapSeries:
+def taylor_overlaps(n_max: int, rows=None) -> OverlapSeries:
     """Exact first- and second-order coefficients of the overlaps in ``h``.
 
     With ``t = x - x_L`` in [0, 1], the integrand of :func:`_overlaps_at_order`
@@ -234,23 +242,41 @@ def taylor_overlaps(n_max: int) -> OverlapSeries:
     ``(-1)^(m+n)``, so first orders vanish for even ``m + n`` and second
     orders for odd. There is no quadrature, no fit (``fit_residual`` is 0)
     and no bound on ``n_max``.
+
+    ``rows`` (1-based output modes) evaluates the same expressions only on
+    what a probe on those modes reads, ``O(len(rows) n_max)`` entries: the
+    first orders on the rows ``m`` in ``rows`` and the second orders on
+    ``rows x rows``, each entry bit for bit the whole series' own. ``None``
+    gives the whole ``n_max x n_max`` series.
     """
     idx = np.arange(1, n_max + 1, dtype=float)
-    m, n = idx[:, None], idx[None, :]
-    odd = (m + n) % 2 == 1
-    root = np.sqrt(m * n) / np.pi**2
+    if rows is not None:
+        rows = tuple(rows)
+        quadrature_indices(rows, n_max)
+    m = idx[:, None] if rows is None else np.asarray(rows, dtype=float)[:, None]
+    n = idx[None, :]
+    odd, root, gap, gap2, span, span2 = _taylor_factors(m, n)
+    alpha1 = np.where(odd, 2.0 * root * gap2 * gap, 0.0)
+    beta1 = np.where(odd, 2.0 * root * span2 * span, 0.0)
+    if rows is not None:
+        # the second orders on the block rows x rows
+        n = m.T
+        odd, root, gap, gap2, span, span2 = _taylor_factors(m, n)
+    alpha2 = np.where(odd, 0.0, root * (m + 2.0 * n) * gap2 * gap2)
+    np.fill_diagonal(alpha2, -((np.pi * n[0]) ** 2) / 240.0)
+    beta2 = np.where(odd, 0.0, root * (2.0 * n - m) * span2 * span2)
+    return OverlapSeries(alpha1, alpha2, beta1, beta2, 0.0, rows)
+
+
+def _taylor_factors(m: np.ndarray, n: np.ndarray) -> tuple:
+    """Parity mask and factors of :func:`taylor_overlaps`' closed forms on
+    rows ``m`` and columns ``n``: ``m + n`` odd, ``sqrt(mn) / pi^2``,
+    ``1/(n - m)`` and ``1/(n + m)`` with their squares."""
     # powers by products: a float power is several times slower per entry;
     # the diagonal, where n - m vanishes, is even and takes alpha2_nn
     gap = 1.0 / np.where(m == n, 1.0, n - m)
-    gap2 = gap * gap
     span = 1.0 / (n + m)
-    span2 = span * span
-    alpha1 = np.where(odd, 2.0 * root * gap2 * gap, 0.0)
-    beta1 = np.where(odd, 2.0 * root * span2 * span, 0.0)
-    alpha2 = np.where(odd, 0.0, root * (m + 2.0 * n) * gap2 * gap2)
-    np.fill_diagonal(alpha2, -((np.pi * idx) ** 2) / 240.0)
-    beta2 = np.where(odd, 0.0, root * (2.0 * n - m) * span2 * span2)
-    return OverlapSeries(alpha1, alpha2, beta1, beta2, 0.0)
+    return (m + n) % 2 == 1, np.sqrt(m * n) / np.pi**2, gap, gap * gap, span, span * span
 
 
 def mode_phases(n_max: int, u) -> np.ndarray:
@@ -288,7 +314,11 @@ def compose_one_segment(overlaps: OverlapSeries, u, rows=None) -> BogoliubovSeri
     for ``i, j`` in ``rows``. Each ``sum_k`` is one ``(U r, n) @ (n, r)``
     product for ``U`` durations and ``r`` rows, so a whole grid costs four
     such products, ``O(U r^2 n)``, and the second orders never span all
-    ``n`` columns unless ``rows`` is every mode.
+    ``n`` columns unless ``rows`` is every mode. Only the rows and columns
+    of ``oa1`` and ``ob1`` in ``rows`` and the block ``rows x rows`` of
+    ``oa2`` and ``ob2`` are read: ``overlaps`` is a whole series, or the
+    exact coefficients stored on ``rows`` alone (:func:`taylor_overlaps`
+    with the same ``rows``), whose columns are their rows by symmetry.
 
     The relative signs follow from exact inversion of the truncated overlap
     channel; they are fixed by requiring the composed series to satisfy the
@@ -302,33 +332,46 @@ def compose_one_segment(overlaps: OverlapSeries, u, rows=None) -> BogoliubovSeri
     if np.any(u < 0.0):
         raise ValueError("u must be non-negative")
     n = overlaps.n_max
+    if overlaps.rows is not None and (rows is None or tuple(rows) != overlaps.rows):
+        raise ValueError(f"the overlap series stores rows {overlaps.rows}, not {rows}")
     r = slice(None) if rows is None else quadrature_indices(rows, n)[::2] // 2
+    if overlaps.rows is None:
+        # a whole series: the rows block and the columns block of the first
+        # orders are both read off its matrices (a fitted series has no symmetry)
+        oa1, ob1 = overlaps.alpha1[r], overlaps.beta1[r]
+        oa1_cols, ob1_cols = overlaps.alpha1[:, r], overlaps.beta1[:, r]
+        oa2, ob2 = overlaps.alpha2[r][:, r], overlaps.beta2[r][:, r]
+    else:
+        # the exact coefficients store the rows block alone: their oa1 is
+        # antisymmetric and ob1 symmetric, bit for bit, which gives the columns;
+        # 0 - x keeps the zeros +0.0, as they are in the whole matrix, where a
+        # negation would flip the sign of the zero sums that read them
+        oa1, ob1, oa2, ob2 = overlaps.alpha1, overlaps.beta1, overlaps.alpha2, overlaps.beta2
+        oa1_cols, ob1_cols = 0.0 - oa1.T, ob1.T
     g = mode_phases(n, u)
     gc = np.conj(g)
     g_rows, g_cols, gc_cols = g[..., r, None], g[..., None, r], gc[..., None, r]
-    oa1, ob1 = overlaps.alpha1, overlaps.beta1
-    oa2, ob2 = overlaps.alpha2[r][:, r], overlaps.beta2[r][:, r]
 
     def spectator_sum(left: np.ndarray, phases: np.ndarray, right: np.ndarray) -> np.ndarray:
-        # sum_k phases_k left_ki right_kj for the rows i and columns j, as
-        # one product over the rows of every channel in the stack
-        weighted = left.T[r] * phases[..., None, :]
-        return (weighted.reshape(-1, n) @ right[:, r]).reshape(*weighted.shape[:-1], -1)
+        # sum_k phases_k left_ki right_kj for the rows i and columns j, from
+        # the columns blocks, as one product over the rows of every channel
+        weighted = left.T * phases[..., None, :]
+        return (weighted.reshape(-1, n) @ right).reshape(*weighted.shape[:-1], -1)
 
     # accumulated in place, in the order of the formulas above, so that no
     # more than two temporaries of the stack's size are alive at once
     alpha2 = g_rows * oa2
     alpha2 += g_cols * oa2.T
-    alpha2 += spectator_sum(oa1, g, oa1)
-    alpha2 -= spectator_sum(ob1, gc, ob1)
+    alpha2 += spectator_sum(oa1_cols, g, oa1_cols)
+    alpha2 -= spectator_sum(ob1_cols, gc, ob1_cols)
     beta2 = g_rows * ob2
     beta2 -= gc_cols * ob2.T
-    beta2 += spectator_sum(oa1, g, ob1)
-    beta2 -= spectator_sum(ob1, gc, oa1)
+    beta2 += spectator_sum(oa1_cols, g, ob1_cols)
+    beta2 -= spectator_sum(ob1_cols, gc, oa1_cols)
     alpha1 = g_rows - g[..., None, :]
-    alpha1 *= oa1[r]
+    alpha1 *= oa1
     beta1 = g_rows - gc[..., None, :]
-    beta1 *= ob1[r]
+    beta1 *= ob1
     return BogoliubovSeries(g, alpha1, alpha2, beta1, beta2, rows)
 
 

@@ -23,6 +23,10 @@ only shape the cavity channel, are refused with their config keys, and the
 probed modes are checked by the provider. Everything is dimensionless in
 ``(h, u)``, so no cavity length is asked for.
 
+The parser is built once per process, on the first :func:`main` call, and
+each call parses with its own shallow copy of it: a caller that runs many
+commands in one process pays for the 38 flag definitions once.
+
 Output is UTF-8 CSV with LF endings and full-precision floats; identical
 inputs give byte-identical files at a fixed BLAS build. The oracle runs on
 one BLAS thread, so its columns, ``compare`` and ``validate`` do not depend
@@ -34,6 +38,8 @@ can differ in its last bits.
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import math
 import sys
 
@@ -126,6 +132,16 @@ def parse_grid(text: str) -> tuple:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser: a shallow copy of the one :func:`_parser`
+    builds per process, so that setting an attribute on it, such as a
+    wrapped ``parse_args``, leaves the next call's parser as it was."""
+    return copy.copy(_parser())
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Every verb's subparser and flags, built on the first call (not at
+    import) and shared by every later one; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="gaussfisher",
         description="Estimation precision (quantum Fisher information) for "

@@ -155,8 +155,11 @@ def c2_from_orders(sigma0: np.ndarray, sigma1: np.ndarray, sigma2: np.ndarray):
     sigma0 = np.asarray(sigma0, dtype=float)
     if np.any(np.abs(np.linalg.det(sigma0)) < 1e-12):
         raise ValueError("singular zeroth-order covariance")
-    x = np.linalg.solve(sigma0, np.asarray(sigma1, dtype=float))
-    y = np.linalg.solve(sigma0, np.asarray(sigma2, dtype=float))
+    # one factorization for both orders: each column of a solve with several
+    # right-hand sides gives the bits of its own solve (the tests hold it so)
+    d = sigma0.shape[-1]
+    xy = np.linalg.solve(sigma0, np.concatenate([sigma1, sigma2], axis=-1, dtype=float))
+    x, y = xy[..., :d], xy[..., d:]
 
     def trace(mat: np.ndarray):
         return mat.trace(axis1=-2, axis2=-1)

@@ -48,11 +48,13 @@ class CavityChannel:
     downstream is periodic in ``u``.
 
     ``orders`` composes the exact overlap coefficients of
-    :func:`taylor_overlaps`, so the perturbative columns, ``compare`` and
-    ``validate`` read no quadrature and no fit. ``oracle_points`` composes
-    the fitted series of :func:`perturbative_overlaps`, read from ``cache``
-    or built and written there (in memory without ``cache``). Each series
-    is made on first use and kept for the channel's lifetime.
+    :func:`taylor_overlaps`, evaluated on each call for the rows it asks
+    for, so the perturbative columns, ``compare`` and ``validate`` read no
+    quadrature and no fit, and a sweep no ``n_max x n_max`` matrix.
+    ``oracle_points`` composes the fitted series of
+    :func:`perturbative_overlaps`, read from ``cache`` or built and written
+    there (in memory without ``cache``) on first use and kept for the
+    channel's lifetime.
     """
 
     h: float = 0.05
@@ -86,19 +88,15 @@ class CavityChannel:
             )
 
     @functools.cached_property
-    def taylor(self) -> OverlapSeries:
-        """The exact overlap coefficients at ``n_max``, which ``orders`` composes."""
-        return taylor_overlaps(self.n_max)
-
-    @functools.cached_property
     def overlaps(self) -> OverlapSeries:
         """The fitted overlap series at ``n_max``, which the oracle completes."""
         return load_or_compute_overlap_series(self.n_max, self.cache)
 
     def orders(self, grid=None, rows=None) -> BogoliubovSeries:
         """The series at the channel's duration, or at each duration of
-        ``grid`` as a stack, on the output ``rows`` (``None`` keeps all)."""
-        return compose_one_segment(self.taylor, self.u if grid is None else grid, rows)
+        ``grid`` as a stack, on the output ``rows`` (``None`` keeps all),
+        composed from the exact coefficients on those rows alone."""
+        return compose_one_segment(taylor_overlaps(self.n_max, rows), self.u if grid is None else grid, rows)
 
     def oracle_points(self, grid, probes):
         """``(family, h)`` at each duration of ``grid``: the oracle's family

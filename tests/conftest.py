@@ -296,6 +296,47 @@ def compose_one_segment_reference(overlaps, u: float) -> BogoliubovSeries:
     return BogoliubovSeries(g, alpha1, alpha2, beta1, beta2)
 
 
+def compose_rows_reference(overlaps, u, rows=None) -> BogoliubovSeries:
+    """Reference stacked composition from whole ``n x n`` overlap matrices:
+    :func:`gaussfisher.cavity.compose_one_segment` as it was before it read
+    rows-only coefficients, every block sliced off the full matrices."""
+    u = np.asarray(u, dtype=float)
+    n = overlaps.n_max
+    r = slice(None) if rows is None else quadrature_indices(rows, n)[::2] // 2
+    g = mode_phases(n, u)
+    gc = np.conj(g)
+    g_rows, g_cols, gc_cols = g[..., r, None], g[..., None, r], gc[..., None, r]
+    oa1, ob1 = overlaps.alpha1, overlaps.beta1
+    oa2, ob2 = overlaps.alpha2[r][:, r], overlaps.beta2[r][:, r]
+
+    def spectator_sum(left, phases, right):
+        weighted = left.T[r] * phases[..., None, :]
+        return (weighted.reshape(-1, n) @ right[:, r]).reshape(*weighted.shape[:-1], -1)
+
+    alpha2 = g_rows * oa2
+    alpha2 += g_cols * oa2.T
+    alpha2 += spectator_sum(oa1, g, oa1)
+    alpha2 -= spectator_sum(ob1, gc, ob1)
+    beta2 = g_rows * ob2
+    beta2 -= gc_cols * ob2.T
+    beta2 += spectator_sum(oa1, g, ob1)
+    beta2 -= spectator_sum(ob1, gc, oa1)
+    alpha1 = g_rows - g[..., None, :]
+    alpha1 *= oa1[r]
+    beta1 = g_rows - gc[..., None, :]
+    beta1 *= ob1[r]
+    return BogoliubovSeries(g, alpha1, alpha2, beta1, beta2, rows)
+
+
+def c2_two_solves_reference(sigma0, sigma1, sigma2):
+    """:func:`gaussfisher.qfi.c2_from_orders` as it was before it solved for
+    both orders at once: one solve of ``sigma0`` per order."""
+    x = np.linalg.solve(sigma0, sigma1)
+    y = np.linalg.solve(sigma0, sigma2)
+    tx = x.trace(axis1=-2, axis2=-1)
+    return (tx**2 - (x @ x).trace(axis1=-2, axis2=-1) + 4.0 * y.trace(axis1=-2, axis2=-1)) / 16.0
+
+
 def perturbative_overlaps_reference(n_max: int) -> cavity.OverlapSeries:
     """Reference overlap series: the ladder walked in ascending ``h``, each
     point's quadrature escalated from the smallest order, as the package did

@@ -49,7 +49,7 @@ def test_batched_sweep_matches_per_u_reference(n_max, above_one, more, photons, 
             run_sweep(spec, channel)
         return
     rows = run_sweep(spec, channel)
-    want = reference_sweep(spec, channel.taylor)
+    want = reference_sweep(spec, taylor_overlaps(n_max))
     assert len(rows) == len(want) == len(grid) * len(FAMILIES)
     for row, (u, family, qfi, e2, c2, residual, negativity) in zip(rows, want):
         assert (row.grid_value, row.family) == (u, family)

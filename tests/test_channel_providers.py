@@ -62,17 +62,18 @@ def test_compare_and_validate_through_a_duck_typed_provider(provider):
     assert recording.calls == [("checks", ((2, 1),))]
 
 
-def test_cavity_channel_builds_its_series_once_and_only_after_every_refusal(tmp_path, monkeypatch):
-    """A cavity channel builds its exact overlap series on the first
-    ``orders`` call, which each engine makes after its own refusals, and
-    keeps it for every later call; only the oracle builds, and caches, the
-    fitted series."""
+def test_cavity_channel_builds_its_series_only_after_every_refusal(tmp_path, monkeypatch):
+    """A cavity channel evaluates its exact overlap coefficients in each
+    ``orders`` call, which each engine makes after its own refusals, on the
+    rows that call asks for: a sweep's probed rows, every row for
+    ``compare`` and ``validate``. Only the oracle builds, and caches, the
+    fitted series, once."""
     calls = {"taylor": [], "fit": []}
 
     def counting(name, real):
-        def build(n_max):
-            calls[name].append(n_max)
-            return real(n_max)
+        def build(n_max, *rows):
+            calls[name].append((n_max, *rows))
+            return real(n_max, *rows)
         return build
 
     monkeypatch.setattr(sweeps, "taylor_overlaps", counting("taylor", sweeps.taylor_overlaps))
@@ -93,6 +94,9 @@ def test_cavity_channel_builds_its_series_once_and_only_after_every_refusal(tmp_
     run_sweep(SweepSpec(grid=(0.3,)), channel)
     compare_methods(SweepSpec(r=1.0), channel)
     validate(channel)
-    assert calls == {"taylor": [6], "fit": []} and not cache.exists()
+    # the sweep's rows, compare's whole channel, and validate's at u and u + 1
+    whole = [(6, None)] * 3
+    assert calls == {"taylor": [(6, [1, 2])] + whole, "fit": []} and not cache.exists()
     run_sweep(SweepSpec(grid=(0.3, 0.5), methods=("oracle",)), channel)
-    assert calls == {"taylor": [6], "fit": [6]} and [p.name for p in cache.iterdir()] == ["overlap_series_n6.npz"]
+    assert calls == {"taylor": [(6, [1, 2])] + whole + [(6, [1, 2])], "fit": [(6,)]}
+    assert [p.name for p in cache.iterdir()] == ["overlap_series_n6.npz"]

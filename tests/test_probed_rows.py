@@ -145,7 +145,7 @@ def test_blocks_assembled_once_per_mode_set(monkeypatch):
 
 @pytest.mark.parametrize("modes", [(1, 2), (4, 1)])
 def test_states_sharing_modes_give_the_bits_of_one_call_each(modes, synthetic):
-    stack = compose_one_segment(CavityChannel(n_max=12).taylor, (0.0, 0.3, 0.71), sorted(modes))
+    stack = CavityChannel(n_max=12).orders((0.0, 0.3, 0.71), sorted(modes))
     states = [probe_state("two_product_squeezed_displaced", 0.6, 0.8), probe_state("two_mode_squeezed", 1.1, 0.0),
               probe_state("two_product_squeezed_displaced", -0.3, 2.0)]
     for series in (stack, synthetic):

@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 from conftest import (
     _c2_single_mode_explicit,
     c2_single_mode_literature,
+    c2_two_solves_reference,
     c2_two_mode_product_literature,
     e2_single_mode,
     e2_single_mode_literature,
     e2_two_mode,
     f_sums,
     random_mixed_state,
+    random_pure_state,
     sigma_orders_from_blocks,
     synthetic_unitary_series,
 )
-from gaussfisher.bogoliubov import BogoliubovSeries, covariance_series
+from gaussfisher.bogoliubov import BogoliubovSeries, _covariance_orders, covariance_series
 from gaussfisher.qfi import (
     FAMILIES,
     QfiResult,
@@ -31,6 +33,7 @@ from gaussfisher.qfi import (
     qfi_perturbative,
 )
 from gaussfisher.states import GaussianState
+from gaussfisher.sweeps import CavityChannel, SweepSpec
 
 SINGLE, PRODUCT, TMS = "single_squeezed_displaced", "two_product_squeezed_displaced", "two_mode_squeezed"
 
@@ -461,3 +464,37 @@ def test_known_squeezing_estimation_value():
     sigma1 = np.diag([1.0, -1.0])
     sigma2 = 0.5 * np.eye(2)
     assert np.isclose(4.0 * c2_from_orders(np.eye(2), sigma1, sigma2), 0.5, rtol=1e-14)
+
+
+def assert_c2_is_the_two_solve_form(series, modes, states):
+    for orders in _covariance_orders(series, modes, states):
+        got = c2_from_orders(orders.sigma0, orders.sigma1, orders.sigma2)
+        want = c2_two_solves_reference(orders.sigma0, orders.sigma1, orders.sigma2)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("n_max", [10, 60])
+def test_one_solve_for_both_orders_gives_the_two_solves_bits_on_the_cavity(n_max):
+    spec = SweepSpec()
+    stack = CavityChannel(n_max=n_max).orders(spec.grid, spec.modes)
+    for *_, state, modes in spec.probes():
+        assert_c2_is_the_two_solve_form(stack, modes, [state])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_max=st.integers(4, 24),
+    n_modes=st.integers(1, 2),
+    grid=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+    strength=st.floats(0.05, 1.0),
+)
+def test_one_solve_for_both_orders_gives_the_two_solves_bits_on_drawn_probes(n_max, n_modes, grid, seed, strength):
+    """Random pure probes on random modes, on the cavity's stack and on an
+    exact synthetic channel."""
+    rng = np.random.default_rng(seed)
+    modes = tuple(sorted(rng.choice(np.arange(1, n_max // 2 + 1), size=n_modes, replace=False).tolist()))
+    stack = CavityChannel(n_max=n_max).orders(grid, modes)
+    states = [random_pure_state(len(modes), rng, strength) for _ in range(2)]
+    assert_c2_is_the_two_solve_form(stack, modes, states)
+    assert_c2_is_the_two_solve_form(synthetic_unitary_series(n_max, rng), modes, states)
