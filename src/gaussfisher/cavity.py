@@ -12,7 +12,8 @@ The channel is assembled from first principles in three steps:
    perturbative route reads only these.
    :func:`perturbative_overlaps` fits the same coefficients to the
    quadrature over a ladder of small ``h`` values, and the oracle still
-   completes that fitted series, read from or written to an ``.npz`` cache;
+   completes that fitted series, read from or written to an ``.npz`` cache,
+   or without one fitted once per process and kept in memory;
 3. :func:`compose_one_segment` chains "enter the accelerated frame, accrue
    mode phases for a proper duration, return to the inertial frame" into a
    single series in ``h``: the whole channel at one duration, or, stacked
@@ -425,11 +426,30 @@ def load_overlaps_csv(path: str, n_max: int) -> OverlapSeries:
     return OverlapSeries(*(arrays[name] for name in SERIES_ARRAYS), residual)
 
 
+#: fitted series kept per process without a cache directory, one per n_max:
+#: the fit holds only up to n_max 135, so an entry takes at most 4 x 135^2 x 8 B,
+#: 0.58 MB
+SERIES_MEMO_ENTRIES = 8
+
+
+@functools.lru_cache(maxsize=SERIES_MEMO_ENTRIES)
+def _fitted_series(n_max: int) -> OverlapSeries:
+    """:func:`perturbative_overlaps` at ``n_max``, built on the first call in
+    a process and shared, read-only, by every later one. A refused fit
+    raises and is not kept."""
+    overlaps = perturbative_overlaps(n_max)
+    for name in SERIES_ARRAYS:
+        getattr(overlaps, name).setflags(write=False)
+    return overlaps
+
+
 def load_or_compute_overlap_series(n_max: int, cache_dir: str | None = None) -> OverlapSeries:
     """Overlap series, read from ``cache_dir`` when its file exists and
-    computed (then written there) otherwise."""
+    computed (then written there) otherwise. Without ``cache_dir`` it is
+    fitted once per process and ``n_max``, at the BLAS threading of that
+    first build."""
     if cache_dir is None:
-        return perturbative_overlaps(n_max)
+        return _fitted_series(n_max)
     path = series_cache_file(cache_dir, n_max)
     if os.path.exists(path):
         return load_overlaps_csv(path, n_max)

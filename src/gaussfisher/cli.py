@@ -32,7 +32,9 @@ inputs give byte-identical files at a fixed BLAS build. The oracle runs on
 one BLAS thread, so its columns, ``compare`` and ``validate`` do not depend
 on the thread count; the fitted overlap series, which ``overlaps`` writes
 and the ``sweep`` oracle completes, is built at the environment's count and
-can differ in its last bits.
+can differ in its last bits. Without ``--cache`` that series is built once
+per process and ``n_max``, at the BLAS threading of that first build, and
+every later ``sweep`` in the process reads it.
 """
 
 from __future__ import annotations
@@ -113,9 +115,16 @@ def finite(text: str, what: str, positive: bool = False) -> float:
     return value
 
 
+#: most points a ``start:stop:step`` grid may have: those of the default
+#: grid 0:1:0.01 at a thousandth of its step. A sweep at n_max 60 holds
+#: about 13 KB per point, so the bound keeps it near 1.4 GB
+GRID_MAX_POINTS = 100_001
+
+
 def parse_grid(text: str) -> tuple:
     """Grid syntax: ``start:stop:step`` (inclusive stop) or comma values, all
-    finite."""
+    finite. A range of more than ``GRID_MAX_POINTS`` points is refused
+    before any of them is made."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -125,9 +134,12 @@ def parse_grid(text: str) -> tuple:
             raise ValueError("grid step must be positive")
         if stop < start:
             raise ValueError(f"grid {text!r} stops below its start")
-        # the last point stays at or below stop, up to roundoff in the step
-        n = math.floor((stop - start) / step + 1e-9)
-        return tuple(np.round(start + step * np.arange(n + 1), 12))
+        # the last point stays at or below stop, up to roundoff in the step;
+        # the quotient can overflow to inf, which the bound refuses too
+        n = (stop - start) / step + 1e-9
+        if n >= GRID_MAX_POINTS:
+            raise ValueError(f"grid {text!r} has {np.floor(n) + 1:.6g} points, above the bound of {GRID_MAX_POINTS}")
+        return tuple(np.round(start + step * np.arange(math.floor(n) + 1), 12))
     return tuple(finite(tok, "grid value") for tok in text.split(",") if tok.strip())
 
 

@@ -53,8 +53,9 @@ class CavityChannel:
     quadrature and no fit, and a sweep no ``n_max x n_max`` matrix.
     ``oracle_points`` composes the fitted series of
     :func:`perturbative_overlaps`, read from ``cache`` or built and written
-    there (in memory without ``cache``) on first use and kept for the
-    channel's lifetime.
+    there on first use and kept for the channel's lifetime. Without
+    ``cache`` it is built once per process and ``n_max``, at the BLAS
+    threading of that first build, and every channel shares it.
     """
 
     h: float = 0.05

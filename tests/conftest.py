@@ -12,6 +12,15 @@ from gaussfisher.qfi import qfi_perturbative
 from gaussfisher.states import GaussianState, quadrature_indices, symplectic_form
 from gaussfisher.sweeps import SWEEP_COLUMNS
 
+
+@pytest.fixture(autouse=True)
+def fresh_series_memo():
+    """Every test starts with no fitted overlap series kept in the process,
+    so a test that counts or refuses the fit's builds sees the same builds
+    whichever tests ran before it."""
+    cavity._fitted_series.cache_clear()
+
+
 # State and fidelity helpers that only the tests use: the package itself
 # needs none of them.
 

@@ -9,7 +9,7 @@ from conftest import synthetic_unitary_series
 from gaussfisher import cavity, qfi, sweeps
 from gaussfisher.bogoliubov import BogoliubovSeries, series_from_csv, series_to_csv
 from gaussfisher.cavity import perturbative_overlaps, save_overlaps_csv
-from gaussfisher.cli import INPUTS, main, parse_grid, read_config
+from gaussfisher.cli import GRID_MAX_POINTS, INPUTS, main, parse_grid, read_config
 from gaussfisher.sweeps import (
     CavityChannel,
     ImportedChannel,
@@ -204,6 +204,10 @@ def test_parse_grid():
     fine = parse_grid("0:1:0.01")
     assert len(fine) == 101 and fine[-1] == 1.0
     assert parse_grid("0.5:0.5:0.1") == (0.5,)
+    # the bound admits exactly GRID_MAX_POINTS points
+    assert len(parse_grid("0:1:0.00001")) == GRID_MAX_POINTS == 100_001
+    with pytest.raises(ValueError, match=r"^grid '0:100001:1' has 100002 points, above the bound of 100001$"):
+        parse_grid("0:100001:1")
     with pytest.raises(ValueError, match=r"^grid '1:0:0.1' stops below its start$"):
         parse_grid("1:0:0.1")
 
@@ -266,8 +270,10 @@ def test_cli_prints_fidelity_overshoot_as_a_plain_number(tmp_path, capsys):
         (["--grid", "0.3", "--r", "800"],
          "squeezing r=800.0 is out of range: |r| must not exceed 5, beyond which the probe covariance's "
          "spread e^(2|r|) leaves the QFI routes too few digits"),
-        # 1e18 grid points: numpy refuses the 6.94 EiB array before allocating any of it
-        (["--grid", "0:1e9:1e-9"], "Unable to allocate 6.94 EiB for an array with shape (1000000000000000000,)"),
+        # a range grid's size is refused before any point is made: numpy refused
+        # 1e18 points as a 6.94 EiB array, 1e9 points ran out of memory, and an
+        # infinite count raised OverflowError with a traceback
+        (["--grid", "0:1e9:1e-9"], "grid '0:1e9:1e-9' has 1e+18 points, above the bound of 100001"),
         # each failed later, at the oracle's or the kernel's numerics, without naming r
         *((["--grid", "0.3", "--r", r], f"squeezing r={float(r)!r} is out of range: |r| must not exceed 5")
           for r in ("30", "100", "400", "700")),
@@ -279,6 +285,8 @@ def test_cli_prints_fidelity_overshoot_as_a_plain_number(tmp_path, capsys):
         # the energy budget gives the single-mode probe delta^2 = 3 N at x = 0
         (["--grid", "0.3", "--photons", "1e300", "--x", "0"],
          "displacement delta=1.7320508075688775e+150 is out of range"),
+        (["--grid", "0:1:1e-12"], "grid '0:1:1e-12' has 1e+12 points, above the bound of 100001"),
+        (["--grid=-1e308:1e308:1e-300"], "grid '-1e308:1e308:1e-300' has inf points, above the bound of 100001"),
     ],
 )
 def test_cli_refuses_overflowing_input_in_one_line(tmp_path, capsys, argv, message):
@@ -587,15 +595,20 @@ def test_cli_adds_no_defaults_of_its_own(capsys):
 
 
 def test_cli_overlaps_cache_builder(tmp_path, capsys, monkeypatch):
+    # the uncached oracle sweep keeps the n_max 6 fit in the process, which
+    # the cache path does not read: overlaps still runs the quadrature
+    sweep = ["sweep", "--nmax", "6", "--grid", "0.37", "--methods", "perturbative,oracle"]
+    assert main(sweep + ["--out", str(tmp_path / "uncached.csv")]) == 0
+    quadratures = []
+    real = cavity.rindler_overlaps
+    monkeypatch.setattr(cavity, "rindler_overlaps", lambda *args: quadratures.append(args) or real(*args))
     cache = tmp_path / "cache"
     assert main(["overlaps", "--nmax", "6", "--cache", str(cache)]) == 0
+    assert len(quadratures) == len(cavity.H_LADDER)
     path = cache / "overlap_series_n6.npz"
     assert list(cache.iterdir()) == [path]
     out = capsys.readouterr().out
     assert out.count("\n") == 1 and out.startswith(f"{path}: n_max=6 fit residual ")
-
-    sweep = ["sweep", "--nmax", "6", "--grid", "0.37", "--methods", "perturbative,oracle"]
-    assert main(sweep + ["--out", str(tmp_path / "uncached.csv")]) == 0
 
     def refuse(*args):
         raise AssertionError("overlap quadrature ran on a warm cache")
@@ -673,12 +686,18 @@ def test_cli_rejects_damaged_cache(tmp_path, capsys, case):
     # the perturbative route reads no fitted series, so the damage does not reach it
     out = ["--out", str(tmp_path / "out.csv")]
     assert main(["sweep", "--grid", "0.37", "--nmax", "6", "--cache", str(cache)] + out) == 0
-    for verb in (["sweep", "--grid", "0.37", "--methods", "oracle"] + out, ["overlaps"]):
-        assert main(verb + ["--nmax", "6", "--cache", str(cache)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: overlap-series cache file {path}: "), err
-        assert message in err and err.count("\n") == 1 and "Traceback" not in err
-        assert list(cache.iterdir()) == [path]
+    oracle = ["sweep", "--grid", "0.37", "--methods", "oracle"] + out
+    # the second pass runs with the n_max 6 fit kept in the process by an
+    # uncached oracle sweep, which the cache path does not read
+    for uncached_first in (False, True):
+        if uncached_first:
+            assert main(oracle + ["--nmax", "6"]) == 0
+        for verb in (oracle, ["overlaps"]):
+            assert main(verb + ["--nmax", "6", "--cache", str(cache)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: overlap-series cache file {path}: "), err
+            assert message in err and err.count("\n") == 1 and "Traceback" not in err
+            assert list(cache.iterdir()) == [path]
 
 
 @pytest.mark.parametrize(
