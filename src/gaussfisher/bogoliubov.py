@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import GaussianState, quadrature_indices, symplectic_form
+from .states import quadrature_indices, symplectic_form
 
 
 def _assemble(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -228,22 +228,21 @@ class BogoliubovSeries:
 
 @dataclass(frozen=True)
 class CovarianceSeries:
-    """Order-by-order reduced covariance and first moments of probed modes."""
+    """Order-by-order reduced covariance and first-order first moments of
+    probed modes."""
 
     sigma0: np.ndarray
     sigma1: np.ndarray
     sigma2: np.ndarray
-    mean0: np.ndarray
     mean1: np.ndarray
 
 
-def covariance_series(
-    series: BogoliubovSeries, modes, input_state: GaussianState
-) -> CovarianceSeries:
-    """Collect theta powers of the reduced covariance of the probed modes.
+def covariance_series(series: BogoliubovSeries, modes, states) -> list[CovarianceSeries]:
+    """Collect theta powers of the reduced covariance of the probed modes,
+    one :class:`CovarianceSeries` per state of ``states``, in order.
 
-    ``input_state`` lives on the probed modes only (all other modes vacuum),
-    and ``series`` must store the rows of ``modes``. The coefficients are
+    Each state lives on the probed modes only (all other modes vacuum), and
+    ``series`` must store the rows of ``modes``. The coefficients are
     exact polynomials of the series matrices; no numerical differentiation
     is involved. ``S0`` vanishes outside the probed columns, so with
     ``Sigma_in = I + P (Sigma - I) P^T`` every product that meets it needs
@@ -254,20 +253,14 @@ def covariance_series(
         sigma1 = S1_p Sigma S0_p^T + transpose
         sigma2 = S2_p Sigma S0_p^T + transpose
                  + S1 S1^T + S1_p (Sigma - I) S1_p^T
+        mean1  = S1_p mu
 
     ``S1 S1^T`` is the only product over all ``n`` columns, so the cost is
     ``O(m^2 n)`` per channel rather than the ``O(n^3)`` of the full
-    ``S Sigma_in S^T``. A stack of channels gives orders with the same
-    leading axes: ``(..., 2m, 2m)`` and ``(..., 2m)``.
+    ``S Sigma_in S^T``; it and the assembled blocks are formed once for all
+    the states. A stack of channels gives orders with the same leading
+    axes: ``(..., 2m, 2m)`` and ``(..., 2m)``.
     """
-    (orders,) = _covariance_orders(series, modes, [input_state])
-    return orders
-
-
-def _covariance_orders(series: BogoliubovSeries, modes, states) -> list[CovarianceSeries]:
-    """:func:`covariance_series` of each of ``states`` on the same ``modes``:
-    the blocks ``S0_p``, ``S2_p``, ``S1`` and ``S1_p`` are assembled and
-    ``S1 S1^T`` is formed once for all of them."""
     idx = quadrature_indices(modes, series.n_max)
     if any(2 * state.n_modes != idx.size for state in states):
         raise ValueError("input state must live on the probed modes")
@@ -283,19 +276,20 @@ def _covariance_orders(series: BogoliubovSeries, modes, states) -> list[Covarian
     out = []
     for state in states:
         sigma = state.covariance
-        x_in = state.first_moments
         sigma_s0 = sigma @ _t(s0)
         sigma0 = s0 @ sigma_s0
         cross2 = s2 @ sigma_s0
         cross1 = s1_p @ sigma_s0
         sigma1 = cross1 + _t(cross1)
         sigma2 = cross2 + _t(cross2) + s1_s1 + s1_p @ (sigma - np.eye(idx.size)) @ _t(s1_p)
-        out.append(CovarianceSeries(sigma0, sigma1, sigma2, s0 @ x_in, s1_p @ x_in))
+        out.append(CovarianceSeries(sigma0, sigma1, sigma2, s1_p @ state.first_moments))
     return out
 
 
 def series_to_csv(series: BogoliubovSeries) -> str:
-    """Serialize a whole series as ``component,m,n,re,im`` lines (1-based m, n)."""
+    """Serialize a whole series as ``component,m,n,re,im`` lines (1-based m, n):
+    the channel file that the CLI's ``--channel`` reads with
+    :func:`series_from_csv`."""
     series._require_whole("series_to_csv")
     lines = ["component,m,n,re,im"]
     for n, g in enumerate(series.G, start=1):

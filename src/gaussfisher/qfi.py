@@ -1,15 +1,17 @@
 """Quantum Fisher information for Gaussian states under a parametrized
 Bogoliubov channel.
 
-Two routes are provided and cross-validated, both taking the channel series,
-the probed modes and the probe state on those modes:
+Two routes are provided and cross-validated, both taking the channel series
+and a list of probes, each a ``(modes, state)`` pair of the probed modes and
+the probe state on those modes:
 
-* an exact oracle: symmetric finite differences of the Uhlmann fidelity,
+* an exact oracle, :func:`qfi_oracle` on the family :func:`probe_family`:
+  symmetric finite differences of the Uhlmann fidelity,
   Richardson-extrapolated in the step size;
-* the perturbative route at leading order in the channel parameter, split
-  into a first-moment part ``E2`` and a covariance part ``C2`` with
-  ``H = 4 (E2 + C2)``, both read off the order-by-order reduced covariance
-  (trace form).
+* the perturbative route :func:`qfi_perturbative` at leading order in the
+  channel parameter, split into a first-moment part ``E2`` and a covariance
+  part ``C2`` with ``H = 4 (E2 + C2)``, both read off the order-by-order
+  reduced covariance (trace form), one kernel pass per probed mode set.
 
 Probe families are data: a named family is a row of :data:`FAMILIES`, and
 its probe just a :class:`GaussianState` from :func:`probe_state` plus its
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .bogoliubov import BogoliubovSeries, _covariance_orders
+from .bogoliubov import BogoliubovSeries, covariance_series
 from .fidelity import fidelity_one_mode, fidelity_two_mode
 from .states import GaussianState, quadrature_indices, symplectic_form
 
@@ -258,46 +260,43 @@ def probe_state(family: str, r: float, delta: float) -> GaussianState:
     return GaussianState(np.zeros(4), np.block([[diagonal, cross], [cross, diagonal]]))
 
 
-def qfi_perturbative(series: BogoliubovSeries, modes, state: GaussianState) -> QfiResult:
-    """Leading-order QFI of a pure Gaussian probe on ``modes``.
+def qfi_perturbative(series: BogoliubovSeries, probes) -> list[QfiResult]:
+    """Leading-order QFI of each pure Gaussian probe, one :class:`QfiResult`
+    per ``(modes, state)`` entry of ``probes``, in order.
 
-    ``state`` lives on the probed modes (all other modes vacuum). From its
+    Each ``state`` lives on its ``modes`` (all other modes vacuum). From its
     covariance orders, ``E2 = mean1^T (2 sigma0)^-1 mean1`` and ``C2`` is the
     trace form :func:`c2_from_orders`. The trace form holds for pure probes
     only, so a mixed ``state`` (``|det Sigma - 1| > 1e-9``) is refused.
 
     ``series`` is one channel, or a stack of channels storing at least the
-    rows of ``modes``, which are all the kernel and its residual read; a
-    stack gives a :class:`QfiResult` of arrays with the stack's shape from
-    one pass of the kernel. This is :func:`_qfi_perturbative_states` on one
-    state; a sweep calls that once per mode set, for all its probes there.
+    probed rows, which are all the kernel and its residual read; a stack
+    gives results of arrays with the stack's shape. The probes are grouped
+    by mode set, and what a mode set alone fixes is done once for all its
+    probes: one :func:`covariance_series` call, and the truncation residual,
+    which their results share.
     """
-    (result,) = _qfi_perturbative_states(series, modes, [state])
-    return result
-
-
-def _qfi_perturbative_states(series: BogoliubovSeries, modes, states) -> list[QfiResult]:
-    """:func:`qfi_perturbative` of each of ``states`` on the same ``modes``,
-    in order. What the probed modes alone fix is done once for all of them:
-    the assembled blocks and ``S1 S1^T`` of the covariance orders, and the
-    truncation residual, which every result shares."""
-    modes = tuple(modes)
-    for state in states:
+    groups = {}
+    for modes, state in probes:
         det = float(np.linalg.det(state.covariance))
         if abs(det - 1.0) > 1e-9:
             raise ValueError(f"perturbative QFI needs a pure probe state, got det Sigma = {det!r}")
-    terms = []
-    for orders in _covariance_orders(series, modes, states):
-        solved = np.linalg.solve(2.0 * orders.sigma0, orders.mean1[..., None])[..., 0]
-        e2 = np.sum(orders.mean1 * solved, axis=-1)
-        c2 = c2_from_orders(orders.sigma0, orders.sigma1, orders.sigma2)
-        for name, term in (("e2", e2), ("c2", c2)):
-            bad = np.asarray(term)[~np.isfinite(term)]
-            if bad.size:
-                raise ValueError(f"perturbative {name}={float(bad.flat[0])!r} is not finite")
-        terms.append((e2, c2))
-    residual = _perturbative_residual(series, modes)
-    return [QfiResult(4.0 * (e2 + c2), e2, c2, "perturbative", residual) for e2, c2 in terms]
+        groups.setdefault(tuple(modes), []).append(state)
+    results = {}
+    for modes, states in groups.items():
+        terms = []
+        for orders in covariance_series(series, modes, states):
+            solved = np.linalg.solve(2.0 * orders.sigma0, orders.mean1[..., None])[..., 0]
+            e2 = np.sum(orders.mean1 * solved, axis=-1)
+            c2 = c2_from_orders(orders.sigma0, orders.sigma1, orders.sigma2)
+            for name, term in (("e2", e2), ("c2", c2)):
+                bad = np.asarray(term)[~np.isfinite(term)]
+                if bad.size:
+                    raise ValueError(f"perturbative {name}={float(bad.flat[0])!r} is not finite")
+            terms.append((e2, c2))
+        residual = _perturbative_residual(series, modes)
+        results[modes] = iter([QfiResult(4.0 * (e2 + c2), e2, c2, "perturbative", residual) for e2, c2 in terms])
+    return [next(results[tuple(modes)]) for modes, _ in probes]
 
 
 @_one_blas_thread()

@@ -26,12 +26,12 @@ from .bogoliubov import BogoliubovSeries, identity_residual
 from .cavity import OverlapSeries, compose_one_segment, load_or_compute_overlap_series, taylor_overlaps
 from .qfi import (
     FAMILIES,
-    _qfi_perturbative_states,
     energy_matched_params,
     negativity_first_order,
     probe_family,
     probe_state,
     qfi_oracle,
+    qfi_perturbative,
 )
 from .states import quadrature_indices
 
@@ -231,7 +231,7 @@ class SweepSpec:
 
 
 class SweepRow(NamedTuple):
-    """One grid point for one probe family; the fields are in ``SWEEP_COLUMNS`` order."""
+    """One grid point for one probe family; the fields name the CSV columns."""
 
     grid_value: float
     family: str
@@ -247,30 +247,8 @@ class SweepRow(NamedTuple):
     truncation_residual: float
 
 
-SWEEP_COLUMNS = (
-    "u",
-    "family",
-    "r",
-    "delta",
-    "qfi_perturbative",
-    "e2",
-    "c2",
-    "residual_perturbative",
-    "qfi_oracle",
-    "residual_oracle",
-    "negativity",
-    "truncation_residual",
-)
-
-
-def _perturbative_results(series: BogoliubovSeries, pairs) -> list:
-    """The perturbative :class:`QfiResult` of each ``(modes, state)`` probe,
-    in order, from one kernel call per mode set for all its states."""
-    states = {}
-    for modes, state in pairs:
-        states.setdefault(modes, []).append(state)
-    results = {modes: iter(_qfi_perturbative_states(series, modes, group)) for modes, group in states.items()}
-    return [next(results[modes]) for modes, _ in pairs]
+#: the sweep CSV header: the row fields, with the grid value written as ``u``
+SWEEP_COLUMNS = ("u", *SweepRow._fields[1:])
 
 
 def run_sweep(spec: SweepSpec, channel) -> list[SweepRow]:
@@ -283,7 +261,8 @@ def run_sweep(spec: SweepSpec, channel) -> list[SweepRow]:
     composes them as a stack over the grid; an imported series does not
     depend on the grid value, so its columns are evaluated once and repeat
     down the grid. The oracle reads the channel's family and theta at each
-    grid point, and one oracle call there covers every family.
+    grid point, and one oracle call there covers every family, on steps of
+    ``|theta|`` over 10, 30 and 100; a theta of 0 is refused.
 
     Rows are ordered by grid index, then family order, regardless of how the
     work is executed; identical specs and channels give identical output.
@@ -305,7 +284,7 @@ def run_sweep(spec: SweepSpec, channel) -> list[SweepRow]:
     perturbative = [[(None,) * 4] * len(grid)] * len(probes)
     if "perturbative" in spec.methods:
         perturbative = [list(zip(*map(down_the_grid, (res.value, res.e2, res.c2, res.residual))))
-                        for res in _perturbative_results(stack, pairs)]
+                        for res in qfi_perturbative(stack, pairs)]
 
     points = channel.oracle_points(grid, pairs) if "oracle" in spec.methods else [None] * len(grid)
     rows = []
@@ -313,7 +292,11 @@ def run_sweep(spec: SweepSpec, channel) -> list[SweepRow]:
         oracle = [(None, None)] * len(probes)
         if point is not None:
             family, theta = point
-            results = qfi_oracle(family, theta, steps=(theta / 10.0, theta / 30.0, theta / 100.0))
+            if theta == 0.0:
+                raise ValueError(f"the oracle cannot run at grid value {g!r}: theta is 0 there, "
+                                 "and its finite-difference steps scale with |theta|")
+            step = abs(theta)
+            results = qfi_oracle(family, theta, steps=(step / 10.0, step / 30.0, step / 100.0))
             oracle = [(res.value, res.residual) for res in results]
         for (family, r, delta, _, _), columns, (orc, res_o) in zip(probes, perturbative, oracle):
             pert, e2, c2, res_p = columns[i]
@@ -378,7 +361,7 @@ def compare_methods(spec: SweepSpec, channel, h_ladder=(0.02, 0.04, 0.08)) -> Co
     probes = spec.probes()  # refuses a probe it cannot build before the channel is read
     series = channel.orders()
     pairs = [(modes, state) for *_, state, modes in probes]
-    perts = [result.value for result in _perturbative_results(series, pairs)]
+    perts = [result.value for result in qfi_perturbative(series, pairs)]
     states_at = probe_family(series, pairs)
     # one oracle call per rung, read by every family
     rungs = [qfi_oracle(states_at, float(h), steps=(h / 5.0, h / 15.0, h / 45.0)) for h in h_ladder]

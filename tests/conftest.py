@@ -243,7 +243,6 @@ def full_covariance_series(series, modes, input_state):
         red(s0 @ sigma_in @ s0.T),
         red(s1 @ sigma_in @ s0.T + s0 @ sigma_in @ s1.T),
         red(s2 @ sigma_in @ s0.T + s0 @ sigma_in @ s2.T + s1 @ sigma_in @ s1.T),
-        (s0 @ x_in)[idx],
         (s1 @ x_in)[idx],
     )
 
@@ -400,7 +399,7 @@ def reference_sweep(spec, overlaps) -> list:
         series = compose_one_segment_reference(overlaps, float(u))
         negativity = abs(series.beta1[k - 1, k_prime - 1])
         for family, _, _, state, modes in spec.probes():
-            result = qfi_perturbative(series, modes, state)
+            (result,) = qfi_perturbative(series, [(modes, state)])
             residual = max(f_sums(series, modes, modes).tail, full_unitarity_residuals(series, modes)[1])
             rows.append((float(u), family, result.value, result.e2, result.c2, residual, negativity))
     return rows

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import compose_one_segment_reference, reference_sweep, synthetic_unitary_series
-from gaussfisher import sweeps
+from gaussfisher import qfi, sweeps
 from gaussfisher.bogoliubov import BogoliubovSeries, covariance_series, series_to_csv
 from gaussfisher.cavity import compose_one_segment, taylor_overlaps
 from gaussfisher.cli import main
@@ -165,11 +165,11 @@ def test_kernel_on_a_stack_is_the_kernel_on_each_entry(family):
     modes = (7, 2)[: state.n_modes]
     # the probed rows and one the kernel does not read, unsorted
     stack = stacked(channels, modes + (4,))
-    result = qfi_perturbative(stack, modes, state)
+    (result,) = qfi_perturbative(stack, [(modes, state)])
     assert result.value.shape == (4,)
     first, second = stack.unitarity_residuals(modes)
     for i, channel in enumerate(channels):
-        one = qfi_perturbative(channel, modes, state)
+        (one,) = qfi_perturbative(channel, [(modes, state)])
         for name in ("value", "e2", "c2", "residual"):
             assert close(getattr(result, name)[i], getattr(one, name), REL * max(1.0, abs(getattr(one, name))))
         assert np.allclose((first[i], second[i]), channel.unitarity_residuals(modes), rtol=REL, atol=REL)
@@ -184,13 +184,13 @@ def test_a_stack_refuses_what_needs_one_whole_channel(overlap_series_10):
                 call(series)
     # the kernel reads only the rows the series stores
     with pytest.raises(ValueError, match="stores no row for mode 3"):
-        covariance_series(rows, (1, 3), probe_state("two_product_squeezed_displaced", 0.5, 0.5))
+        covariance_series(rows, (1, 3), [probe_state("two_product_squeezed_displaced", 0.5, 0.5)])
     state = probe_state("two_mode_squeezed", 0.5, 0.0)
     with pytest.raises(ValueError, match="stores no row for mode 3"):
-        qfi_perturbative(rows, (3, 1), state)
+        qfi_perturbative(rows, [((3, 1), state)])
     # the probed rows are all it reads, the residual's spectator tail included
-    got = qfi_perturbative(rows, (1, 2), state)
-    want = qfi_perturbative(compose_one_segment(overlap_series_10, 0.2), (1, 2), state)
+    (got,) = qfi_perturbative(rows, [((1, 2), state)])
+    (want,) = qfi_perturbative(compose_one_segment(overlap_series_10, 0.2), [((1, 2), state)])
     for name in ("value", "e2", "c2", "residual"):
         assert close(getattr(got, name), getattr(want, name), REL * max(1.0, abs(getattr(want, name)))), name
     with pytest.raises(ValueError, match="alpha1 must have shape"):
@@ -213,7 +213,8 @@ def test_checks_hold_on_every_stack_entry():
 
 @pytest.fixture
 def counted(monkeypatch):
-    calls = {"compose": 0, "kernel": 0}
+    # the names benchmarks/tracer.py wraps, so its per-layer spans see these calls
+    calls = {"compose": 0, "qfi": 0, "kernel": 0}
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
@@ -222,15 +223,16 @@ def counted(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(sweeps, "compose_one_segment", counting("compose", sweeps.compose_one_segment))
-    monkeypatch.setattr(sweeps, "_qfi_perturbative_states", counting("kernel", sweeps._qfi_perturbative_states))
+    monkeypatch.setattr(sweeps, "qfi_perturbative", counting("qfi", sweeps.qfi_perturbative))
+    monkeypatch.setattr(qfi, "covariance_series", counting("kernel", qfi.covariance_series))
     return calls
 
 
 def test_cavity_sweep_composes_once_and_calls_the_kernel_once_per_mode_set(tmp_path, counted):
     argv = ["sweep", "--nmax", "8", "--grid", "0:1.2:0.05", "--out", str(tmp_path / "out.csv")]
     assert main(argv) == 0
-    # the single-mode probe on (1,), both two-mode probes on (1, 2)
-    assert counted == {"compose": 1, "kernel": 2}
+    # one call for every probe; the single-mode probe on (1,), both two-mode probes on (1, 2)
+    assert counted == {"compose": 1, "qfi": 1, "kernel": 2}
     assert len((tmp_path / "out.csv").read_text().splitlines()) == 1 + 25 * len(FAMILIES)
 
 
@@ -239,4 +241,4 @@ def test_imported_channel_sweep_calls_the_kernel_once_per_mode_set(tmp_path, cou
     path.write_text(series_to_csv(synthetic_unitary_series(6, np.random.default_rng(5), strength=0.2)), encoding="utf-8")
     argv = ["sweep", "--channel", str(path), "--grid", "0.01:0.2:0.01", "--out", str(tmp_path / "out.csv")]
     assert main(argv) == 0
-    assert counted == {"compose": 0, "kernel": 2}
+    assert counted == {"compose": 0, "qfi": 1, "kernel": 2}

@@ -20,7 +20,7 @@ ENTRY_POINTS = {
     "identity_residual rows": lambda s, modes: identity_residual(*s.evaluate(0.05), modes),
     "identity_residual cols": lambda s, modes: identity_residual(*s.evaluate(0.05), None, modes),
     "unitarity_residuals": lambda s, modes: s.unitarity_residuals(modes=modes),
-    "covariance_series": lambda s, modes: covariance_series(s, modes, vacuum_state(2)),
+    "covariance_series": lambda s, modes: covariance_series(s, modes, [vacuum_state(2)])[0],
     "negativity_first_order": lambda s, modes: negativity_first_order(s, *modes),
     "embed_state": lambda s, modes: embed_state(N_MAX, modes, vacuum_state(2)),
     "probe_family": lambda s, modes: probe_family(s, [(modes, vacuum_state(2))]),

@@ -12,7 +12,7 @@ from conftest import full_covariance_series, full_unitarity_residuals, synthetic
 from gaussfisher import qfi
 from gaussfisher.bogoliubov import BogoliubovSeries, covariance_series
 from gaussfisher.cavity import compose_one_segment
-from gaussfisher.qfi import _qfi_perturbative_states, probe_state, qfi_perturbative
+from gaussfisher.qfi import probe_state, qfi_perturbative
 from gaussfisher.sweeps import FAMILIES, CavityChannel, SweepSpec, compare_methods, run_sweep
 
 MODE_SETS = ((1,), (1, 3), (4, 1), (2, 5))
@@ -26,9 +26,9 @@ def families_for(modes):
 
 
 def assert_orders_agree(series, modes, state):
-    fast = covariance_series(series, modes, state)
+    (fast,) = covariance_series(series, modes, [state])
     ref = full_covariance_series(series, modes, state)
-    for name in ("sigma0", "sigma1", "sigma2", "mean0", "mean1"):
+    for name in ("sigma0", "sigma1", "sigma2", "mean1"):
         a, b = getattr(fast, name), getattr(ref, name)
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) <= TOL * max(1.0, np.max(np.abs(b))), name
@@ -67,10 +67,10 @@ def test_row_restricted_stack_orders_match_full_products(overlap_series_10, mode
     stack = compose_one_segment(overlap_series_10, grid, rows)
     for family in families_for(modes):
         state = probe_state(family, 0.5, 0.0 if family == "two_mode_squeezed" else 1.1)
-        fast = covariance_series(stack, modes, state)
+        (fast,) = covariance_series(stack, modes, [state])
         for i, u in enumerate(grid):
             ref = full_covariance_series(compose_one_segment(overlap_series_10, u), modes, state)
-            for name in ("sigma0", "sigma1", "sigma2", "mean0", "mean1"):
+            for name in ("sigma0", "sigma1", "sigma2", "mean1"):
                 a, b = getattr(fast, name)[i], getattr(ref, name)
                 assert a.shape == b.shape
                 assert np.max(np.abs(a - b)) <= TOL * max(1.0, np.max(np.abs(b))), (name, u)
@@ -104,7 +104,7 @@ def test_perturbative_route_builds_no_full_matrix(monkeypatch, synthetic, cavity
         for family in FAMILIES:
             delta = 0.0 if family == "two_mode_squeezed" else 0.8
             state = probe_state(family, 0.6, delta)
-            result = qfi_perturbative(series, (1, 2)[: state.n_modes], state)
+            (result,) = qfi_perturbative(series, [((1, 2)[: state.n_modes], state)])
             assert np.isfinite(result.value) and result.value >= 0.0
 
 
@@ -127,20 +127,27 @@ def test_residual_shared_between_families_on_same_modes(monkeypatch):
     assert two_mode[0].residual_perturbative == two_mode[1].residual_perturbative
 
 
-def test_blocks_assembled_once_per_mode_set(monkeypatch):
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """``(modes, number of states)`` of each covariance-orders call the kernel
+    makes, through the name that benchmarks/tracer.py wraps."""
     calls = []
-    original = qfi._covariance_orders
+    original = qfi.covariance_series
 
     def counted(series, modes, states):
         calls.append((tuple(modes), len(states)))
         return original(series, modes, states)
 
-    monkeypatch.setattr(qfi, "_covariance_orders", counted)
+    monkeypatch.setattr(qfi, "covariance_series", counted)
+    return calls
+
+
+def test_blocks_assembled_once_per_mode_set(kernel_calls):
     spec = SweepSpec(grid=(0.2, 0.4), r=1.0, delta=0.0)
     run_sweep(spec, CavityChannel())
     compare_methods(spec, CavityChannel())
     # S1 S1^T and the assembled blocks: once on (1,), once on (1, 2) for two states
-    assert sorted(calls) == [((1,), 1), ((1,), 1), ((1, 2), 2), ((1, 2), 2)]
+    assert sorted(kernel_calls) == [((1,), 1), ((1,), 1), ((1, 2), 2), ((1, 2), 2)]
 
 
 @pytest.mark.parametrize("modes", [(1, 2), (4, 1)])
@@ -149,8 +156,23 @@ def test_states_sharing_modes_give_the_bits_of_one_call_each(modes, synthetic):
     states = [probe_state("two_product_squeezed_displaced", 0.6, 0.8), probe_state("two_mode_squeezed", 1.1, 0.0),
               probe_state("two_product_squeezed_displaced", -0.3, 2.0)]
     for series in (stack, synthetic):
-        shared = _qfi_perturbative_states(series, modes, states)
+        shared = qfi_perturbative(series, [(modes, state) for state in states])
         for state, got in zip(states, shared):
-            want = qfi_perturbative(series, modes, state)
+            (want,) = qfi_perturbative(series, [(modes, state)])
             for name in ("value", "e2", "c2", "residual"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_results_follow_probe_order_across_mode_sets(kernel_calls):
+    stack = CavityChannel(n_max=12).orders((0.0, 0.3, 0.71), (1, 2))
+    probes = [((1, 2), probe_state("two_product_squeezed_displaced", 0.6, 0.8)),
+              ((1,), probe_state("single_squeezed_displaced", -0.4, 1.5)),
+              ((1, 2), probe_state("two_mode_squeezed", 1.1, 0.0))]
+    together = qfi_perturbative(stack, probes)
+    # one kernel pass per mode set, in the order the sets first appear
+    assert kernel_calls == [((1, 2), 2), ((1,), 1)]
+    alone = [qfi_perturbative(stack, [probe])[0] for probe in probes]
+    assert len(together) == len(probes)
+    for got, want in zip(together, alone):
+        for name in ("value", "e2", "c2", "residual"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name

@@ -19,7 +19,7 @@ from conftest import (
     sigma_orders_from_blocks,
     synthetic_unitary_series,
 )
-from gaussfisher.bogoliubov import BogoliubovSeries, _covariance_orders, covariance_series
+from gaussfisher.bogoliubov import BogoliubovSeries, covariance_series
 from gaussfisher.qfi import (
     FAMILIES,
     QfiResult,
@@ -39,15 +39,15 @@ SINGLE, PRODUCT, TMS = "single_squeezed_displaced", "two_product_squeezed_displa
 
 
 def single(series, k, r, delta):
-    return qfi_perturbative(series, (k,), probe_state(SINGLE, r, delta))
+    return qfi_perturbative(series, [((k,), probe_state(SINGLE, r, delta))])[0]
 
 
 def product(series, k, k_prime, r, delta):
-    return qfi_perturbative(series, (k, k_prime), probe_state(PRODUCT, r, delta))
+    return qfi_perturbative(series, [((k, k_prime), probe_state(PRODUCT, r, delta))])[0]
 
 
 def tms(series, k, k_prime, r):
-    return qfi_perturbative(series, (k, k_prime), probe_state(TMS, r, 0.0))
+    return qfi_perturbative(series, [((k, k_prime), probe_state(TMS, r, 0.0))])[0]
 
 
 def null_series(n):
@@ -159,21 +159,19 @@ def test_kernel_refuses_a_non_finite_term_by_name():
     state = GaussianState(np.array([1e200, 0.0]), np.eye(2))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match=r"^perturbative e2=inf is not finite$"):
-            qfi_perturbative(rotation_series(), (1,), state)
+            qfi_perturbative(rotation_series(), [((1,), state)])
 
 
 def test_e2_matches_first_moment_quadratic_form(unitary_series):
     # the closed form is the quadratic form <X>^(1)T (2 sigma0)^-1 <X>^(1),
     # which the kernel evaluates
     r, delta = 0.6, 0.9
-    orders = covariance_series(
-        unitary_series, (2,), probe_state(SINGLE, r, delta)
-    )
+    (orders,) = covariance_series(unitary_series, (2,), [probe_state(SINGLE, r, delta)])
     quadratic = float(orders.mean1 @ np.linalg.solve(2.0 * orders.sigma0, orders.mean1))
     assert np.isclose(e2_single_mode(unitary_series, 2, r, delta), quadratic, rtol=1e-12)
     assert np.isclose(single(unitary_series, 2, r, delta).e2, quadratic, rtol=1e-12)
 
-    orders = covariance_series(unitary_series, (1, 3), probe_state(PRODUCT, r, delta))
+    (orders,) = covariance_series(unitary_series, (1, 3), [probe_state(PRODUCT, r, delta)])
     quadratic = float(orders.mean1 @ np.linalg.solve(2.0 * orders.sigma0, orders.mean1))
     assert np.isclose(e2_two_mode(unitary_series, 1, 3, r, delta), quadratic, rtol=1e-12)
     assert np.isclose(product(unitary_series, 1, 3, r, delta).e2, quadratic, rtol=1e-12)
@@ -424,7 +422,7 @@ def test_method_agreement_on_synthetic_channel(rng):
         ("two_mode_squeezed", (1, 3), 1.0, 0.0),
     ):
         state = probe_state(family_name, r, delta)
-        pert = qfi_perturbative(series, modes, state)
+        (pert,) = qfi_perturbative(series, [(modes, state)])
         fam = probe_family(series, [(modes, state)])
         devs = []
         for theta in (0.02, 0.04, 0.08):
@@ -442,7 +440,7 @@ def test_probe_state_guards():
     # the trace form holds for pure probes only
     mixed = random_mixed_state(2, np.random.default_rng(3))
     with pytest.raises(ValueError, match="pure probe"):
-        qfi_perturbative(null_series(3), (1, 2), mixed)
+        qfi_perturbative(null_series(3), [((1, 2), mixed)])
 
 
 def test_two_mode_advantage_identity(rng):
@@ -467,7 +465,7 @@ def test_known_squeezing_estimation_value():
 
 
 def assert_c2_is_the_two_solve_form(series, modes, states):
-    for orders in _covariance_orders(series, modes, states):
+    for orders in covariance_series(series, modes, states):
         got = c2_from_orders(orders.sigma0, orders.sigma1, orders.sigma2)
         want = c2_two_solves_reference(orders.sigma0, orders.sigma1, orders.sigma2)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

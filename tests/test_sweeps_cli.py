@@ -114,6 +114,38 @@ def test_imported_channel_sweep():
     assert rows[0].qfi_oracle != rows[1].qfi_oracle
 
 
+CHANNEL_FILE = Path(__file__).resolve().parent / "data" / "channel_cavity_nmax8_u0.3.csv"
+
+
+def test_cli_imported_oracle_at_a_negative_grid_value(tmp_path):
+    # the oracle's steps come from |theta|: a negative theta once exited 2 with
+    # "steps must be positive"
+    out = tmp_path / "out.csv"
+    argv = ["sweep", "--channel", str(CHANNEL_FILE), "--grid=-0.05", "--methods", "perturbative,oracle",
+            "--state", "two_mode_squeezed", "--r", "0.8", "--out", str(out)]
+    assert main(argv) == 0
+    header, line = out.read_text(encoding="utf-8").splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    assert row["u"] == "-0.05"
+    pert, orc = float(row["qfi_perturbative"]), float(row["qfi_oracle"])
+    assert float(row["residual_oracle"]) < 1e-9
+    # pinned at the oracle tolerance of test_pinned_outputs
+    assert abs(orc - 1.120019084037093) <= 1e-7 * orc
+    # the first-order deviation from the leading-order value, as at theta > 0
+    assert abs(orc - pert) / pert < 1e-2
+
+
+def test_cli_imported_oracle_refuses_theta_zero_by_grid_value(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    argv = ["sweep", "--channel", str(CHANNEL_FILE), "--grid", "0.05,0", "--methods", "oracle", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: the oracle cannot run at grid value 0.0: theta is 0 there, "
+        "and its finite-difference steps scale with |theta|\n"
+    )
+    assert not out.exists()
+
+
 def test_compare_methods_report(tmp_path):
     spec = SweepSpec(r=1.0, delta=0.0)
     report = compare_methods(spec, small_channel(str(tmp_path / "cache"), n_max=10))
