@@ -85,6 +85,12 @@ def identity_residual(alpha: np.ndarray, beta: np.ndarray, rows=None, cols=None)
     return float(np.max(np.abs(defect)))
 
 
+#: terms one series keeps (:meth:`BogoliubovSeries.kept`): a sweep keeps four,
+#: the probed blocks and the truncation residual of two mode sets. Each is of
+#: the probed block's size, not of the ladder's
+KEPT_TERMS = 8
+
+
 @dataclass(frozen=True)
 class BogoliubovSeries:
     """Coefficient matrices of a channel expanded to second order in a small
@@ -104,6 +110,9 @@ class BogoliubovSeries:
     point. The perturbative kernel reads any stack that stores the probed
     modes' rows; :meth:`evaluate`, :meth:`symplectic_orders` and the oracle
     need one whole channel.
+
+    The series is read-only, so what the kernel derives from it and a mode
+    set alone is kept on it by :meth:`kept`, and lives and dies with it.
     """
 
     G: np.ndarray
@@ -136,10 +145,28 @@ class BogoliubovSeries:
         object.__setattr__(self, "rows", rows)
         for name, m in mats.items():
             object.__setattr__(self, name, m)
+        object.__setattr__(self, "_kept", {})
 
     @property
     def n_max(self) -> int:
         return self.G.shape[-1]
+
+    def kept(self, term, modes):
+        """``term(self, modes)``, a tuple of arrays or one array, computed on
+        the first call for this series and mode set and kept on the series,
+        read-only, for every later one. At most :data:`KEPT_TERMS` are kept,
+        the oldest dropped first; a term that raises keeps nothing. Like the
+        oracle's BLAS setting, this is not meant for concurrent threads."""
+        key = (term, tuple(modes))
+        value = self._kept.get(key)
+        if value is None:
+            value = term(self, modes)
+            for arr in value if isinstance(value, tuple) else (value,):
+                arr.setflags(write=False)
+            if len(self._kept) >= KEPT_TERMS:
+                del self._kept[next(iter(self._kept))]
+            self._kept[key] = value
+        return value
 
     def _require_whole(self, what: str) -> None:
         if self.rows is not None or self.G.ndim != 1:
@@ -257,22 +284,16 @@ def covariance_series(series: BogoliubovSeries, modes, states) -> list[Covarianc
 
     ``S1 S1^T`` is the only product over all ``n`` columns, so the cost is
     ``O(m^2 n)`` per channel rather than the ``O(n^3)`` of the full
-    ``S Sigma_in S^T``; it and the assembled blocks are formed once for all
-    the states. A stack of channels gives orders with the same leading
-    axes: ``(..., 2m, 2m)`` and ``(..., 2m)``.
+    ``S Sigma_in S^T``. It and the assembled blocks depend on the series and
+    ``modes`` alone: they are formed on the first call for them and kept on
+    the series (:meth:`BogoliubovSeries.kept`), so a later call pays only
+    for its states' products. A stack of channels gives orders with the
+    same leading axes: ``(..., 2m, 2m)`` and ``(..., 2m)``.
     """
     idx = quadrature_indices(modes, series.n_max)
     if any(2 * state.n_modes != idx.size for state in states):
         raise ValueError("input state must live on the probed modes")
-
-    # only the block rows of the probed modes are ever needed
-    rows = _view_rows(series.row_positions(modes))
-    m = idx.size // 2
-    s0 = _assemble(series.G[..., idx[::2] // 2, None] * np.eye(m), np.zeros((m, m)))
-    s2 = _assemble(*series.second_order_block(modes))
-    s1 = _assemble(series.alpha1[..., rows, :], series.beta1[..., rows, :])
-    s1_p = s1[..., idx]
-    s1_s1 = s1 @ _t(s1)
+    s0, s1_p, s2, s1_s1 = series.kept(_probed_blocks, modes)
     out = []
     for state in states:
         sigma = state.covariance
@@ -284,6 +305,19 @@ def covariance_series(series: BogoliubovSeries, modes, states) -> list[Covarianc
         sigma2 = cross2 + _t(cross2) + s1_s1 + s1_p @ (sigma - np.eye(idx.size)) @ _t(s1_p)
         out.append(CovarianceSeries(sigma0, sigma1, sigma2, s1_p @ state.first_moments))
     return out
+
+
+def _probed_blocks(series: BogoliubovSeries, modes) -> tuple:
+    """``(S0_p, S1_p, S2_p, S1 S1^T)`` of :func:`covariance_series` on the
+    probed ``modes``, from their block rows alone."""
+    idx = quadrature_indices(modes, series.n_max)
+    rows = _view_rows(series.row_positions(modes))
+    m = idx.size // 2
+    s0 = _assemble(series.G[..., idx[::2] // 2, None] * np.eye(m), np.zeros((m, m)))
+    s2 = _assemble(*series.second_order_block(modes))
+    s1 = _assemble(series.alpha1[..., rows, :], series.beta1[..., rows, :])
+    # the probed columns are a copy, so the (..., 2m, 2n) rows are not kept
+    return s0, s1[..., idx], s2, s1 @ _t(s1)
 
 
 def series_to_csv(series: BogoliubovSeries) -> str:

@@ -280,16 +280,33 @@ def _taylor_factors(m: np.ndarray, n: np.ndarray) -> tuple:
     return (m + n) % 2 == 1, np.sqrt(m * n) / np.pi**2, gap, gap * gap, span, span * span
 
 
+#: the largest rounding error, in radians, of the highest phase 2 pi n_max u,
+#: counted as one unit of roundoff of it. At n_max 60 it admits u up to 1194,
+#: where every cell agrees with the cell at u = 0 far within its residual; at
+#: u = 1e15 the rounding spans whole revolutions, and the cells were wrong
+PHASE_ROUNDING_MAX = 1e-10
+
+
 def mode_phases(n_max: int, u) -> np.ndarray:
     """Phase factors ``G_n = exp(2 pi i n u)`` accrued during the segment:
     ``(n_max,)`` for one duration, ``(len(u), n_max)`` for a grid. A
-    duration whose phase ``2 pi n_max u`` is not finite raises ``ValueError``."""
+    duration whose phase ``2 pi n_max u`` is not finite, or carries a
+    rounding error above :data:`PHASE_ROUNDING_MAX`, raises ``ValueError``."""
     u = np.asarray(u, dtype=float)
     with np.errstate(over="ignore"):
-        finite = np.isfinite(2.0 * np.pi * n_max * u)
+        phase = 2.0 * np.pi * n_max * np.abs(u)
+    finite = np.isfinite(phase)
     if not np.all(finite):
         bad = float(u[~finite][0])
         raise ValueError(f"duration u={bad!r} gives mode phases 2 pi n u that are not finite at n_max {n_max}")
+    rounding = phase * np.finfo(float).eps
+    coarse = rounding > PHASE_ROUNDING_MAX
+    if np.any(coarse):
+        bad, error = float(u[coarse][0]), float(rounding[coarse][0])
+        raise ValueError(
+            f"duration u={bad!r} gives mode phases 2 pi n u with a rounding error of {error:.3e} rad "
+            f"at n_max {n_max}, above the bound of {PHASE_ROUNDING_MAX:g} rad"
+        )
     return np.exp(2j * np.pi * np.arange(1, n_max + 1) * u[..., None])
 
 

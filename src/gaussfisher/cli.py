@@ -34,7 +34,11 @@ on the thread count; the fitted overlap series, which ``overlaps`` writes
 and the ``sweep`` oracle completes, is built at the environment's count and
 can differ in its last bits. Without ``--cache`` that series is built once
 per process and ``n_max``, at the BLAS threading of that first build, and
-every later ``sweep`` in the process reads it.
+every later ``sweep`` in the process reads it. Likewise the stack that
+:meth:`CavityChannel.orders` composed last is kept per process, one entry,
+with the terms the kernel derives from it per mode set, so a later call on
+the same ``n_max``, grid and rows composes nothing, with the same bytes.
+``ELEMENT_BUDGET`` bounds what a verb composes, and so what is kept.
 """
 
 from __future__ import annotations
@@ -116,9 +120,21 @@ def finite(text: str, what: str, positive: bool = False) -> float:
 
 
 #: most points a ``start:stop:step`` grid may have: those of the default
-#: grid 0:1:0.01 at a thousandth of its step. A sweep at n_max 60 holds
-#: about 13 KB per point, so the bound keeps it near 1.4 GB
+#: grid 0:1:0.01 at a thousandth of its step
 GRID_MAX_POINTS = 100_001
+#: most elements a verb may compose: grid points x n_max for ``sweep``, whose
+#: default grid peaked at 308 MiB at n_max 16000 (1.6e6 elements, about 13 KiB
+#: per unit of n_max on 101 points), and n_max^2 for ``compare`` and
+#: ``validate``, whose whole channel takes about 64 n_max^2 bytes. Checked
+#: before anything is composed, so it also bounds the stack a process keeps
+ELEMENT_BUDGET = 2_000_000
+
+
+def _within_budget(elements: int, what: str) -> None:
+    """Refuse ``elements`` above :data:`ELEMENT_BUDGET`, naming ``what``
+    they count."""
+    if elements > ELEMENT_BUDGET:
+        raise ValueError(f"{what} = {elements} elements, above the budget of {ELEMENT_BUDGET}")
 
 
 def parse_grid(text: str) -> tuple:
@@ -279,8 +295,13 @@ def _run(args) -> int:
             probe["grid"] = parse_grid(probe["grid"])
         if args.methods is not None:
             probe["methods"] = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-        emit(rows_to_csv(run_sweep(SweepSpec(**probe), channel)), args.out)
+        spec = SweepSpec(**probe)
+        _within_budget(len(spec.grid) * channel.n_max, f"grid points x n_max = {len(spec.grid)} x {channel.n_max}")
+        emit(rows_to_csv(run_sweep(spec, channel)), args.out)
         return 0
+
+    if args.command in ("compare", "validate"):
+        _within_budget(channel.n_max**2, f"n_max x n_max = {channel.n_max} x {channel.n_max}")
 
     if args.command == "compare":
         ladder = {} if args.ladder is None else {

@@ -170,9 +170,10 @@ def c2_from_orders(sigma0: np.ndarray, sigma1: np.ndarray, sigma2: np.ndarray):
     return (tx**2 - trace(x @ x) + 4.0 * trace(y)) / 16.0
 
 
-def _perturbative_residual(series: BogoliubovSeries, modes: tuple):
+def _perturbative_residual(series: BogoliubovSeries, modes: tuple) -> np.ndarray:
     """Truncation estimate: spectator-sum tail plus the channel-identity
-    defect seen by the probed modes, per channel of the stack."""
+    defect seen by the probed modes, per channel of the stack (a 0-d array
+    for one channel)."""
     # the probed rows' largest term in the highest spectator's column: the last
     # that the sums of ``S1 S1^T`` keep, an estimate of what the cut discards
     spectators = [n for n in range(1, series.n_max + 1) if n not in modes]
@@ -184,7 +185,7 @@ def _perturbative_residual(series: BogoliubovSeries, modes: tuple):
             0.5 * np.max(np.abs(series.beta1[..., rows, last]) ** 2, axis=-1),
         )
     _, second = series.unitarity_residuals(modes=modes)
-    return np.maximum(tail, second)
+    return np.asarray(np.maximum(tail, second))
 
 
 def negativity_first_order(series: BogoliubovSeries, k: int, k_prime: int):
@@ -274,7 +275,11 @@ def qfi_perturbative(series: BogoliubovSeries, probes) -> list[QfiResult]:
     gives results of arrays with the stack's shape. The probes are grouped
     by mode set, and what a mode set alone fixes is done once for all its
     probes: one :func:`covariance_series` call, and the truncation residual,
-    which their results share.
+    which their results share. That residual, like the blocks
+    :func:`covariance_series` assembles, depends on the series and the mode
+    set alone, so it is computed on the first call for them and kept on the
+    series (:meth:`BogoliubovSeries.kept`); each call's results get their
+    own copy of it.
     """
     groups = {}
     for modes, state in probes:
@@ -294,7 +299,7 @@ def qfi_perturbative(series: BogoliubovSeries, probes) -> list[QfiResult]:
                 if bad.size:
                     raise ValueError(f"perturbative {name}={float(bad.flat[0])!r} is not finite")
             terms.append((e2, c2))
-        residual = _perturbative_residual(series, modes)
+        residual = series.kept(_perturbative_residual, modes).copy()
         results[modes] = iter([QfiResult(4.0 * (e2 + c2), e2, c2, "perturbative", residual) for e2, c2 in terms])
     return [next(results[tuple(modes)]) for modes, _ in probes]
 

@@ -36,6 +36,12 @@ from .qfi import (
 from .states import quadrature_indices
 
 
+#: the ``(key, stack)`` that :meth:`CavityChannel.orders` composed last in
+#: this process, or None: key and stack in one tuple, so neither is read
+#: with another's. One stack at most; the CLI bounds its size by ``ELEMENT_BUDGET``
+_last_orders = None
+
+
 @dataclass(frozen=True)
 class CavityChannel:
     """The moving cavity's channel: the grid holds durations ``u``, and theta
@@ -48,10 +54,15 @@ class CavityChannel:
     downstream is periodic in ``u``.
 
     ``orders`` composes the exact overlap coefficients of
-    :func:`taylor_overlaps`, evaluated on each call for the rows it asks
-    for, so the perturbative columns, ``compare`` and ``validate`` read no
-    quadrature and no fit, and a sweep no ``n_max x n_max`` matrix.
-    ``oracle_points`` composes the fitted series of
+    :func:`taylor_overlaps` on the rows it asks for, so the perturbative
+    columns, ``compare`` and ``validate`` read no quadrature and no fit, and
+    a sweep no ``n_max x n_max`` matrix. The stack it composed last is kept
+    per process, one entry keyed on ``n_max``, the grid's bits and the rows,
+    so a sweep that repeats a channel at other probes composes nothing, and
+    reads the terms kept on that stack (:meth:`BogoliubovSeries.kept`). The
+    entry is dropped before the next stack is composed, and a refused input
+    leaves none. Like the oracle's BLAS setting, it is not meant for
+    concurrent threads. ``oracle_points`` composes the fitted series of
     :func:`perturbative_overlaps`, read from ``cache`` or built and written
     there on first use and kept for the channel's lifetime. Without
     ``cache`` it is built once per process and ``n_max``, at the BLAS
@@ -96,8 +107,18 @@ class CavityChannel:
     def orders(self, grid=None, rows=None) -> BogoliubovSeries:
         """The series at the channel's duration, or at each duration of
         ``grid`` as a stack, on the output ``rows`` (``None`` keeps all),
-        composed from the exact coefficients on those rows alone."""
-        return compose_one_segment(taylor_overlaps(self.n_max, rows), self.u if grid is None else grid, rows)
+        composed from the exact coefficients on those rows alone, or the
+        same stack again when the last call composed it."""
+        global _last_orders
+        u = np.asarray(self.u if grid is None else grid, dtype=float)
+        rows = None if rows is None else tuple(rows)
+        # the grid by its bits: -0.0 == 0.0 with equal hashes, yet they print apart
+        key = (self.n_max, u.shape, u.tobytes(), rows)
+        if _last_orders is None or _last_orders[0] != key:
+            # dropped first, so two stacks are never held at once and a refusal keeps none
+            _last_orders = None
+            _last_orders = (key, compose_one_segment(taylor_overlaps(self.n_max, rows), u, rows))
+        return _last_orders[1]
 
     def oracle_points(self, grid, probes):
         """``(family, h)`` at each duration of ``grid``: the oracle's family

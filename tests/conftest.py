@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, expm_frechet
 
-from gaussfisher import cavity
+from gaussfisher import cavity, sweeps
 from gaussfisher.cavity import compose_one_segment, mode_phases, perturbative_overlaps, rindler_overlaps
 from gaussfisher.bogoliubov import BogoliubovSeries, CovarianceSeries, _assemble
 from gaussfisher.fidelity import FidelityError, fidelity_one_mode, fidelity_two_mode
@@ -15,10 +15,11 @@ from gaussfisher.sweeps import SWEEP_COLUMNS
 
 @pytest.fixture(autouse=True)
 def fresh_series_memo():
-    """Every test starts with no fitted overlap series kept in the process,
-    so a test that counts or refuses the fit's builds sees the same builds
-    whichever tests ran before it."""
+    """Every test starts with no fitted overlap series and no composed stack
+    kept in the process, so a test that counts or refuses the fit's builds
+    or the compositions sees the same builds whichever tests ran before it."""
     cavity._fitted_series.cache_clear()
+    sweeps._last_orders = None
 
 
 # State and fidelity helpers that only the tests use: the package itself

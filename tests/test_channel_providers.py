@@ -64,10 +64,11 @@ def test_compare_and_validate_through_a_duck_typed_provider(provider):
 
 def test_cavity_channel_builds_its_series_only_after_every_refusal(tmp_path, monkeypatch):
     """A cavity channel evaluates its exact overlap coefficients in each
-    ``orders`` call, which each engine makes after its own refusals, on the
-    rows that call asks for: a sweep's probed rows, every row for
-    ``compare`` and ``validate``. Only the oracle builds, and caches, the
-    fitted series, once."""
+    ``orders`` call that composes, which each engine makes after its own
+    refusals, on the rows that call asks for: a sweep's probed rows, every
+    row for ``compare`` and ``validate``. A call that repeats the last
+    composed stack's key composes nothing. Only the oracle builds, and
+    caches, the fitted series, once."""
     calls = {"taylor": [], "fit": []}
 
     def counting(name, real):
@@ -94,9 +95,10 @@ def test_cavity_channel_builds_its_series_only_after_every_refusal(tmp_path, mon
     run_sweep(SweepSpec(grid=(0.3,)), channel)
     compare_methods(SweepSpec(r=1.0), channel)
     validate(channel)
-    # the sweep's rows, compare's whole channel, and validate's at u and u + 1
-    whole = [(6, None)] * 3
-    assert calls == {"taylor": [(6, [1, 2])] + whole, "fit": []} and not cache.exists()
+    # the sweep's rows, compare's whole channel, and validate's at u + 1: at
+    # u it reads the whole channel that compare composed
+    whole = [(6, None)] * 2
+    assert calls == {"taylor": [(6, (1, 2))] + whole, "fit": []} and not cache.exists()
     run_sweep(SweepSpec(grid=(0.3, 0.5), methods=("oracle",)), channel)
-    assert calls == {"taylor": [(6, [1, 2])] + whole + [(6, [1, 2])], "fit": [(6,)]}
+    assert calls == {"taylor": [(6, (1, 2))] + whole + [(6, (1, 2))], "fit": [(6,)]}
     assert [p.name for p in cache.iterdir()] == ["overlap_series_n6.npz"]

@@ -26,6 +26,9 @@ from gaussfisher.qfi import probe_family, qfi_oracle
           "--state", "single_squeezed_displaced", "--methods", "perturbative,oracle"],
          "oracle fidelity F=4.5571423346886634e-89 at theta=0.05, step d=0.0005 is below 1/2: "
          "the ladder's closest states are too far apart for a finite difference of the QFI"),
+        # the whole channel of n_max 1415 is one past the element budget
+        *(([verb, "--nmax", "1415"], "n_max x n_max = 1415 x 1415 = 2002225 elements, above the budget of 2000000")
+          for verb in ("compare", "validate")),
     ],
 )
 def test_cli_refuses_in_one_line(tmp_path, capsys, argv, message):

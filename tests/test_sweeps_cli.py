@@ -319,6 +319,15 @@ def test_cli_prints_fidelity_overshoot_as_a_plain_number(tmp_path, capsys):
          "displacement delta=1.7320508075688775e+150 is out of range"),
         (["--grid", "0:1:1e-12"], "grid '0:1:1e-12' has 1e+12 points, above the bound of 100001"),
         (["--grid=-1e308:1e308:1e-300"], "grid '-1e308:1e308:1e-300' has inf points, above the bound of 100001"),
+        # a whole number of periods from u = 0, yet 0.4641 was written with exit 0
+        # beside -1.254e-9 at u = 0: the phase 2 pi n u had lost its digits
+        (["--nmax", "60", "--grid", "1e15", "--state", "two_mode_squeezed"],
+         "duration u=1000000000000000.0 gives mode phases 2 pi n u with a rounding error of 8.371e+01 rad "
+         "at n_max 60, above the bound of 1e-10 rad"),
+        # the process was killed for lack of memory, with no error line
+        (["--nmax", "100000000", "--grid", "0.3"],
+         "grid points x n_max = 1 x 100000000 = 100000000 elements, above the budget of 2000000"),
+        (["--nmax", "19802"], "grid points x n_max = 101 x 19802 = 2000002 elements, above the budget of 2000000"),
     ],
 )
 def test_cli_refuses_overflowing_input_in_one_line(tmp_path, capsys, argv, message):
