@@ -21,6 +21,7 @@ off those.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,10 +86,29 @@ def identity_residual(alpha: np.ndarray, beta: np.ndarray, rows=None, cols=None)
     return float(np.max(np.abs(defect)))
 
 
-#: terms one series keeps (:meth:`BogoliubovSeries.kept`): a sweep keeps four,
-#: the probed blocks and the truncation residual of two mode sets. Each is of
-#: the probed block's size, not of the ladder's
-KEPT_TERMS = 8
+#: most values a store of :func:`_keep` holds by default: terms of a series (a
+#: sweep keeps four, of the probed block's size) or fitted overlap series (at
+#: most 4 x 135^2 x 8 B = 0.58 MB each, as the fit holds only up to n_max 135)
+KEPT_ENTRIES = 8
+
+
+def _keep(store: dict, key, build, limit: int = KEPT_ENTRIES):
+    """``store[key]``, or else ``build()``, kept there read-only: the one way
+    a process keeps values between calls. A miss drops the oldest entries
+    until fewer than ``limit`` remain before it builds, so a build that raises
+    keeps nothing and a ``limit`` of 1 never holds two values. It freezes an
+    array or a tuple of them; other values freeze their own arrays. Like the
+    oracle's BLAS setting, it is not meant for concurrent threads."""
+    if key in store:
+        return store[key]
+    while len(store) >= limit:
+        del store[next(iter(store))]
+    value = build()
+    for arr in value if isinstance(value, tuple) else (value,):
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
+    store[key] = value
+    return value
 
 
 @dataclass(frozen=True)
@@ -112,7 +132,7 @@ class BogoliubovSeries:
     need one whole channel.
 
     The series is read-only, so what the kernel derives from it and a mode
-    set alone is kept on it by :meth:`kept`, and lives and dies with it.
+    set alone is kept on it (:meth:`kept`), and lives and dies with it.
     """
 
     G: np.ndarray
@@ -152,21 +172,9 @@ class BogoliubovSeries:
         return self.G.shape[-1]
 
     def kept(self, term, modes):
-        """``term(self, modes)``, a tuple of arrays or one array, computed on
-        the first call for this series and mode set and kept on the series,
-        read-only, for every later one. At most :data:`KEPT_TERMS` are kept,
-        the oldest dropped first; a term that raises keeps nothing. Like the
-        oracle's BLAS setting, this is not meant for concurrent threads."""
-        key = (term, tuple(modes))
-        value = self._kept.get(key)
-        if value is None:
-            value = term(self, modes)
-            for arr in value if isinstance(value, tuple) else (value,):
-                arr.setflags(write=False)
-            if len(self._kept) >= KEPT_TERMS:
-                del self._kept[next(iter(self._kept))]
-            self._kept[key] = value
-        return value
+        """``term(self, modes)``, a tuple of arrays or one array, kept on the
+        series per term and mode set by :func:`_keep`."""
+        return _keep(self._kept, (term, tuple(modes)), lambda: term(self, modes))
 
     def _require_whole(self, what: str) -> None:
         if self.rows is not None or self.G.ndim != 1:
@@ -359,11 +367,9 @@ def series_from_csv(text: str) -> BogoliubovSeries:
     if not rows:
         raise ValueError("channel file has no coefficient rows")
     n_max = max(row[2] for row in rows)
-    g = np.ones(n_max, dtype=complex)
-    mats = {name: np.zeros((n_max, n_max), dtype=complex) for name in names}
-    seen = set()
+    seen = {}
     for ln, comp, m, n, value in rows:
-        if comp != "g" and comp not in mats:
+        if comp != "g" and comp not in names:
             raise ValueError(f"channel line {ln}: unknown component {comp!r}")
         if not (1 <= m <= n_max and 1 <= n <= n_max) or (comp == "g" and m != n):
             raise ValueError(f"channel line {ln}: {comp} index ({m}, {n}) out of range for n_max {n_max}")
@@ -371,15 +377,22 @@ def series_from_csv(text: str) -> BogoliubovSeries:
             raise ValueError(f"channel line {ln}: non-finite value")
         if (comp, m, n) in seen:
             raise ValueError(f"channel line {ln}: duplicate {comp} entry ({m}, {n})")
-        seen.add((comp, m, n))
+        seen[comp, m, n] = value
+    # every entry is distinct and in range, so a short file is refused by its
+    # count, before anything of the n_max it claims is allocated
+    lacking = n_max + len(names) * n_max**2 - len(seen)
+    if lacking:
+        ladder = range(1, n_max + 1)
+        # a generator, as itertools.product would hold the whole ladder twice
+        expected = itertools.chain((("g", k, k) for k in ladder),
+                                   ((c, m, n) for c in names for m in ladder for n in ladder))
+        comp, m, n = next(key for key in expected if key not in seen)
+        raise ValueError(f"channel file lacks {lacking} entries, first {comp} ({m}, {n})")
+    g = np.ones(n_max, dtype=complex)
+    mats = {name: np.zeros((n_max, n_max), dtype=complex) for name in names}
+    for (comp, m, n), value in seen.items():
         if comp == "g":
             g[m - 1] = value
         else:
             mats[comp][m - 1, n - 1] = value
-    expected = [("g", k, k) for k in range(1, n_max + 1)]
-    expected += [(c, m, n) for c in names for m in range(1, n_max + 1) for n in range(1, n_max + 1)]
-    missing = [key for key in expected if key not in seen]
-    if missing:
-        comp, m, n = missing[0]
-        raise ValueError(f"channel file lacks {len(missing)} entries, first {comp} ({m}, {n})")
     return BogoliubovSeries(g, mats["alpha1"], mats["alpha2"], mats["beta1"], mats["beta2"])

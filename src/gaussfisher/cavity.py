@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import BogoliubovSeries
+from .bogoliubov import BogoliubovSeries, _keep
 from .states import quadrature_indices
 
 #: ladder of acceleration values used to extract the overlap series
@@ -76,7 +76,8 @@ class OverlapSeries:
     columns ``n``. With ``rows`` (1-based, distinct modes) it stores only
     what :func:`compose_one_segment` reads for those output modes: the
     first orders on their rows, ``(len(rows), n_max)``, and the second
-    orders on the block ``rows x rows``, both in ``rows`` order.
+    orders on the block ``rows x rows``, both in ``rows`` order. The
+    matrices are read-only.
     """
 
     alpha1: np.ndarray
@@ -85,6 +86,10 @@ class OverlapSeries:
     beta2: np.ndarray
     fit_residual: float
     rows: tuple | None = None
+
+    def __post_init__(self):
+        for name in SERIES_ARRAYS:
+            getattr(self, name).setflags(write=False)
 
     @property
     def n_max(self) -> int:
@@ -443,30 +448,17 @@ def load_overlaps_csv(path: str, n_max: int) -> OverlapSeries:
     return OverlapSeries(*(arrays[name] for name in SERIES_ARRAYS), residual)
 
 
-#: fitted series kept per process without a cache directory, one per n_max:
-#: the fit holds only up to n_max 135, so an entry takes at most 4 x 135^2 x 8 B,
-#: 0.58 MB
-SERIES_MEMO_ENTRIES = 8
-
-
-@functools.lru_cache(maxsize=SERIES_MEMO_ENTRIES)
-def _fitted_series(n_max: int) -> OverlapSeries:
-    """:func:`perturbative_overlaps` at ``n_max``, built on the first call in
-    a process and shared, read-only, by every later one. A refused fit
-    raises and is not kept."""
-    overlaps = perturbative_overlaps(n_max)
-    for name in SERIES_ARRAYS:
-        getattr(overlaps, name).setflags(write=False)
-    return overlaps
+#: the fitted series kept per process without a cache directory, by n_max
+_fitted = {}
 
 
 def load_or_compute_overlap_series(n_max: int, cache_dir: str | None = None) -> OverlapSeries:
     """Overlap series, read from ``cache_dir`` when its file exists and
     computed (then written there) otherwise. Without ``cache_dir`` it is
     fitted once per process and ``n_max``, at the BLAS threading of that
-    first build."""
+    first build, and kept by :func:`bogoliubov._keep`."""
     if cache_dir is None:
-        return _fitted_series(n_max)
+        return _keep(_fitted, n_max, lambda: perturbative_overlaps(n_max))
     path = series_cache_file(cache_dir, n_max)
     if os.path.exists(path):
         return load_overlaps_csv(path, n_max)

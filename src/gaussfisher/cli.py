@@ -32,13 +32,13 @@ inputs give byte-identical files at a fixed BLAS build. The oracle runs on
 one BLAS thread, so its columns, ``compare`` and ``validate`` do not depend
 on the thread count; the fitted overlap series, which ``overlaps`` writes
 and the ``sweep`` oracle completes, is built at the environment's count and
-can differ in its last bits. Without ``--cache`` that series is built once
-per process and ``n_max``, at the BLAS threading of that first build, and
-every later ``sweep`` in the process reads it. Likewise the stack that
-:meth:`CavityChannel.orders` composed last is kept per process, one entry,
-with the terms the kernel derives from it per mode set, so a later call on
-the same ``n_max``, grid and rows composes nothing, with the same bytes.
-``ELEMENT_BUDGET`` bounds what a verb composes, and so what is kept.
+can differ in its last bits. Between calls a process keeps, by the one rule
+of :func:`bogoliubov._keep`, the fitted series without ``--cache`` (per
+``n_max``, at the BLAS threading of its first build), the stack
+:meth:`CavityChannel.orders` composed last, and the terms derived from that
+stack per mode set, so a later call with the same key builds nothing and
+gives the same bytes. ``ELEMENT_BUDGET`` bounds what a verb composes, and
+so what is kept.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import sys
 import numpy as np
 
 from .bogoliubov import series_from_csv
-from .cavity import QuadratureError, series_cache_file
+from .cavity import QuadratureError, load_or_compute_overlap_series, series_cache_file
 from .sweeps import (
     FAMILIES,
     CavityChannel,
@@ -98,13 +98,25 @@ def read_config(path: str) -> dict:
     return values
 
 
+#: each verb's help and the flags it reads besides ``--config`` and ``--nmax``
+_VERBS = {
+    "sweep": ("QFI over a duration grid",
+              ("--out", "--cache", "--h", "--modes", "--channel", "--state", "--r", "--delta", "--grid", "--x",
+               "--photons", "--methods")),
+    "compare": ("perturbative vs oracle on an h ladder",
+                ("--out", "--modes", "--channel", "--state", "--r", "--delta", "--u", "--ladder")),
+    "validate": ("check the channel's invariants", ("--out", "--h", "--modes", "--channel")),
+    "overlaps": ("build the fitted overlap-series cache", ("--cache",)),
+}
+
 #: flags that only shape the built-in cavity channel, per verb that also
-#: takes ``--channel``: an imported channel leaves them, and the config keys
-#: of those in ``INPUTS``, unread
+#: takes ``--channel``: ``--nmax``, and of its own flags ``--cache`` and those
+#: that :class:`CavityChannel` reads. An imported channel leaves them, and the
+#: config keys of those in ``INPUTS``, unread
 CAVITY_FLAGS = {
-    "sweep": ("--nmax", "--cache", "--h"),
-    "compare": ("--nmax", "--u"),
-    "validate": ("--nmax", "--h"),
+    verb: ("--nmax", *(flag for flag in flags
+                       if flag == "--cache" or flag in INPUTS and INPUTS[flag][0] is CavityChannel))
+    for verb, (_, flags) in _VERBS.items() if "--channel" in flags
 }
 
 
@@ -188,18 +200,9 @@ def _parser() -> argparse.ArgumentParser:
     }
     for flag, (_, _, keys, kind, text) in INPUTS.items():
         options[flag] = dict(type=kind if len(keys) == 1 else str, help=text)
-    verbs = (
-        ("sweep", "QFI over a duration grid",
-         ("--out", "--cache", "--h", "--modes", "--channel", "--state", "--r", "--delta", "--grid", "--x", "--photons",
-          "--methods")),
-        ("compare", "perturbative vs oracle on an h ladder",
-         ("--out", "--modes", "--channel", "--state", "--r", "--delta", "--u", "--ladder")),
-        ("validate", "check the channel's invariants", ("--out", "--h", "--modes", "--channel")),
-        ("overlaps", "build the fitted overlap-series cache", ("--cache",)),
-    )
     # each verb registers only the flags it reads, and refuses abbreviations:
     # otherwise a flag it lacks, such as ``--h``, would match ``--help``
-    for verb, text, flags in verbs:
+    for verb, (text, flags) in _VERBS.items():
         p = sub.add_parser(verb, allow_abbrev=False, help=text)
         for flag in ("--config", "--nmax") + flags:
             p.add_argument(flag, **options[flag])
@@ -324,7 +327,7 @@ def _run(args) -> int:
     # "overlaps", the only verb the parser leaves, and always a cavity
     if args.cache is None:
         raise ValueError("overlaps requires --cache")
-    ov = channel.overlaps
+    ov = load_or_compute_overlap_series(channel.n_max, args.cache)
     path = series_cache_file(args.cache, ov.n_max)
     print(f"{path}: n_max={ov.n_max} fit residual {ov.fit_residual:.3e}")
     return 0

@@ -14,7 +14,6 @@ its parameter.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bogoliubov import BogoliubovSeries, identity_residual
-from .cavity import OverlapSeries, compose_one_segment, load_or_compute_overlap_series, taylor_overlaps
+from .bogoliubov import BogoliubovSeries, _keep, identity_residual
+from .cavity import compose_one_segment, load_or_compute_overlap_series, taylor_overlaps
 from .qfi import (
     FAMILIES,
     energy_matched_params,
@@ -36,10 +35,9 @@ from .qfi import (
 from .states import quadrature_indices
 
 
-#: the ``(key, stack)`` that :meth:`CavityChannel.orders` composed last in
-#: this process, or None: key and stack in one tuple, so neither is read
-#: with another's. One stack at most; the CLI bounds its size by ``ELEMENT_BUDGET``
-_last_orders = None
+#: the stack :meth:`CavityChannel.orders` composed last in this process, by
+#: its key: one at most, and the CLI bounds its size by ``ELEMENT_BUDGET``
+_composed = {}
 
 
 @dataclass(frozen=True)
@@ -56,17 +54,14 @@ class CavityChannel:
     ``orders`` composes the exact overlap coefficients of
     :func:`taylor_overlaps` on the rows it asks for, so the perturbative
     columns, ``compare`` and ``validate`` read no quadrature and no fit, and
-    a sweep no ``n_max x n_max`` matrix. The stack it composed last is kept
-    per process, one entry keyed on ``n_max``, the grid's bits and the rows,
-    so a sweep that repeats a channel at other probes composes nothing, and
-    reads the terms kept on that stack (:meth:`BogoliubovSeries.kept`). The
-    entry is dropped before the next stack is composed, and a refused input
-    leaves none. Like the oracle's BLAS setting, it is not meant for
-    concurrent threads. ``oracle_points`` composes the fitted series of
-    :func:`perturbative_overlaps`, read from ``cache`` or built and written
-    there on first use and kept for the channel's lifetime. Without
-    ``cache`` it is built once per process and ``n_max``, at the BLAS
-    threading of that first build, and every channel shares it.
+    a sweep no ``n_max x n_max`` matrix. The process keeps the stack it
+    composed last, keyed on ``n_max``, the grid's bits and the rows, by the
+    rule of :func:`bogoliubov._keep` with a bound of one: so a sweep that
+    repeats a channel at other probes composes nothing, and reads the terms
+    kept on that stack (:meth:`BogoliubovSeries.kept`). ``oracle_points``
+    composes the fitted series, which it reads once per call by
+    :func:`load_or_compute_overlap_series`, from ``cache`` or, without one,
+    as the process keeps it.
     """
 
     h: float = 0.05
@@ -99,32 +94,24 @@ class CavityChannel:
                 f"mode ladder; probing it needs --nmax {2 * edge} or more"
             )
 
-    @functools.cached_property
-    def overlaps(self) -> OverlapSeries:
-        """The fitted overlap series at ``n_max``, which the oracle completes."""
-        return load_or_compute_overlap_series(self.n_max, self.cache)
-
     def orders(self, grid=None, rows=None) -> BogoliubovSeries:
         """The series at the channel's duration, or at each duration of
         ``grid`` as a stack, on the output ``rows`` (``None`` keeps all),
         composed from the exact coefficients on those rows alone, or the
         same stack again when the last call composed it."""
-        global _last_orders
         u = np.asarray(self.u if grid is None else grid, dtype=float)
         rows = None if rows is None else tuple(rows)
         # the grid by its bits: -0.0 == 0.0 with equal hashes, yet they print apart
         key = (self.n_max, u.shape, u.tobytes(), rows)
-        if _last_orders is None or _last_orders[0] != key:
-            # dropped first, so two stacks are never held at once and a refusal keeps none
-            _last_orders = None
-            _last_orders = (key, compose_one_segment(taylor_overlaps(self.n_max, rows), u, rows))
-        return _last_orders[1]
+        return _keep(_composed, key, lambda: compose_one_segment(taylor_overlaps(self.n_max, rows), u, rows),
+                     limit=1)
 
     def oracle_points(self, grid, probes):
         """``(family, h)`` at each duration of ``grid``: the oracle's family
         of ``probes`` on the whole channel composed there from the fitted series."""
+        overlaps = load_or_compute_overlap_series(self.n_max, self.cache)
         for u in grid:
-            yield probe_family(compose_one_segment(self.overlaps, u), probes), self.h
+            yield probe_family(compose_one_segment(overlaps, u), probes), self.h
 
     def checks(self, modes) -> list[Check]:
         """First-order structure, the identity residual at ``h`` and its cubic

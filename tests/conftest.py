@@ -18,8 +18,8 @@ def fresh_series_memo():
     """Every test starts with no fitted overlap series and no composed stack
     kept in the process, so a test that counts or refuses the fit's builds
     or the compositions sees the same builds whichever tests ran before it."""
-    cavity._fitted_series.cache_clear()
-    sweeps._last_orders = None
+    cavity._fitted.clear()
+    sweeps._composed.clear()
 
 
 # State and fidelity helpers that only the tests use: the package itself

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import fidelity, f_sums, random_mixed_state, sigma_orders_from_blocks, synthetic_unitary_series
 from gaussfisher.bogoliubov import identity_residual
-from gaussfisher.cavity import compose_one_segment, rindler_overlaps
+from gaussfisher.cavity import compose_one_segment, load_or_compute_overlap_series, rindler_overlaps
 from gaussfisher.fidelity import fidelity_one_mode, fidelity_two_mode
 from gaussfisher.qfi import (
     c2_from_orders,
@@ -363,7 +363,7 @@ def test_criterion_8_energy_split_features():
     # is alive
     orderings = []
     for u in (0.1, 0.25, 0.4, 0.5, 0.75):
-        series = compose_one_segment(channel.overlaps, u)
+        series = compose_one_segment(load_or_compute_overlap_series(channel.n_max), u)
         values = []
         for x in (0.0, 0.25, 0.5, 0.75, 1.0):
             r, d = energy_matched_params("two_product_squeezed_displaced", 1.0, 1, 2, x=x)

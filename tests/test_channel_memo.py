@@ -1,7 +1,8 @@
 """A sweep that repeats a channel composes nothing: ``CavityChannel.orders``
 keeps the stack it composed last, one per process, and a series keeps the
 terms the kernel derives from it and a mode set alone. Both give the bits of
-a fresh computation, keep nothing refused, and are read-only."""
+a fresh computation and keep nothing refused; ``test_kept.py`` checks the
+rule they share."""
 
 import gc
 import math
@@ -55,26 +56,6 @@ def test_orders_composes_once_per_key(builds):
     assert builds[-2:] == [(9, None), (9, None)] and len(builds) == 9
 
 
-def test_one_stack_is_kept_and_dropped_before_the_next_composes(monkeypatch):
-    first = weakref.ref(CavityChannel(n_max=8).orders(GRID, (1, 2)))
-    gc.collect()
-    assert first() is not None and sweeps._last_orders[1] is first()
-    held_while_composing = []
-    real = sweeps.taylor_overlaps
-
-    def composing(n_max, rows):
-        gc.collect()
-        held_while_composing.append(first())
-        return real(n_max, rows)
-
-    monkeypatch.setattr(sweeps, "taylor_overlaps", composing)
-    second = CavityChannel(n_max=8).orders(GRID[1:], (1, 2))
-    gc.collect()
-    assert held_while_composing == [None] and first() is None
-    key, stack = sweeps._last_orders
-    assert stack is second and key == (8, (2,), np.asarray(GRID[1:]).tobytes(), (1, 2))
-
-
 def test_signed_zero_grids_give_a_fresh_process_bytes(capsys):
     argvs = [["sweep", "--nmax", "10", "--grid=-0.0"], ["sweep", "--nmax", "10", "--grid", "0.0"]]
     here = []
@@ -85,21 +66,25 @@ def test_signed_zero_grids_give_a_fresh_process_bytes(capsys):
     assert here[:2] == [out for out, _, _ in fresh_runs(argvs)]
 
 
-def test_refused_input_is_not_kept():
+def test_refused_input_is_not_kept(monkeypatch):
     channel = CavityChannel(n_max=60)
-    channel.orders(GRID, (1, 2))
-    for grid in ((0.3, 1195.0), (0.3, -1.0), (0.3, math.inf)):
-        with pytest.raises(ValueError):
-            channel.orders(grid, (1, 2))
-        assert sweeps._last_orders is None
-    with pytest.raises(ValueError, match="out of range"):
-        CavityChannel(n_max=8).orders(GRID, (1, 9))
-    assert sweeps._last_orders is None
-    # a term that raises keeps nothing on the series
+    # each refusal leaves no stack: the one composed before it is gone
+    for grid, rows, match in (((0.3, 1195.0), (1, 2), "rounding error"), ((0.3, -1.0), (1, 2), "non-negative"),
+                              ((0.3, math.inf), (1, 2), "finite"), (GRID, (1, 61), "out of range")):
+        kept = weakref.ref(channel.orders(GRID, (1, 2)))
+        with pytest.raises(ValueError, match=match):
+            channel.orders(grid, rows)
+        gc.collect()
+        assert kept() is None
+    # a term that raises keeps nothing on the series: it is tried again
+    tried = []
+    real = bogoliubov._probed_blocks
+    monkeypatch.setattr(bogoliubov, "_probed_blocks", lambda series, modes: tried.append(modes) or real(series, modes))
     stack = CavityChannel(n_max=8).orders(GRID, (1, 2))
-    with pytest.raises(ValueError, match="series stores no row for mode 3"):
-        qfi_perturbative(stack, [((1, 3), probe_state("two_mode_squeezed", 0.5, 0.0))])
-    assert stack._kept == {}
+    for _ in range(2):
+        with pytest.raises(ValueError, match="series stores no row for mode 3"):
+            qfi_perturbative(stack, [((1, 3), probe_state("two_mode_squeezed", 0.5, 0.0))])
+    assert tried == [(1, 3), (1, 3)]
 
 
 @pytest.mark.parametrize("modes", [(1, 2), (2,), (2, 1)])
@@ -130,14 +115,25 @@ def test_kept_terms_are_read_only_and_the_bits_of_a_fresh_computation(modes, mon
     assert again[0].residual.flags.writeable and not np.shares_memory(again[0].residual, residual)
 
 
-def test_a_series_keeps_a_bounded_number_of_terms():
+def test_a_series_keeps_the_terms_of_its_last_mode_sets(monkeypatch):
+    built = []
+    for term in (bogoliubov._probed_blocks, qfi._perturbative_residual):
+        monkeypatch.setattr(sys.modules[term.__module__], term.__name__,
+                            lambda series, modes, term=term: built.append(modes) or term(series, modes))
     series = synthetic_unitary_series(8, np.random.default_rng(3), strength=0.2)
     state = probe_state("single_squeezed_displaced", 0.4, 0.2)
     for mode in range(1, 9):
         qfi_perturbative(series, [((mode,), state)])
-    assert len(series._kept) == bogoliubov.KEPT_TERMS
-    # the oldest mode sets were dropped first
-    assert {modes for _, modes in series._kept} == {(5,), (6,), (7,), (8,)}
+    assert built == [(mode,) for mode in range(1, 9) for _ in range(2)]
+    # two terms per mode set: the newest mode sets that fill the bound are
+    # kept, and the oldest were dropped first
+    newest = range(9 - bogoliubov.KEPT_ENTRIES // 2, 9)
+    del built[:]
+    for mode in newest:
+        qfi_perturbative(series, [((mode,), state)])
+    assert built == []
+    qfi_perturbative(series, [((newest[0] - 1,), state)])
+    assert built == [(newest[0] - 1,)] * 2
 
 
 def test_budget_refusals_compose_nothing(builds, capsys):
@@ -146,7 +142,7 @@ def test_budget_refusals_compose_nothing(builds, capsys):
                  ["validate", "--nmax", "1415"]):
         assert main(argv) == 2
         assert capsys.readouterr().err.endswith(f"elements, above the budget of {ELEMENT_BUDGET}\n")
-    assert builds == [] and sweeps._last_orders is None
+    assert builds == []
 
 
 def test_phase_rounding_bound_admits_whole_periods_within_the_residual():
@@ -184,6 +180,13 @@ def test_a_mixed_sequence_in_one_process_gives_each_fresh_process_bytes(tmp_path
         ["sweep", "--nmax", "10", "--grid", "0.137,0.5", "--methods", "perturbative,oracle"],
         ["sweep", "--channel", str(channel), "--grid", "0.01,0.05"],
         ["sweep", "--nmax", "12", "--grid", "0:1:0.25", "--photons", "1.7"],
+        # every store crossed: the fitted series at two n_max, one of them
+        # kept from above, beside a cache, and the oracle on an imported channel
+        ["sweep", "--nmax", "12", "--grid", "0.2,0.45", "--methods", "oracle"],
+        ["sweep", "--nmax", "10", "--grid", "0.3", "--methods", "oracle", "--state", "two_mode_squeezed"],
+        ["sweep", "--nmax", "10", "--grid", "0.3,0.61", "--methods", "oracle", "--cache", str(tmp_path / "cache")],
+        ["sweep", "--channel", str(channel), "--grid", "0.02", "--methods", "perturbative,oracle"],
+        ["sweep", "--nmax", "12", "--grid", "0:1:0.25", "--photons", "0.6", "--x", "0.3"],
     ]
     here = []
     for argv in argvs:

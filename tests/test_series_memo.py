@@ -34,21 +34,24 @@ def test_uncached_oracle_sweeps_fit_the_series_once_per_process(tmp_path, monkey
     assert fresh.stdout == outputs[0]
 
 
-def test_a_refused_fit_is_not_kept(tmp_path, capsys):
+def test_a_refused_fit_is_not_kept(tmp_path, capsys, monkeypatch):
+    fits = []
+    real = cavity.perturbative_overlaps
+    monkeypatch.setattr(cavity, "perturbative_overlaps", lambda n_max: fits.append(n_max) or real(n_max))
     argv = ["sweep", "--nmax", "136", "--grid", "0.4", "--methods", "oracle", "--out", str(tmp_path / "out.csv")]
     errors = []
     for _ in range(2):
         assert main(argv) == 2
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1] == "error: overlap series fit residual 1.873e-05 above 1.850e-05\n"
-    assert cavity._fitted_series.cache_info().currsize == 0
+    # nothing was kept, so the second sweep fits again
+    assert fits == [136, 136]
     assert not (tmp_path / "out.csv").exists()
 
 
 def test_the_kept_series_is_shared_read_only():
     series = cavity.load_or_compute_overlap_series(6)
     assert cavity.load_or_compute_overlap_series(6) is series
-    assert cavity._fitted_series.cache_info().maxsize == cavity.SERIES_MEMO_ENTRIES
     for name in cavity.SERIES_ARRAYS:
         with pytest.raises(ValueError, match="read-only"):
             getattr(series, name)[0, 0] = 0.0

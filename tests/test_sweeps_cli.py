@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from conftest import synthetic_unitary_series
 from gaussfisher import cavity, qfi, sweeps
 from gaussfisher.bogoliubov import BogoliubovSeries, series_from_csv, series_to_csv
 from gaussfisher.cavity import perturbative_overlaps, save_overlaps_csv
-from gaussfisher.cli import GRID_MAX_POINTS, INPUTS, main, parse_grid, read_config
+from gaussfisher.cli import GRID_MAX_POINTS, INPUTS, build_parser, main, parse_grid, read_config
 from gaussfisher.sweeps import (
     CavityChannel,
     ImportedChannel,
@@ -822,6 +823,25 @@ def test_cli_rejects_malformed_channel(tmp_path, capsys, case):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err, err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_refuses_a_short_channel_file_before_allocating_its_modes(tmp_path, capsys):
+    # three lines that claim mode 10**6: the refusal used to allocate four
+    # n_max x n_max matrices and list every entry first, 637 MB at mode 1200
+    n_max = 10**6
+    path = tmp_path / "channel.csv"
+    path.write_text(f"component,m,n,re,im\ng,1,1,1,0\nalpha1,{n_max},{n_max},0,0\n", encoding="utf-8")
+    build_parser()
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--grid", "0.05", "--channel", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    lacking = n_max + 4 * n_max**2 - 2
+    assert capsys.readouterr().err == f"error: channel file lacks {lacking} entries, first g (2, 2)\n"
+    assert peak < 2**20, peak
 
 
 def test_cli_rejects_modes_beyond_imported_channel(tmp_path, capsys):
