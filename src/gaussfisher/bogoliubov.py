@@ -11,12 +11,13 @@ matrix pair ``(alpha, beta)``. Exact channels satisfy
 or, equivalently, the real matrix ``S`` built from 2x2 blocks is symplectic,
 ``S Omega S^T = Omega``. :func:`identity_residual` measures that on a window
 of modes; truncating the mode ladder at ``n_max`` turns the identities into
-measured residuals. :class:`BogoliubovSeries` holds a channel to second
-order in its parameter, either whole or, on a stack of channels (one per
-grid point), as what a probe on a few output modes reads: their block rows
-of the first orders and their square block of the second orders.
-:func:`covariance_series` reads the covariance orders of the probed modes
-off those.
+measured residuals. :class:`BogoliubovSeries` holds a whole channel, or a
+stack of them (one per grid point), to second order in its parameter.
+What a probe on a few modes reads of it is one :class:`ReducedChannel`,
+the single- or two-mode Gaussian channel those modes see, which
+:func:`_reduce` alone builds, from a whole series or from the rows of a
+few output modes; :func:`covariance_series` reads the covariance orders of
+the probed modes off it.
 """
 
 from __future__ import annotations
@@ -45,14 +46,6 @@ def _assemble(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     np.negative(np.subtract(alpha.imag, beta.imag, out=lower), out=lower)
     np.add(alpha.real, beta.real, out=s[..., 1::2, 1::2])
     return s
-
-
-def _view_rows(pos: np.ndarray):
-    """Row positions as a slice when they run consecutively, as a sweep stores
-    them, so that reading those rows of a stack makes no copy."""
-    if pos.size and np.array_equal(pos, np.arange(pos[0], pos[0] + pos.size)):
-        return slice(pos[0], pos[0] + pos.size)
-    return pos
 
 
 def _t(mat: np.ndarray) -> np.ndarray:
@@ -86,9 +79,8 @@ def identity_residual(alpha: np.ndarray, beta: np.ndarray, rows=None, cols=None)
     return float(np.max(np.abs(defect)))
 
 
-#: most values a store of :func:`_keep` holds by default: terms of a series (a
-#: sweep keeps four, of the probed block's size) or fitted overlap series (at
-#: most 4 x 135^2 x 8 B = 0.58 MB each, as the fit holds only up to n_max 135)
+#: most values a store of :func:`_keep` holds by default: fitted overlap series,
+#: at most 4 x 135^2 x 8 B = 0.58 MB each, as the fit holds only up to n_max 135
 KEPT_ENTRIES = 8
 
 
@@ -120,19 +112,11 @@ class BogoliubovSeries:
     ``beta(theta) = beta1 theta + beta2 theta^2``, where the zeroth order is a
     pure phase ``G_n = exp(i phi_n)`` on each mode.
 
-    ``n_max`` is the length of ``G``. A whole channel stores ``G`` as
-    ``(n_max,)`` and each matrix as ``(n_max, n_max)``. With ``rows`` (1-based, distinct output modes) only
-    what a probe on those modes reads is stored: the first orders on their
-    block rows, ``(len(rows), n_max)``, and the second orders on the square
-    block ``rows x rows``, ``(len(rows), len(rows))``, rows and columns both
-    in ``rows`` order. A whole channel is the case where ``rows`` is every
-    mode. Leading axes on every array make a stack of channels, one per grid
-    point. The perturbative kernel reads any stack that stores the probed
-    modes' rows; :meth:`evaluate`, :meth:`symplectic_orders` and the oracle
-    need one whole channel.
-
-    The series is read-only, so what the kernel derives from it and a mode
-    set alone is kept on it (:meth:`kept`), and lives and dies with it.
+    ``n_max`` is the length of ``G``: one channel stores ``G`` as
+    ``(n_max,)`` and each matrix as ``(n_max, n_max)``, and leading axes on
+    every array make a stack of channels, one per grid point. What a probe
+    on a few modes reads of it is :meth:`reduced`; :meth:`evaluate`,
+    :meth:`symplectic_orders` and the oracle need one channel.
     """
 
     G: np.ndarray
@@ -140,63 +124,34 @@ class BogoliubovSeries:
     alpha2: np.ndarray
     beta1: np.ndarray
     beta2: np.ndarray
-    rows: tuple | None = None
 
     def __post_init__(self):
         g = np.asarray(self.G, dtype=complex)
         # written so that a NaN phase fails it too
         if not np.all(np.abs(np.abs(g) - 1.0) <= 1e-12):
             raise ValueError("zeroth-order phases G must have unit modulus")
-        *stack, n_max = g.shape
-        rows = None if self.rows is None else tuple(self.rows)
-        if rows is not None:
-            quadrature_indices(rows, n_max)
-        width = n_max if rows is None else len(rows)
-        first, second = ((*stack, width, cols) for cols in (n_max, width))
-        mats = {}
-        for name, shape in (("alpha1", first), ("alpha2", second), ("beta1", first), ("beta2", second)):
+        shape = (*g.shape, g.shape[-1])
+        g.setflags(write=False)
+        object.__setattr__(self, "G", g)
+        for name in ("alpha1", "alpha2", "beta1", "beta2"):
             m = np.asarray(getattr(self, name), dtype=complex)
             if m.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}")
             m.setflags(write=False)
-            mats[name] = m
-        g.setflags(write=False)
-        object.__setattr__(self, "G", g)
-        object.__setattr__(self, "rows", rows)
-        for name, m in mats.items():
             object.__setattr__(self, name, m)
-        object.__setattr__(self, "_kept", {})
 
     @property
     def n_max(self) -> int:
         return self.G.shape[-1]
 
-    def kept(self, term, modes):
-        """``term(self, modes)``, a tuple of arrays or one array, kept on the
-        series per term and mode set by :func:`_keep`."""
-        return _keep(self._kept, (term, tuple(modes)), lambda: term(self, modes))
+    def reduced(self, modes) -> ReducedChannel:
+        """What a probe on the 1-based ``modes`` reads of the channel, or of
+        each channel of the stack."""
+        return _reduce(self.G, self.alpha1, self.alpha2, self.beta1, self.beta2, modes)
 
     def _require_whole(self, what: str) -> None:
-        if self.rows is not None or self.G.ndim != 1:
-            raise ValueError(f"{what} needs one whole channel, not a stack or a subset of rows")
-
-    def row_positions(self, modes) -> np.ndarray:
-        """Positions of the block rows of the 1-based ``modes`` in the stored
-        matrices; ``ValueError`` when a row is not stored."""
-        cols = quadrature_indices(modes, self.n_max)[::2] // 2
-        if self.rows is None:
-            return cols
-        held = {m: i for i, m in enumerate(self.rows)}
-        missing = [k + 1 for k in cols if k + 1 not in held]
-        if missing:
-            raise ValueError(f"series stores no row for mode {missing[0]}")
-        return np.array([held[k + 1] for k in cols], dtype=int)
-
-    def second_order_block(self, modes) -> tuple[np.ndarray, np.ndarray]:
-        """``(alpha2, beta2)`` on the block ``modes x modes``, rows and columns
-        in the order of ``modes``; ``ValueError`` when a row is not stored."""
-        pos = _view_rows(self.row_positions(modes))
-        return self.alpha2[..., pos, :][..., pos], self.beta2[..., pos, :][..., pos]
+        if self.G.ndim != 1:
+            raise ValueError(f"{what} needs one whole channel, not a stack")
 
     def evaluate(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
         """Read-only coefficient matrices ``(alpha, beta)`` at a finite
@@ -223,42 +178,108 @@ class BogoliubovSeries:
 
     def unitarity_residuals(self, modes=None):
         """Max-norm defects ``(first, second)`` of the order-by-order channel
-        identities, one pair per channel of the stack.
-
-        First order: ``diag(G) alpha1^dag + alpha1 diag(G)^dag = 0`` and
-        ``G_m beta1_nm = G_n beta1_mn``. Second order:
-        ``diag(G) alpha2^dag + alpha2 diag(G)^dag + alpha1 alpha1^dag
-        - beta1 beta1^dag = 0`` plus the symmetric-part condition on
-        ``alpha beta^T``. Exact channels built from generators satisfy both to
-        machine precision; truncated ones report their tail here. With
-        ``modes`` given (1-based, distinct), the norms are restricted to the
-        submatrix of those modes, which is the defect feeding the probed-mode
-        physics, and only their rows need be stored; unrestricted norms are
-        dominated by the edge of the mode ladder. Only that submatrix is
-        computed: ``O(m^2 n)`` for ``m`` modes. The pair is two floats for one
-        channel and two arrays of the stack's shape otherwise.
+        identities, one pair per channel of the stack, on the submatrix of
+        the 1-based ``modes`` (``None`` means all): see
+        :func:`_identity_defects`. The pair is two floats for one channel and
+        two arrays of the stack's shape otherwise.
         """
         modes = range(1, self.n_max + 1) if modes is None else modes
         cols = quadrature_indices(modes, self.n_max)[::2] // 2
-        rows = _view_rows(self.row_positions(modes))
-        # diag(G) acts by broadcasting: (diag(G) M)_ij = G_i M_ij
-        gi = self.G[..., cols][..., :, None]
-        gj = np.conj(self.G[..., cols])[..., None, :]
-        a1, b1 = self.alpha1[..., rows, :], self.beta1[..., rows, :]
-        a1_pp, b1_pp = a1[..., cols], b1[..., cols]
-        a2_pp, b2_pp = self.second_order_block(modes)
-        r1a = gi * _t(a1_pp).conj() + a1_pp * gj
-        gb1 = gi * _t(b1_pp)
-        r1b = gb1 - _t(gb1)
-        # the spectator sums only need the probed rows of the first orders
-        r2a = gi * _t(a2_pp).conj() + a2_pp * gj + a1 @ _t(a1).conj() - b1 @ _t(b1).conj()
-        m = gi * _t(b2_pp) + a1 @ _t(b1)
-        r2b = m - _t(m)
+        a2, b2 = self.alpha2[..., cols, :][..., cols], self.beta2[..., cols, :][..., cols]
+        return _identity_defects(self.G[..., cols], self.alpha1[..., cols, :], self.beta1[..., cols, :], a2, b2, cols)
 
-        def norm(mat: np.ndarray):
-            return np.abs(mat).max(axis=(-2, -1))
 
-        return np.maximum(norm(r1a), norm(r1b)), np.maximum(norm(r2a), norm(r2b))
+def _identity_defects(g, a1, b1, a2, b2, cols):
+    """Max-norm defects ``(first, second)`` of the order-by-order channel
+    identities on the window of the 0-based modes ``cols``, per channel.
+
+    First order: ``diag(G) alpha1^dag + alpha1 diag(G)^dag = 0`` and
+    ``G_m beta1_nm = G_n beta1_mn``. Second order:
+    ``diag(G) alpha2^dag + alpha2 diag(G)^dag + alpha1 alpha1^dag
+    - beta1 beta1^dag = 0`` plus the symmetric-part condition on
+    ``alpha beta^T``. Exact channels satisfy both to machine precision;
+    truncated ones report their tail, which on a window of probed modes is
+    the defect feeding their physics. It reads the window's phases ``g``,
+    first-order rows ``a1``, ``b1`` and second-order block ``a2``, ``b2``,
+    in ``cols`` order: ``O(m^2 n)`` for ``m`` modes.
+    """
+    # diag(G) acts by broadcasting: (diag(G) M)_ij = G_i M_ij
+    gi = g[..., :, None]
+    gj = np.conj(g)[..., None, :]
+    a1_pp, b1_pp = a1[..., cols], b1[..., cols]
+    r1a = gi * _t(a1_pp).conj() + a1_pp * gj
+    gb1 = gi * _t(b1_pp)
+    r1b = gb1 - _t(gb1)
+    r2a = gi * _t(a2).conj() + a2 * gj + a1 @ _t(a1).conj() - b1 @ _t(b1).conj()
+    m = gi * _t(b2) + a1 @ _t(b1)
+    r2b = m - _t(m)
+
+    def norm(mat: np.ndarray):
+        return np.abs(mat).max(axis=(-2, -1))
+
+    return np.maximum(norm(r1a), norm(r1b)), np.maximum(norm(r2a), norm(r2b))
+
+
+@dataclass(frozen=True)
+class ReducedChannel:
+    """What a probe on ``modes`` reads of a channel, or of each channel of a
+    stack: the Gaussian channel ``sigma -> A sigma A^T + B``,
+    ``mu -> A mu`` of those modes, to second order in theta.
+
+    ``s0``, ``s1`` and ``s2`` are the probed ``2m x 2m`` blocks ``A0``,
+    ``A1`` and ``A2`` of the symplectic orders, and ``s1_s1`` is ``S1 S1^T``
+    over every mode, so ``B2 = S1 S1^T - A1 A1^T``. ``beta1`` is the probed
+    block of the first-order ``beta``, all in ``modes`` order, and
+    ``residual`` the truncation residual. Only :func:`_reduce` builds one,
+    and its arrays are read-only.
+    """
+
+    modes: tuple
+    s0: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    s1_s1: np.ndarray
+    beta1: np.ndarray
+    residual: np.ndarray
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+
+def _reduce(g, alpha1, alpha2, beta1, beta2, modes, rows=None) -> ReducedChannel:
+    """The :class:`ReducedChannel` of the 1-based ``modes``: the one reducer.
+
+    The channel, or a stack, is given on the output ``rows`` (``None`` for
+    every mode) by their phases, first orders and second-order block
+    ``rows x rows``, in ``rows`` order; only the probed rows are read, as a
+    view when they run consecutively. The truncation residual is the larger
+    of the second-order identity defect on the probed window and the
+    spectator tail: the probed rows' largest term in the highest
+    spectator's column, the last that the sums of ``S1 S1^T`` keep. It is
+    formed before ``S1``, so that their temporaries are never alive together.
+    """
+    modes = tuple(modes)
+    n = alpha1.shape[-1]
+    idx = quadrature_indices(modes, n)
+    cols = idx[::2] // 2
+    pos = cols if rows is None else np.array([rows.index(k) for k in modes])
+    if pos.size and np.array_equal(pos, np.arange(pos[0], pos[0] + pos.size)):
+        pos = slice(pos[0], pos[0] + pos.size)
+    a1, b1 = alpha1[..., pos, :], beta1[..., pos, :]
+    a2, b2 = alpha2[..., pos, :][..., pos], beta2[..., pos, :][..., pos]
+    g = g[..., pos]
+    _, second = _identity_defects(g, a1, b1, a2, b2, cols)
+    last = next((k for k in range(n, 0, -1) if k not in modes), None)
+    tail = 0.0 if last is None else np.maximum(0.5 * np.max(np.abs(a1[..., last - 1]) ** 2, axis=-1),
+                                               0.5 * np.max(np.abs(b1[..., last - 1]) ** 2, axis=-1))
+    residual = np.asarray(np.maximum(tail, second))
+    m = cols.size
+    s0 = _assemble(g[..., None] * np.eye(m), np.zeros((m, m)))
+    s1 = _assemble(a1, b1)
+    # the probed columns are a copy, so the (..., 2m, 2n) rows are not kept
+    return ReducedChannel(modes, s0, s1[..., idx], _assemble(a2, b2), s1 @ _t(s1), b1[..., cols], residual)
 
 
 @dataclass(frozen=True)
@@ -272,17 +293,16 @@ class CovarianceSeries:
     mean1: np.ndarray
 
 
-def covariance_series(series: BogoliubovSeries, modes, states) -> list[CovarianceSeries]:
+def covariance_series(reduced: ReducedChannel, states) -> list[CovarianceSeries]:
     """Collect theta powers of the reduced covariance of the probed modes,
     one :class:`CovarianceSeries` per state of ``states``, in order.
 
-    Each state lives on the probed modes only (all other modes vacuum), and
-    ``series`` must store the rows of ``modes``. The coefficients are
-    exact polynomials of the series matrices; no numerical differentiation
-    is involved. ``S0`` vanishes outside the probed columns, so with
+    Each state lives on the probed modes of ``reduced`` only (all other
+    modes vacuum). The coefficients are exact polynomials of the reduced
+    channel's orders; no numerical differentiation is involved. ``S0``
+    vanishes outside the probed columns, so with
     ``Sigma_in = I + P (Sigma - I) P^T`` every product that meets it needs
-    only the probed ``2m x 2m`` blocks ``S0_p`` and ``S2_p`` and the probed
-    columns ``S1_p`` of the ``2m`` block rows of ``S1``:
+    only the probed blocks ``S0_p``, ``S1_p`` and ``S2_p`` and ``S1 S1^T``:
 
         sigma0 = S0_p Sigma S0_p^T
         sigma1 = S1_p Sigma S0_p^T + transpose
@@ -290,18 +310,14 @@ def covariance_series(series: BogoliubovSeries, modes, states) -> list[Covarianc
                  + S1 S1^T + S1_p (Sigma - I) S1_p^T
         mean1  = S1_p mu
 
-    ``S1 S1^T`` is the only product over all ``n`` columns, so the cost is
-    ``O(m^2 n)`` per channel rather than the ``O(n^3)`` of the full
-    ``S Sigma_in S^T``. It and the assembled blocks depend on the series and
-    ``modes`` alone: they are formed on the first call for them and kept on
-    the series (:meth:`BogoliubovSeries.kept`), so a later call pays only
-    for its states' products. A stack of channels gives orders with the
-    same leading axes: ``(..., 2m, 2m)`` and ``(..., 2m)``.
+    A call pays only for its states' ``2m x 2m`` products. A stack of
+    channels gives orders with the same leading axes: ``(..., 2m, 2m)`` and
+    ``(..., 2m)``.
     """
-    idx = quadrature_indices(modes, series.n_max)
-    if any(2 * state.n_modes != idx.size for state in states):
+    dim = reduced.s0.shape[-1]
+    if any(2 * state.n_modes != dim for state in states):
         raise ValueError("input state must live on the probed modes")
-    s0, s1_p, s2, s1_s1 = series.kept(_probed_blocks, modes)
+    s0, s1_p, s2, s1_s1 = reduced.s0, reduced.s1, reduced.s2, reduced.s1_s1
     out = []
     for state in states:
         sigma = state.covariance
@@ -310,22 +326,9 @@ def covariance_series(series: BogoliubovSeries, modes, states) -> list[Covarianc
         cross2 = s2 @ sigma_s0
         cross1 = s1_p @ sigma_s0
         sigma1 = cross1 + _t(cross1)
-        sigma2 = cross2 + _t(cross2) + s1_s1 + s1_p @ (sigma - np.eye(idx.size)) @ _t(s1_p)
+        sigma2 = cross2 + _t(cross2) + s1_s1 + s1_p @ (sigma - np.eye(dim)) @ _t(s1_p)
         out.append(CovarianceSeries(sigma0, sigma1, sigma2, s1_p @ state.first_moments))
     return out
-
-
-def _probed_blocks(series: BogoliubovSeries, modes) -> tuple:
-    """``(S0_p, S1_p, S2_p, S1 S1^T)`` of :func:`covariance_series` on the
-    probed ``modes``, from their block rows alone."""
-    idx = quadrature_indices(modes, series.n_max)
-    rows = _view_rows(series.row_positions(modes))
-    m = idx.size // 2
-    s0 = _assemble(series.G[..., idx[::2] // 2, None] * np.eye(m), np.zeros((m, m)))
-    s2 = _assemble(*series.second_order_block(modes))
-    s1 = _assemble(series.alpha1[..., rows, :], series.beta1[..., rows, :])
-    # the probed columns are a copy, so the (..., 2m, 2n) rows are not kept
-    return s0, s1[..., idx], s2, s1 @ _t(s1)
 
 
 def series_to_csv(series: BogoliubovSeries) -> str:
@@ -348,13 +351,17 @@ def series_to_csv(series: BogoliubovSeries) -> str:
 def series_from_csv(text: str) -> BogoliubovSeries:
     """Parse the output of :func:`series_to_csv`.
 
-    ``n_max`` is the largest row index. Every ``g`` row (``m == n``) and every
-    matrix entry must appear exactly once, with indices in ``1..n_max`` and
+    The first non-blank line must be the header. ``n_max`` is the
+    largest row index. Every ``g`` row (``m == n``) and every matrix entry
+    must appear exactly once, with indices in ``1..n_max`` and
     finite values; anything else raises ``ValueError`` naming the line.
     """
     names = ("alpha1", "alpha2", "beta1", "beta2")
     rows = []
     lines = [(ln, line) for ln, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    if lines and lines[0][1].strip() != "component,m,n,re,im":
+        ln, line = lines[0]
+        raise ValueError(f"channel line {ln}: expected the header component,m,n,re,im, got {line.strip()!r}")
     for ln, line in lines[1:]:
         fields = line.split(",")
         try:

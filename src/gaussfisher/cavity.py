@@ -16,10 +16,9 @@ The channel is assembled from first principles in three steps:
    or without one fitted once per process and kept in memory;
 3. :func:`compose_one_segment` chains "enter the accelerated frame, accrue
    mode phases for a proper duration, return to the inertial frame" into a
-   single series in ``h``: the whole channel at one duration, or, stacked
-   over a grid of durations, the first-order block rows and the
-   second-order square block of a few output modes, which is all a
-   perturbative sweep reads.
+   single series in ``h``: the whole channel, or, stacked over a grid of
+   durations, the arrays of a few output modes' rows, from which a sweep
+   reduces what each probe reads (:class:`bogoliubov.ReducedChannel`).
 
 Lengths are in units of the cavity length ``L``: every output is
 dimensionless in ``(h, u)``, and ``L`` would only set absolute frequencies.
@@ -315,14 +314,15 @@ def mode_phases(n_max: int, u) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(1, n_max + 1) * u[..., None])
 
 
-def compose_one_segment(overlaps: OverlapSeries, u, rows=None) -> BogoliubovSeries:
+def compose_one_segment(overlaps: OverlapSeries, u):
     """Series of the full travel channel at duration parameter ``u``.
 
     ``u`` is one duration, which gives one channel, or a one-dimensional
-    grid, which gives a stack of channels along a leading axis. ``rows``
-    (1-based output modes) restricts the first orders to the block rows of
-    those modes and the second orders to the block ``rows x rows``, all a
-    probe on them reads; ``None`` keeps every mode. The exact composition is
+    grid, which gives a stack of channels along a leading axis. A whole
+    ``overlaps`` gives the whole :class:`BogoliubovSeries`; the exact
+    coefficients on a few output ``rows`` give the arrays
+    ``(G, alpha1, alpha2, beta1, beta2)`` of those rows, in ``rows`` order,
+    with the second orders on the block ``rows x rows``. The exact composition is
     ``B_out = B_in^-1 o phases o B_in`` with ``B_in`` the overlap channel;
     expanding ``B_in`` to second order gives, with ``G = mode_phases(u)``
     and real overlap coefficients,
@@ -334,14 +334,10 @@ def compose_one_segment(overlaps: OverlapSeries, u, rows=None) -> BogoliubovSeri
         beta2_ij  = G_i ob2_ij - conj(G_j) ob2_ji
                     + sum_k [G_k oa1_ki ob1_kj - conj(G_k) ob1_ki oa1_kj]
 
-    for ``i, j`` in ``rows``. Each ``sum_k`` is one ``(U r, n) @ (n, r)``
+    for ``i, j`` in the rows. Each ``sum_k`` is one ``(U r, n) @ (n, r)``
     product for ``U`` durations and ``r`` rows, so a whole grid costs four
     such products, ``O(U r^2 n)``, and the second orders never span all
-    ``n`` columns unless ``rows`` is every mode. Only the rows and columns
-    of ``oa1`` and ``ob1`` in ``rows`` and the block ``rows x rows`` of
-    ``oa2`` and ``ob2`` are read: ``overlaps`` is a whole series, or the
-    exact coefficients stored on ``rows`` alone (:func:`taylor_overlaps`
-    with the same ``rows``), whose columns are their rows by symmetry.
+    ``n`` columns unless the rows are every mode.
 
     The relative signs follow from exact inversion of the truncated overlap
     channel; they are fixed by requiring the composed series to satisfy the
@@ -354,23 +350,15 @@ def compose_one_segment(overlaps: OverlapSeries, u, rows=None) -> BogoliubovSeri
         raise ValueError("u must be finite")
     if np.any(u < 0.0):
         raise ValueError("u must be non-negative")
-    n = overlaps.n_max
-    if overlaps.rows is not None and (rows is None or tuple(rows) != overlaps.rows):
-        raise ValueError(f"the overlap series stores rows {overlaps.rows}, not {rows}")
-    r = slice(None) if rows is None else quadrature_indices(rows, n)[::2] // 2
-    if overlaps.rows is None:
-        # a whole series: the rows block and the columns block of the first
-        # orders are both read off its matrices (a fitted series has no symmetry)
-        oa1, ob1 = overlaps.alpha1[r], overlaps.beta1[r]
-        oa1_cols, ob1_cols = overlaps.alpha1[:, r], overlaps.beta1[:, r]
-        oa2, ob2 = overlaps.alpha2[r][:, r], overlaps.beta2[r][:, r]
-    else:
-        # the exact coefficients store the rows block alone: their oa1 is
-        # antisymmetric and ob1 symmetric, bit for bit, which gives the columns;
-        # 0 - x keeps the zeros +0.0, as they are in the whole matrix, where a
-        # negation would flip the sign of the zero sums that read them
-        oa1, ob1, oa2, ob2 = overlaps.alpha1, overlaps.beta1, overlaps.alpha2, overlaps.beta2
-        oa1_cols, ob1_cols = 0.0 - oa1.T, ob1.T
+    n, rows = overlaps.n_max, overlaps.rows
+    oa1, ob1, oa2, ob2 = overlaps.alpha1, overlaps.beta1, overlaps.alpha2, overlaps.beta2
+    # a whole series gives the columns block of the first orders as it is (a
+    # fitted series has no symmetry); the exact coefficients on the rows
+    # alone give it as their oa1 is antisymmetric and ob1 symmetric, bit for
+    # bit. 0 - x keeps the zeros +0.0, as they are in the whole matrix, where
+    # a negation would flip the sign of the zero sums that read them
+    r, oa1_cols, ob1_cols = (slice(None), oa1, ob1) if rows is None else (
+        quadrature_indices(rows, n)[::2] // 2, 0.0 - oa1.T, ob1.T)
     g = mode_phases(n, u)
     gc = np.conj(g)
     g_rows, g_cols, gc_cols = g[..., r, None], g[..., None, r], gc[..., None, r]
@@ -395,7 +383,9 @@ def compose_one_segment(overlaps: OverlapSeries, u, rows=None) -> BogoliubovSeri
     alpha1 *= oa1
     beta1 = g_rows - gc[..., None, :]
     beta1 *= ob1
-    return BogoliubovSeries(g, alpha1, alpha2, beta1, beta2, rows)
+    if rows is None:
+        return BogoliubovSeries(g, alpha1, alpha2, beta1, beta2)
+    return g[..., r], alpha1, alpha2, beta1, beta2
 
 
 # Overlap-series cache: one .npz file per n_max.

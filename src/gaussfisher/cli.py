@@ -34,11 +34,10 @@ on the thread count; the fitted overlap series, which ``overlaps`` writes
 and the ``sweep`` oracle completes, is built at the environment's count and
 can differ in its last bits. Between calls a process keeps, by the one rule
 of :func:`bogoliubov._keep`, the fitted series without ``--cache`` (per
-``n_max``, at the BLAS threading of its first build), the stack
-:meth:`CavityChannel.orders` composed last, and the terms derived from that
-stack per mode set, so a later call with the same key builds nothing and
-gives the same bytes. ``ELEMENT_BUDGET`` bounds what a verb composes, and
-so what is kept.
+``n_max``, at the BLAS threading of its first build) and the reduced
+channels :meth:`CavityChannel.reduced` built last, one per probed mode set,
+so a later call with the same key builds nothing and gives the same bytes.
+``ELEMENT_BUDGET`` bounds what a verb composes.
 """
 
 from __future__ import annotations
@@ -135,10 +134,11 @@ def finite(text: str, what: str, positive: bool = False) -> float:
 #: grid 0:1:0.01 at a thousandth of its step
 GRID_MAX_POINTS = 100_001
 #: most elements a verb may compose: grid points x n_max for ``sweep``, whose
-#: default grid peaked at 308 MiB at n_max 16000 (1.6e6 elements, about 13 KiB
+#: default grid peaked at 284 MiB at n_max 16000 (1.6e6 elements, about 14 KiB
 #: per unit of n_max on 101 points), and n_max^2 for ``compare`` and
 #: ``validate``, whose whole channel takes about 64 n_max^2 bytes. Checked
-#: before anything is composed, so it also bounds the stack a process keeps
+#: before anything is composed; what a process keeps of a sweep, its reduced
+#: channels, does not grow with n_max
 ELEMENT_BUDGET = 2_000_000
 
 

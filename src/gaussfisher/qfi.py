@@ -1,9 +1,9 @@
 """Quantum Fisher information for Gaussian states under a parametrized
 Bogoliubov channel.
 
-Two routes are provided and cross-validated, both taking the channel series
-and a list of probes, each a ``(modes, state)`` pair of the probed modes and
-the probe state on those modes:
+Two routes are provided and cross-validated, both taking the channel and a
+list of probes, each a ``(modes, state)`` pair of the probed modes and the
+probe state on those modes:
 
 * an exact oracle, :func:`qfi_oracle` on the family :func:`probe_family`:
   symmetric finite differences of the Uhlmann fidelity,
@@ -11,7 +11,9 @@ the probe state on those modes:
 * the perturbative route :func:`qfi_perturbative` at leading order in the
   channel parameter, split into a first-moment part ``E2`` and a covariance
   part ``C2`` with ``H = 4 (E2 + C2)``, both read off the order-by-order
-  reduced covariance (trace form), one kernel pass per probed mode set.
+  reduced covariance (trace form), one kernel pass per probed mode set on
+  its :class:`ReducedChannel`, the only part of the channel it reads; the
+  oracle reads the whole series.
 
 Probe families are data: a named family is a row of :data:`FAMILIES`, and
 its probe just a :class:`GaussianState` from :func:`probe_state` plus its
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .bogoliubov import BogoliubovSeries, covariance_series
+from .bogoliubov import BogoliubovSeries, ReducedChannel, covariance_series
 from .fidelity import fidelity_one_mode, fidelity_two_mode
 from .states import GaussianState, quadrature_indices, symplectic_form
 
@@ -170,33 +172,16 @@ def c2_from_orders(sigma0: np.ndarray, sigma1: np.ndarray, sigma2: np.ndarray):
     return (tx**2 - trace(x @ x) + 4.0 * trace(y)) / 16.0
 
 
-def _perturbative_residual(series: BogoliubovSeries, modes: tuple) -> np.ndarray:
-    """Truncation estimate: spectator-sum tail plus the channel-identity
-    defect seen by the probed modes, per channel of the stack (a 0-d array
-    for one channel)."""
-    # the probed rows' largest term in the highest spectator's column: the last
-    # that the sums of ``S1 S1^T`` keep, an estimate of what the cut discards
-    spectators = [n for n in range(1, series.n_max + 1) if n not in modes]
-    tail = 0.0
-    if spectators:
-        rows, last = series.row_positions(modes), spectators[-1] - 1
-        tail = np.maximum(
-            0.5 * np.max(np.abs(series.alpha1[..., rows, last]) ** 2, axis=-1),
-            0.5 * np.max(np.abs(series.beta1[..., rows, last]) ** 2, axis=-1),
-        )
-    _, second = series.unitarity_residuals(modes=modes)
-    return np.asarray(np.maximum(tail, second))
-
-
-def negativity_first_order(series: BogoliubovSeries, k: int, k_prime: int):
-    """Entanglement (negativity) generated between two modes, per unit theta.
+def negativity_first_order(reduced: ReducedChannel):
+    """Entanglement (negativity) generated between the two probed modes
+    ``(k, k')`` of a reduced channel, per unit theta.
 
     At first order this is just ``|beta1_{k k'}|``, one value per channel of
-    a stack. The two modes must be distinct and lie in ``1..n_max``.
+    a stack; a sweep reads it off its ``(k, k')`` reduced channel.
     """
-    quadrature_indices((k, k_prime), series.n_max)
-    (row,) = series.row_positions((k,))
-    return np.abs(series.beta1[..., row, k_prime - 1])
+    if len(reduced.modes) != 2:
+        raise ValueError(f"the negativity needs two probed modes, not {reduced.modes}")
+    return np.abs(reduced.beta1[..., 0, 1])
 
 
 def _family(family: str) -> tuple[int, bool]:
@@ -261,7 +246,7 @@ def probe_state(family: str, r: float, delta: float) -> GaussianState:
     return GaussianState(np.zeros(4), np.block([[diagonal, cross], [cross, diagonal]]))
 
 
-def qfi_perturbative(series: BogoliubovSeries, probes) -> list[QfiResult]:
+def qfi_perturbative(reduced, probes) -> list[QfiResult]:
     """Leading-order QFI of each pure Gaussian probe, one :class:`QfiResult`
     per ``(modes, state)`` entry of ``probes``, in order.
 
@@ -270,16 +255,14 @@ def qfi_perturbative(series: BogoliubovSeries, probes) -> list[QfiResult]:
     trace form :func:`c2_from_orders`. The trace form holds for pure probes
     only, so a mixed ``state`` (``|det Sigma - 1| > 1e-9``) is refused.
 
-    ``series`` is one channel, or a stack of channels storing at least the
-    probed rows, which are all the kernel and its residual read; a stack
-    gives results of arrays with the stack's shape. The probes are grouped
-    by mode set, and what a mode set alone fixes is done once for all its
-    probes: one :func:`covariance_series` call, and the truncation residual,
-    which their results share. That residual, like the blocks
-    :func:`covariance_series` assembles, depends on the series and the mode
-    set alone, so it is computed on the first call for them and kept on the
-    series (:meth:`BogoliubovSeries.kept`); each call's results get their
-    own copy of it.
+    ``reduced`` maps a mode tuple to its :class:`ReducedChannel`, as a
+    series' :meth:`BogoliubovSeries.reduced` does, or the ``__getitem__`` of
+    the mapping a provider's ``reduced`` returns; that channel is all the
+    kernel and its residual read. A stack gives results of arrays with the
+    stack's shape. The probes are grouped by mode set, and each set is
+    looked up once, for one :func:`covariance_series` call for all its
+    probes, whose results share its truncation residual, each in a copy of
+    its own.
     """
     groups = {}
     for modes, state in probes:
@@ -289,8 +272,9 @@ def qfi_perturbative(series: BogoliubovSeries, probes) -> list[QfiResult]:
         groups.setdefault(tuple(modes), []).append(state)
     results = {}
     for modes, states in groups.items():
+        channel = reduced(modes)
         terms = []
-        for orders in covariance_series(series, modes, states):
+        for orders in covariance_series(channel, states):
             solved = np.linalg.solve(2.0 * orders.sigma0, orders.mean1[..., None])[..., 0]
             e2 = np.sum(orders.mean1 * solved, axis=-1)
             c2 = c2_from_orders(orders.sigma0, orders.sigma1, orders.sigma2)
@@ -299,7 +283,7 @@ def qfi_perturbative(series: BogoliubovSeries, probes) -> list[QfiResult]:
                 if bad.size:
                     raise ValueError(f"perturbative {name}={float(bad.flat[0])!r} is not finite")
             terms.append((e2, c2))
-        residual = series.kept(_perturbative_residual, modes).copy()
+        residual = channel.residual.copy()
         results[modes] = iter([QfiResult(4.0 * (e2 + c2), e2, c2, "perturbative", residual) for e2, c2 in terms])
     return [next(results[tuple(modes)]) for modes, _ in probes]
 

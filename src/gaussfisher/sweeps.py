@@ -6,7 +6,7 @@ compares the perturbative and oracle routes on an acceleration ladder, and
 checks a channel for the invariants it must satisfy.
 
 The engines read a channel only through its provider's ``n_max``,
-``check_modes``, ``orders``, ``oracle_points`` and ``checks``:
+``check_modes``, ``orders``, ``reduced``, ``oracle_points`` and ``checks``:
 :class:`CavityChannel` for the moving cavity, whose grid holds durations,
 or :class:`ImportedChannel` for a given series, whose grid holds values of
 its parameter.
@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import types
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .bogoliubov import BogoliubovSeries, _keep, identity_residual
+from .bogoliubov import BogoliubovSeries, _keep, _reduce, identity_residual
 from .cavity import compose_one_segment, load_or_compute_overlap_series, taylor_overlaps
 from .qfi import (
     FAMILIES,
@@ -35,8 +36,9 @@ from .qfi import (
 from .states import quadrature_indices
 
 
-#: the stack :meth:`CavityChannel.orders` composed last in this process, by
-#: its key: one at most, and the CLI bounds its size by ``ELEMENT_BUDGET``
+#: the reduced channels :meth:`CavityChannel.reduced` built last in this
+#: process, by their key: one mapping at most, of ``4 (2m)^2`` reals per grid
+#: point and mode set, whatever ``n_max``
 _composed = {}
 
 
@@ -51,17 +53,12 @@ class CavityChannel:
     unit of ``u`` is a full phase revolution of every mode, so everything
     downstream is periodic in ``u``.
 
-    ``orders`` composes the exact overlap coefficients of
-    :func:`taylor_overlaps` on the rows it asks for, so the perturbative
-    columns, ``compare`` and ``validate`` read no quadrature and no fit, and
-    a sweep no ``n_max x n_max`` matrix. The process keeps the stack it
-    composed last, keyed on ``n_max``, the grid's bits and the rows, by the
-    rule of :func:`bogoliubov._keep` with a bound of one: so a sweep that
-    repeats a channel at other probes composes nothing, and reads the terms
-    kept on that stack (:meth:`BogoliubovSeries.kept`). ``oracle_points``
-    composes the fitted series, which it reads once per call by
-    :func:`load_or_compute_overlap_series`, from ``cache`` or, without one,
-    as the process keeps it.
+    ``orders`` and ``reduced`` compose the exact overlap coefficients of
+    :func:`taylor_overlaps`, so the perturbative columns, ``compare`` and
+    ``validate`` read no quadrature and no fit, and a sweep no
+    ``n_max x n_max`` matrix. ``oracle_points`` composes the fitted series,
+    which it reads once per call by :func:`load_or_compute_overlap_series`,
+    from ``cache`` or, without one, as the process keeps it.
     """
 
     h: float = 0.05
@@ -94,17 +91,29 @@ class CavityChannel:
                 f"mode ladder; probing it needs --nmax {2 * edge} or more"
             )
 
-    def orders(self, grid=None, rows=None) -> BogoliubovSeries:
-        """The series at the channel's duration, or at each duration of
-        ``grid`` as a stack, on the output ``rows`` (``None`` keeps all),
-        composed from the exact coefficients on those rows alone, or the
-        same stack again when the last call composed it."""
-        u = np.asarray(self.u if grid is None else grid, dtype=float)
-        rows = None if rows is None else tuple(rows)
+    def orders(self, grid=None) -> BogoliubovSeries:
+        """The whole series at the channel's duration, or at each duration of
+        ``grid`` as a stack."""
+        return compose_one_segment(taylor_overlaps(self.n_max), self.u if grid is None else grid)
+
+    def reduced(self, grid, mode_sets):
+        """``{modes: ReducedChannel}`` for each mode tuple of ``mode_sets``,
+        stacked over the durations of ``grid``: the union of their rows
+        composed once, on those rows alone, and each set reduced from that
+        stack, which is then dropped. The process keeps the mapping it built
+        last, keyed on ``n_max``, the grid's bits and the mode sets, by
+        :func:`bogoliubov._keep` with a bound of one, so a sweep that
+        repeats a channel at other probes builds nothing."""
+        u = np.asarray(grid, dtype=float)
+        mode_sets = tuple(map(tuple, mode_sets))
+
+        def build():
+            rows = tuple(sorted(set().union(*mode_sets)))
+            composed = compose_one_segment(taylor_overlaps(self.n_max, rows), u)
+            return types.MappingProxyType({modes: _reduce(*composed, modes, rows) for modes in mode_sets})
+
         # the grid by its bits: -0.0 == 0.0 with equal hashes, yet they print apart
-        key = (self.n_max, u.shape, u.tobytes(), rows)
-        return _keep(_composed, key, lambda: compose_one_segment(taylor_overlaps(self.n_max, rows), u, rows),
-                     limit=1)
+        return _keep(_composed, (self.n_max, u.shape, u.tobytes(), mode_sets), build, limit=1)
 
     def oracle_points(self, grid, probes):
         """``(family, h)`` at each duration of ``grid``: the oracle's family
@@ -159,9 +168,14 @@ class ImportedChannel:
         a truncated ladder."""
         quadrature_indices(modes, self.n_max)
 
-    def orders(self, grid=None, rows=None) -> BogoliubovSeries:
+    def orders(self, grid=None) -> BogoliubovSeries:
         """The one series, whatever the grid: its columns repeat down it."""
         return self.series
+
+    def reduced(self, grid, mode_sets):
+        """``{modes: ReducedChannel}`` of the one series for each mode tuple of
+        ``mode_sets``, whatever the grid."""
+        return {tuple(modes): self.series.reduced(modes) for modes in mode_sets}
 
     def oracle_points(self, grid, probes):
         """``(family, theta)`` at each theta of ``grid``, with the oracle's
@@ -263,14 +277,16 @@ def run_sweep(spec: SweepSpec, channel) -> list[SweepRow]:
     """Evaluate the requested methods on every grid point and family.
 
     The perturbative columns come from one pass over the whole grid: one
-    ``channel.orders`` call gives the rows of the spec's modes, all that the
-    kernel and the negativity read, for the whole grid, and the kernel runs
-    once per mode set on them, for every family probing it. The cavity
-    composes them as a stack over the grid; an imported series does not
-    depend on the grid value, so its columns are evaluated once and repeat
-    down the grid. The oracle reads the channel's family and theta at each
-    grid point, and one oracle call there covers every family, on steps of
-    ``|theta|`` over 10, 30 and 100; a theta of 0 is refused.
+    ``channel.reduced`` call gives the reduced channel of each probed mode
+    set and of ``(k, k')``, whose ``|beta1_kk'|`` is the negativity, for the
+    whole grid, and the kernel runs once per mode set on them, for every
+    family probing it. Without the perturbative method only ``(k, k')`` is
+    reduced. The cavity builds them as a stack over the grid; an imported
+    series does not depend on the grid value, so its columns are evaluated
+    once and repeat down the grid. The oracle reads the channel's family
+    and theta at each grid point, and one oracle call there covers every
+    family, on steps of ``|theta|`` over 10, 30 and 100; a theta of 0 is
+    refused.
 
     Rows are ordered by grid index, then family order, regardless of how the
     work is executed; identical specs and channels give identical output.
@@ -279,20 +295,20 @@ def run_sweep(spec: SweepSpec, channel) -> list[SweepRow]:
     channel.check_modes(spec.modes)
     probes = spec.probes()
     grid = tuple(float(g) for g in spec.grid)
-    # every probe reads only its own modes' rows, and the negativity k's
-    stack = channel.orders(grid, sorted(spec.modes))
+    pairs = [(tuple(modes), state) for *_, state, modes in probes]
+    mode_sets = [(k, k_prime)] + [modes for modes, _ in pairs if "perturbative" in spec.methods]
+    reduced = channel.reduced(grid, dict.fromkeys(mode_sets))
 
     def down_the_grid(values) -> list:
         # one value per grid point from a stack, or one value for all of them
         values = np.asarray(values)
         return values.tolist() if values.ndim else [values.item()] * len(grid)
 
-    negativity = down_the_grid(negativity_first_order(stack, k, k_prime))
-    pairs = [(modes, state) for *_, state, modes in probes]
+    negativity = down_the_grid(negativity_first_order(reduced[k, k_prime]))
     perturbative = [[(None,) * 4] * len(grid)] * len(probes)
     if "perturbative" in spec.methods:
         perturbative = [list(zip(*map(down_the_grid, (res.value, res.e2, res.c2, res.residual))))
-                        for res in qfi_perturbative(stack, pairs)]
+                        for res in qfi_perturbative(reduced.__getitem__, pairs)]
 
     points = channel.oracle_points(grid, pairs) if "oracle" in spec.methods else [None] * len(grid)
     rows = []
@@ -369,7 +385,7 @@ def compare_methods(spec: SweepSpec, channel, h_ladder=(0.02, 0.04, 0.08)) -> Co
     probes = spec.probes()  # refuses a probe it cannot build before the channel is read
     series = channel.orders()
     pairs = [(modes, state) for *_, state, modes in probes]
-    perts = [result.value for result in qfi_perturbative(series, pairs)]
+    perts = [result.value for result in qfi_perturbative(series.reduced, pairs)]
     states_at = probe_family(series, pairs)
     # one oracle call per rung, read by every family
     rungs = [qfi_oracle(states_at, float(h), steps=(h / 5.0, h / 15.0, h / 45.0)) for h in h_ladder]

@@ -308,7 +308,9 @@ def compose_one_segment_reference(overlaps, u: float) -> BogoliubovSeries:
 def compose_rows_reference(overlaps, u, rows=None) -> BogoliubovSeries:
     """Reference stacked composition from whole ``n x n`` overlap matrices:
     :func:`gaussfisher.cavity.compose_one_segment` as it was before it read
-    rows-only coefficients, every block sliced off the full matrices."""
+    rows-only coefficients, every block sliced off the full matrices. On
+    ``rows`` it gives the arrays ``(G, alpha1, alpha2, beta1, beta2)`` of
+    those rows, as the composition of rows-only coefficients does."""
     u = np.asarray(u, dtype=float)
     n = overlaps.n_max
     r = slice(None) if rows is None else quadrature_indices(rows, n)[::2] // 2
@@ -334,7 +336,9 @@ def compose_rows_reference(overlaps, u, rows=None) -> BogoliubovSeries:
     alpha1 *= oa1[r]
     beta1 = g_rows - gc[..., None, :]
     beta1 *= ob1[r]
-    return BogoliubovSeries(g, alpha1, alpha2, beta1, beta2, rows)
+    if rows is None:
+        return BogoliubovSeries(g, alpha1, alpha2, beta1, beta2)
+    return g[..., r], alpha1, alpha2, beta1, beta2
 
 
 def c2_two_solves_reference(sigma0, sigma1, sigma2):
@@ -400,7 +404,7 @@ def reference_sweep(spec, overlaps) -> list:
         series = compose_one_segment_reference(overlaps, float(u))
         negativity = abs(series.beta1[k - 1, k_prime - 1])
         for family, _, _, state, modes in spec.probes():
-            (result,) = qfi_perturbative(series, [(modes, state)])
+            (result,) = qfi_perturbative(series.reduced, [(modes, state)])
             residual = max(f_sums(series, modes, modes).tail, full_unitarity_residuals(series, modes)[1])
             rows.append((float(u), family, result.value, result.e2, result.c2, residual, negativity))
     return rows
@@ -444,6 +448,10 @@ class RecordingChannel:
     def orders(self, *args):
         self.calls.append(("orders", args))
         return self.inner.orders(*args)
+
+    def reduced(self, grid, mode_sets):
+        self.calls.append(("reduced", (grid, mode_sets)))
+        return self.inner.reduced(grid, mode_sets)
 
     def oracle_points(self, grid, probes):
         self.calls.append(("oracle_points", (grid, probes)))

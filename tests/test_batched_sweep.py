@@ -1,6 +1,6 @@
 """The perturbative sweep evaluates the whole grid in one pass: one
-composition of the probed block rows stacked over the grid, then one kernel
-call per probed mode set, for every family on it. It must give what composing and evaluating each
+composition of the probed block rows stacked over the grid, reduced per
+probed mode set, then one kernel call per set, for every family on it. It must give what composing and evaluating each
 duration on its own gives (``conftest.reference_sweep``), and every check of
 the per-duration kernel must still hold on each entry of a stack."""
 
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import compose_one_segment_reference, reference_sweep, synthetic_unitary_series
 from gaussfisher import qfi, sweeps
-from gaussfisher.bogoliubov import BogoliubovSeries, covariance_series, series_to_csv
+from gaussfisher.bogoliubov import BogoliubovSeries, _reduce, series_to_csv
 from gaussfisher.cavity import compose_one_segment, taylor_overlaps
 from gaussfisher.cli import main
 from gaussfisher.qfi import QfiResult, c2_from_orders, probe_state, qfi_perturbative
@@ -64,19 +64,21 @@ def test_whole_channel_is_the_one_u_all_rows_composition(overlap_series_10):
     stack = compose_one_segment(overlap_series_10, grid)
     assert stack.G.shape == (len(grid), 10) and stack.alpha2.shape == (len(grid), 10, 10)
     rows = (2, 10, 5)
-    probed = compose_one_segment(overlap_series_10, grid, rows)
+    _, *probed = compose_one_segment(taylor_overlaps(10, rows), grid)
     pick = np.array(rows) - 1
     for i, u in enumerate(grid):
         whole = compose_one_segment(overlap_series_10, u)
         ref = compose_one_segment_reference(overlap_series_10, u)
-        assert whole.G.shape == (10,) and whole.rows is None
+        assert whole.G.shape == (10,)
         for name in ("alpha1", "alpha2", "beta1", "beta2"):
             assert np.max(np.abs(getattr(whole, name) - getattr(ref, name))) <= 1e-15
             assert np.array_equal(getattr(stack, name)[i], getattr(whole, name))
-        # first orders on the block rows, second orders on the block rows x rows
-        for name, want in (("alpha1", whole.alpha1[pick]), ("beta1", whole.beta1[pick]),
-                           ("alpha2", whole.alpha2[np.ix_(pick, pick)]), ("beta2", whole.beta2[np.ix_(pick, pick)])):
-            assert np.max(np.abs(getattr(probed, name)[i] - want)) <= 1e-15
+        # first orders on the block rows, second orders on the block rows x rows,
+        # of the exact coefficients' whole channel
+        whole = compose_one_segment(taylor_overlaps(10), u)
+        for arr, want in zip(probed, (whole.alpha1[pick], whole.alpha2[np.ix_(pick, pick)],
+                                      whole.beta1[pick], whole.beta2[np.ix_(pick, pick)]), strict=True):
+            assert np.max(np.abs(arr[i] - want)) <= 1e-15
 
 
 def summation_bounds(overlaps, rows) -> dict:
@@ -95,19 +97,21 @@ def summation_bounds(overlaps, rows) -> dict:
 
 
 def assert_is_whole_channel_block(overlaps, grid, rows, probed, shift=0.0):
-    """``probed`` holds the whole channel's block rows of the first orders
-    bit for bit, and its second orders within :func:`summation_bounds`; a
+    """``probed``, the arrays ``(G, alpha1, alpha2, beta1, beta2)`` composed
+    on ``rows``, holds the whole channel's block rows of the first orders bit
+    for bit, and its second orders within :func:`summation_bounds`; a
     ``shift`` moves the reference's first second-order entry."""
     pick = np.array(rows) - 1
     bounds = summation_bounds(overlaps, rows)
+    _, alpha1, alpha2, beta1, beta2 = probed
     for i, u in enumerate(grid):
         whole = compose_one_segment(overlaps, u)
-        assert np.array_equal(probed.alpha1[i], whole.alpha1[pick])
-        assert np.array_equal(probed.beta1[i], whole.beta1[pick])
-        for name in ("alpha2", "beta2"):
+        assert np.array_equal(alpha1[i], whole.alpha1[pick])
+        assert np.array_equal(beta1[i], whole.beta1[pick])
+        for name, got in (("alpha2", alpha2), ("beta2", beta2)):
             want = getattr(whole, name)[np.ix_(pick, pick)].copy()
             want[0, 0] += shift
-            gap = np.abs(getattr(probed, name)[i] - want)
+            gap = np.abs(got[i] - want)
             assert np.all(gap <= bounds[name]), (name, u, float(np.max(gap - bounds[name])))
 
 
@@ -121,9 +125,9 @@ def test_row_restricted_composition_is_the_whole_channel_block(n_max, grid, data
     # unsorted row sets included: (2, 10, 5) is one draw at n_max 10
     rows = tuple(data.draw(st.permutations(range(1, n_max + 1)))[: data.draw(st.integers(1, min(n_max, 5)))])
     overlaps = taylor_overlaps(n_max)
-    probed = compose_one_segment(overlaps, grid, rows)
-    assert probed.alpha1.shape == (len(grid), len(rows), n_max)
-    assert probed.alpha2.shape == (len(grid), len(rows), len(rows))
+    probed = compose_one_segment(taylor_overlaps(n_max, rows), grid)
+    assert probed[1].shape == (len(grid), len(rows), n_max)
+    assert probed[2].shape == (len(grid), len(rows), len(rows))
     assert_is_whole_channel_block(overlaps, grid, rows, probed)
 
 
@@ -131,8 +135,8 @@ def test_summation_bound_holds_a_cancelling_sum_and_catches_a_wrong_term():
     # a draw whose alpha2 sums cancel: the two orders differ by 3.55e-15,
     # more than 1e-15 of |alpha2|, and within the bound (6.4e-13 there)
     overlaps, grid, rows = taylor_overlaps(17), (0.0, 0.0625), (16,)
-    probed = compose_one_segment(overlaps, grid, rows)
-    assert np.max(np.abs(probed.alpha2[1] - compose_one_segment(overlaps, 0.0625).alpha2[15, 15])) > 1e-15
+    probed = compose_one_segment(taylor_overlaps(17, rows), grid)
+    assert np.max(np.abs(probed[2][1] - compose_one_segment(overlaps, 0.0625).alpha2[15, 15])) > 1e-15
     assert_is_whole_channel_block(overlaps, grid, rows, probed)
     # one spectator term off by 1e-12 moves its entry by as much, and fails
     with pytest.raises(AssertionError, match="alpha2"):
@@ -146,16 +150,18 @@ def test_composition_refuses_bad_durations(overlap_series_10):
         with pytest.raises(ValueError, match=message):
             compose_one_segment(overlap_series_10, grid)
     with pytest.raises(ValueError, match="out of range"):
-        compose_one_segment(overlap_series_10, (0.1,), (1, 11))
+        CavityChannel(n_max=10).reduced((0.1,), [(1, 11)])
 
 
 def stacked(series_list, rows=None):
-    """One stack from several whole channels, optionally on some rows: their
-    block rows of the first orders and block rows x rows of the second."""
+    """One stack from several whole channels, or on some rows the arrays
+    ``(G, alpha1, alpha2, beta1, beta2)`` of their block rows of the first
+    orders and block rows x rows of the second."""
     pick = slice(None) if rows is None else np.array(rows) - 1
     fields = {name: np.stack([getattr(s, name)[pick] for s in series_list]) for name in ("alpha1", "beta1")}
     fields |= {name: np.stack([getattr(s, name)[pick][:, pick] for s in series_list]) for name in ("alpha2", "beta2")}
-    return BogoliubovSeries(np.stack([s.G for s in series_list]), rows=rows, **fields)
+    arrays = (np.stack([s.G[pick] for s in series_list]), *(fields[name] for name in ("alpha1", "alpha2", "beta1", "beta2")))
+    return BogoliubovSeries(*arrays) if rows is None else arrays
 
 
 @pytest.mark.parametrize("family", list(FAMILIES))
@@ -164,12 +170,12 @@ def test_kernel_on_a_stack_is_the_kernel_on_each_entry(family):
     state = probe_state(family, 0.7, 0.0 if family == "two_mode_squeezed" else 0.9)
     modes = (7, 2)[: state.n_modes]
     # the probed rows and one the kernel does not read, unsorted
-    stack = stacked(channels, modes + (4,))
-    (result,) = qfi_perturbative(stack, [(modes, state)])
+    rows = modes + (4,)
+    (result,) = qfi_perturbative(lambda modes: _reduce(*stacked(channels, rows), modes, rows), [(modes, state)])
     assert result.value.shape == (4,)
-    first, second = stack.unitarity_residuals(modes)
+    first, second = stacked(channels).unitarity_residuals(modes)
     for i, channel in enumerate(channels):
-        (one,) = qfi_perturbative(channel, [(modes, state)])
+        (one,) = qfi_perturbative(channel.reduced, [(modes, state)])
         for name in ("value", "e2", "c2", "residual"):
             assert close(getattr(result, name)[i], getattr(one, name), REL * max(1.0, abs(getattr(one, name))))
         assert np.allclose((first[i], second[i]), channel.unitarity_residuals(modes), rtol=REL, atol=REL)
@@ -177,24 +183,19 @@ def test_kernel_on_a_stack_is_the_kernel_on_each_entry(family):
 
 def test_a_stack_refuses_what_needs_one_whole_channel(overlap_series_10):
     stack = compose_one_segment(overlap_series_10, (0.2, 0.3))
-    rows = compose_one_segment(overlap_series_10, 0.2, (1, 2))
-    for series in (stack, rows):
-        for call in (lambda s: s.evaluate(0.05), lambda s: s.symplectic_orders(), series_to_csv):
-            with pytest.raises(ValueError, match="needs one whole channel"):
-                call(series)
-    # the kernel reads only the rows the series stores
-    with pytest.raises(ValueError, match="stores no row for mode 3"):
-        covariance_series(rows, (1, 3), [probe_state("two_product_squeezed_displaced", 0.5, 0.5)])
+    for call in (lambda s: s.evaluate(0.05), lambda s: s.symplectic_orders(), series_to_csv):
+        with pytest.raises(ValueError, match="needs one whole channel"):
+            call(stack)
+    # the probed rows are all the kernel reads, the residual's spectator tail included
     state = probe_state("two_mode_squeezed", 0.5, 0.0)
-    with pytest.raises(ValueError, match="stores no row for mode 3"):
-        qfi_perturbative(rows, [((3, 1), state)])
-    # the probed rows are all it reads, the residual's spectator tail included
-    (got,) = qfi_perturbative(rows, [((1, 2), state)])
-    (want,) = qfi_perturbative(compose_one_segment(overlap_series_10, 0.2), [((1, 2), state)])
+    rows = compose_one_segment(taylor_overlaps(10, (1, 2)), 0.2)
+    (got,) = qfi_perturbative(lambda modes: _reduce(*rows, modes, (1, 2)), [((1, 2), state)])
+    whole = compose_one_segment(taylor_overlaps(10), 0.2)
+    (want,) = qfi_perturbative(whole.reduced, [((1, 2), state)])
     for name in ("value", "e2", "c2", "residual"):
         assert close(getattr(got, name), getattr(want, name), REL * max(1.0, abs(getattr(want, name)))), name
     with pytest.raises(ValueError, match="alpha1 must have shape"):
-        BogoliubovSeries(rows.G, rows.alpha1[:1], rows.alpha2, rows.beta1, rows.beta2, rows=(1, 2))
+        BogoliubovSeries(whole.G, whole.alpha1[:1], whole.alpha2, whole.beta1, whole.beta2)
 
 
 def test_checks_hold_on_every_stack_entry():

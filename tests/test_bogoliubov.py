@@ -150,7 +150,7 @@ def test_covariance_series_zeroth_and_first(unitary_series):
         np.ones(n, dtype=complex),
         *(np.zeros((n, n), dtype=complex) for _ in range(4)),
     )
-    (orders,) = covariance_series(trivial, (2,), [vac_in])
+    (orders,) = covariance_series(trivial.reduced((2,)), [vac_in])
     assert np.allclose(orders.sigma0, np.eye(2))
     assert np.max(np.abs(orders.sigma1)) == 0.0
     assert np.max(np.abs(orders.sigma2)) == 0.0
@@ -159,7 +159,7 @@ def test_covariance_series_zeroth_and_first(unitary_series):
     k = 2
     delta = 0.7
     probe = probe_state("single_squeezed_displaced", 0.0, delta)
-    (orders,) = covariance_series(unitary_series, (k,), [probe])
+    (orders,) = covariance_series(unitary_series.reduced((k,)), [probe])
     w = unitary_series.alpha1[k - 1, k - 1] - unitary_series.beta1[k - 1, k - 1]
     expected = np.sqrt(2.0) * delta * np.array([w.real, -w.imag])
     assert np.allclose(orders.mean1, expected, atol=1e-14)
@@ -167,7 +167,7 @@ def test_covariance_series_zeroth_and_first(unitary_series):
 
 def test_covariance_series_matches_finite_difference(unitary_series):
     probe = probe_state("single_squeezed_displaced", 0.6, 0.0)
-    (orders,) = covariance_series(unitary_series, (2,), [probe])
+    (orders,) = covariance_series(unitary_series.reduced((2,)), [probe])
     full = embed_state(unitary_series.n_max, (2,), probe)
 
     def reduced(theta):

@@ -271,7 +271,7 @@ def test_oracle_matches_two_mode_squeezed_wrapper(cavity_series_u03):
 
     h = 0.05
     state = probe_state("two_mode_squeezed", 1.0, 0.0)
-    (pert,) = qfi_perturbative(cavity_series_u03, [((1, 2), state)])
+    (pert,) = qfi_perturbative(cavity_series_u03.reduced, [((1, 2), state)])
     fam = probe_family(cavity_series_u03, [((1, 2), state)])
     (orc,) = qfi_oracle(fam, h, steps=(h / 5, h / 15, h / 45))
     assert abs(pert.value - orc.value) / orc.value <= 10.0 * h

@@ -1,8 +1,7 @@
-"""A sweep that repeats a channel composes nothing: ``CavityChannel.orders``
-keeps the stack it composed last, one per process, and a series keeps the
-terms the kernel derives from it and a mode set alone. Both give the bits of
-a fresh computation and keep nothing refused; ``test_kept.py`` checks the
-rule they share."""
+"""A sweep that repeats a channel composes nothing: ``CavityChannel.reduced``
+keeps the reduced channels it built last, one mapping per process. They
+give the bits of a fresh computation and keep nothing refused;
+``test_kept.py`` checks the rule the process's stores share."""
 
 import gc
 import math
@@ -10,16 +9,17 @@ import os
 import subprocess
 import sys
 import weakref
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import synthetic_unitary_series
-from gaussfisher import bogoliubov, cavity, qfi, sweeps
+from gaussfisher import cavity, sweeps
 from gaussfisher.cli import ELEMENT_BUDGET, main
 from gaussfisher.qfi import probe_state, qfi_perturbative
-from gaussfisher.sweeps import CavityChannel, SweepSpec, run_sweep
+from gaussfisher.sweeps import FAMILIES, CavityChannel, ImportedChannel, SweepSpec, run_sweep
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GRID = (0.0, 0.3, 0.71)
@@ -27,11 +27,12 @@ GRID = (0.0, 0.3, 0.71)
 
 @pytest.fixture
 def builds(monkeypatch):
-    """``(n_max, rows)`` of each coefficient build ``orders`` makes."""
+    """``(n_max, rows)`` of each coefficient build ``orders`` or ``reduced``
+    makes."""
     calls = []
     real = sweeps.taylor_overlaps
 
-    def counted(n_max, rows):
+    def counted(n_max, rows=None):
         calls.append((n_max, rows))
         return real(n_max, rows)
 
@@ -39,21 +40,24 @@ def builds(monkeypatch):
     return calls
 
 
-def test_orders_composes_once_per_key(builds):
-    stack = CavityChannel(n_max=8).orders(GRID, [1, 2])
-    # h does not shape the series, and a list of rows keys as their tuple
-    assert CavityChannel(n_max=8, h=0.1).orders(list(GRID), (1, 2)) is stack
+def test_reduced_composes_once_per_key(builds):
+    reduced = CavityChannel(n_max=8).reduced(GRID, [[1, 2]])
+    # h does not shape the series, and a list of modes keys as their tuple
+    assert CavityChannel(n_max=8, h=0.1).reduced(list(GRID), [(1, 2)]) is reduced
     assert builds == [(8, (1, 2))]
     # each key differs from the last in one part; -0.0 == 0.0, yet their bits differ
-    for n_max, grid, rows in ((8, GRID[:2], (1, 2)), (8, GRID[:2], (1, 3)), (9, GRID[:2], (1, 3)),
-                              (9, GRID[:2], None), (9, (-0.0,), None), (9, (0.0,), None)):
-        assert CavityChannel(n_max=n_max).orders(grid, rows) is not stack
-        stack = CavityChannel(n_max=n_max).orders(grid, rows)
-    assert builds == [(8, (1, 2)), (8, (1, 2)), (8, (1, 3)), (9, (1, 3)), (9, None), (9, None), (9, None)]
-    # the channel's own duration is one series, apart from a grid of that duration
+    for n_max, grid, mode_sets in ((8, GRID[:2], [(1, 2)]), (8, GRID[:2], [(1, 3)]), (9, GRID[:2], [(1, 3)]),
+                                   (9, GRID[:2], [(3, 1)]), (9, GRID[:2], [(3, 1), (3,)]),
+                                   (9, (-0.0,), [(3, 1), (3,)]), (9, (0.0,), [(3, 1), (3,)])):
+        assert CavityChannel(n_max=n_max).reduced(grid, mode_sets) is not reduced
+        reduced = CavityChannel(n_max=n_max).reduced(grid, mode_sets)
+    # the union of a key's mode sets is composed once, on its sorted rows
+    assert builds == [(8, (1, 2)), (8, (1, 2)), (8, (1, 3)), (9, (1, 3)), (9, (1, 3)), (9, (1, 3)), (9, (1, 3)),
+                      (9, (1, 3))]
+    # the whole series at the channel's own duration, apart from a grid of that duration
     one = CavityChannel(n_max=9).orders()
     assert one.G.shape == (9,) and CavityChannel(n_max=9).orders((0.3,)).G.shape == (1, 9)
-    assert builds[-2:] == [(9, None), (9, None)] and len(builds) == 9
+    assert builds[-2:] == [(9, None), (9, None)] and len(builds) == 10
 
 
 def test_signed_zero_grids_give_a_fresh_process_bytes(capsys):
@@ -68,72 +72,108 @@ def test_signed_zero_grids_give_a_fresh_process_bytes(capsys):
 
 def test_refused_input_is_not_kept(monkeypatch):
     channel = CavityChannel(n_max=60)
-    # each refusal leaves no stack: the one composed before it is gone
-    for grid, rows, match in (((0.3, 1195.0), (1, 2), "rounding error"), ((0.3, -1.0), (1, 2), "non-negative"),
-                              ((0.3, math.inf), (1, 2), "finite"), (GRID, (1, 61), "out of range")):
-        kept = weakref.ref(channel.orders(GRID, (1, 2)))
+    # each refusal leaves no reduced channels: the ones built before it are gone
+    for grid, modes, match in (((0.3, 1195.0), (1, 2), "rounding error"), ((0.3, -1.0), (1, 2), "non-negative"),
+                               ((0.3, math.inf), (1, 2), "finite"), (GRID, (1, 61), "out of range")):
+        kept = weakref.ref(channel.reduced(GRID, [(1, 2)])[1, 2])
         with pytest.raises(ValueError, match=match):
-            channel.orders(grid, rows)
+            channel.reduced(grid, [modes])
         gc.collect()
         assert kept() is None
-    # a term that raises keeps nothing on the series: it is tried again
+    # a reduction that raises keeps nothing: it is tried again
     tried = []
-    real = bogoliubov._probed_blocks
-    monkeypatch.setattr(bogoliubov, "_probed_blocks", lambda series, modes: tried.append(modes) or real(series, modes))
-    stack = CavityChannel(n_max=8).orders(GRID, (1, 2))
+
+    def refuse(*arrays_modes_rows):
+        tried.append(arrays_modes_rows[-2])
+        raise ValueError("reduction refused")
+
+    monkeypatch.setattr(sweeps, "_reduce", refuse)
     for _ in range(2):
-        with pytest.raises(ValueError, match="series stores no row for mode 3"):
-            qfi_perturbative(stack, [((1, 3), probe_state("two_mode_squeezed", 0.5, 0.0))])
-    assert tried == [(1, 3), (1, 3)]
+        with pytest.raises(ValueError, match="reduction refused"):
+            CavityChannel(n_max=8).reduced(GRID, [(1, 3)])
+    assert tried == [(1, 3), (1, 3)] and sweeps._composed == {}
 
 
 @pytest.mark.parametrize("modes", [(1, 2), (2,), (2, 1)])
 def test_kept_terms_are_read_only_and_the_bits_of_a_fresh_computation(modes, monkeypatch):
-    originals = (bogoliubov._probed_blocks, qfi._perturbative_residual)
+    real = sweeps._reduce
     built = []
-    for term in originals:
-        monkeypatch.setattr(sys.modules[term.__module__], term.__name__,
-                            lambda series, modes, term=term: built.append(term.__name__) or term(series, modes))
-    stack = CavityChannel(n_max=12).orders(GRID, (1, 2))
+    monkeypatch.setattr(sweeps, "_reduce", lambda *args: built.append(args[-2]) or real(*args))
+    channel = CavityChannel(n_max=12)
     family = "two_mode_squeezed" if len(modes) == 2 else "single_squeezed_displaced"
     probes = [(modes, probe_state(family, 0.7, 0.0)), (modes, probe_state(family, -0.2, 0.0))]
-    first = qfi_perturbative(stack, probes)
-    again = qfi_perturbative(stack, probes)
-    assert built == ["_probed_blocks", "_perturbative_residual"]
+    first = qfi_perturbative(channel.reduced(GRID, [modes]).__getitem__, probes)
+    again = qfi_perturbative(channel.reduced(GRID, [modes]).__getitem__, probes)
+    assert built == [modes]
     for got, want in zip(again, first):
         for name in ("value", "e2", "c2", "residual"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    blocks = stack.kept(bogoliubov._probed_blocks, modes)
-    residual = stack.kept(qfi._perturbative_residual, modes)
-    assert built == ["_probed_blocks", "_perturbative_residual"]
-    fresh = (*originals[0](stack, modes), originals[1](stack, modes))
-    for arr, want in zip((*blocks, residual), fresh, strict=True):
-        assert np.array_equal(arr, want)
+    kept = channel.reduced(GRID, [modes])[modes]
+    assert built == [modes]
+    rows = tuple(sorted(modes))
+    fresh = real(*cavity.compose_one_segment(cavity.taylor_overlaps(12, rows), GRID), modes, rows)
+    arrays = [(name, arr) for name, arr in vars(kept).items() if isinstance(arr, np.ndarray)]
+    assert [name for name, _ in arrays] == ["s0", "s1", "s2", "s1_s1", "beta1", "residual"]
+    for name, arr in arrays:
+        assert np.array_equal(arr, getattr(fresh, name)), name
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
     # a caller's residual is its own array, not the kept one
-    assert again[0].residual.flags.writeable and not np.shares_memory(again[0].residual, residual)
+    assert again[0].residual.flags.writeable and not np.shares_memory(again[0].residual, kept.residual)
 
 
-def test_a_series_keeps_the_terms_of_its_last_mode_sets(monkeypatch):
-    built = []
-    for term in (bogoliubov._probed_blocks, qfi._perturbative_residual):
-        monkeypatch.setattr(sys.modules[term.__module__], term.__name__,
-                            lambda series, modes, term=term: built.append(modes) or term(series, modes))
-    series = synthetic_unitary_series(8, np.random.default_rng(3), strength=0.2)
-    state = probe_state("single_squeezed_displaced", 0.4, 0.2)
-    for mode in range(1, 9):
-        qfi_perturbative(series, [((mode,), state)])
-    assert built == [(mode,) for mode in range(1, 9) for _ in range(2)]
-    # two terms per mode set: the newest mode sets that fill the bound are
-    # kept, and the oldest were dropped first
-    newest = range(9 - bogoliubov.KEPT_ENTRIES // 2, 9)
-    del built[:]
-    for mode in newest:
-        qfi_perturbative(series, [((mode,), state)])
-    assert built == []
-    qfi_perturbative(series, [((newest[0] - 1,), state)])
-    assert built == [(newest[0] - 1,)] * 2
+def arrays_in(value) -> list:
+    """Every array a kept value holds, through mappings, tuples and the
+    attributes of objects."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, Mapping):
+        value = list(value.values())
+    elif not isinstance(value, (tuple, list)):
+        value = list(vars(value).values()) if hasattr(value, "__dict__") else []
+    return [arr for part in value for arr in arrays_in(part)]
+
+
+def test_what_a_sweep_keeps_does_not_grow_with_n_max(capsys):
+    kept = {}
+    for n_max in (200, 2000):
+        assert main(["sweep", "--nmax", str(n_max)]) == 0
+        kept[n_max] = sum(arr.nbytes for arr in arrays_in(list(sweeps._composed.values())))
+    capsys.readouterr()
+    # the reduced channels of (1, 2) and (1,) on the default 101-point grid
+    assert kept[200] == kept[2000] > 0
+
+
+@pytest.mark.parametrize("methods", [("perturbative",), ("oracle",), ("perturbative", "oracle")])
+def test_a_sweep_reduces_only_the_mode_sets_it_reads(methods):
+    spec = SweepSpec(modes=(3, 1), grid=(0.3, 0.7), methods=methods)
+    run_sweep(spec, CavityChannel(n_max=8))
+    ((_, reduced),) = sweeps._composed.items()
+    # the negativity reads (k, k'), and the perturbative columns each probe's modes
+    assert list(reduced) == [(3, 1)] + [(3,)] * ("perturbative" in methods)
+
+
+def test_the_sweep_reads_the_negativity_off_the_k_k_prime_reduced_channel(monkeypatch):
+    series = synthetic_unitary_series(6, np.random.default_rng(8), strength=0.3)
+    spec = SweepSpec(modes=(4, 2), grid=(0.1,))
+    want = float(sweeps.negativity_first_order(series.reduced((4, 2))))
+    read = []
+    real = sweeps.negativity_first_order
+    monkeypatch.setattr(sweeps, "negativity_first_order", lambda reduced: read.append(reduced.modes) or real(reduced))
+    rows = run_sweep(spec, ImportedChannel(series))
+    assert read == [(4, 2)] and [row.negativity for row in rows] == [want] * len(FAMILIES)
+    assert want == abs(series.beta1[3, 1]) > 0.0
+
+
+def test_a_cavity_sweep_calls_no_series_method(monkeypatch):
+    # the reducer shares the identity-defect code of unitarity_residuals
+    # without calling it, so a traced sweep counts no such call
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep called a BogoliubovSeries method")
+
+    for name in ("unitarity_residuals", "reduced", "symplectic_orders"):
+        monkeypatch.setattr(sweeps.BogoliubovSeries, name, refuse)
+    assert len(run_sweep(SweepSpec(grid=(0.2, 0.4)), CavityChannel())) == 2 * len(FAMILIES)
 
 
 def test_budget_refusals_compose_nothing(builds, capsys):

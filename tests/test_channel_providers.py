@@ -1,6 +1,6 @@
 """The sweep, compare and validate engines read a channel only through the
-provider interface: ``n_max``, ``orders``, ``oracle_points`` and
-``checks``. A duck-typed provider that forwards every call gives the same
+provider interface: ``n_max``, ``orders``, ``reduced``, ``oracle_points``
+and ``checks``. A duck-typed provider that forwards every call gives the same
 results bit for bit, and the calls it records are all the engine asked."""
 
 import numpy as np
@@ -34,9 +34,9 @@ def test_run_sweep_through_a_duck_typed_provider(provider):
     spec = SweepSpec(grid=grid, photons=1.3, x=0.6, methods=("perturbative", "oracle"))
     recording = RecordingChannel(channel)
     assert run_sweep(spec, recording) == run_sweep(spec, channel)
-    # one orders call with the whole grid, and one oracle_points call
-    (orders, (grid_read, rows)), (points, (grid_points, probes)) = recording.calls
-    assert (orders, points) == ("orders", "oracle_points")
+    # one reduced call with the whole grid, and one oracle_points call
+    (reduced, (grid_read, mode_sets)), (points, (grid_points, probes)) = recording.calls
+    assert (reduced, points) == ("reduced", "oracle_points")
     assert grid_read == grid_points == grid
     assert [modes for modes, _ in probes] == [(1,), (1, 2), (1, 2)]
 
@@ -47,8 +47,9 @@ def test_run_sweep_asks_for_the_probed_rows_alone(modes):
     # truncation tail included: a two-mode sweep composes two rows
     recording = RecordingChannel(CavityChannel(n_max=20))
     run_sweep(SweepSpec(modes=modes, grid=(0.3, 0.7)), recording)
-    ((orders, (_, rows)),) = recording.calls
-    assert orders == "orders" and rows == sorted(modes)
+    ((reduced, (_, mode_sets)),) = recording.calls
+    assert reduced == "reduced" and list(mode_sets) == [modes, modes[:1]]
+    assert sorted(set().union(*mode_sets)) == sorted(modes)
 
 
 def test_compare_and_validate_through_a_duck_typed_provider(provider):
@@ -64,11 +65,10 @@ def test_compare_and_validate_through_a_duck_typed_provider(provider):
 
 def test_cavity_channel_builds_its_series_only_after_every_refusal(tmp_path, monkeypatch):
     """A cavity channel evaluates its exact overlap coefficients in each
-    ``orders`` call that composes, which each engine makes after its own
-    refusals, on the rows that call asks for: a sweep's probed rows, every
-    row for ``compare`` and ``validate``. A call that repeats the last
-    composed stack's key composes nothing. Only the oracle builds, and
-    caches, the fitted series, once."""
+    ``orders`` or ``reduced`` call that composes, which each engine makes
+    after its own refusals: on a sweep's probed rows, and on every row for
+    ``compare`` and ``validate``. Only the oracle builds, and caches, the
+    fitted series, once."""
     calls = {"taylor": [], "fit": []}
 
     def counting(name, real):
@@ -95,9 +95,8 @@ def test_cavity_channel_builds_its_series_only_after_every_refusal(tmp_path, mon
     run_sweep(SweepSpec(grid=(0.3,)), channel)
     compare_methods(SweepSpec(r=1.0), channel)
     validate(channel)
-    # the sweep's rows, compare's whole channel, and validate's at u + 1: at
-    # u it reads the whole channel that compare composed
-    whole = [(6, None)] * 2
+    # the sweep's rows, compare's whole channel, and validate's at u and u + 1
+    whole = [(6,)] * 3
     assert calls == {"taylor": [(6, (1, 2))] + whole, "fit": []} and not cache.exists()
     run_sweep(SweepSpec(grid=(0.3, 0.5), methods=("oracle",)), channel)
     assert calls == {"taylor": [(6, (1, 2))] + whole + [(6, (1, 2))], "fit": [(6,)]}

@@ -1,12 +1,13 @@
 """What a process keeps between calls follows one rule, ``bogoliubov._keep``,
-in each of its three stores: the fitted overlap series by ``n_max``, the
-stack ``CavityChannel.orders`` composed last, and the terms a series keeps
-by mode set. A hit returns the kept value, a miss drops the oldest value
-before it builds, a refused build keeps nothing, kept arrays are read-only,
-and no store holds more values than its bound."""
+in each of its two stores: the fitted overlap series by ``n_max``, and the
+reduced channels ``CavityChannel.reduced`` built last. A hit returns the
+kept value, a miss drops the oldest value before it builds, a refused build
+keeps nothing, kept arrays are read-only, and no store holds more values
+than its bound."""
 
 import gc
 import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from gaussfisher import bogoliubov, cavity, sweeps
-from gaussfisher.cavity import compose_one_segment, taylor_overlaps
+from gaussfisher.cavity import taylor_overlaps
 from gaussfisher.sweeps import CavityChannel
 
 
@@ -49,32 +50,29 @@ def fitted_series(store, monkeypatch):
     return lambda i: cavity.load_or_compute_overlap_series(i + 1), bogoliubov.KEPT_ENTRIES
 
 
-def composed_stack(store, monkeypatch):
+def reduced_channels(store, monkeypatch):
     real = sweeps.taylor_overlaps
     monkeypatch.setattr(sweeps, "taylor_overlaps", lambda n_max, rows: store.build() or real(n_max, rows))
-    return lambda i: CavityChannel(n_max=4).orders((0.1 * i, 0.5), (1, 2)), 1
+    return lambda i: CavityChannel(n_max=4).reduced((0.1 * i, 0.5), [(1, 2), (2,)]), 1
 
 
-def series_terms(store, monkeypatch):
-    series = compose_one_segment(taylor_overlaps(12), 0.3)
-
-    def term(series, modes):
-        store.build()
-        return np.full(3, float(modes[0])), np.eye(2)
-
-    return lambda i: series.kept(term, (i + 1,)), bogoliubov.KEPT_ENTRIES
-
-
-@pytest.fixture(params=[fitted_series, composed_stack, series_terms], ids=lambda reach: reach.__name__)
+@pytest.fixture(params=[fitted_series, reduced_channels], ids=lambda reach: reach.__name__)
 def store(request, monkeypatch):
     store = Store()
     store.reach, store.limit = request.param(store, monkeypatch)
     return store
 
 
+def parts(value) -> list:
+    """The parts of a kept value that hold its arrays: the reduced channels
+    of a mapping, or else the value itself."""
+    return list(value.values()) if isinstance(value, Mapping) else [value]
+
+
 def ref(value):
-    """A weak reference to ``value``, or to its first array when it is a tuple."""
-    return weakref.ref(value[0] if isinstance(value, tuple) else value)
+    """A weak reference to ``value``'s first part, or to its first array when
+    it is a tuple."""
+    return weakref.ref(value[0] if isinstance(value, tuple) else parts(value)[0])
 
 
 def test_a_hit_returns_the_kept_value(store):
@@ -109,7 +107,8 @@ def test_a_refused_build_keeps_nothing(store):
 
 def test_kept_arrays_are_read_only(store):
     value = store.get(0)
-    arrays = value if isinstance(value, tuple) else [v for v in vars(value).values() if isinstance(v, np.ndarray)]
+    arrays = value if isinstance(value, tuple) else [
+        v for part in parts(value) for v in vars(part).values() if isinstance(v, np.ndarray)]
     assert len(arrays) >= 2
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):

@@ -85,7 +85,7 @@ def test_kernel_matches_closed_forms(kind, family, n, seed, r, delta, data):
         delta = 0.0
     state = probe_state(family, r, delta)
     modes = tuple(data.draw(st.permutations(range(1, n + 1)))[: state.n_modes])
-    (result,) = qfi_perturbative(series, [(modes, state)])
+    (result,) = qfi_perturbative(series.reduced, [(modes, state)])
     assert close(result.value, closed_form(series, family, modes, r, delta))
     if kind == "unitary":
         assert result.value >= -1e-12
@@ -103,8 +103,8 @@ def test_kernel_invariant_under_mode_relabelling(kind, n, seed, data):
     series = make_series(kind, n, seed)
     state = random_pure_state(2, np.random.default_rng(seed + 1))
     k, kp = data.draw(st.permutations(range(1, n + 1)))[:2]
-    (a,) = qfi_perturbative(series, [((k, kp), state)])
-    (b,) = qfi_perturbative(series, [((kp, k), swapped(state))])
+    (a,) = qfi_perturbative(series.reduced, [((k, kp), state)])
+    (b,) = qfi_perturbative(series.reduced, [((kp, k), swapped(state))])
     assert close(b.value, a.value)
     assert close(b.e2, a.e2) and close(b.c2, a.c2)
 
@@ -124,8 +124,8 @@ def test_kernel_scales_quadratically_under_reparametrization(kind, n, seed, c, d
     m = data.draw(st.integers(1, 2))
     state = random_pure_state(m, np.random.default_rng(seed + 2))
     modes = tuple(data.draw(st.permutations(range(1, n + 1)))[:m])
-    base = qfi_perturbative(series, [(modes, state)])[0].value
-    assert close(qfi_perturbative(scaled, [(modes, state)])[0].value, c**2 * base)
+    base = qfi_perturbative(series.reduced, [(modes, state)])[0].value
+    assert close(qfi_perturbative(scaled.reduced, [(modes, state)])[0].value, c**2 * base)
 
 
 @SETTINGS
@@ -143,4 +143,4 @@ def test_kernel_refuses_mixed_probe(n, seed, nu, data):
     state = GaussianState(rng.normal(size=2 * m), s @ np.diag(np.repeat(nu, 2)) @ s.T)
     modes = tuple(data.draw(st.permutations(range(1, n + 1)))[:m])
     with pytest.raises(ValueError, match="pure probe"):
-        qfi_perturbative(series, [(modes, state)])
+        qfi_perturbative(series.reduced, [(modes, state)])

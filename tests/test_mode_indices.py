@@ -20,8 +20,9 @@ ENTRY_POINTS = {
     "identity_residual rows": lambda s, modes: identity_residual(*s.evaluate(0.05), modes),
     "identity_residual cols": lambda s, modes: identity_residual(*s.evaluate(0.05), None, modes),
     "unitarity_residuals": lambda s, modes: s.unitarity_residuals(modes=modes),
-    "covariance_series": lambda s, modes: covariance_series(s, modes, [vacuum_state(2)])[0],
-    "negativity_first_order": lambda s, modes: negativity_first_order(s, *modes),
+    # both read the reduced channel, which takes the modes
+    "covariance_series": lambda s, modes: covariance_series(s.reduced(modes), [vacuum_state(2)])[0],
+    "negativity_first_order": lambda s, modes: negativity_first_order(s.reduced(modes)),
     "embed_state": lambda s, modes: embed_state(N_MAX, modes, vacuum_state(2)),
     "probe_family": lambda s, modes: probe_family(s, [(modes, vacuum_state(2))]),
     "run_sweep": lambda s, modes: run_sweep(SweepSpec(modes=modes, grid=(0.05,)), ImportedChannel(s)),

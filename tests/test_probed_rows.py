@@ -1,17 +1,17 @@
 """The probed-row perturbative kernel against full-matrix references.
 
-``covariance_series`` and ``unitarity_residuals`` work on the block rows of
-the probed modes only; the references in ``conftest`` form the full
-``2n x 2n`` (or ``n x n``) products and reduce afterwards.
+``covariance_series`` on a reduced channel and ``unitarity_residuals`` work
+on the block rows of the probed modes only; the references in ``conftest``
+form the full ``2n x 2n`` (or ``n x n``) products and reduce afterwards.
 """
 
 import numpy as np
 import pytest
 
 from conftest import full_covariance_series, full_unitarity_residuals, synthetic_unitary_series
-from gaussfisher import qfi
-from gaussfisher.bogoliubov import BogoliubovSeries, covariance_series
-from gaussfisher.cavity import compose_one_segment
+from gaussfisher import qfi, sweeps
+from gaussfisher.bogoliubov import BogoliubovSeries, _reduce, covariance_series
+from gaussfisher.cavity import compose_one_segment, taylor_overlaps
 from gaussfisher.qfi import probe_state, qfi_perturbative
 from gaussfisher.sweeps import FAMILIES, CavityChannel, SweepSpec, compare_methods, run_sweep
 
@@ -26,7 +26,7 @@ def families_for(modes):
 
 
 def assert_orders_agree(series, modes, state):
-    (fast,) = covariance_series(series, modes, [state])
+    (fast,) = covariance_series(series.reduced(modes), [state])
     ref = full_covariance_series(series, modes, state)
     for name in ("sigma0", "sigma1", "sigma2", "mean1"):
         a, b = getattr(fast, name), getattr(ref, name)
@@ -58,18 +58,18 @@ def test_covariance_orders_match_full_products_cavity(cavity_series_u03, modes):
 
 
 @pytest.mark.parametrize("modes", MODE_SETS)
-def test_row_restricted_stack_orders_match_full_products(overlap_series_10, modes):
+def test_row_restricted_stack_orders_match_full_products(modes):
     # the stack stores the probed block rows and their rows x rows second
     # orders, with rows the probe does not read, in an order that is neither
     # sorted nor the probe's own
     grid = (0.0, 0.137, 0.3, 0.5, 1.37)
     rows = (10,) + tuple(reversed(modes)) + (6,)
-    stack = compose_one_segment(overlap_series_10, grid, rows)
+    stack = compose_one_segment(taylor_overlaps(10, rows), grid)
     for family in families_for(modes):
         state = probe_state(family, 0.5, 0.0 if family == "two_mode_squeezed" else 1.1)
-        (fast,) = covariance_series(stack, modes, [state])
+        (fast,) = covariance_series(_reduce(*stack, modes, rows), [state])
         for i, u in enumerate(grid):
-            ref = full_covariance_series(compose_one_segment(overlap_series_10, u), modes, state)
+            ref = full_covariance_series(compose_one_segment(taylor_overlaps(10), u), modes, state)
             for name in ("sigma0", "sigma1", "sigma2", "mean1"):
                 a, b = getattr(fast, name)[i], getattr(ref, name)
                 assert a.shape == b.shape
@@ -104,24 +104,24 @@ def test_perturbative_route_builds_no_full_matrix(monkeypatch, synthetic, cavity
         for family in FAMILIES:
             delta = 0.0 if family == "two_mode_squeezed" else 0.8
             state = probe_state(family, 0.6, delta)
-            (result,) = qfi_perturbative(series, [((1, 2)[: state.n_modes], state)])
+            (result,) = qfi_perturbative(series.reduced, [((1, 2)[: state.n_modes], state)])
             assert np.isfinite(result.value) and result.value >= 0.0
 
 
 def test_residual_shared_between_families_on_same_modes(monkeypatch):
     calls = []
-    original = BogoliubovSeries.unitarity_residuals
+    original = sweeps._reduce
 
-    def counted(self, modes=None):
-        calls.append(modes)
-        return original(self, modes=modes)
+    def counted(*arrays_modes_rows):
+        calls.append(arrays_modes_rows[-2])
+        return original(*arrays_modes_rows)
 
-    monkeypatch.setattr(BogoliubovSeries, "unitarity_residuals", counted)
+    monkeypatch.setattr(sweeps, "_reduce", counted)
     spec = SweepSpec(grid=(0.2, 0.4))
     rows = run_sweep(spec, CavityChannel())
     assert len(rows) == 2 * len(FAMILIES)
-    # one evaluation per mode set for the whole grid: (1,) for the single-mode
-    # probe, and (1, 2) once for both two-mode ones
+    # one reduction, and in it one residual, per mode set for the whole grid:
+    # (1,) for the single-mode probe, and (1, 2) once for both two-mode ones
     assert sorted(calls) == [(1,), (1, 2)]
     two_mode = [r for r in rows if r.family != "single_squeezed_displaced"]
     assert two_mode[0].residual_perturbative == two_mode[1].residual_perturbative
@@ -134,9 +134,9 @@ def kernel_calls(monkeypatch):
     calls = []
     original = qfi.covariance_series
 
-    def counted(series, modes, states):
-        calls.append((tuple(modes), len(states)))
-        return original(series, modes, states)
+    def counted(reduced, states):
+        calls.append((reduced.modes, len(states)))
+        return original(reduced, states)
 
     monkeypatch.setattr(qfi, "covariance_series", counted)
     return calls
@@ -152,19 +152,19 @@ def test_blocks_assembled_once_per_mode_set(kernel_calls):
 
 @pytest.mark.parametrize("modes", [(1, 2), (4, 1)])
 def test_states_sharing_modes_give_the_bits_of_one_call_each(modes, synthetic):
-    stack = CavityChannel(n_max=12).orders((0.0, 0.3, 0.71), sorted(modes))
+    stack = CavityChannel(n_max=12).reduced((0.0, 0.3, 0.71), [modes])
     states = [probe_state("two_product_squeezed_displaced", 0.6, 0.8), probe_state("two_mode_squeezed", 1.1, 0.0),
               probe_state("two_product_squeezed_displaced", -0.3, 2.0)]
-    for series in (stack, synthetic):
-        shared = qfi_perturbative(series, [(modes, state) for state in states])
+    for reduced in (stack.__getitem__, synthetic.reduced):
+        shared = qfi_perturbative(reduced, [(modes, state) for state in states])
         for state, got in zip(states, shared):
-            (want,) = qfi_perturbative(series, [(modes, state)])
+            (want,) = qfi_perturbative(reduced, [(modes, state)])
             for name in ("value", "e2", "c2", "residual"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_results_follow_probe_order_across_mode_sets(kernel_calls):
-    stack = CavityChannel(n_max=12).orders((0.0, 0.3, 0.71), (1, 2))
+    stack = CavityChannel(n_max=12).reduced((0.0, 0.3, 0.71), [(1, 2), (1,)]).__getitem__
     probes = [((1, 2), probe_state("two_product_squeezed_displaced", 0.6, 0.8)),
               ((1,), probe_state("single_squeezed_displaced", -0.4, 1.5)),
               ((1, 2), probe_state("two_mode_squeezed", 1.1, 0.0))]
@@ -176,3 +176,19 @@ def test_results_follow_probe_order_across_mode_sets(kernel_calls):
     for got, want in zip(together, alone):
         for name in ("value", "e2", "c2", "residual"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("modes", MODE_SETS)
+def test_the_reducer_reads_the_rows_alone(synthetic, modes):
+    # the reduced channel from the probed rows, stored among others in an
+    # order of their own, has the bits of the one from the whole series
+    rows = (6,) + tuple(reversed(modes)) + (3,) * (3 not in modes)
+    pick = np.array(rows) - 1
+    arrays = (synthetic.G[pick], synthetic.alpha1[pick], synthetic.alpha2[np.ix_(pick, pick)],
+              synthetic.beta1[pick], synthetic.beta2[np.ix_(pick, pick)])
+    got, want = _reduce(*arrays, modes, rows), synthetic.reduced(modes)
+    for name, value in vars(want).items():
+        assert np.array_equal(getattr(got, name), value), name
+    # B2 = S1 S1^T - A1 A1^T is the spectators' noise: symmetric
+    b2 = want.s1_s1 - want.s1 @ want.s1.T
+    assert np.max(np.abs(b2 - b2.T)) <= TOL

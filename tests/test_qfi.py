@@ -23,7 +23,6 @@ from gaussfisher.bogoliubov import BogoliubovSeries, covariance_series
 from gaussfisher.qfi import (
     FAMILIES,
     QfiResult,
-    _perturbative_residual,
     c2_from_orders,
     energy_matched_params,
     negativity_first_order,
@@ -39,15 +38,15 @@ SINGLE, PRODUCT, TMS = "single_squeezed_displaced", "two_product_squeezed_displa
 
 
 def single(series, k, r, delta):
-    return qfi_perturbative(series, [((k,), probe_state(SINGLE, r, delta))])[0]
+    return qfi_perturbative(series.reduced, [((k,), probe_state(SINGLE, r, delta))])[0]
 
 
 def product(series, k, k_prime, r, delta):
-    return qfi_perturbative(series, [((k, k_prime), probe_state(PRODUCT, r, delta))])[0]
+    return qfi_perturbative(series.reduced, [((k, k_prime), probe_state(PRODUCT, r, delta))])[0]
 
 
 def tms(series, k, k_prime, r):
-    return qfi_perturbative(series, [((k, k_prime), probe_state(TMS, r, 0.0))])[0]
+    return qfi_perturbative(series.reduced, [((k, k_prime), probe_state(TMS, r, 0.0))])[0]
 
 
 def null_series(n):
@@ -110,7 +109,7 @@ def test_perturbative_residual_tail_matches_f_sums(unitary_series, modes):
     # also when the last mode is probed and when no spectator is left
     _, second = unitary_series.unitarity_residuals(modes=modes)
     tail = f_sums(unitary_series, modes, modes).tail
-    assert _perturbative_residual(unitary_series, modes) == max(tail, second)
+    assert unitary_series.reduced(modes).residual == max(tail, second)
     assert (tail == 0.0) == (len(modes) == unitary_series.n_max)
 
 
@@ -159,19 +158,19 @@ def test_kernel_refuses_a_non_finite_term_by_name():
     state = GaussianState(np.array([1e200, 0.0]), np.eye(2))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match=r"^perturbative e2=inf is not finite$"):
-            qfi_perturbative(rotation_series(), [((1,), state)])
+            qfi_perturbative(rotation_series().reduced, [((1,), state)])
 
 
 def test_e2_matches_first_moment_quadratic_form(unitary_series):
     # the closed form is the quadratic form <X>^(1)T (2 sigma0)^-1 <X>^(1),
     # which the kernel evaluates
     r, delta = 0.6, 0.9
-    (orders,) = covariance_series(unitary_series, (2,), [probe_state(SINGLE, r, delta)])
+    (orders,) = covariance_series(unitary_series.reduced((2,)), [probe_state(SINGLE, r, delta)])
     quadratic = float(orders.mean1 @ np.linalg.solve(2.0 * orders.sigma0, orders.mean1))
     assert np.isclose(e2_single_mode(unitary_series, 2, r, delta), quadratic, rtol=1e-12)
     assert np.isclose(single(unitary_series, 2, r, delta).e2, quadratic, rtol=1e-12)
 
-    (orders,) = covariance_series(unitary_series, (1, 3), [probe_state(PRODUCT, r, delta)])
+    (orders,) = covariance_series(unitary_series.reduced((1, 3)), [probe_state(PRODUCT, r, delta)])
     quadratic = float(orders.mean1 @ np.linalg.solve(2.0 * orders.sigma0, orders.mean1))
     assert np.isclose(e2_two_mode(unitary_series, 1, 3, r, delta), quadratic, rtol=1e-12)
     assert np.isclose(product(unitary_series, 1, 3, r, delta).e2, quadratic, rtol=1e-12)
@@ -290,7 +289,7 @@ def test_vacuum_limit_identities_machine(unitary_series_diagfree):
     assert abs(h1 - 8.0 * float(sums_single.f_beta[0])) <= 1e-12
 
     sums = f_sums(series, (k, kp), (k, kp))
-    neg = negativity_first_order(series, k, kp)
+    neg = negativity_first_order(series.reduced((k, kp)))
     rhs = 8.0 * float(sums.f_beta[0]) + 8.0 * float(sums.f_beta[1]) + 4.0 * neg**2
     h2 = product(series, k, kp, 0.0, 0.0).value
     h3 = tms(series, k, kp, 0.0).value
@@ -299,14 +298,14 @@ def test_vacuum_limit_identities_machine(unitary_series_diagfree):
 
 
 def test_negativity_examples():
-    assert negativity_first_order(null_series(3), 1, 2) == 0.0
+    assert negativity_first_order(null_series(3).reduced((1, 2))) == 0.0
     beta1 = np.zeros((3, 3), dtype=complex)
     beta1[0, 1] = 3.0 + 4.0j
     zeros = np.zeros((3, 3), dtype=complex)
     series = BogoliubovSeries(np.ones(3, dtype=complex), zeros, zeros, beta1, zeros)
-    assert np.isclose(negativity_first_order(series, 1, 2), 5.0)
+    assert np.isclose(negativity_first_order(series.reduced((1, 2))), 5.0)
     with pytest.raises(ValueError):
-        negativity_first_order(series, 2, 2)
+        negativity_first_order(series.reduced((2, 2)))
 
 
 def test_energy_budget():
@@ -422,7 +421,7 @@ def test_method_agreement_on_synthetic_channel(rng):
         ("two_mode_squeezed", (1, 3), 1.0, 0.0),
     ):
         state = probe_state(family_name, r, delta)
-        (pert,) = qfi_perturbative(series, [(modes, state)])
+        (pert,) = qfi_perturbative(series.reduced, [(modes, state)])
         fam = probe_family(series, [(modes, state)])
         devs = []
         for theta in (0.02, 0.04, 0.08):
@@ -440,7 +439,7 @@ def test_probe_state_guards():
     # the trace form holds for pure probes only
     mixed = random_mixed_state(2, np.random.default_rng(3))
     with pytest.raises(ValueError, match="pure probe"):
-        qfi_perturbative(null_series(3), [((1, 2), mixed)])
+        qfi_perturbative(null_series(3).reduced, [((1, 2), mixed)])
 
 
 def test_two_mode_advantage_identity(rng):
@@ -464,8 +463,8 @@ def test_known_squeezing_estimation_value():
     assert np.isclose(4.0 * c2_from_orders(np.eye(2), sigma1, sigma2), 0.5, rtol=1e-14)
 
 
-def assert_c2_is_the_two_solve_form(series, modes, states):
-    for orders in covariance_series(series, modes, states):
+def assert_c2_is_the_two_solve_form(reduced, states):
+    for orders in covariance_series(reduced, states):
         got = c2_from_orders(orders.sigma0, orders.sigma1, orders.sigma2)
         want = c2_two_solves_reference(orders.sigma0, orders.sigma1, orders.sigma2)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
@@ -474,9 +473,10 @@ def assert_c2_is_the_two_solve_form(series, modes, states):
 @pytest.mark.parametrize("n_max", [10, 60])
 def test_one_solve_for_both_orders_gives_the_two_solves_bits_on_the_cavity(n_max):
     spec = SweepSpec()
-    stack = CavityChannel(n_max=n_max).orders(spec.grid, spec.modes)
-    for *_, state, modes in spec.probes():
-        assert_c2_is_the_two_solve_form(stack, modes, [state])
+    probes = spec.probes()
+    stack = CavityChannel(n_max=n_max).reduced(spec.grid, dict.fromkeys(modes for *_, modes in probes))
+    for *_, state, modes in probes:
+        assert_c2_is_the_two_solve_form(stack[modes], [state])
 
 
 @settings(max_examples=40, deadline=None)
@@ -492,7 +492,7 @@ def test_one_solve_for_both_orders_gives_the_two_solves_bits_on_drawn_probes(n_m
     exact synthetic channel."""
     rng = np.random.default_rng(seed)
     modes = tuple(sorted(rng.choice(np.arange(1, n_max // 2 + 1), size=n_modes, replace=False).tolist()))
-    stack = CavityChannel(n_max=n_max).orders(grid, modes)
+    stack = CavityChannel(n_max=n_max).reduced(grid, [modes])
     states = [random_pure_state(len(modes), rng, strength) for _ in range(2)]
-    assert_c2_is_the_two_solve_form(stack, modes, states)
-    assert_c2_is_the_two_solve_form(synthetic_unitary_series(n_max, rng), modes, states)
+    assert_c2_is_the_two_solve_form(stack[modes], states)
+    assert_c2_is_the_two_solve_form(synthetic_unitary_series(n_max, rng).reduced(modes), states)

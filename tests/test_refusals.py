@@ -48,7 +48,7 @@ def test_cli_refuses_in_one_line(tmp_path, capsys, argv, message):
 def test_covariance_series_refuses_a_state_of_the_wrong_size():
     series = synthetic_unitary_series(4, np.random.default_rng(2))
     with pytest.raises(ValueError, match="^input state must live on the probed modes$"):
-        covariance_series(series, (1, 2), [vacuum_state(1)])
+        covariance_series(series.reduced((1, 2)), [vacuum_state(1)])
 
 
 def test_two_mode_fidelity_refuses_one_mode_input():

@@ -5,7 +5,8 @@ the first orders and the ``rows x rows`` block of the second orders, and
 ``compose_one_segment`` reads the columns block off the rows by the
 coefficients' symmetry. Both must give the bits of the whole ``n x n``
 matrices and of the composition from them (``conftest.compose_rows_reference``),
-signed zeros included, at a memory that no longer grows as ``n^2``.
+signed zeros included, and so must the cavity's reduced channels, at a
+memory that no longer grows as ``n^2``.
 """
 
 import csv
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 from conftest import compose_rows_reference
+from gaussfisher.bogoliubov import _reduce
 from gaussfisher.cavity import compose_one_segment, taylor_overlaps
 from gaussfisher.sweeps import CavityChannel, SweepSpec
 
@@ -57,34 +59,31 @@ def test_rows_only_coefficients_are_the_whole_series_blocks(n_max, rows):
 @pytest.mark.parametrize("rows", ROW_SETS + ((1,), (4, 1, 3)))
 def test_rows_only_composition_is_the_whole_matrix_composition(n_max, rows):
     grid = SweepSpec().grid
-    got = compose_one_segment(taylor_overlaps(n_max, rows), grid, rows)
+    got = compose_one_segment(taylor_overlaps(n_max, rows), grid)
     want = compose_rows_reference(taylor_overlaps(n_max), grid, rows)
-    assert got.rows == want.rows == rows
-    for name in ("G",) + NAMES:
-        assert same_bits(getattr(got, name), getattr(want, name)), name
-    # the sweep passes its rows as a list
-    channel = CavityChannel(n_max=n_max).orders(grid, list(rows))
-    for name in ("G",) + NAMES:
-        assert same_bits(getattr(channel, name), getattr(want, name)), name
+    assert got[1].shape[-2] == want[1].shape[-2] == len(rows)
+    for name, a, b in zip(("G",) + NAMES, got, want, strict=True):
+        assert same_bits(a, b), name
+    # the cavity composes the sorted rows and reduces the mode set, given as a list
+    held = tuple(sorted(rows))
+    fresh = _reduce(*compose_rows_reference(taylor_overlaps(n_max), grid, held), rows, held)
+    channel = CavityChannel(n_max=n_max).reduced(grid, [list(rows)])[rows]
+    for name, value in vars(fresh).items():
+        assert same_bits(np.asarray(getattr(channel, name)), np.asarray(value)), name
 
 
-@pytest.mark.parametrize("rows", [None, (1, 2), (3, 1)])
-def test_whole_series_composition_keeps_its_bits(overlap_series_10, rows):
+def test_whole_series_composition_keeps_its_bits(overlap_series_10):
     """The fitted series, which the oracle composes, is not antisymmetric:
     it is read whole, as before, at one duration and on a grid."""
     assert not np.array_equal(overlap_series_10.alpha1, -overlap_series_10.alpha1.T)
     for u in (0.3, (0.0, 0.137, 0.5)):
         for overlaps in (overlap_series_10, taylor_overlaps(10)):
-            got, want = compose_one_segment(overlaps, u, rows), compose_rows_reference(overlaps, u, rows)
+            got, want = compose_one_segment(overlaps, u), compose_rows_reference(overlaps, u)
             for name in ("G",) + NAMES:
                 assert same_bits(getattr(got, name), getattr(want, name)), name
 
 
-def test_rows_only_coefficients_compose_only_their_own_rows():
-    probed = taylor_overlaps(10, (1, 2))
-    for rows in (None, (2, 1), (1,), (1, 2, 3)):
-        with pytest.raises(ValueError, match=r"^the overlap series stores rows \(1, 2\), not "):
-            compose_one_segment(probed, 0.3, rows)
+def test_rows_only_coefficients_refuse_bad_rows():
     for rows in ((0, 1), (1, 1), (1, 11)):
         with pytest.raises(ValueError):
             taylor_overlaps(10, rows)
@@ -94,11 +93,11 @@ def test_a_large_cut_composes_in_memory_linear_in_n():
     grid = tuple(np.round(np.linspace(0.0, 1.0, 11), 10))
     tracemalloc.start()
     try:
-        stack = CavityChannel(n_max=4000).orders(grid, (1, 2))
+        reduced = CavityChannel(n_max=4000).reduced(grid, [(1, 2)])[1, 2]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert stack.alpha1.shape == (11, 2, 4000)
+    assert reduced.s1.shape == (11, 4, 4)
     # one whole n x n float matrix alone would take 122 MiB
     assert peak < 32 * 2**20, peak / 2**20
 

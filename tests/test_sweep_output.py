@@ -25,21 +25,21 @@ CHANNEL = Path(__file__).resolve().parent / "data" / "channel_cavity_nmax8_u0.3.
 
 def reference_run_sweep(spec, channel) -> list[tuple]:
     """Sweep rows as tuples: one ``qfi_perturbative`` call per family on the
-    grid's stack, one oracle call per grid point."""
+    grid's reduced channels, one oracle call per grid point."""
     channel.check_modes(spec.modes)
     probes = spec.probes()
     grid = tuple(float(g) for g in spec.grid)
-    stack = channel.orders(grid, sorted(spec.modes))
+    reduced = channel.reduced(grid, dict.fromkeys([tuple(spec.modes)] + [tuple(modes) for *_, modes in probes]))
 
     def down_the_grid(values) -> list:
         values = np.asarray(values)
         return values.tolist() if values.ndim else [values.item()] * len(grid)
 
-    negativity = down_the_grid(negativity_first_order(stack, *spec.modes))
+    negativity = down_the_grid(negativity_first_order(reduced[tuple(spec.modes)]))
     empty = [[(None,) * 4] * len(grid) for _ in probes]
     perturbative = empty
     if "perturbative" in spec.methods:
-        results = [qfi_perturbative(stack, [(modes, state)])[0] for *_, state, modes in probes]
+        results = [qfi_perturbative(reduced.__getitem__, [(modes, state)])[0] for *_, state, modes in probes]
         perturbative = [list(zip(*(down_the_grid(v) for v in (res.value, res.e2, res.c2, res.residual))))
                         for res in results]
     oracle = [[(None, None)] * len(probes) for _ in grid]
@@ -68,7 +68,7 @@ def reference_compare_methods(spec, channel, h_ladder=(0.02, 0.04, 0.08)) -> Com
     rungs = [qfi_oracle(family, float(h), steps=(h / 5.0, h / 15.0, h / 45.0)) for h in h_ladder]
     rows, slopes = [], {}
     for j, (name, _, _, state, modes) in enumerate(probes):
-        pert = qfi_perturbative(series, [(modes, state)])[0].value
+        pert = qfi_perturbative(series.reduced, [(modes, state)])[0].value
         devs = []
         for h, rung in zip(h_ladder, rungs):
             orc = rung[j].value

@@ -808,6 +808,7 @@ MALFORMED_CHANNELS = {
     "unknown component": (_replace(4, "gamma1,1,1,0.0,0.0"), "channel line 5: unknown component 'gamma1'"),
     "short row": (_replace(4, "alpha1,1,1,0.5"), "channel line 5: expected component,m,n,re,im"),
     "bad index": (_replace(4, "alpha1,1,x,0.5,0.0"), "channel line 5: invalid literal"),
+    "no header": (lambda lines: lines.pop(0), "channel line 1: expected the header component,m,n,re,im, got 'g,1,1,"),
 }
 
 
@@ -823,6 +824,19 @@ def test_cli_rejects_malformed_channel(tmp_path, capsys, case):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err, err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_channel_file_without_its_header_is_refused_at_its_first_line(tmp_path, capsys):
+    # the first coefficient line was dropped unread, and the file refused as
+    # lacking an entry it holds: "channel file lacks 1 entries, first g (1, 1)"
+    lines = (Path(__file__).parent / "data" / "channel_cavity_nmax8_u0.3.csv").read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "channel.csv"
+    path.write_text("\n".join(["", *lines[1:]]) + "\n", encoding="utf-8")
+    assert main(["sweep", "--channel", str(path), "--grid", "0.3"]) == 2
+    assert capsys.readouterr().err == f"error: channel line 2: expected the header component,m,n,re,im, got {lines[1]!r}\n"
+    # blank lines before the header are skipped, as everywhere in the file
+    path.write_text("\n".join(["", *lines]) + "\n", encoding="utf-8")
+    assert main(["sweep", "--channel", str(path), "--grid", "0.3"]) == 0
 
 
 def test_cli_refuses_a_short_channel_file_before_allocating_its_modes(tmp_path, capsys):
