@@ -5,8 +5,6 @@ as the built-in worked example."""
 from .states import GaussianState, symplectic_form
 from .bogoliubov import (
     BogoliubovSeries,
-    CovarianceSeries,
-    covariance_series,
     identity_residual,
     series_from_csv,
     series_to_csv,

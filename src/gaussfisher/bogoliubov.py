@@ -11,13 +11,13 @@ matrix pair ``(alpha, beta)``. Exact channels satisfy
 or, equivalently, the real matrix ``S`` built from 2x2 blocks is symplectic,
 ``S Omega S^T = Omega``. :func:`identity_residual` measures that on a window
 of modes; truncating the mode ladder at ``n_max`` turns the identities into
-measured residuals. :class:`BogoliubovSeries` holds a whole channel, or a
-stack of them (one per grid point), to second order in its parameter.
-What a probe on a few modes reads of it is one :class:`ReducedChannel`,
-the single- or two-mode Gaussian channel those modes see, which
-:func:`_reduce` alone builds, from a whole series or from the rows of a
-few output modes; :func:`covariance_series` reads the covariance orders of
-the probed modes off it.
+measured residuals. :class:`BogoliubovSeries` holds one whole channel to
+second order in its parameter. What a probe on a few modes reads of it is
+one :class:`ReducedChannel`, the single- or two-mode Gaussian channel those
+modes see, which :func:`_reduce` alone builds, from a whole series or from
+the rows of a few output modes stacked over a grid;
+:meth:`ReducedChannel.covariance_orders` reads the covariance orders of a
+probe state off it.
 """
 
 from __future__ import annotations
@@ -112,11 +112,9 @@ class BogoliubovSeries:
     ``beta(theta) = beta1 theta + beta2 theta^2``, where the zeroth order is a
     pure phase ``G_n = exp(i phi_n)`` on each mode.
 
-    ``n_max`` is the length of ``G``: one channel stores ``G`` as
-    ``(n_max,)`` and each matrix as ``(n_max, n_max)``, and leading axes on
-    every array make a stack of channels, one per grid point. What a probe
-    on a few modes reads of it is :meth:`reduced`; :meth:`evaluate`,
-    :meth:`symplectic_orders` and the oracle need one channel.
+    ``n_max`` is the length of ``G``, ``(n_max,)``, and each matrix is
+    ``(n_max, n_max)``: a series is one channel. What a probe on a few modes
+    reads of it is :meth:`reduced`.
     """
 
     G: np.ndarray
@@ -127,10 +125,12 @@ class BogoliubovSeries:
 
     def __post_init__(self):
         g = np.asarray(self.G, dtype=complex)
+        if g.ndim != 1:
+            raise ValueError(f"G must have shape (n_max,), not {g.shape}: a series is one channel")
         # written so that a NaN phase fails it too
         if not np.all(np.abs(np.abs(g) - 1.0) <= 1e-12):
             raise ValueError("zeroth-order phases G must have unit modulus")
-        shape = (*g.shape, g.shape[-1])
+        shape = (g.size, g.size)
         g.setflags(write=False)
         object.__setattr__(self, "G", g)
         for name in ("alpha1", "alpha2", "beta1", "beta2"):
@@ -142,16 +142,11 @@ class BogoliubovSeries:
 
     @property
     def n_max(self) -> int:
-        return self.G.shape[-1]
+        return self.G.size
 
     def reduced(self, modes) -> ReducedChannel:
-        """What a probe on the 1-based ``modes`` reads of the channel, or of
-        each channel of the stack."""
+        """What a probe on the 1-based ``modes`` reads of the channel."""
         return _reduce(self.G, self.alpha1, self.alpha2, self.beta1, self.beta2, modes)
-
-    def _require_whole(self, what: str) -> None:
-        if self.G.ndim != 1:
-            raise ValueError(f"{what} needs one whole channel, not a stack")
 
     def evaluate(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
         """Read-only coefficient matrices ``(alpha, beta)`` at a finite
@@ -161,7 +156,6 @@ class BogoliubovSeries:
         ``theta^3`` plus the mode-truncation tail; validity degrades beyond
         ``|theta| ~ 0.1``.
         """
-        self._require_whole("evaluate")
         alpha = np.diag(self.G) + self.alpha1 * theta + self.alpha2 * theta**2
         beta = self.beta1 * theta + self.beta2 * theta**2
         alpha.setflags(write=False)
@@ -170,7 +164,6 @@ class BogoliubovSeries:
 
     def symplectic_orders(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Real matrices ``(S0, S1, S2)`` with ``S(theta) = S0 + S1 theta + S2 theta^2``."""
-        self._require_whole("symplectic_orders")
         s0 = _assemble(np.diag(self.G), np.zeros((self.n_max, self.n_max), dtype=complex))
         s1 = _assemble(self.alpha1, self.beta1)
         s2 = _assemble(self.alpha2, self.beta2)
@@ -178,15 +171,14 @@ class BogoliubovSeries:
 
     def unitarity_residuals(self, modes=None):
         """Max-norm defects ``(first, second)`` of the order-by-order channel
-        identities, one pair per channel of the stack, on the submatrix of
-        the 1-based ``modes`` (``None`` means all): see
-        :func:`_identity_defects`. The pair is two floats for one channel and
-        two arrays of the stack's shape otherwise.
+        identities on the submatrix of the 1-based ``modes`` (``None`` means
+        all), two floats: see :func:`_identity_defects`.
         """
         modes = range(1, self.n_max + 1) if modes is None else modes
         cols = quadrature_indices(modes, self.n_max)[::2] // 2
-        a2, b2 = self.alpha2[..., cols, :][..., cols], self.beta2[..., cols, :][..., cols]
-        return _identity_defects(self.G[..., cols], self.alpha1[..., cols, :], self.beta1[..., cols, :], a2, b2, cols)
+        block = np.ix_(cols, cols)
+        return _identity_defects(self.G[cols], self.alpha1[cols], self.beta1[cols], self.alpha2[block],
+                                 self.beta2[block], cols)
 
 
 def _identity_defects(g, a1, b1, a2, b2, cols):
@@ -247,6 +239,39 @@ class ReducedChannel:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
 
+    def covariance_orders(self, state) -> tuple:
+        """``(sigma0, sigma1, sigma2, mean1)``: the theta powers of the
+        covariance and the first-order first moments of the probed modes,
+        for a ``state`` that lives on them (all other modes vacuum).
+
+        The coefficients are exact polynomials of the reduced orders; no
+        numerical differentiation is involved. ``S0`` vanishes outside the
+        probed columns, so with ``Sigma_in = I + P (Sigma - I) P^T`` every
+        product that meets it needs only the probed blocks ``S0_p``,
+        ``S1_p`` and ``S2_p`` and ``S1 S1^T``:
+
+            sigma0 = S0_p Sigma S0_p^T
+            sigma1 = S1_p Sigma S0_p^T + transpose
+            sigma2 = S2_p Sigma S0_p^T + transpose
+                     + S1 S1^T + S1_p (Sigma - I) S1_p^T
+            mean1  = S1_p mu
+
+        A call pays only for ``2m x 2m`` products. A stack gives orders with
+        its leading axes: ``(..., 2m, 2m)`` and ``(..., 2m)``.
+        """
+        dim = self.s0.shape[-1]
+        if 2 * state.n_modes != dim:
+            raise ValueError("input state must live on the probed modes")
+        s0, s1_p = self.s0, self.s1
+        sigma = state.covariance
+        sigma_s0 = sigma @ _t(s0)
+        sigma0 = s0 @ sigma_s0
+        cross2 = self.s2 @ sigma_s0
+        cross1 = s1_p @ sigma_s0
+        sigma1 = cross1 + _t(cross1)
+        sigma2 = cross2 + _t(cross2) + self.s1_s1 + s1_p @ (sigma - np.eye(dim)) @ _t(s1_p)
+        return sigma0, sigma1, sigma2, s1_p @ state.first_moments
+
 
 def _reduce(g, alpha1, alpha2, beta1, beta2, modes, rows=None) -> ReducedChannel:
     """The :class:`ReducedChannel` of the 1-based ``modes``: the one reducer.
@@ -282,60 +307,10 @@ def _reduce(g, alpha1, alpha2, beta1, beta2, modes, rows=None) -> ReducedChannel
     return ReducedChannel(modes, s0, s1[..., idx], _assemble(a2, b2), s1 @ _t(s1), b1[..., cols], residual)
 
 
-@dataclass(frozen=True)
-class CovarianceSeries:
-    """Order-by-order reduced covariance and first-order first moments of
-    probed modes."""
-
-    sigma0: np.ndarray
-    sigma1: np.ndarray
-    sigma2: np.ndarray
-    mean1: np.ndarray
-
-
-def covariance_series(reduced: ReducedChannel, states) -> list[CovarianceSeries]:
-    """Collect theta powers of the reduced covariance of the probed modes,
-    one :class:`CovarianceSeries` per state of ``states``, in order.
-
-    Each state lives on the probed modes of ``reduced`` only (all other
-    modes vacuum). The coefficients are exact polynomials of the reduced
-    channel's orders; no numerical differentiation is involved. ``S0``
-    vanishes outside the probed columns, so with
-    ``Sigma_in = I + P (Sigma - I) P^T`` every product that meets it needs
-    only the probed blocks ``S0_p``, ``S1_p`` and ``S2_p`` and ``S1 S1^T``:
-
-        sigma0 = S0_p Sigma S0_p^T
-        sigma1 = S1_p Sigma S0_p^T + transpose
-        sigma2 = S2_p Sigma S0_p^T + transpose
-                 + S1 S1^T + S1_p (Sigma - I) S1_p^T
-        mean1  = S1_p mu
-
-    A call pays only for its states' ``2m x 2m`` products. A stack of
-    channels gives orders with the same leading axes: ``(..., 2m, 2m)`` and
-    ``(..., 2m)``.
-    """
-    dim = reduced.s0.shape[-1]
-    if any(2 * state.n_modes != dim for state in states):
-        raise ValueError("input state must live on the probed modes")
-    s0, s1_p, s2, s1_s1 = reduced.s0, reduced.s1, reduced.s2, reduced.s1_s1
-    out = []
-    for state in states:
-        sigma = state.covariance
-        sigma_s0 = sigma @ _t(s0)
-        sigma0 = s0 @ sigma_s0
-        cross2 = s2 @ sigma_s0
-        cross1 = s1_p @ sigma_s0
-        sigma1 = cross1 + _t(cross1)
-        sigma2 = cross2 + _t(cross2) + s1_s1 + s1_p @ (sigma - np.eye(dim)) @ _t(s1_p)
-        out.append(CovarianceSeries(sigma0, sigma1, sigma2, s1_p @ state.first_moments))
-    return out
-
-
 def series_to_csv(series: BogoliubovSeries) -> str:
-    """Serialize a whole series as ``component,m,n,re,im`` lines (1-based m, n):
+    """Serialize a series as ``component,m,n,re,im`` lines (1-based m, n):
     the channel file that the CLI's ``--channel`` reads with
     :func:`series_from_csv`."""
-    series._require_whole("series_to_csv")
     lines = ["component,m,n,re,im"]
     for n, g in enumerate(series.G, start=1):
         lines.append(f"g,{n},{n},{float(g.real)!r},{float(g.imag)!r}")

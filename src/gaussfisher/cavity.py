@@ -319,13 +319,13 @@ def compose_one_segment(overlaps: OverlapSeries, u):
 
     ``u`` is one duration, which gives one channel, or a one-dimensional
     grid, which gives a stack of channels along a leading axis. A whole
-    ``overlaps`` gives the whole :class:`BogoliubovSeries`; the exact
-    coefficients on a few output ``rows`` give the arrays
-    ``(G, alpha1, alpha2, beta1, beta2)`` of those rows, in ``rows`` order,
-    with the second orders on the block ``rows x rows``. The exact composition is
-    ``B_out = B_in^-1 o phases o B_in`` with ``B_in`` the overlap channel;
-    expanding ``B_in`` to second order gives, with ``G = mode_phases(u)``
-    and real overlap coefficients,
+    ``overlaps`` at one duration gives the whole :class:`BogoliubovSeries`,
+    which is one channel; the exact coefficients on a few output ``rows``
+    give the arrays ``(G, alpha1, alpha2, beta1, beta2)`` of those rows, in
+    ``rows`` order, with the second orders on the block ``rows x rows``.
+    The exact composition is ``B_out = B_in^-1 o phases o B_in`` with
+    ``B_in`` the overlap channel; expanding ``B_in`` to second order gives,
+    with ``G = mode_phases(u)`` and real overlap coefficients,
 
         alpha1_ij = oa1_ij (G_i - G_j)
         beta1_ij  = ob1_ij (G_i - conj(G_j))

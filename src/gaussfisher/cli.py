@@ -93,7 +93,10 @@ def read_config(path: str) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{ln}: unknown key {key!r}")
-            values[key] = CONFIG_KEYS[key](value)
+            try:
+                values[key] = CONFIG_KEYS[key](value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: key {key!r}: {exc}") from None
     return values
 
 

@@ -1,19 +1,19 @@
 """Quantum Fisher information for Gaussian states under a parametrized
 Bogoliubov channel.
 
-Two routes are provided and cross-validated, both taking the channel and a
-list of probes, each a ``(modes, state)`` pair of the probed modes and the
-probe state on those modes:
+Two routes are provided and cross-validated, both taking a list of probes,
+one result per probe, in order:
 
-* an exact oracle, :func:`qfi_oracle` on the family :func:`probe_family`:
-  symmetric finite differences of the Uhlmann fidelity,
-  Richardson-extrapolated in the step size;
+* an exact oracle, :func:`qfi_oracle` on the family :func:`probe_family`
+  of the whole series and its ``(modes, state)`` probes, the probed modes
+  and the probe state on those modes: symmetric finite differences of the
+  Uhlmann fidelity, Richardson-extrapolated in the step size;
 * the perturbative route :func:`qfi_perturbative` at leading order in the
-  channel parameter, split into a first-moment part ``E2`` and a covariance
-  part ``C2`` with ``H = 4 (E2 + C2)``, both read off the order-by-order
-  reduced covariance (trace form), one kernel pass per probed mode set on
-  its :class:`ReducedChannel`, the only part of the channel it reads; the
-  oracle reads the whole series.
+  channel parameter, on ``(reduced, state)`` probes, where ``reduced`` is
+  the :class:`ReducedChannel` of the probed modes, the only part of the
+  channel it reads: a first-moment part ``E2`` and a covariance part
+  ``C2``, with ``H = 4 (E2 + C2)``, both read off the covariance orders
+  :meth:`ReducedChannel.covariance_orders` gives (trace form).
 
 Probe families are data: a named family is a row of :data:`FAMILIES`, and
 its probe just a :class:`GaussianState` from :func:`probe_state` plus its
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .bogoliubov import BogoliubovSeries, ReducedChannel, covariance_series
+from .bogoliubov import BogoliubovSeries, ReducedChannel
 from .fidelity import fidelity_one_mode, fidelity_two_mode
 from .states import GaussianState, quadrature_indices, symplectic_form
 
@@ -246,46 +246,34 @@ def probe_state(family: str, r: float, delta: float) -> GaussianState:
     return GaussianState(np.zeros(4), np.block([[diagonal, cross], [cross, diagonal]]))
 
 
-def qfi_perturbative(reduced, probes) -> list[QfiResult]:
+def qfi_perturbative(probes) -> list[QfiResult]:
     """Leading-order QFI of each pure Gaussian probe, one :class:`QfiResult`
-    per ``(modes, state)`` entry of ``probes``, in order.
+    per ``(reduced, state)`` entry of ``probes``, in order.
 
-    Each ``state`` lives on its ``modes`` (all other modes vacuum). From its
-    covariance orders, ``E2 = mean1^T (2 sigma0)^-1 mean1`` and ``C2`` is the
-    trace form :func:`c2_from_orders`. The trace form holds for pure probes
-    only, so a mixed ``state`` (``|det Sigma - 1| > 1e-9``) is refused.
-
-    ``reduced`` maps a mode tuple to its :class:`ReducedChannel`, as a
-    series' :meth:`BogoliubovSeries.reduced` does, or the ``__getitem__`` of
-    the mapping a provider's ``reduced`` returns; that channel is all the
-    kernel and its residual read. A stack gives results of arrays with the
-    stack's shape. The probes are grouped by mode set, and each set is
-    looked up once, for one :func:`covariance_series` call for all its
-    probes, whose results share its truncation residual, each in a copy of
-    its own.
+    ``reduced`` is the :class:`ReducedChannel` of the probed modes, such as
+    ``series.reduced(modes)``, and all the kernel and its residual read of
+    the channel; ``state`` lives on those modes (all other modes vacuum).
+    From its covariance orders, ``E2 = mean1^T (2 sigma0)^-1 mean1`` and
+    ``C2`` is the trace form :func:`c2_from_orders`. The trace form holds for
+    pure probes only, so a mixed ``state`` (``|det Sigma - 1| > 1e-9``) is
+    refused. A reduced stack gives results of arrays with the stack's shape,
+    and each result holds a copy of its own of the truncation residual.
     """
-    groups = {}
-    for modes, state in probes:
+    results = []
+    for reduced, state in probes:
         det = float(np.linalg.det(state.covariance))
         if abs(det - 1.0) > 1e-9:
             raise ValueError(f"perturbative QFI needs a pure probe state, got det Sigma = {det!r}")
-        groups.setdefault(tuple(modes), []).append(state)
-    results = {}
-    for modes, states in groups.items():
-        channel = reduced(modes)
-        terms = []
-        for orders in covariance_series(channel, states):
-            solved = np.linalg.solve(2.0 * orders.sigma0, orders.mean1[..., None])[..., 0]
-            e2 = np.sum(orders.mean1 * solved, axis=-1)
-            c2 = c2_from_orders(orders.sigma0, orders.sigma1, orders.sigma2)
-            for name, term in (("e2", e2), ("c2", c2)):
-                bad = np.asarray(term)[~np.isfinite(term)]
-                if bad.size:
-                    raise ValueError(f"perturbative {name}={float(bad.flat[0])!r} is not finite")
-            terms.append((e2, c2))
-        residual = channel.residual.copy()
-        results[modes] = iter([QfiResult(4.0 * (e2 + c2), e2, c2, "perturbative", residual) for e2, c2 in terms])
-    return [next(results[tuple(modes)]) for modes, _ in probes]
+        sigma0, sigma1, sigma2, mean1 = reduced.covariance_orders(state)
+        solved = np.linalg.solve(2.0 * sigma0, mean1[..., None])[..., 0]
+        e2 = np.sum(mean1 * solved, axis=-1)
+        c2 = c2_from_orders(sigma0, sigma1, sigma2)
+        for name, term in (("e2", e2), ("c2", c2)):
+            bad = np.asarray(term)[~np.isfinite(term)]
+            if bad.size:
+                raise ValueError(f"perturbative {name}={float(bad.flat[0])!r} is not finite")
+        results.append(QfiResult(4.0 * (e2 + c2), e2, c2, "perturbative", reduced.residual.copy()))
+    return results
 
 
 @_one_blas_thread()

@@ -9,7 +9,9 @@ The engines read a channel only through its provider's ``n_max``,
 ``check_modes``, ``orders``, ``reduced``, ``oracle_points`` and ``checks``:
 :class:`CavityChannel` for the moving cavity, whose grid holds durations,
 or :class:`ImportedChannel` for a given series, whose grid holds values of
-its parameter.
+its parameter. ``orders`` gives one whole channel, and ``reduced`` what
+each probed mode set reads of the channel at every grid point; the
+perturbative kernel takes ``(reduced channel, state)`` pairs of those.
 """
 
 from __future__ import annotations
@@ -91,10 +93,9 @@ class CavityChannel:
                 f"mode ladder; probing it needs --nmax {2 * edge} or more"
             )
 
-    def orders(self, grid=None) -> BogoliubovSeries:
-        """The whole series at the channel's duration, or at each duration of
-        ``grid`` as a stack."""
-        return compose_one_segment(taylor_overlaps(self.n_max), self.u if grid is None else grid)
+    def orders(self) -> BogoliubovSeries:
+        """The whole series at the channel's duration."""
+        return compose_one_segment(taylor_overlaps(self.n_max), self.u)
 
     def reduced(self, grid, mode_sets):
         """``{modes: ReducedChannel}`` for each mode tuple of ``mode_sets``,
@@ -135,7 +136,7 @@ class CavityChannel:
         res = [identity_residual(*series.evaluate(h), modes, modes) for h in hs]
         slope = float(np.polyfit(np.log(hs), np.log(res), 1)[0])
         # periodicity in the duration parameter, from the same overlap series
-        shifted = self.orders(self.u + 1.0)
+        shifted = compose_one_segment(taylor_overlaps(self.n_max), self.u + 1.0)
         drift = max(np.max(np.abs(shifted.alpha1 - series.alpha1)),
                     np.max(np.abs(shifted.beta2 - series.beta2)))
         # dual-path agreement at the channel's point: the composed series is a
@@ -168,8 +169,8 @@ class ImportedChannel:
         a truncated ladder."""
         quadrature_indices(modes, self.n_max)
 
-    def orders(self, grid=None) -> BogoliubovSeries:
-        """The one series, whatever the grid: its columns repeat down it."""
+    def orders(self) -> BogoliubovSeries:
+        """The one series: a sweep's columns repeat down its grid."""
         return self.series
 
     def reduced(self, grid, mode_sets):
@@ -192,7 +193,8 @@ class ImportedChannel:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """What to sweep: probe families on two modes, a grid, and an energy rule.
+    """What to sweep: distinct probe families on two modes, a grid, and an
+    energy rule.
 
     The probe parameters come either from the energy budget ``(x, photons)``
     (squeezing fraction ``x``, mean photon number per probe mode) or directly
@@ -217,9 +219,11 @@ class SweepSpec:
             raise ValueError("sweep grid must not be empty")
         if not self.families:
             raise ValueError("at least one state family must be requested")
-        for fam in self.families:
+        for i, fam in enumerate(self.families):
             if fam not in FAMILIES:
                 raise ValueError(f"unknown state family {fam!r}")
+            if fam in self.families[:i]:
+                raise ValueError(f"state family {fam!r} is requested more than once")
         for method in self.methods:
             if method not in ("perturbative", "oracle"):
                 raise ValueError(f"unknown method {method!r}")
@@ -279,14 +283,14 @@ def run_sweep(spec: SweepSpec, channel) -> list[SweepRow]:
     The perturbative columns come from one pass over the whole grid: one
     ``channel.reduced`` call gives the reduced channel of each probed mode
     set and of ``(k, k')``, whose ``|beta1_kk'|`` is the negativity, for the
-    whole grid, and the kernel runs once per mode set on them, for every
-    family probing it. Without the perturbative method only ``(k, k')`` is
-    reduced. The cavity builds them as a stack over the grid; an imported
-    series does not depend on the grid value, so its columns are evaluated
-    once and repeat down the grid. The oracle reads the channel's family
-    and theta at each grid point, and one oracle call there covers every
-    family, on steps of ``|theta|`` over 10, 30 and 100; a theta of 0 is
-    refused.
+    whole grid, and one kernel call takes each family's state with the
+    reduced channel of its modes. Without the perturbative method only
+    ``(k, k')`` is reduced. The cavity builds them as a stack over the
+    grid; an imported series does not depend on the grid value, so its
+    columns are evaluated once and repeat down the grid. The oracle reads
+    the channel's family and theta at each grid point, and one oracle call
+    there covers every family, on steps of ``|theta|`` over 10, 30 and 100;
+    a theta of 0 is refused.
 
     Rows are ordered by grid index, then family order, regardless of how the
     work is executed; identical specs and channels give identical output.
@@ -308,7 +312,7 @@ def run_sweep(spec: SweepSpec, channel) -> list[SweepRow]:
     perturbative = [[(None,) * 4] * len(grid)] * len(probes)
     if "perturbative" in spec.methods:
         perturbative = [list(zip(*map(down_the_grid, (res.value, res.e2, res.c2, res.residual))))
-                        for res in qfi_perturbative(reduced.__getitem__, pairs)]
+                        for res in qfi_perturbative([(reduced[modes], state) for modes, state in pairs])]
 
     points = channel.oracle_points(grid, pairs) if "oracle" in spec.methods else [None] * len(grid)
     rows = []
@@ -385,7 +389,7 @@ def compare_methods(spec: SweepSpec, channel, h_ladder=(0.02, 0.04, 0.08)) -> Co
     probes = spec.probes()  # refuses a probe it cannot build before the channel is read
     series = channel.orders()
     pairs = [(modes, state) for *_, state, modes in probes]
-    perts = [result.value for result in qfi_perturbative(series.reduced, pairs)]
+    perts = [result.value for result in qfi_perturbative([(series.reduced(modes), state) for modes, state in pairs])]
     states_at = probe_family(series, pairs)
     # one oracle call per rung, read by every family
     rungs = [qfi_oracle(states_at, float(h), steps=(h / 5.0, h / 15.0, h / 45.0)) for h in h_ladder]

@@ -6,7 +6,7 @@ from scipy.linalg import expm, expm_frechet
 
 from gaussfisher import cavity, sweeps
 from gaussfisher.cavity import compose_one_segment, mode_phases, perturbative_overlaps, rindler_overlaps
-from gaussfisher.bogoliubov import BogoliubovSeries, CovarianceSeries, _assemble
+from gaussfisher.bogoliubov import BogoliubovSeries, _assemble
 from gaussfisher.fidelity import FidelityError, fidelity_one_mode, fidelity_two_mode
 from gaussfisher.qfi import qfi_perturbative
 from gaussfisher.states import GaussianState, quadrature_indices, symplectic_form
@@ -225,8 +225,9 @@ def exact_qfi(series, modes, state, theta):
     return float(cov_part + 2.0 * dmu @ np.linalg.solve(sigma, dmu))
 
 
-def full_covariance_series(series, modes, input_state):
-    """Reference covariance orders from the full ``2n x 2n`` products.
+def full_covariance_orders(series, modes, input_state):
+    """Reference covariance orders ``(sigma0, sigma1, sigma2, mean1)`` from
+    the full ``2n x 2n`` products.
 
     Embeds the probe in the vacuum of all other modes, forms
     ``S_i Sigma_in S_j^T`` with the whole symplectic orders and reduces to the
@@ -240,7 +241,7 @@ def full_covariance_series(series, modes, input_state):
     def red(m):
         return m[np.ix_(idx, idx)]
 
-    return CovarianceSeries(
+    return (
         red(s0 @ sigma_in @ s0.T),
         red(s1 @ sigma_in @ s0.T + s0 @ sigma_in @ s1.T),
         red(s2 @ sigma_in @ s0.T + s0 @ sigma_in @ s2.T + s1 @ sigma_in @ s1.T),
@@ -306,11 +307,12 @@ def compose_one_segment_reference(overlaps, u: float) -> BogoliubovSeries:
 
 
 def compose_rows_reference(overlaps, u, rows=None) -> BogoliubovSeries:
-    """Reference stacked composition from whole ``n x n`` overlap matrices:
+    """Reference composition from whole ``n x n`` overlap matrices:
     :func:`gaussfisher.cavity.compose_one_segment` as it was before it read
     rows-only coefficients, every block sliced off the full matrices. On
     ``rows`` it gives the arrays ``(G, alpha1, alpha2, beta1, beta2)`` of
-    those rows, as the composition of rows-only coefficients does."""
+    those rows, stacked over a grid ``u``, as the composition of rows-only
+    coefficients does; without, the whole series at one duration."""
     u = np.asarray(u, dtype=float)
     n = overlaps.n_max
     r = slice(None) if rows is None else quadrature_indices(rows, n)[::2] // 2
@@ -404,7 +406,7 @@ def reference_sweep(spec, overlaps) -> list:
         series = compose_one_segment_reference(overlaps, float(u))
         negativity = abs(series.beta1[k - 1, k_prime - 1])
         for family, _, _, state, modes in spec.probes():
-            (result,) = qfi_perturbative(series.reduced, [(modes, state)])
+            (result,) = qfi_perturbative([(series.reduced(modes), state)])
             residual = max(f_sums(series, modes, modes).tail, full_unitarity_residuals(series, modes)[1])
             rows.append((float(u), family, result.value, result.e2, result.c2, residual, negativity))
     return rows
@@ -445,9 +447,9 @@ class RecordingChannel:
     def check_modes(self, modes):
         return self.inner.check_modes(modes)
 
-    def orders(self, *args):
-        self.calls.append(("orders", args))
-        return self.inner.orders(*args)
+    def orders(self):
+        self.calls.append(("orders", ()))
+        return self.inner.orders()
 
     def reduced(self, grid, mode_sets):
         self.calls.append(("reduced", (grid, mode_sets)))

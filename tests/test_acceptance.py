@@ -168,7 +168,7 @@ def test_criterion_3_dual_path_agreement(overlap_series_10):
         ("two_mode_squeezed", (1, 2)),
     ):
         state = probe_state(family_name, 1.0, 0.0)
-        (pert,) = qfi_perturbative(series.reduced, [(modes, state)])
+        (pert,) = qfi_perturbative([(series.reduced(modes), state)])
         fam = probe_family(series, [(modes, state)])
         devs = []
         for h in ladder:
@@ -191,7 +191,7 @@ def test_criterion_4_vacuum_limit_identities(cavity_series_u03):
     # formula level: exact channels satisfy the identities to machine precision
     series = synthetic_unitary_series(6, np.random.default_rng(40), zero_diagonal=True)
     k, kp = 1, 3
-    h1 = qfi_perturbative(series.reduced, [((k,), probe_state(SINGLE, 0.0, 0.0))])[0].value
+    h1 = qfi_perturbative([(series.reduced((k,)), probe_state(SINGLE, 0.0, 0.0))])[0].value
     gap_h1 = abs(h1 - 8.0 * float(f_sums(series, (k,), (k,)).f_beta[0]))
     sums = f_sums(series, (k, kp), (k, kp))
     rhs = (
@@ -199,23 +199,23 @@ def test_criterion_4_vacuum_limit_identities(cavity_series_u03):
         + 8.0 * float(sums.f_beta[1])
         + 4.0 * negativity_first_order(series.reduced((k, kp))) ** 2
     )
-    h2 = qfi_perturbative(series.reduced, [((k, kp), probe_state(PRODUCT, 0.0, 0.0))])[0].value
-    h3 = qfi_perturbative(series.reduced, [((k, kp), probe_state(TMS, 0.0, 0.0))])[0].value
+    h2 = qfi_perturbative([(series.reduced((k, kp)), probe_state(PRODUCT, 0.0, 0.0))])[0].value
+    h3 = qfi_perturbative([(series.reduced((k, kp)), probe_state(TMS, 0.0, 0.0))])[0].value
     gap_h2 = max(abs(h2 - rhs), abs(h3 - rhs), abs(h2 - h3))
     # displacement terms vanish identically at delta = 0
     e_zero = max(
-        abs(qfi_perturbative(series.reduced, [((k,), probe_state(SINGLE, 0.9, 0.0))])[0].e2),
-        abs(qfi_perturbative(series.reduced, [((k, kp), probe_state(PRODUCT, 0.9, 0.0))])[0].e2),
+        abs(qfi_perturbative([(series.reduced((k,)), probe_state(SINGLE, 0.9, 0.0))])[0].e2),
+        abs(qfi_perturbative([(series.reduced((k, kp)), probe_state(PRODUCT, 0.9, 0.0))])[0].e2),
     )
     # the cavity channel has no single-mode displacement response at all
     e_cavity = max(
-        abs(qfi_perturbative(cavity_series_u03.reduced, [((1,), probe_state(SINGLE, r, delta))])[0].e2)
+        abs(qfi_perturbative([(cavity_series_u03.reduced((1,)), probe_state(SINGLE, r, delta))])[0].e2)
         for r in (0.0, 0.7, 1.4)
         for delta in (0.0, 0.8, 2.0)
     )
     # on the truncated cavity ladder the same identities hold within the
     # spectator tail beyond n_max (measured ~1e-6 absolute at n_max = 10)
-    cav_h1 = qfi_perturbative(cavity_series_u03.reduced, [((1,), probe_state(SINGLE, 0.0, 0.0))])[0].value
+    cav_h1 = qfi_perturbative([(cavity_series_u03.reduced((1,)), probe_state(SINGLE, 0.0, 0.0))])[0].value
     cav_gap = abs(cav_h1 - 8.0 * float(f_sums(cavity_series_u03, (1,), (1,)).f_beta[0]))
     ok = gap_h1 <= 1e-12 and gap_h2 <= 1e-12 and e_zero == 0.0 and e_cavity <= 1e-16 and cav_gap <= 5e-5
     report(
@@ -238,14 +238,14 @@ def test_criterion_5_specialization_chain():
         psi = np.diag([np.exp(r), np.exp(-r)])
         s0, s1, s2 = sigma_orders_from_blocks(series, 1, 3, psi, psi, np.zeros((2, 2)))
         block = c2_from_orders(s0, s1, s2)
-        master = qfi_perturbative(series.reduced, [((1, 3), probe_state(PRODUCT, r, 0.0))])[0].c2
+        master = qfi_perturbative([(series.reduced((1, 3)), probe_state(PRODUCT, r, 0.0))])[0].c2
         worst_product = max(worst_product, abs(block - master) / max(1.0, abs(master)))
         ch, sh = np.cosh(r), np.sinh(r)
         s0, s1, s2 = sigma_orders_from_blocks(
             series, 1, 3, ch * np.eye(2), ch * np.eye(2), np.diag([sh, -sh])
         )
         block = 4.0 * c2_from_orders(s0, s1, s2)
-        master = qfi_perturbative(series.reduced, [((1, 3), probe_state(TMS, r, 0.0))])[0].value
+        master = qfi_perturbative([(series.reduced((1, 3)), probe_state(TMS, r, 0.0))])[0].value
         worst_tms = max(worst_tms, abs(block - master) / max(1.0, abs(master)))
     ok = worst_product <= 1e-9 and worst_tms <= 1e-9
     report(
@@ -297,8 +297,8 @@ def test_criterion_7_product_vs_single_minimum_periodicity(deep_sweep, overlap_s
     state = probe_state(PRODUCT, r2, 0.0)
     drift = 0.0
     for u in (0.1, 0.3, 0.5, 0.7, 0.9):
-        a = qfi_perturbative(compose_one_segment(overlap_series_60, u).reduced, [((1, 2), state)])[0].value
-        b = qfi_perturbative(compose_one_segment(overlap_series_60, u + 1.0).reduced, [((1, 2), state)])[0].value
+        a = qfi_perturbative([(compose_one_segment(overlap_series_60, u).reduced((1, 2)), state)])[0].value
+        b = qfi_perturbative([(compose_one_segment(overlap_series_60, u + 1.0).reduced((1, 2)), state)])[0].value
         drift = max(drift, abs(a - b))
     per_ok = drift <= 1e-9
     elapsed = time.monotonic() - start
@@ -367,7 +367,7 @@ def test_criterion_8_energy_split_features():
         values = []
         for x in (0.0, 0.25, 0.5, 0.75, 1.0):
             r, d = energy_matched_params("two_product_squeezed_displaced", 1.0, 1, 2, x=x)
-            values.append(qfi_perturbative(series.reduced, [((1, 2), probe_state(PRODUCT, r, d))])[0].value)
+            values.append(qfi_perturbative([(series.reduced((1, 2)), probe_state(PRODUCT, r, d))])[0].value)
         if values[-1] > 1e-6:
             monotone = all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
             orderings.append((u, monotone, [round(v, 6) for v in values]))

@@ -1,8 +1,9 @@
 """The perturbative sweep evaluates the whole grid in one pass: one
 composition of the probed block rows stacked over the grid, reduced per
-probed mode set, then one kernel call per set, for every family on it. It must give what composing and evaluating each
-duration on its own gives (``conftest.reference_sweep``), and every check of
-the per-duration kernel must still hold on each entry of a stack."""
+probed mode set, then one kernel call for every family. It must give what
+composing and evaluating each duration on its own gives
+(``conftest.reference_sweep``), and every check of the per-duration kernel
+must still hold on each entry of a stack."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import compose_one_segment_reference, reference_sweep, synthetic_unitary_series
-from gaussfisher import qfi, sweeps
+from gaussfisher import sweeps
 from gaussfisher.bogoliubov import BogoliubovSeries, _reduce, series_to_csv
 from gaussfisher.cavity import compose_one_segment, taylor_overlaps
 from gaussfisher.cli import main
@@ -61,8 +62,6 @@ def test_batched_sweep_matches_per_u_reference(n_max, above_one, more, photons, 
 
 def test_whole_channel_is_the_one_u_all_rows_composition(overlap_series_10):
     grid = (0.0, 0.137, 0.5, 1.0, 1.37)
-    stack = compose_one_segment(overlap_series_10, grid)
-    assert stack.G.shape == (len(grid), 10) and stack.alpha2.shape == (len(grid), 10, 10)
     rows = (2, 10, 5)
     _, *probed = compose_one_segment(taylor_overlaps(10, rows), grid)
     pick = np.array(rows) - 1
@@ -72,7 +71,6 @@ def test_whole_channel_is_the_one_u_all_rows_composition(overlap_series_10):
         assert whole.G.shape == (10,)
         for name in ("alpha1", "alpha2", "beta1", "beta2"):
             assert np.max(np.abs(getattr(whole, name) - getattr(ref, name))) <= 1e-15
-            assert np.array_equal(getattr(stack, name)[i], getattr(whole, name))
         # first orders on the block rows, second orders on the block rows x rows,
         # of the exact coefficients' whole channel
         whole = compose_one_segment(taylor_overlaps(10), u)
@@ -153,45 +151,37 @@ def test_composition_refuses_bad_durations(overlap_series_10):
         CavityChannel(n_max=10).reduced((0.1,), [(1, 11)])
 
 
-def stacked(series_list, rows=None):
-    """One stack from several whole channels, or on some rows the arrays
-    ``(G, alpha1, alpha2, beta1, beta2)`` of their block rows of the first
-    orders and block rows x rows of the second."""
-    pick = slice(None) if rows is None else np.array(rows) - 1
-    fields = {name: np.stack([getattr(s, name)[pick] for s in series_list]) for name in ("alpha1", "beta1")}
-    fields |= {name: np.stack([getattr(s, name)[pick][:, pick] for s in series_list]) for name in ("alpha2", "beta2")}
-    arrays = (np.stack([s.G[pick] for s in series_list]), *(fields[name] for name in ("alpha1", "alpha2", "beta1", "beta2")))
-    return BogoliubovSeries(*arrays) if rows is None else arrays
-
-
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_kernel_on_a_stack_is_the_kernel_on_each_entry(family):
     channels = [synthetic_unitary_series(7, np.random.default_rng(seed), strength=0.3) for seed in range(4)]
     state = probe_state(family, 0.7, 0.0 if family == "two_mode_squeezed" else 0.9)
     modes = (7, 2)[: state.n_modes]
-    # the probed rows and one the kernel does not read, unsorted
+    # the probed rows and one the kernel does not read, unsorted: the first
+    # orders on the rows, the second orders on the block rows x rows
     rows = modes + (4,)
-    (result,) = qfi_perturbative(lambda modes: _reduce(*stacked(channels, rows), modes, rows), [(modes, state)])
+    pick = np.array(rows) - 1
+    block = np.ix_(pick, pick)
+    arrays = [np.stack([c.G[pick] for c in channels])]
+    arrays += [np.stack([getattr(c, name)[block if name.endswith("2") else pick] for c in channels])
+               for name in ("alpha1", "alpha2", "beta1", "beta2")]
+    (result,) = qfi_perturbative([(_reduce(*arrays, modes, rows), state)])
     assert result.value.shape == (4,)
-    first, second = stacked(channels).unitarity_residuals(modes)
     for i, channel in enumerate(channels):
-        (one,) = qfi_perturbative(channel.reduced, [(modes, state)])
+        (one,) = qfi_perturbative([(channel.reduced(modes), state)])
         for name in ("value", "e2", "c2", "residual"):
             assert close(getattr(result, name)[i], getattr(one, name), REL * max(1.0, abs(getattr(one, name))))
-        assert np.allclose((first[i], second[i]), channel.unitarity_residuals(modes), rtol=REL, atol=REL)
 
 
-def test_a_stack_refuses_what_needs_one_whole_channel(overlap_series_10):
-    stack = compose_one_segment(overlap_series_10, (0.2, 0.3))
-    for call in (lambda s: s.evaluate(0.05), lambda s: s.symplectic_orders(), series_to_csv):
-        with pytest.raises(ValueError, match="needs one whole channel"):
-            call(stack)
+def test_a_series_is_one_channel(overlap_series_10):
+    # a whole series composed on a grid would be a stack: refused
+    with pytest.raises(ValueError, match=r"^G must have shape \(n_max,\), not \(2, 10\): a series is one channel$"):
+        compose_one_segment(overlap_series_10, (0.2, 0.3))
     # the probed rows are all the kernel reads, the residual's spectator tail included
     state = probe_state("two_mode_squeezed", 0.5, 0.0)
     rows = compose_one_segment(taylor_overlaps(10, (1, 2)), 0.2)
-    (got,) = qfi_perturbative(lambda modes: _reduce(*rows, modes, (1, 2)), [((1, 2), state)])
+    (got,) = qfi_perturbative([(_reduce(*rows, (1, 2), (1, 2)), state)])
     whole = compose_one_segment(taylor_overlaps(10), 0.2)
-    (want,) = qfi_perturbative(whole.reduced, [((1, 2), state)])
+    (want,) = qfi_perturbative([(whole.reduced((1, 2)), state)])
     for name in ("value", "e2", "c2", "residual"):
         assert close(getattr(got, name), getattr(want, name), REL * max(1.0, abs(getattr(want, name)))), name
     with pytest.raises(ValueError, match="alpha1 must have shape"):
@@ -215,7 +205,7 @@ def test_checks_hold_on_every_stack_entry():
 @pytest.fixture
 def counted(monkeypatch):
     # the names benchmarks/tracer.py wraps, so its per-layer spans see these calls
-    calls = {"compose": 0, "qfi": 0, "kernel": 0}
+    calls = {"compose": 0, "qfi": 0}
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
@@ -225,21 +215,20 @@ def counted(monkeypatch):
 
     monkeypatch.setattr(sweeps, "compose_one_segment", counting("compose", sweeps.compose_one_segment))
     monkeypatch.setattr(sweeps, "qfi_perturbative", counting("qfi", sweeps.qfi_perturbative))
-    monkeypatch.setattr(qfi, "covariance_series", counting("kernel", qfi.covariance_series))
     return calls
 
 
-def test_cavity_sweep_composes_once_and_calls_the_kernel_once_per_mode_set(tmp_path, counted):
+def test_cavity_sweep_composes_once_and_calls_the_kernel_once(tmp_path, counted):
     argv = ["sweep", "--nmax", "8", "--grid", "0:1.2:0.05", "--out", str(tmp_path / "out.csv")]
     assert main(argv) == 0
-    # one call for every probe; the single-mode probe on (1,), both two-mode probes on (1, 2)
-    assert counted == {"compose": 1, "qfi": 1, "kernel": 2}
+    # one kernel call for every probe, on the whole grid
+    assert counted == {"compose": 1, "qfi": 1}
     assert len((tmp_path / "out.csv").read_text().splitlines()) == 1 + 25 * len(FAMILIES)
 
 
-def test_imported_channel_sweep_calls_the_kernel_once_per_mode_set(tmp_path, counted):
+def test_imported_channel_sweep_calls_the_kernel_once(tmp_path, counted):
     path = tmp_path / "channel.csv"
     path.write_text(series_to_csv(synthetic_unitary_series(6, np.random.default_rng(5), strength=0.2)), encoding="utf-8")
     argv = ["sweep", "--channel", str(path), "--grid", "0.01:0.2:0.01", "--out", str(tmp_path / "out.csv")]
     assert main(argv) == 0
-    assert counted == {"compose": 0, "qfi": 1, "kernel": 2}
+    assert counted == {"compose": 0, "qfi": 1}

@@ -14,7 +14,6 @@ from conftest import (
 from gaussfisher.bogoliubov import (
     BogoliubovSeries,
     _assemble,
-    covariance_series,
     identity_residual,
     series_from_csv,
     series_to_csv,
@@ -143,31 +142,31 @@ def test_series_requires_unit_phases():
             BogoliubovSeries(np.array([1.0, bad]), zeros, zeros, zeros, zeros)
 
 
-def test_covariance_series_zeroth_and_first(unitary_series):
+def test_covariance_orders_zeroth_and_first(unitary_series):
     n = unitary_series.n_max
     vac_in = vacuum_state(1)
     trivial = BogoliubovSeries(
         np.ones(n, dtype=complex),
         *(np.zeros((n, n), dtype=complex) for _ in range(4)),
     )
-    (orders,) = covariance_series(trivial.reduced((2,)), [vac_in])
-    assert np.allclose(orders.sigma0, np.eye(2))
-    assert np.max(np.abs(orders.sigma1)) == 0.0
-    assert np.max(np.abs(orders.sigma2)) == 0.0
+    sigma0, sigma1, sigma2, _ = trivial.reduced((2,)).covariance_orders(vac_in)
+    assert np.allclose(sigma0, np.eye(2))
+    assert np.max(np.abs(sigma1)) == 0.0
+    assert np.max(np.abs(sigma2)) == 0.0
 
     # first moments: mode k feeds through the first-order diagonal block
     k = 2
     delta = 0.7
     probe = probe_state("single_squeezed_displaced", 0.0, delta)
-    (orders,) = covariance_series(unitary_series.reduced((k,)), [probe])
+    *_, mean1 = unitary_series.reduced((k,)).covariance_orders(probe)
     w = unitary_series.alpha1[k - 1, k - 1] - unitary_series.beta1[k - 1, k - 1]
     expected = np.sqrt(2.0) * delta * np.array([w.real, -w.imag])
-    assert np.allclose(orders.mean1, expected, atol=1e-14)
+    assert np.allclose(mean1, expected, atol=1e-14)
 
 
-def test_covariance_series_matches_finite_difference(unitary_series):
+def test_covariance_orders_match_finite_difference(unitary_series):
     probe = probe_state("single_squeezed_displaced", 0.6, 0.0)
-    (orders,) = covariance_series(unitary_series.reduced((2,)), [probe])
+    sigma0, sigma1, sigma2, _ = unitary_series.reduced((2,)).covariance_orders(probe)
     full = embed_state(unitary_series.n_max, (2,), probe)
 
     def reduced(theta):
@@ -179,12 +178,12 @@ def test_covariance_series_matches_finite_difference(unitary_series):
     errs = []
     for step in (1e-2, 5e-3):
         d1 = (reduced(step) - reduced(-step)) / (2 * step)
-        errs.append(np.max(np.abs(d1 - orders.sigma1)))
+        errs.append(np.max(np.abs(d1 - sigma1)))
     assert errs[1] <= 0.3 * errs[0]  # quadratic-in-step error
     # reconstruction: sigma(theta) - partial sum is third order
     res = []
     for theta in (0.02, 0.04, 0.08):
-        partial_sum = orders.sigma0 + orders.sigma1 * theta + orders.sigma2 * theta**2
+        partial_sum = sigma0 + sigma1 * theta + sigma2 * theta**2
         res.append(np.max(np.abs(reduced(theta) - partial_sum)))
     slope = np.polyfit(np.log([0.02, 0.04, 0.08]), np.log(res), 1)[0]
     assert slope >= 2.7

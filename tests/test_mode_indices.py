@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import embed_state, synthetic_unitary_series, vacuum_state
-from gaussfisher.bogoliubov import covariance_series, identity_residual
+from gaussfisher.bogoliubov import identity_residual
 from gaussfisher.qfi import negativity_first_order, probe_family, probe_state
 from gaussfisher.states import quadrature_indices
 from gaussfisher.sweeps import ImportedChannel, SweepSpec, run_sweep, validate
@@ -21,7 +21,7 @@ ENTRY_POINTS = {
     "identity_residual cols": lambda s, modes: identity_residual(*s.evaluate(0.05), None, modes),
     "unitarity_residuals": lambda s, modes: s.unitarity_residuals(modes=modes),
     # both read the reduced channel, which takes the modes
-    "covariance_series": lambda s, modes: covariance_series(s.reduced(modes), [vacuum_state(2)])[0],
+    "covariance_orders": lambda s, modes: s.reduced(modes).covariance_orders(vacuum_state(2)),
     "negativity_first_order": lambda s, modes: negativity_first_order(s.reduced(modes)),
     "embed_state": lambda s, modes: embed_state(N_MAX, modes, vacuum_state(2)),
     "probe_family": lambda s, modes: probe_family(s, [(modes, vacuum_state(2))]),

@@ -120,3 +120,21 @@ def test_cli_output_matches_pinned_reference(tmp_path, reference):
                 assert g == w, f"line {line}, {column}: {g!r} != {w!r}"
             else:
                 assert _close(*rule, float(g), float(w)), f"line {line}, {column}: {g} vs {w}"
+
+
+#: ``validate``'s report, pinned as text: each reference is the stdout of
+#: ``gaussfisher validate`` with its argv, written at commit 05cbdb8, and its
+#: exit code (the imported channel fails its identity-residual bound)
+VALIDATE_CASES = {
+    "validate_nmax10.txt": (["validate", "--nmax", "10"], 0),
+    "validate_nmax30_modes3_1.txt": (["validate", "--nmax", "30", "--modes", "3,1"], 0),
+    "validate_channel_nmax8.txt": (["validate", "--channel", str(DATA / "channel_cavity_nmax8_u0.3.csv")], 1),
+}
+
+
+@pytest.mark.parametrize("reference", sorted(VALIDATE_CASES))
+def test_validate_output_matches_pinned_text(capsys, reference):
+    argv, code = VALIDATE_CASES[reference]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (out, err) == ((DATA / reference).read_text(encoding="utf-8"), "")

@@ -1,6 +1,6 @@
 """The probed-row perturbative kernel against full-matrix references.
 
-``covariance_series`` on a reduced channel and ``unitarity_residuals`` work
+``ReducedChannel.covariance_orders`` and ``unitarity_residuals`` work
 on the block rows of the probed modes only; the references in ``conftest``
 form the full ``2n x 2n`` (or ``n x n``) products and reduce afterwards.
 """
@@ -8,12 +8,12 @@ form the full ``2n x 2n`` (or ``n x n``) products and reduce afterwards.
 import numpy as np
 import pytest
 
-from conftest import full_covariance_series, full_unitarity_residuals, synthetic_unitary_series
-from gaussfisher import qfi, sweeps
-from gaussfisher.bogoliubov import BogoliubovSeries, _reduce, covariance_series
+from conftest import full_covariance_orders, full_unitarity_residuals, synthetic_unitary_series
+from gaussfisher import sweeps
+from gaussfisher.bogoliubov import BogoliubovSeries, _reduce
 from gaussfisher.cavity import compose_one_segment, taylor_overlaps
 from gaussfisher.qfi import probe_state, qfi_perturbative
-from gaussfisher.sweeps import FAMILIES, CavityChannel, SweepSpec, compare_methods, run_sweep
+from gaussfisher.sweeps import FAMILIES, CavityChannel, SweepSpec, run_sweep
 
 MODE_SETS = ((1,), (1, 3), (4, 1), (2, 5))
 TOL = 1e-13
@@ -26,10 +26,9 @@ def families_for(modes):
 
 
 def assert_orders_agree(series, modes, state):
-    (fast,) = covariance_series(series.reduced(modes), [state])
-    ref = full_covariance_series(series, modes, state)
-    for name in ("sigma0", "sigma1", "sigma2", "mean1"):
-        a, b = getattr(fast, name), getattr(ref, name)
+    fast = series.reduced(modes).covariance_orders(state)
+    ref = full_covariance_orders(series, modes, state)
+    for name, a, b in zip(("sigma0", "sigma1", "sigma2", "mean1"), fast, ref, strict=True):
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) <= TOL * max(1.0, np.max(np.abs(b))), name
 
@@ -67,11 +66,11 @@ def test_row_restricted_stack_orders_match_full_products(modes):
     stack = compose_one_segment(taylor_overlaps(10, rows), grid)
     for family in families_for(modes):
         state = probe_state(family, 0.5, 0.0 if family == "two_mode_squeezed" else 1.1)
-        (fast,) = covariance_series(_reduce(*stack, modes, rows), [state])
+        fast = _reduce(*stack, modes, rows).covariance_orders(state)
         for i, u in enumerate(grid):
-            ref = full_covariance_series(compose_one_segment(taylor_overlaps(10), u), modes, state)
-            for name in ("sigma0", "sigma1", "sigma2", "mean1"):
-                a, b = getattr(fast, name)[i], getattr(ref, name)
+            ref = full_covariance_orders(compose_one_segment(taylor_overlaps(10), u), modes, state)
+            for name, a, b in zip(("sigma0", "sigma1", "sigma2", "mean1"), fast, ref, strict=True):
+                a = a[i]
                 assert a.shape == b.shape
                 assert np.max(np.abs(a - b)) <= TOL * max(1.0, np.max(np.abs(b))), (name, u)
 
@@ -104,7 +103,7 @@ def test_perturbative_route_builds_no_full_matrix(monkeypatch, synthetic, cavity
         for family in FAMILIES:
             delta = 0.0 if family == "two_mode_squeezed" else 0.8
             state = probe_state(family, 0.6, delta)
-            (result,) = qfi_perturbative(series.reduced, [((1, 2)[: state.n_modes], state)])
+            (result,) = qfi_perturbative([(series.reduced((1, 2)[: state.n_modes]), state)])
             assert np.isfinite(result.value) and result.value >= 0.0
 
 
@@ -127,51 +126,26 @@ def test_residual_shared_between_families_on_same_modes(monkeypatch):
     assert two_mode[0].residual_perturbative == two_mode[1].residual_perturbative
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """``(modes, number of states)`` of each covariance-orders call the kernel
-    makes, through the name that benchmarks/tracer.py wraps."""
-    calls = []
-    original = qfi.covariance_series
-
-    def counted(reduced, states):
-        calls.append((reduced.modes, len(states)))
-        return original(reduced, states)
-
-    monkeypatch.setattr(qfi, "covariance_series", counted)
-    return calls
-
-
-def test_blocks_assembled_once_per_mode_set(kernel_calls):
-    spec = SweepSpec(grid=(0.2, 0.4), r=1.0, delta=0.0)
-    run_sweep(spec, CavityChannel())
-    compare_methods(spec, CavityChannel())
-    # S1 S1^T and the assembled blocks: once on (1,), once on (1, 2) for two states
-    assert sorted(kernel_calls) == [((1,), 1), ((1,), 1), ((1, 2), 2), ((1, 2), 2)]
-
-
 @pytest.mark.parametrize("modes", [(1, 2), (4, 1)])
 def test_states_sharing_modes_give_the_bits_of_one_call_each(modes, synthetic):
     stack = CavityChannel(n_max=12).reduced((0.0, 0.3, 0.71), [modes])
     states = [probe_state("two_product_squeezed_displaced", 0.6, 0.8), probe_state("two_mode_squeezed", 1.1, 0.0),
               probe_state("two_product_squeezed_displaced", -0.3, 2.0)]
-    for reduced in (stack.__getitem__, synthetic.reduced):
-        shared = qfi_perturbative(reduced, [(modes, state) for state in states])
+    for reduced in (stack[modes], synthetic.reduced(modes)):
+        shared = qfi_perturbative([(reduced, state) for state in states])
         for state, got in zip(states, shared):
-            (want,) = qfi_perturbative(reduced, [(modes, state)])
+            (want,) = qfi_perturbative([(reduced, state)])
             for name in ("value", "e2", "c2", "residual"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
-def test_results_follow_probe_order_across_mode_sets(kernel_calls):
-    stack = CavityChannel(n_max=12).reduced((0.0, 0.3, 0.71), [(1, 2), (1,)]).__getitem__
-    probes = [((1, 2), probe_state("two_product_squeezed_displaced", 0.6, 0.8)),
-              ((1,), probe_state("single_squeezed_displaced", -0.4, 1.5)),
-              ((1, 2), probe_state("two_mode_squeezed", 1.1, 0.0))]
-    together = qfi_perturbative(stack, probes)
-    # one kernel pass per mode set, in the order the sets first appear
-    assert kernel_calls == [((1, 2), 2), ((1,), 1)]
-    alone = [qfi_perturbative(stack, [probe])[0] for probe in probes]
+def test_results_follow_probe_order_across_mode_sets():
+    stack = CavityChannel(n_max=12).reduced((0.0, 0.3, 0.71), [(1, 2), (1,)])
+    probes = [(stack[1, 2], probe_state("two_product_squeezed_displaced", 0.6, 0.8)),
+              (stack[1,], probe_state("single_squeezed_displaced", -0.4, 1.5)),
+              (stack[1, 2], probe_state("two_mode_squeezed", 1.1, 0.0))]
+    together = qfi_perturbative(probes)
+    alone = [qfi_perturbative([probe])[0] for probe in probes]
     assert len(together) == len(probes)
     for got, want in zip(together, alone):
         for name in ("value", "e2", "c2", "residual"):

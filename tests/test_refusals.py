@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_unitary_series, vacuum_state
-from gaussfisher.bogoliubov import covariance_series
 from gaussfisher.cli import main
 from gaussfisher.fidelity import FidelityError, fidelity_two_mode
 from gaussfisher.qfi import probe_family, qfi_oracle
@@ -17,6 +16,12 @@ from gaussfisher.qfi import probe_family, qfi_oracle
     [
         # the word after --config is the file's content, after --channel the channel file's
         (["sweep", "--config", "nmax 10"], "{config}:1: expected 'key = value', got 'nmax 10\\n'"),
+        # a value that does not parse names its file, line and key
+        (["sweep", "--config", "n_max = abc"], "{config}:1: key 'n_max': invalid literal for int() with base 10: 'abc'"),
+        (["compare", "--config", "h = 0.1\nr = one"], "{config}:2: key 'r': could not convert string to float: 'one'"),
+        # a repeated family would write its rows, and compare its slope rows, twice
+        *(([verb, "--nmax", "10", "--state", "two_mode_squeezed", "--state", "two_mode_squeezed"],
+           "state family 'two_mode_squeezed' is requested more than once") for verb in ("sweep", "compare")),
         (["sweep", "--modes", "1,2,3"], "--modes expects 'k,k_prime'"),
         (["sweep", "--methods", ","], "at least one method must be requested"),
         (["sweep", "--channel", "component,m,n,re,im"], "channel file has no coefficient rows"),
@@ -45,10 +50,10 @@ def test_cli_refuses_in_one_line(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
-def test_covariance_series_refuses_a_state_of_the_wrong_size():
+def test_covariance_orders_refuse_a_state_of_the_wrong_size():
     series = synthetic_unitary_series(4, np.random.default_rng(2))
     with pytest.raises(ValueError, match="^input state must live on the probed modes$"):
-        covariance_series(series.reduced((1, 2)), [vacuum_state(1)])
+        series.reduced((1, 2)).covariance_orders(vacuum_state(1))
 
 
 def test_two_mode_fidelity_refuses_one_mode_input():

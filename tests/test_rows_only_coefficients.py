@@ -74,9 +74,9 @@ def test_rows_only_composition_is_the_whole_matrix_composition(n_max, rows):
 
 def test_whole_series_composition_keeps_its_bits(overlap_series_10):
     """The fitted series, which the oracle composes, is not antisymmetric:
-    it is read whole, as before, at one duration and on a grid."""
+    it is read whole, as before, at each duration."""
     assert not np.array_equal(overlap_series_10.alpha1, -overlap_series_10.alpha1.T)
-    for u in (0.3, (0.0, 0.137, 0.5)):
+    for u in (0.3, 0.0, 0.137, 0.5):
         for overlaps in (overlap_series_10, taylor_overlaps(10)):
             got, want = compose_one_segment(overlaps, u), compose_rows_reference(overlaps, u)
             for name in ("G",) + NAMES:

@@ -39,7 +39,7 @@ def reference_run_sweep(spec, channel) -> list[tuple]:
     empty = [[(None,) * 4] * len(grid) for _ in probes]
     perturbative = empty
     if "perturbative" in spec.methods:
-        results = [qfi_perturbative(reduced.__getitem__, [(modes, state)])[0] for *_, state, modes in probes]
+        results = [qfi_perturbative([(reduced[modes], state)])[0] for *_, state, modes in probes]
         perturbative = [list(zip(*(down_the_grid(v) for v in (res.value, res.e2, res.c2, res.residual))))
                         for res in results]
     oracle = [[(None, None)] * len(probes) for _ in grid]
@@ -68,7 +68,7 @@ def reference_compare_methods(spec, channel, h_ladder=(0.02, 0.04, 0.08)) -> Com
     rungs = [qfi_oracle(family, float(h), steps=(h / 5.0, h / 15.0, h / 45.0)) for h in h_ladder]
     rows, slopes = [], {}
     for j, (name, _, _, state, modes) in enumerate(probes):
-        pert = qfi_perturbative(series.reduced, [(modes, state)])[0].value
+        pert = qfi_perturbative([(series.reduced(modes), state)])[0].value
         devs = []
         for h, rung in zip(h_ladder, rungs):
             orc = rung[j].value
@@ -80,7 +80,8 @@ def reference_compare_methods(spec, channel, h_ladder=(0.02, 0.04, 0.08)) -> Com
 
 ARGVS = {
     "default": ["sweep", "--nmax", "60"],
-    "duplicated_family": ["sweep", "--nmax", "60", "--state", "two_mode_squeezed", "--state", "two_mode_squeezed"],
+    "families_reordered": ["sweep", "--nmax", "60", "--state", "two_mode_squeezed",
+                           "--state", "single_squeezed_displaced"],
     "single_mode_alone": ["sweep", "--nmax", "60", "--state", "single_squeezed_displaced"],
     "modes_reversed": ["sweep", "--nmax", "60", "--modes", "2,1"],
     "negative_zero": ["sweep", "--nmax", "60", "--grid=-0.0,0.3"],
