@@ -79,28 +79,16 @@ def identity_residual(alpha: np.ndarray, beta: np.ndarray, rows=None, cols=None)
     return float(np.max(np.abs(defect)))
 
 
-#: most values a store of :func:`_keep` holds by default: fitted overlap series,
-#: at most 4 x 135^2 x 8 B = 0.58 MB each, as the fit holds only up to n_max 135
-KEPT_ENTRIES = 8
-
-
-def _keep(store: dict, key, build, limit: int = KEPT_ENTRIES):
-    """``store[key]``, or else ``build()``, kept there read-only: the one way
-    a process keeps values between calls. A miss drops the oldest entries
-    until fewer than ``limit`` remain before it builds, so a build that raises
-    keeps nothing and a ``limit`` of 1 never holds two values. It freezes an
-    array or a tuple of them; other values freeze their own arrays. Like the
-    oracle's BLAS setting, it is not meant for concurrent threads."""
-    if key in store:
-        return store[key]
-    while len(store) >= limit:
-        del store[next(iter(store))]
-    value = build()
-    for arr in value if isinstance(value, tuple) else (value,):
-        if isinstance(arr, np.ndarray):
-            arr.setflags(write=False)
-    store[key] = value
-    return value
+def _keep(store: dict, key, build):
+    """``store[key]``, or else ``build()``, kept there as the store's one
+    value: the one way a process keeps values between calls. A miss empties
+    the store before it builds, so a build that raises keeps nothing and no
+    two values are alive at once. Each kept value freezes its own arrays.
+    Like the oracle's BLAS setting, it is not meant for concurrent threads."""
+    if key not in store:
+        store.clear()
+        store[key] = build()
+    return store[key]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ The channel is assembled from first principles in three steps:
    :func:`perturbative_overlaps` fits the same coefficients to the
    quadrature over a ladder of small ``h`` values, and the oracle still
    completes that fitted series, read from or written to an ``.npz`` cache,
-   or without one fitted once per process and kept in memory;
+   or without one fitted in the process, which keeps the last one built;
 3. :func:`compose_one_segment` chains "enter the accelerated frame, accrue
    mode phases for a proper duration, return to the inertial frame" into a
    single series in ``h``: the whole channel, or, stacked over a grid of
@@ -56,10 +56,6 @@ class RindlerOverlaps:
     alpha: np.ndarray
     beta: np.ndarray
     quad_order: int
-
-    @property
-    def n_max(self) -> int:
-        return self.alpha.shape[0]
 
 
 @dataclass(frozen=True)
@@ -438,15 +434,17 @@ def load_overlaps_csv(path: str, n_max: int) -> OverlapSeries:
     return OverlapSeries(*(arrays[name] for name in SERIES_ARRAYS), residual)
 
 
-#: the fitted series kept per process without a cache directory, by n_max
+#: the fitted series kept per process without a cache directory: the one
+#: last built, keyed on its n_max
 _fitted = {}
 
 
 def load_or_compute_overlap_series(n_max: int, cache_dir: str | None = None) -> OverlapSeries:
     """Overlap series, read from ``cache_dir`` when its file exists and
-    computed (then written there) otherwise. Without ``cache_dir`` it is
-    fitted once per process and ``n_max``, at the BLAS threading of that
-    first build, and kept by :func:`bogoliubov._keep`."""
+    computed (then written there) otherwise. Without ``cache_dir`` the
+    process keeps the series it fitted last, at the BLAS threading of that
+    build, by :func:`bogoliubov._keep`: a call at the same ``n_max`` builds
+    nothing, and a call at another drops it before fitting its own."""
     if cache_dir is None:
         return _keep(_fitted, n_max, lambda: perturbative_overlaps(n_max))
     path = series_cache_file(cache_dir, n_max)

@@ -32,11 +32,12 @@ inputs give byte-identical files at a fixed BLAS build. The oracle runs on
 one BLAS thread, so its columns, ``compare`` and ``validate`` do not depend
 on the thread count; the fitted overlap series, which ``overlaps`` writes
 and the ``sweep`` oracle completes, is built at the environment's count and
-can differ in its last bits. Between calls a process keeps, by the one rule
-of :func:`bogoliubov._keep`, the fitted series without ``--cache`` (per
-``n_max``, at the BLAS threading of its first build) and the reduced
-channels :meth:`CavityChannel.reduced` built last, one per probed mode set,
-so a later call with the same key builds nothing and gives the same bytes.
+can differ in its last bits. Between calls a process keeps one value per
+store, by the one rule of :func:`bogoliubov._keep`: the fitted series it
+built last without ``--cache`` (at the BLAS threading of that build), and
+the reduced channels :meth:`CavityChannel.reduced` built last, one per
+probed mode set, so a later call with the same key builds nothing and
+gives the same bytes.
 ``ELEMENT_BUDGET`` bounds what a verb composes.
 """
 

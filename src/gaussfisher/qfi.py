@@ -29,6 +29,7 @@ import ctypes
 import functools
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,7 +118,7 @@ class QfiResult:
     ``method="oracle"`` the split is not available (NaN) and ``residual`` is
     the extrapolation error estimate. The numbers are floats for one channel
     and arrays of the stack's shape for a stack of channels; every entry is
-    checked.
+    checked, and the value must be finite.
     """
 
     value: float | np.ndarray
@@ -133,6 +134,10 @@ class QfiResult:
             v = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, float(v) if v.ndim == 0 else v)
         value = np.asarray(self.value)
+        # a NaN compares false below, so it is refused by name first
+        bad = value[~np.isfinite(value)]
+        if bad.size:
+            raise ValueError(f"QFI value {float(bad.flat[0])!r} is not finite")
         # a truncated channel can push a vanishing QFI slightly negative, but
         # never beyond its own truncation residual scale
         residual = np.asarray(self.residual)
@@ -301,7 +306,7 @@ def probe_family(series: BogoliubovSeries, probes):
     moves ``qfi_oracle`` by up to 1.7e-2 relative at ``n_max`` 60, where its
     residual is 3.1e-6. Each ``state`` lives on its ``modes`` and every
     other mode is vacuum, so the embedded state is physical because the
-    probe is.
+    probe is. A theta whose square overflows a float is refused by name.
     """
     dim = 2 * series.n_max
     probed = [(quadrature_indices(modes, series.n_max), state) for modes, state in probes]
@@ -323,7 +328,11 @@ def probe_family(series: BogoliubovSeries, probes):
     def family(thetas) -> list[list[tuple[np.ndarray, np.ndarray]]]:
         generators = np.empty((len(thetas), dim, dim))
         for generator, t in zip(generators, thetas):
-            generator[...] = t * k1 + t**2 * k2
+            try:
+                generator[...] = t * k1 + t**2 * k2
+            except OverflowError:
+                raise ValueError(f"oracle theta={float(t)!r} is out of range: its square overflows a float, "
+                                 "so the family's second-order generator cannot be formed") from None
         flows = expm(generators)
         # the probes' full-size moments are formed once the generator stack is
         # freed, so that the peak memory holds only two stacks
@@ -362,13 +371,17 @@ def qfi_oracle(family, theta: float, steps=(1e-2, 1e-3, 1e-4)) -> list[QfiResult
     is the difference of the last two extrapolants. The smallest step
     carries the extrapolant, so a fidelity below 1/2 there is refused by
     name: no step is then a second difference, and the extrapolant is a
-    number of the steps alone.
+    number of the steps alone. So is a smallest step whose ``(2d)^2``
+    underflows below the smallest normal float, before ``family`` is called.
     """
     steps = tuple(float(s) for s in steps)
     if not steps or any(s <= 0.0 for s in steps):
         raise ValueError("steps must be positive")
     if any(b >= a for a, b in zip(steps, steps[1:])):
         raise ValueError("steps must decrease")
+    if 2.0 * steps[-1] < math.sqrt(sys.float_info.min):
+        raise ValueError(f"oracle step d={steps[-1]!r} at theta={float(theta)!r} is too small: (2d)^2 underflows "
+                         "below the smallest normal float, so the finite difference divides by roundoff")
     base, *shifted = family([theta] + [t for d in steps for t in (theta - d, theta + d)])
 
     # Families built from truncated series can be marginally unphysical (a

@@ -103,8 +103,8 @@ class CavityChannel:
         composed once, on those rows alone, and each set reduced from that
         stack, which is then dropped. The process keeps the mapping it built
         last, keyed on ``n_max``, the grid's bits and the mode sets, by
-        :func:`bogoliubov._keep` with a bound of one, so a sweep that
-        repeats a channel at other probes builds nothing."""
+        :func:`bogoliubov._keep`, so a sweep that repeats a channel at other
+        probes builds nothing."""
         u = np.asarray(grid, dtype=float)
         mode_sets = tuple(map(tuple, mode_sets))
 
@@ -114,7 +114,7 @@ class CavityChannel:
             return types.MappingProxyType({modes: _reduce(*composed, modes, rows) for modes in mode_sets})
 
         # the grid by its bits: -0.0 == 0.0 with equal hashes, yet they print apart
-        return _keep(_composed, (self.n_max, u.shape, u.tobytes(), mode_sets), build, limit=1)
+        return _keep(_composed, (self.n_max, u.shape, u.tobytes(), mode_sets), build)
 
     def oracle_points(self, grid, probes):
         """``(family, h)`` at each duration of ``grid``: the oracle's family

@@ -1,9 +1,9 @@
 """What a process keeps between calls follows one rule, ``bogoliubov._keep``,
-in each of its two stores: the fitted overlap series by ``n_max``, and the
-reduced channels ``CavityChannel.reduced`` built last. A hit returns the
-kept value, a miss drops the oldest value before it builds, a refused build
-keeps nothing, kept arrays are read-only, and no store holds more values
-than its bound."""
+in each of its two stores: the fitted overlap series built last, by
+``n_max``, and the reduced channels ``CavityChannel.reduced`` built last. A
+hit returns the kept value, a miss drops the kept value before it builds, a
+refused build keeps nothing, kept arrays are read-only, and no store holds
+two values."""
 
 import gc
 import weakref
@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from gaussfisher import bogoliubov, cavity, sweeps
+from gaussfisher import cavity, sweeps
 from gaussfisher.cavity import taylor_overlaps
 from gaussfisher.sweeps import CavityChannel
 
@@ -22,11 +22,12 @@ from gaussfisher.sweeps import CavityChannel
 @dataclass
 class Store:
     """A store reached through the call that reads it: ``get(i)`` is the
-    value under its ``i``-th key. Each build records its key in ``builds``,
-    runs ``during_build``, and raises when its key is in ``refuse``."""
+    value under its ``i``-th key, and ``kept`` the store itself. Each build
+    records its key in ``builds``, runs ``during_build``, and raises when its
+    key is in ``refuse``."""
 
     reach: Callable = None
-    limit: int = 0
+    kept: dict = None
     builds: list = field(default_factory=list)
     during_build: list = field(default_factory=list)
     refuse: set = field(default_factory=set)
@@ -47,19 +48,19 @@ class Store:
 def fitted_series(store, monkeypatch):
     # the exact coefficients stand in for the fit: the same type, at a fraction of its cost
     monkeypatch.setattr(cavity, "perturbative_overlaps", lambda n_max: store.build() or taylor_overlaps(n_max))
-    return lambda i: cavity.load_or_compute_overlap_series(i + 1), bogoliubov.KEPT_ENTRIES
+    return lambda i: cavity.load_or_compute_overlap_series(i + 1), cavity._fitted
 
 
 def reduced_channels(store, monkeypatch):
     real = sweeps.taylor_overlaps
     monkeypatch.setattr(sweeps, "taylor_overlaps", lambda n_max, rows: store.build() or real(n_max, rows))
-    return lambda i: CavityChannel(n_max=4).reduced((0.1 * i, 0.5), [(1, 2), (2,)]), 1
+    return lambda i: CavityChannel(n_max=4).reduced((0.1 * i, 0.5), [(1, 2), (2,)]), sweeps._composed
 
 
 @pytest.fixture(params=[fitted_series, reduced_channels], ids=lambda reach: reach.__name__)
 def store(request, monkeypatch):
     store = Store()
-    store.reach, store.limit = request.param(store, monkeypatch)
+    store.reach, store.kept = request.param(store, monkeypatch)
     return store
 
 
@@ -70,9 +71,8 @@ def parts(value) -> list:
 
 
 def ref(value):
-    """A weak reference to ``value``'s first part, or to its first array when
-    it is a tuple."""
-    return weakref.ref(value[0] if isinstance(value, tuple) else parts(value)[0])
+    """A weak reference to ``value``'s first part."""
+    return weakref.ref(parts(value)[0])
 
 
 def test_a_hit_returns_the_kept_value(store):
@@ -81,17 +81,17 @@ def test_a_hit_returns_the_kept_value(store):
     assert store.builds == [0]
 
 
-def test_a_miss_drops_the_oldest_value_before_it_builds(store):
-    refs = [ref(store.get(i)) for i in range(store.limit)]
+def test_a_miss_drops_the_kept_value_before_it_builds(store):
+    kept = ref(store.get(0))
     alive_while_building = []
 
     def alive():
         gc.collect()
-        alive_while_building.append([r() is not None for r in refs])
+        alive_while_building.append(kept() is not None)
 
     store.during_build.append(alive)
-    store.get(store.limit)
-    assert alive_while_building == [[False] + [True] * (store.limit - 1)]
+    store.get(1)
+    assert alive_while_building == [False]
 
 
 def test_a_refused_build_keeps_nothing(store):
@@ -107,19 +107,18 @@ def test_a_refused_build_keeps_nothing(store):
 
 def test_kept_arrays_are_read_only(store):
     value = store.get(0)
-    arrays = value if isinstance(value, tuple) else [
-        v for part in parts(value) for v in vars(part).values() if isinstance(v, np.ndarray)]
+    arrays = [v for part in parts(value) for v in vars(part).values() if isinstance(v, np.ndarray)]
     assert len(arrays) >= 2
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
 
 
-def test_the_bound_holds(store):
-    refs = [ref(store.get(i)) for i in range(store.limit + 2)]
+def test_the_store_holds_one_value(store):
+    refs = [ref(store.get(i)) for i in range(3)]
     gc.collect()
-    assert [r() is not None for r in refs] == [False] * 2 + [True] * store.limit
+    assert [r() is not None for r in refs] == [False, False, True]
+    assert len(store.kept) == 1
     built = len(store.builds)
-    for i in range(2, store.limit + 2):
-        store.get(i)
+    store.get(2)
     assert len(store.builds) == built

@@ -76,6 +76,15 @@ def test_qfi_result_validation():
     assert ok.value == 4.0 * (ok.e2 + ok.c2)
 
 
+def test_qfi_result_refuses_a_value_that_is_not_finite():
+    # NaN compares false against the negative floor, so it needs its own refusal
+    for value in (math.nan, math.inf, np.array([0.3, math.nan])):
+        with pytest.raises(ValueError, match="^QFI value (nan|inf) is not finite$"):
+            QfiResult(value, math.nan, math.nan, "oracle", 1e-6)
+    # the oracle's NaN split and a one-step ladder's infinite residual stay allowed
+    assert QfiResult(0.3, math.nan, math.nan, "oracle", math.inf).residual == math.inf
+
+
 def test_f_sums_examples():
     series = null_series(4)
     sums = f_sums(series, (1, 2), (1, 2))

@@ -7,8 +7,8 @@ import pytest
 
 from conftest import synthetic_unitary_series, vacuum_state
 from gaussfisher.cli import main
-from gaussfisher.fidelity import FidelityError, fidelity_two_mode
-from gaussfisher.qfi import probe_family, qfi_oracle
+from gaussfisher.fidelity import FidelityError, fidelity_one_mode, fidelity_two_mode
+from gaussfisher.qfi import negativity_first_order, probe_family, qfi_oracle
 
 
 @pytest.mark.parametrize(
@@ -65,3 +65,21 @@ def test_oracle_refuses_a_three_mode_family():
     family = probe_family(synthetic_unitary_series(4, np.random.default_rng(2)), [((1, 2, 3), vacuum_state(3))])
     with pytest.raises(ValueError, match="^oracle supports one- and two-mode families only$"):
         qfi_oracle(family, 0.05)
+
+
+def test_the_negativity_refuses_a_one_mode_reduced_channel():
+    series = synthetic_unitary_series(4, np.random.default_rng(2))
+    with pytest.raises(ValueError, match=r"^the negativity needs two probed modes, not \(1,\)$"):
+        negativity_first_order(series.reduced((1,)))
+
+
+def test_the_fidelity_refuses_a_covariance_that_is_not_symmetric():
+    # det(sigma + i Omega) = -0.5 i: no real determinant
+    with pytest.raises(FidelityError, match="^determinant expected real, got imaginary part -5.000e-01$"):
+        fidelity_one_mode(np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2))
+
+
+def test_the_fidelity_refuses_an_unphysical_covariance():
+    # diag(0.5, 0.5) lies below the vacuum: det(sigma + i Omega) = -0.75, so Lambda < 0
+    with pytest.raises(FidelityError, match="^negative radicand in Lambda: -5.625e-01$"):
+        fidelity_one_mode(np.diag([0.5, 0.5]), 2.0 * np.eye(2))
