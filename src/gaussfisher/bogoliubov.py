@@ -14,8 +14,8 @@ of modes; truncating the mode ladder at ``n_max`` turns the identities into
 measured residuals. :class:`BogoliubovSeries` holds one whole channel to
 second order in its parameter. What a probe on a few modes reads of it is
 one :class:`ReducedChannel`, the single- or two-mode Gaussian channel those
-modes see, which :func:`_reduce` alone builds, from a whole series or from
-the rows of a few output modes stacked over a grid;
+modes see, which :func:`_reduce` alone builds from the output rows its
+arrays are on: every mode of a whole series, or a few stacked over a grid;
 :meth:`ReducedChannel.covariance_orders` reads the covariance orders of a
 probe state off it.
 """
@@ -134,7 +134,7 @@ class BogoliubovSeries:
 
     def reduced(self, modes) -> ReducedChannel:
         """What a probe on the 1-based ``modes`` reads of the channel."""
-        return _reduce(self.G, self.alpha1, self.alpha2, self.beta1, self.beta2, modes)
+        return _reduce(self.G, self.alpha1, self.alpha2, self.beta1, self.beta2, modes, range(1, self.n_max + 1))
 
     def evaluate(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
         """Read-only coefficient matrices ``(alpha, beta)`` at a finite
@@ -261,23 +261,23 @@ class ReducedChannel:
         return sigma0, sigma1, sigma2, s1_p @ state.first_moments
 
 
-def _reduce(g, alpha1, alpha2, beta1, beta2, modes, rows=None) -> ReducedChannel:
+def _reduce(g, alpha1, alpha2, beta1, beta2, modes, rows) -> ReducedChannel:
     """The :class:`ReducedChannel` of the 1-based ``modes``: the one reducer.
 
-    The channel, or a stack, is given on the output ``rows`` (``None`` for
-    every mode) by their phases, first orders and second-order block
-    ``rows x rows``, in ``rows`` order; only the probed rows are read, as a
-    view when they run consecutively. The truncation residual is the larger
-    of the second-order identity defect on the probed window and the
-    spectator tail: the probed rows' largest term in the highest
-    spectator's column, the last that the sums of ``S1 S1^T`` keep. It is
-    formed before ``S1``, so that their temporaries are never alive together.
+    The channel, or a stack, is given on the output ``rows`` (a whole one on
+    ``range(1, n_max + 1)``) by their phases, first orders and second-order
+    block ``rows x rows``, in ``rows`` order; only the probed rows are read,
+    as a view when they run consecutively. The truncation residual is the
+    larger of the second-order identity defect on the probed window and the
+    spectator tail: the probed rows' largest term in the highest spectator's
+    column, the last that the sums of ``S1 S1^T`` keep. It is formed before
+    ``S1``, so that their temporaries are never alive together.
     """
     modes = tuple(modes)
     n = alpha1.shape[-1]
     idx = quadrature_indices(modes, n)
     cols = idx[::2] // 2
-    pos = cols if rows is None else np.array([rows.index(k) for k in modes])
+    pos = np.array([rows.index(k) for k in modes])
     if pos.size and np.array_equal(pos, np.arange(pos[0], pos[0] + pos.size)):
         pos = slice(pos[0], pos[0] + pos.size)
     a1, b1 = alpha1[..., pos, :], beta1[..., pos, :]

@@ -67,12 +67,10 @@ class OverlapSeries:
     per-entry RMS misfit of the polynomial regression, and 0 for the exact
     coefficients of :func:`taylor_overlaps`.
 
-    A whole series stores ``(n_max, n_max)`` matrices, rows ``m`` and
-    columns ``n``. With ``rows`` (1-based, distinct modes) it stores only
-    what :func:`compose_one_segment` reads for those output modes: the
-    first orders on their rows, ``(len(rows), n_max)``, and the second
-    orders on the block ``rows x rows``, both in ``rows`` order. The
-    matrices are read-only.
+    The read-only matrices hold what :func:`compose_one_segment` reads for
+    the output ``rows`` (1-based, distinct; ``None``, a whole series, for
+    every mode): the first orders on the rows ``m`` and every column ``n``,
+    and the second orders on the block ``rows x rows``, in ``rows`` order.
     """
 
     alpha1: np.ndarray
@@ -244,25 +242,18 @@ def taylor_overlaps(n_max: int, rows=None) -> OverlapSeries:
     orders for odd. There is no quadrature, no fit (``fit_residual`` is 0)
     and no bound on ``n_max``.
 
-    ``rows`` (1-based output modes) evaluates the same expressions only on
-    what a probe on those modes reads, ``O(len(rows) n_max)`` entries: the
-    first orders on the rows ``m`` in ``rows`` and the second orders on
-    ``rows x rows``, each entry bit for bit the whole series' own. ``None``
-    gives the whole ``n_max x n_max`` series.
+    They are evaluated on the 1-based output ``rows`` a probe reads: the
+    first orders on ``rows x`` every mode, the second orders on ``rows x
+    rows``, in ``rows`` order. ``None`` is every mode, the whole series.
     """
     idx = np.arange(1, n_max + 1, dtype=float)
-    if rows is not None:
-        rows = tuple(rows)
-        quadrature_indices(rows, n_max)
-    m = idx[:, None] if rows is None else np.asarray(rows, dtype=float)[:, None]
-    n = idx[None, :]
-    odd, root, gap, gap2, span, span2 = _taylor_factors(m, n)
+    rows = None if rows is None else tuple(rows)
+    m = (idx if rows is None else idx[quadrature_indices(rows, n_max)[::2] // 2])[:, None]
+    odd, root, gap, gap2, span, span2 = _taylor_factors(m, idx[None, :])
     alpha1 = np.where(odd, 2.0 * root * gap2 * gap, 0.0)
     beta1 = np.where(odd, 2.0 * root * span2 * span, 0.0)
-    if rows is not None:
-        # the second orders on the block rows x rows
-        n = m.T
-        odd, root, gap, gap2, span, span2 = _taylor_factors(m, n)
+    n = m.T
+    odd, root, gap, gap2, span, span2 = _taylor_factors(m, n)
     alpha2 = np.where(odd, 0.0, root * (m + 2.0 * n) * gap2 * gap2)
     np.fill_diagonal(alpha2, -((np.pi * n[0]) ** 2) / 240.0)
     beta2 = np.where(odd, 0.0, root * (2.0 * n - m) * span2 * span2)
@@ -333,7 +324,10 @@ def compose_one_segment(overlaps: OverlapSeries, u):
     for ``i, j`` in the rows. Each ``sum_k`` is one ``(U r, n) @ (n, r)``
     product for ``U`` durations and ``r`` rows, so a whole grid costs four
     such products, ``O(U r^2 n)``, and the second orders never span all
-    ``n`` columns unless the rows are every mode.
+    ``n`` columns unless the rows are every mode. The sums read the columns
+    ``oa1_ki``, ``ob1_ki`` of the rows, which the exact coefficients give
+    from their rows, bit for bit, by the symmetry of ``oa1`` and ``ob1``;
+    only a fitted series needs its whole matrices read as columns.
 
     The relative signs follow from exact inversion of the truncated overlap
     channel; they are fixed by requiring the composed series to satisfy the
@@ -348,11 +342,8 @@ def compose_one_segment(overlaps: OverlapSeries, u):
         raise ValueError("u must be non-negative")
     n, rows = overlaps.n_max, overlaps.rows
     oa1, ob1, oa2, ob2 = overlaps.alpha1, overlaps.beta1, overlaps.alpha2, overlaps.beta2
-    # a whole series gives the columns block of the first orders as it is (a
-    # fitted series has no symmetry); the exact coefficients on the rows
-    # alone give it as their oa1 is antisymmetric and ob1 symmetric, bit for
-    # bit. 0 - x keeps the zeros +0.0, as they are in the whole matrix, where
-    # a negation would flip the sign of the zero sums that read them
+    # 0 - x keeps the zeros +0.0, as they are in the whole matrix, where a
+    # negation would flip the sign of the zero sums that read them
     r, oa1_cols, ob1_cols = (slice(None), oa1, ob1) if rows is None else (
         quadrature_indices(rows, n)[::2] // 2, 0.0 - oa1.T, ob1.T)
     g = mode_phases(n, u)

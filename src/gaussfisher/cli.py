@@ -17,11 +17,11 @@ keys, and the class holds every default. :func:`channel_from` is the one
 place that picks the channel provider: an imported ``--channel``, or the
 :class:`CavityChannel` of ``--h``, ``--u``, ``--nmax`` and ``--cache``,
 which builds its overlap series only when an engine first reads the
-channel, after the engine's own refusals, and reads or writes the cache
-only for the oracle. With an imported channel the ``CAVITY_FLAGS``, which
-only shape the cavity channel, are refused with their config keys, and the
-probed modes are checked by the provider. Everything is dimensionless in
-``(h, u)``, so no cavity length is asked for.
+channel, after the engine's own refusals (the probed modes among them,
+checked once by the provider's ``check_modes``), and reads or writes the
+cache only for the oracle. With an imported channel the ``CAVITY_FLAGS``,
+which only shape the cavity channel, are refused with their config keys.
+Everything is dimensionless in ``(h, u)``, so no cavity length is asked for.
 
 The parser is built once per process, on the first :func:`main` call, and
 each call parses with its own shallow copy of it: a caller that runs many
@@ -241,12 +241,11 @@ def channel_from(args, config: dict):
     config key gave, and the channel provider.
 
     Every refusal of the channel's input comes here: ``CAVITY_FLAGS`` and
-    their config keys with an imported ``--channel``, the file, the cavity's
-    ``h``, ``u`` and ``n_max``, and the modes by the provider's
-    ``check_modes`` (not for ``overlaps``, which probes none). Nothing here
-    reads or writes the cache: a :class:`CavityChannel` does that when the
-    oracle or ``overlaps`` first reads its fitted series, after the
-    engine's own refusals.
+    their config keys with an imported ``--channel``, the file, and the
+    cavity's ``h``, ``u`` and ``n_max``; the engine checks the probed modes.
+    Nothing here reads or writes the cache: a :class:`CavityChannel` does
+    that when the oracle or ``overlaps`` first reads its fitted series,
+    after the engine's own refusals.
     """
     imported = None
     if getattr(args, "channel", None) is not None:
@@ -260,13 +259,9 @@ def channel_from(args, config: dict):
         with open(args.channel, encoding="utf-8") as fh:
             imported = ImportedChannel(series_from_csv(fh.read()))
     probe = given(args, config, SweepSpec)
-    modes = probe.get("modes", SweepSpec.modes)
     # checked with an imported channel too, so a config h or u it reads no more stays valid
     cavity = CavityChannel(**given(args, config, CavityChannel), cache=getattr(args, "cache", None))
-    channel = cavity if imported is None else imported
-    if args.command != "overlaps":  # the one verb that probes no modes
-        channel.check_modes(modes)
-    return probe, channel
+    return probe, cavity if imported is None else imported
 
 
 def emit(text: str, out_path: str | None) -> None:

@@ -306,7 +306,7 @@ def probe_family(series: BogoliubovSeries, probes):
     moves ``qfi_oracle`` by up to 1.7e-2 relative at ``n_max`` 60, where its
     residual is 3.1e-6. Each ``state`` lives on its ``modes`` and every
     other mode is vacuum, so the embedded state is physical because the
-    probe is. A theta whose square overflows a float is refused by name.
+    probe is. A theta whose square or flow is not finite is refused by name.
     """
     dim = 2 * series.n_max
     probed = [(quadrature_indices(modes, series.n_max), state) for modes, state in probes]
@@ -333,7 +333,12 @@ def probe_family(series: BogoliubovSeries, probes):
             except OverflowError:
                 raise ValueError(f"oracle theta={float(t)!r} is out of range: its square overflows a float, "
                                  "so the family's second-order generator cannot be formed") from None
-        flows = expm(generators)
+        with np.errstate(over="ignore", invalid="ignore"):
+            flows = expm(generators)
+        for flow, t in zip(flows, thetas):
+            if not np.all(np.isfinite(flow)):
+                raise ValueError(f"oracle theta={float(t)!r} is out of range: "
+                                 "its flow exp(theta K1 + theta^2 K2) is not finite")
         # the probes' full-size moments are formed once the generator stack is
         # freed, so that the peak memory holds only two stacks
         del generators

@@ -328,9 +328,7 @@ def run_sweep(spec: SweepSpec, channel) -> list[SweepRow]:
             oracle = [(res.value, res.residual) for res in results]
         for (family, r, delta, _, _), columns, (orc, res_o) in zip(probes, perturbative, oracle):
             pert, e2, c2, res_p = columns[i]
-            trunc = math.nan if res_p is None else res_p
-            if res_o is not None and math.isnan(trunc):
-                trunc = res_o
+            trunc = res_o if res_p is None else res_p
             rows.append(SweepRow(g, family, r, delta, pert, e2, c2, res_p, orc, res_o, negativity[i], trunc))
     return rows
 

@@ -1,7 +1,7 @@
 """A refused input ends in one ``error:`` line on stderr, exit 2 and nothing
 on stdout: never a traceback, a numpy warning or a partial CSV. The first
-four argvs are inputs at the edge of the float range that the oracle once
-answered with a traceback or with NaN cells."""
+four argvs and the last two are inputs at the edge of the float range that
+the oracle once answered with a traceback, NaN cells or LAPACK's message."""
 
 import re
 from pathlib import Path
@@ -31,6 +31,11 @@ CHANNEL = str(Path(__file__).resolve().parent / "data" / "channel_cavity_nmax8_u
         (["compare", "--nmax", "10", "--ladder", "0.02,0.02"], "compare needs at least two distinct h values"),
         (["sweep", "--nmax", "10", "--modes", "3,6"], "mode 6 lies above n_max/2 = 5"),
         (["sweep", "--nmax", "10", "--r", "6"], "squeezing r=6.0 is out of range"),
+        # the flow expm gave was not finite, and the noise floor's eigvalsh ended in LAPACK's message
+        (["compare", "--nmax", "10", "--ladder", "1e100,1e101"],
+         "oracle theta=1e+100 is out of range: its flow exp(theta K1 + theta^2 K2) is not finite"),
+        (["sweep", "--channel", CHANNEL, "--grid", "1e100", "--methods", "oracle"],
+         "oracle theta=1e+100 is out of range: its flow"),
     ],
 )
 def test_a_refusal_prints_one_error_line_and_nothing_else(capsys, argv, message):

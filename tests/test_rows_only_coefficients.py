@@ -22,13 +22,15 @@ import numpy as np
 import pytest
 
 from conftest import compose_rows_reference
-from gaussfisher.bogoliubov import _reduce
+from gaussfisher.bogoliubov import BogoliubovSeries, _reduce
 from gaussfisher.cavity import compose_one_segment, taylor_overlaps
 from gaussfisher.sweeps import CavityChannel, SweepSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 ROW_SETS = ((1, 2), (2, 1), (3,), (2, 5))
 NAMES = ("alpha1", "alpha2", "beta1", "beta2")
+#: a row set that stands for every mode, ``range(1, n_max + 1)``
+EVERY = "every mode"
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -37,8 +39,9 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 @pytest.mark.parametrize("n_max", [2, 3, 10, 61, 1000])
-@pytest.mark.parametrize("rows", ROW_SETS)
+@pytest.mark.parametrize("rows", ROW_SETS + (EVERY,))
 def test_rows_only_coefficients_are_the_whole_series_blocks(n_max, rows):
+    rows = tuple(range(1, n_max + 1)) if rows == EVERY else rows
     if max(rows) > n_max:
         with pytest.raises(ValueError):
             taylor_overlaps(n_max, rows)
@@ -70,6 +73,26 @@ def test_rows_only_composition_is_the_whole_matrix_composition(n_max, rows):
     channel = CavityChannel(n_max=n_max).reduced(grid, [list(rows)])[rows]
     for name, value in vars(fresh).items():
         assert same_bits(np.asarray(getattr(channel, name)), np.asarray(value)), name
+
+
+@pytest.mark.parametrize("n_max", [3, 10, 60, 211])
+def test_the_whole_exact_channel_is_the_rows_of_every_mode(n_max):
+    """The whole exact series is the rows ``range(1, n_max + 1)``, bit for
+    bit (its coefficients are an ``EVERY`` case above): their composition
+    at each duration, and the reduced channels of each."""
+    every = range(1, n_max + 1)
+    whole, rows = taylor_overlaps(n_max), taylor_overlaps(n_max, every)
+    assert whole.rows is None and rows.rows == tuple(every)
+    for u in (0.0, 0.137, 0.3, 0.5, 0.771, 1.3):
+        series, composed = compose_one_segment(whole, u), compose_one_segment(rows, u)
+        assert isinstance(series, BogoliubovSeries)
+        for name, value in zip(("G",) + NAMES, composed, strict=True):
+            assert same_bits(value, getattr(series, name)), (u, name)
+        for modes in ((1, 2), (3, 1), (2,)):
+            got, want = _reduce(*composed, modes, every), series.reduced(modes)
+            assert got.modes == want.modes == modes
+            for name in ("s0", "s1", "s2", "s1_s1", "beta1", "residual"):
+                assert same_bits(getattr(got, name), getattr(want, name)), (u, modes, name)
 
 
 def test_whole_series_composition_keeps_its_bits(overlap_series_10):

@@ -532,6 +532,9 @@ REFUSED_BEFORE_ANY_BUILD = [
      "mode 4 lies above n_max/2 = 3, at the edge of the mode ladder; probing it needs --nmax 8 or more"),
     (["validate", "--modes", "2,5"],
      "mode 5 lies above n_max/2 = 3, at the edge of the mode ladder; probing it needs --nmax 10 or more"),
+    # each engine checks the probed modes, once, by the provider
+    (["compare", "--modes", "0,2"], "mode index 0 out of range 1..6"),
+    (["validate", "--modes", "2,7"], "mode index 7 out of range 1..6"),
 ]
 
 
