@@ -165,13 +165,19 @@ class BogoliubovSeries:
         modes = range(1, self.n_max + 1) if modes is None else modes
         cols = quadrature_indices(modes, self.n_max)[::2] // 2
         block = np.ix_(cols, cols)
-        return _identity_defects(self.G[cols], self.alpha1[cols], self.beta1[cols], self.alpha2[block],
-                                 self.beta2[block], cols)
+        a1, b1 = self.alpha1[cols], self.beta1[cols]
+        return _identity_defects(self.G[cols], a1[:, cols], b1[:, cols], self.alpha2[block], self.beta2[block],
+                                 *_grams(a1, b1))
 
 
-def _identity_defects(g, a1, b1, a2, b2, cols):
+def _grams(a1, b1):
+    """The sums over every mode of first-order rows: ``(a1 a1^dag, b1 b1^dag, a1 b1^T)``."""
+    return a1 @ _t(a1).conj(), b1 @ _t(b1).conj(), a1 @ _t(b1)
+
+
+def _identity_defects(g, a1, b1, a2, b2, aa, bb, ab):
     """Max-norm defects ``(first, second)`` of the order-by-order channel
-    identities on the window of the 0-based modes ``cols``, per channel.
+    identities on a window of probed modes, per channel.
 
     First order: ``diag(G) alpha1^dag + alpha1 diag(G)^dag = 0`` and
     ``G_m beta1_nm = G_n beta1_mn``. Second order:
@@ -180,18 +186,17 @@ def _identity_defects(g, a1, b1, a2, b2, cols):
     ``alpha beta^T``. Exact channels satisfy both to machine precision;
     truncated ones report their tail, which on a window of probed modes is
     the defect feeding their physics. It reads the window's phases ``g``,
-    first-order rows ``a1``, ``b1`` and second-order block ``a2``, ``b2``,
-    in ``cols`` order: ``O(m^2 n)`` for ``m`` modes.
+    the probed blocks ``a1``, ``b1``, ``a2`` and ``b2`` of the orders and
+    the window rows' :func:`_grams` ``aa``, ``bb``, ``ab``, all in its order.
     """
     # diag(G) acts by broadcasting: (diag(G) M)_ij = G_i M_ij
     gi = g[..., :, None]
     gj = np.conj(g)[..., None, :]
-    a1_pp, b1_pp = a1[..., cols], b1[..., cols]
-    r1a = gi * _t(a1_pp).conj() + a1_pp * gj
-    gb1 = gi * _t(b1_pp)
+    r1a = gi * _t(a1).conj() + a1 * gj
+    gb1 = gi * _t(b1)
     r1b = gb1 - _t(gb1)
-    r2a = gi * _t(a2).conj() + a2 * gj + a1 @ _t(a1).conj() - b1 @ _t(b1).conj()
-    m = gi * _t(b2) + a1 @ _t(b1)
+    r2a = gi * _t(a2).conj() + a2 * gj + aa - bb
+    m = gi * _t(b2) + ab
     r2b = m - _t(m)
 
     def norm(mat: np.ndarray):
@@ -203,22 +208,19 @@ def _identity_defects(g, a1, b1, a2, b2, cols):
 @dataclass(frozen=True)
 class ReducedChannel:
     """What a probe on ``modes`` reads of a channel, or of each channel of a
-    stack: the Gaussian channel ``sigma -> A sigma A^T + B``,
-    ``mu -> A mu`` of those modes, to second order in theta.
-
-    ``s0``, ``s1`` and ``s2`` are the probed ``2m x 2m`` blocks ``A0``,
-    ``A1`` and ``A2`` of the symplectic orders, and ``s1_s1`` is ``S1 S1^T``
-    over every mode, so ``B2 = S1 S1^T - A1 A1^T``. ``beta1`` is the probed
-    block of the first-order ``beta``, all in ``modes`` order, and
-    ``residual`` the truncation residual. Only :func:`_reduce` builds one,
-    and its arrays are read-only.
+    stack: the Gaussian channel ``sigma -> A sigma A^T + B``, ``mu -> A mu``
+    of those modes, to second order in theta. It holds the probed ``2m x 2m``
+    blocks ``s0``, ``s1``, ``s2`` (``A0``, ``A1``, ``A2``) of the symplectic
+    orders, the spectators' noise ``b2`` (``B2 = S1 S1^T - A1 A1^T``) and the
+    probed ``beta1`` block, all in ``modes`` order, and the truncation
+    ``residual``. Only :func:`_reduce` builds one; its arrays are read-only.
     """
 
     modes: tuple
     s0: np.ndarray
     s1: np.ndarray
     s2: np.ndarray
-    s1_s1: np.ndarray
+    b2: np.ndarray
     beta1: np.ndarray
     residual: np.ndarray
 
@@ -234,31 +236,28 @@ class ReducedChannel:
 
         The coefficients are exact polynomials of the reduced orders; no
         numerical differentiation is involved. ``S0`` vanishes outside the
-        probed columns, so with ``Sigma_in = I + P (Sigma - I) P^T`` every
-        product that meets it needs only the probed blocks ``S0_p``,
-        ``S1_p`` and ``S2_p`` and ``S1 S1^T``:
+        probed columns and the spectators are vacuum, so the orders are
+        those of the channel ``sigma -> A sigma A^T + B``:
 
-            sigma0 = S0_p Sigma S0_p^T
-            sigma1 = S1_p Sigma S0_p^T + transpose
-            sigma2 = S2_p Sigma S0_p^T + transpose
-                     + S1 S1^T + S1_p (Sigma - I) S1_p^T
-            mean1  = S1_p mu
+            sigma0 = A0 Sigma A0^T
+            sigma1 = A1 Sigma A0^T + transpose
+            sigma2 = A2 Sigma A0^T + transpose + A1 Sigma A1^T + B2
+            mean1  = A1 mu
 
         A call pays only for ``2m x 2m`` products. A stack gives orders with
         its leading axes: ``(..., 2m, 2m)`` and ``(..., 2m)``.
         """
-        dim = self.s0.shape[-1]
-        if 2 * state.n_modes != dim:
+        if 2 * state.n_modes != self.s0.shape[-1]:
             raise ValueError("input state must live on the probed modes")
-        s0, s1_p = self.s0, self.s1
+        s0, s1 = self.s0, self.s1
         sigma = state.covariance
         sigma_s0 = sigma @ _t(s0)
         sigma0 = s0 @ sigma_s0
         cross2 = self.s2 @ sigma_s0
-        cross1 = s1_p @ sigma_s0
+        cross1 = s1 @ sigma_s0
         sigma1 = cross1 + _t(cross1)
-        sigma2 = cross2 + _t(cross2) + self.s1_s1 + s1_p @ (sigma - np.eye(dim)) @ _t(s1_p)
-        return sigma0, sigma1, sigma2, s1_p @ state.first_moments
+        sigma2 = cross2 + _t(cross2) + s1 @ sigma @ _t(s1) + self.b2
+        return sigma0, sigma1, sigma2, s1 @ state.first_moments
 
 
 def _reduce(g, alpha1, alpha2, beta1, beta2, modes, rows) -> ReducedChannel:
@@ -267,32 +266,31 @@ def _reduce(g, alpha1, alpha2, beta1, beta2, modes, rows) -> ReducedChannel:
     The channel, or a stack, is given on the output ``rows`` (a whole one on
     ``range(1, n_max + 1)``) by their phases, first orders and second-order
     block ``rows x rows``, in ``rows`` order; only the probed rows are read,
-    as a view when they run consecutively. The truncation residual is the
-    larger of the second-order identity defect on the probed window and the
-    spectator tail: the probed rows' largest term in the highest spectator's
-    column, the last that the sums of ``S1 S1^T`` keep. It is formed before
-    ``S1``, so that their temporaries are never alive together.
+    as a view when they run consecutively. Their :func:`_grams`, the only sums
+    over every mode, give ``S1 S1^T`` and the second-order identity defect on
+    the probed window; the residual is the larger of that defect and the tail,
+    the probed rows' largest term in the highest spectator's column.
     """
     modes = tuple(modes)
     n = alpha1.shape[-1]
-    idx = quadrature_indices(modes, n)
-    cols = idx[::2] // 2
+    cols = quadrature_indices(modes, n)[::2] // 2
     pos = np.array([rows.index(k) for k in modes])
     if pos.size and np.array_equal(pos, np.arange(pos[0], pos[0] + pos.size)):
         pos = slice(pos[0], pos[0] + pos.size)
     a1, b1 = alpha1[..., pos, :], beta1[..., pos, :]
     a2, b2 = alpha2[..., pos, :][..., pos], beta2[..., pos, :][..., pos]
     g = g[..., pos]
-    _, second = _identity_defects(g, a1, b1, a2, b2, cols)
+    a1_p, b1_p = a1[..., cols], b1[..., cols]
+    aa, bb, ab = _grams(a1, b1)
+    _, second = _identity_defects(g, a1_p, b1_p, a2, b2, aa, bb, ab)
     last = next((k for k in range(n, 0, -1) if k not in modes), None)
     tail = 0.0 if last is None else np.maximum(0.5 * np.max(np.abs(a1[..., last - 1]) ** 2, axis=-1),
                                                0.5 * np.max(np.abs(b1[..., last - 1]) ** 2, axis=-1))
     residual = np.asarray(np.maximum(tail, second))
-    m = cols.size
-    s0 = _assemble(g[..., None] * np.eye(m), np.zeros((m, m)))
-    s1 = _assemble(a1, b1)
-    # the probed columns are a copy, so the (..., 2m, 2n) rows are not kept
-    return ReducedChannel(modes, s0, s1[..., idx], _assemble(a2, b2), s1 @ _t(s1), b1[..., cols], residual)
+    s0 = _assemble(g[..., None] * np.eye(cols.size), np.zeros((cols.size, cols.size)))
+    s1 = _assemble(a1_p, b1_p)
+    noise = _assemble(aa + bb, ab + _t(ab)) - s1 @ _t(s1)
+    return ReducedChannel(modes, s0, s1, _assemble(a2, b2), noise, b1_p, residual)
 
 
 def series_to_csv(series: BogoliubovSeries) -> str:

@@ -138,7 +138,7 @@ def finite(text: str, what: str, positive: bool = False) -> float:
 #: grid 0:1:0.01 at a thousandth of its step
 GRID_MAX_POINTS = 100_001
 #: most elements a verb may compose: grid points x n_max for ``sweep``, whose
-#: default grid peaked at 284 MiB at n_max 16000 (1.6e6 elements, about 14 KiB
+#: default grid peaked at 234 MiB at n_max 16000 (1.6e6 elements, about 11 KiB
 #: per unit of n_max on 101 points), and n_max^2 for ``compare`` and
 #: ``validate``, whose whole channel takes about 64 n_max^2 bytes. Checked
 #: before anything is composed; what a process keeps of a sweep, its reduced

@@ -306,7 +306,7 @@ def probe_family(series: BogoliubovSeries, probes):
     moves ``qfi_oracle`` by up to 1.7e-2 relative at ``n_max`` 60, where its
     residual is 3.1e-6. Each ``state`` lives on its ``modes`` and every
     other mode is vacuum, so the embedded state is physical because the
-    probe is. A theta whose square or flow is not finite is refused by name.
+    probe is. A theta whose square, flow or moments are not finite is refused.
     """
     dim = 2 * series.n_max
     probed = [(quadrature_indices(modes, series.n_max), state) for modes, state in probes]
@@ -335,10 +335,6 @@ def probe_family(series: BogoliubovSeries, probes):
                                  "so the family's second-order generator cannot be formed") from None
         with np.errstate(over="ignore", invalid="ignore"):
             flows = expm(generators)
-        for flow, t in zip(flows, thetas):
-            if not np.all(np.isfinite(flow)):
-                raise ValueError(f"oracle theta={float(t)!r} is out of range: "
-                                 "its flow exp(theta K1 + theta^2 K2) is not finite")
         # the probes' full-size moments are formed once the generator stack is
         # freed, so that the peak memory holds only two stacks
         del generators
@@ -349,10 +345,16 @@ def probe_family(series: BogoliubovSeries, probes):
             cov[np.ix_(idx, idx)] = state.covariance
             inputs.append((idx, mean, cov))
         out = []
-        for flow in flows:
+        for flow, t in zip(flows, thetas):
+            if not np.all(np.isfinite(flow)):
+                raise ValueError(f"oracle theta={float(t)!r} is out of range: "
+                                 "its flow exp(theta K1 + theta^2 K2) is not finite")
             s = flow @ s0
             s_t = np.ascontiguousarray(s.T)
-            out.append([(s[idx] @ mean, ((s[idx] @ cov) @ s_t)[:, idx]) for idx, mean, cov in inputs])
+            with np.errstate(over="ignore", invalid="ignore"):
+                out.append([(s[idx] @ mean, ((s[idx] @ cov) @ s_t)[:, idx]) for idx, mean, cov in inputs])
+            if not all(np.isfinite(x).all() for moments in out[-1] for x in moments):
+                raise ValueError(f"oracle theta={float(t)!r} is out of range: the probes' moments at it are not finite")
         return out
 
     return family

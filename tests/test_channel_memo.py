@@ -112,7 +112,7 @@ def test_kept_terms_are_read_only_and_the_bits_of_a_fresh_computation(modes, mon
     rows = tuple(sorted(modes))
     fresh = real(*cavity.compose_one_segment(cavity.taylor_overlaps(12, rows), GRID), modes, rows)
     arrays = [(name, arr) for name, arr in vars(kept).items() if isinstance(arr, np.ndarray)]
-    assert [name for name, _ in arrays] == ["s0", "s1", "s2", "s1_s1", "beta1", "residual"]
+    assert [name for name, _ in arrays] == ["s0", "s1", "s2", "b2", "beta1", "residual"]
     for name, arr in arrays:
         assert np.array_equal(arr, getattr(fresh, name)), name
         with pytest.raises(ValueError, match="read-only"):

@@ -1,7 +1,8 @@
 """A refused input ends in one ``error:`` line on stderr, exit 2 and nothing
 on stdout: never a traceback, a numpy warning or a partial CSV. The first
-four argvs and the last two are inputs at the edge of the float range that
-the oracle once answered with a traceback, NaN cells or LAPACK's message."""
+four argvs and the last three are inputs at the edge of the float range that
+the oracle once answered with a traceback, NaN cells, LAPACK's message or a
+fidelity outside [0, 1]."""
 
 import re
 from pathlib import Path
@@ -36,6 +37,9 @@ CHANNEL = str(Path(__file__).resolve().parent / "data" / "channel_cavity_nmax8_u
          "oracle theta=1e+100 is out of range: its flow exp(theta K1 + theta^2 K2) is not finite"),
         (["sweep", "--channel", CHANNEL, "--grid", "1e100", "--methods", "oracle"],
          "oracle theta=1e+100 is out of range: its flow"),
+        # the flow was finite, but the probes' moments overflowed after two numpy warnings
+        (["compare", "--nmax", "10", "--ladder", "1e8,2e8"],
+         "oracle theta=102222222.22222222 is out of range: the probes' moments at it are not finite"),
     ],
 )
 def test_a_refusal_prints_one_error_line_and_nothing_else(capsys, argv, message):

@@ -10,13 +10,14 @@ import pytest
 
 from conftest import full_covariance_orders, full_unitarity_residuals, synthetic_unitary_series
 from gaussfisher import sweeps
-from gaussfisher.bogoliubov import BogoliubovSeries, _reduce
+from gaussfisher.bogoliubov import BogoliubovSeries, _assemble, _reduce
 from gaussfisher.cavity import compose_one_segment, taylor_overlaps
 from gaussfisher.qfi import probe_state, qfi_perturbative
 from gaussfisher.sweeps import FAMILIES, CavityChannel, SweepSpec, run_sweep
 
 MODE_SETS = ((1,), (1, 3), (4, 1), (2, 5))
 TOL = 1e-13
+GRID = (0.0, 0.3, 0.71)
 
 
 def families_for(modes):
@@ -163,6 +164,22 @@ def test_the_reducer_reads_the_rows_alone(synthetic, modes):
     got, want = _reduce(*arrays, modes, rows), synthetic.reduced(modes)
     for name, value in vars(want).items():
         assert np.array_equal(getattr(got, name), value), name
-    # B2 = S1 S1^T - A1 A1^T is the spectators' noise: symmetric
-    b2 = want.s1_s1 - want.s1 @ want.s1.T
-    assert np.max(np.abs(b2 - b2.T)) <= TOL
+    assert_b2_is_the_spectators(want, synthetic.alpha1[pick], synthetic.beta1[pick], rows)
+    stack = CavityChannel(n_max=12).reduced(GRID, [modes])[modes]
+    _, alpha1, _, beta1, _ = compose_one_segment(taylor_overlaps(12, tuple(sorted(modes))), GRID)
+    assert_b2_is_the_spectators(stack, alpha1, beta1, tuple(sorted(modes)))
+
+
+def assert_b2_is_the_spectators(reduced, alpha1, beta1, rows):
+    """``B2`` is ``S1[:, spec] S1[:, spec]^T``, the sum over the columns of
+    the modes not probed, from the first orders on the output ``rows``: a
+    symmetric, positive semidefinite noise to roundoff."""
+    pick = [rows.index(k) for k in reduced.modes]
+    spec = [k for k in range(alpha1.shape[-1]) if k + 1 not in reduced.modes]
+    s1 = _assemble(alpha1[..., pick, :][..., spec], beta1[..., pick, :][..., spec])
+    want = s1 @ np.swapaxes(s1, -1, -2)
+    b2 = reduced.b2
+    assert np.max(np.abs(b2 - want)) <= TOL * max(1.0, np.max(np.abs(want)))
+    assert np.max(np.abs(b2 - np.swapaxes(b2, -1, -2))) <= TOL
+    eig = np.linalg.eigvalsh(b2)
+    assert np.all(eig[..., 0] >= -1e-14 * np.abs(eig).max(axis=-1))

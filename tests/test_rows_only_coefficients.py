@@ -91,7 +91,7 @@ def test_the_whole_exact_channel_is_the_rows_of_every_mode(n_max):
         for modes in ((1, 2), (3, 1), (2,)):
             got, want = _reduce(*composed, modes, every), series.reduced(modes)
             assert got.modes == want.modes == modes
-            for name in ("s0", "s1", "s2", "s1_s1", "beta1", "residual"):
+            for name in ("s0", "s1", "s2", "b2", "beta1", "residual"):
                 assert same_bits(getattr(got, name), getattr(want, name)), (u, modes, name)
 
 
@@ -123,6 +123,22 @@ def test_a_large_cut_composes_in_memory_linear_in_n():
     assert reduced.s1.shape == (11, 4, 4)
     # one whole n x n float matrix alone would take 122 MiB
     assert peak < 32 * 2**20, peak / 2**20
+
+
+def test_the_reducer_holds_little_beside_the_rows_it_reads():
+    # the spectators are summed once, as complex Grams of the probed rows:
+    # the real (U, 2m, 2n) rows of S1 alone took twice the alpha1 rows
+    modes = (1, 2)
+    composed = compose_one_segment(taylor_overlaps(4000, modes), np.asarray(SweepSpec.grid))
+    assert composed[1].shape == (101, 2, 4000)
+    tracemalloc.start()
+    try:
+        reduced = _reduce(*composed, modes, modes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert reduced.b2.shape == (101, 4, 4)
+    assert peak < 1.25 * composed[1].nbytes, peak / composed[1].nbytes
 
 
 def test_sweep_at_n_max_16000_writes_finite_perturbative_cells():
