@@ -13,7 +13,9 @@ one result per probe, in order:
   the :class:`ReducedChannel` of the probed modes, the only part of the
   channel it reads: a first-moment part ``E2`` and a covariance part
   ``C2``, with ``H = 4 (E2 + C2)``, both read off the covariance orders
-  :meth:`ReducedChannel.covariance_orders` gives (trace form).
+  :meth:`ReducedChannel.covariance_orders` gives (trace form). The probe is
+  pure, so ``sigma0`` is symplectic and its inverse is ``Omega sigma0
+  Omega^T``: the route factors no matrix.
 
 Probe families are data: a named family is a row of :data:`FAMILIES`, and
 its probe just a :class:`GaussianState` from :func:`probe_state` plus its
@@ -151,32 +153,6 @@ class QfiResult:
             raise ValueError("perturbative QFI must equal 4 (e2 + c2)")
 
 
-def c2_from_orders(sigma0: np.ndarray, sigma1: np.ndarray, sigma2: np.ndarray):
-    """Covariance contribution to the QFI from the covariance orders.
-
-    ``(1/16) [ (Tr X)^2 - Tr X^2 + 4 Tr Y ]`` with ``X = sigma0^-1 sigma1``
-    and ``Y = sigma0^-1 sigma2``. Valid for channels whose first order
-    preserves purity (then ``Tr X = 0`` up to truncation); the pure quadratic
-    term keeps the quoted normalization. Leading axes are a stack of order
-    sets: ``(..., d, d)`` matrices give one value per stack entry, and a
-    singular ``sigma0`` anywhere in the stack raises ``ValueError``.
-    """
-    sigma0 = np.asarray(sigma0, dtype=float)
-    if np.any(np.abs(np.linalg.det(sigma0)) < 1e-12):
-        raise ValueError("singular zeroth-order covariance")
-    # one factorization for both orders: each column of a solve with several
-    # right-hand sides gives the bits of its own solve (the tests hold it so)
-    d = sigma0.shape[-1]
-    xy = np.linalg.solve(sigma0, np.concatenate([sigma1, sigma2], axis=-1, dtype=float))
-    x, y = xy[..., :d], xy[..., d:]
-
-    def trace(mat: np.ndarray):
-        return mat.trace(axis1=-2, axis2=-1)
-
-    tx = trace(x)
-    return (tx**2 - trace(x @ x) + 4.0 * trace(y)) / 16.0
-
-
 def negativity_first_order(reduced: ReducedChannel):
     """Entanglement (negativity) generated between the two probed modes
     ``(k, k')`` of a reduced channel, per unit theta.
@@ -259,10 +235,14 @@ def qfi_perturbative(probes) -> list[QfiResult]:
     ``series.reduced(modes)``, and all the kernel and its residual read of
     the channel; ``state`` lives on those modes (all other modes vacuum).
     From its covariance orders, ``E2 = mean1^T (2 sigma0)^-1 mean1`` and
-    ``C2`` is the trace form :func:`c2_from_orders`. The trace form holds for
-    pure probes only, so a mixed ``state`` (``|det Sigma - 1| > 1e-9``) is
-    refused. A reduced stack gives results of arrays with the stack's shape,
-    and each result holds a copy of its own of the truncation residual.
+    ``C2 = (1/16) [ (Tr X)^2 - Tr X^2 + 4 Tr Y ]`` with
+    ``X = sigma0^-1 sigma1`` and ``Y = sigma0^-1 sigma2`` (trace form). The
+    trace form holds for pure probes only, so a mixed ``state``
+    (``|det Sigma - 1| > 1e-9``) is refused. A pure probe needs no solve:
+    ``sigma0 = A0 Sigma A0^T`` with ``A0`` a rotation and ``Sigma`` symplectic,
+    so ``sigma0^-1 = Omega sigma0 Omega^T``, a signed permutation of
+    ``sigma0``. A reduced stack gives results of arrays with the stack's
+    shape, and each result holds a copy of its own of the truncation residual.
     """
     results = []
     for reduced, state in probes:
@@ -270,9 +250,12 @@ def qfi_perturbative(probes) -> list[QfiResult]:
         if abs(det - 1.0) > 1e-9:
             raise ValueError(f"perturbative QFI needs a pure probe state, got det Sigma = {det!r}")
         sigma0, sigma1, sigma2, mean1 = reduced.covariance_orders(state)
-        solved = np.linalg.solve(2.0 * sigma0, mean1[..., None])[..., 0]
-        e2 = np.sum(mean1 * solved, axis=-1)
-        c2 = c2_from_orders(sigma0, sigma1, sigma2)
+        omega = symplectic_form(state.n_modes)
+        inv = omega @ sigma0 @ omega.T
+        x, y = inv @ sigma1, inv @ sigma2
+        tx = x.trace(axis1=-2, axis2=-1)
+        c2 = (tx**2 - (x @ x).trace(axis1=-2, axis2=-1) + 4.0 * y.trace(axis1=-2, axis2=-1)) / 16.0
+        e2 = 0.5 * np.sum(mean1 * (inv @ mean1[..., None])[..., 0], axis=-1)
         for name, term in (("e2", e2), ("c2", c2)):
             bad = np.asarray(term)[~np.isfinite(term)]
             if bad.size:

@@ -127,7 +127,8 @@ class CavityChannel:
         """First-order structure, the identity residual at ``h`` and its cubic
         scaling on the probed ``modes``, periodicity in ``u``, and the
         perturbative-vs-oracle slope."""
-        series = self.orders()
+        overlaps = taylor_overlaps(self.n_max)
+        series = compose_one_segment(overlaps, self.u)
         diagonal = max(np.max(np.abs(np.diag(series.alpha1))), np.max(np.abs(np.diag(series.beta1))))
         first, _ = series.unitarity_residuals(modes=modes)
         at_h = identity_residual(*series.evaluate(self.h), modes)
@@ -136,7 +137,7 @@ class CavityChannel:
         res = [identity_residual(*series.evaluate(h), modes, modes) for h in hs]
         slope = float(np.polyfit(np.log(hs), np.log(res), 1)[0])
         # periodicity in the duration parameter, from the same overlap series
-        shifted = compose_one_segment(taylor_overlaps(self.n_max), self.u + 1.0)
+        shifted = compose_one_segment(overlaps, self.u + 1.0)
         drift = max(np.max(np.abs(shifted.alpha1 - series.alpha1)),
                     np.max(np.abs(shifted.beta2 - series.beta2)))
         # dual-path agreement at the channel's point: the composed series is a
@@ -215,6 +216,8 @@ class SweepSpec:
     methods: tuple = ("perturbative",)
 
     def __post_init__(self):
+        if np.shape(self.modes) != (2,):
+            raise ValueError(f"modes={self.modes!r} must be a pair (k, k') of probed modes")
         if not self.grid:
             raise ValueError("sweep grid must not be empty")
         if not self.families:

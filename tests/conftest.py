@@ -343,9 +343,13 @@ def compose_rows_reference(overlaps, u, rows=None) -> BogoliubovSeries:
     return g[..., r], alpha1, alpha2, beta1, beta2
 
 
-def c2_two_solves_reference(sigma0, sigma1, sigma2):
-    """:func:`gaussfisher.qfi.c2_from_orders` as it was before it solved for
-    both orders at once: one solve of ``sigma0`` per order."""
+def c2_from_orders(sigma0, sigma1, sigma2):
+    """Covariance contribution to the QFI from the covariance orders, by
+    general solves: ``(1/16) [ (Tr X)^2 - Tr X^2 + 4 Tr Y ]`` with
+    ``X = sigma0^-1 sigma1`` and ``Y = sigma0^-1 sigma2``, one solve of
+    ``sigma0`` per order. The reference the kernel's ``Omega sigma0 Omega^T``
+    inverse is held to; it assumes nothing of ``sigma0``. Leading axes are a
+    stack of order sets."""
     x = np.linalg.solve(sigma0, sigma1)
     y = np.linalg.solve(sigma0, sigma2)
     tx = x.trace(axis1=-2, axis2=-1)

@@ -9,12 +9,18 @@ import time
 import numpy as np
 import pytest
 
-from conftest import fidelity, f_sums, random_mixed_state, sigma_orders_from_blocks, synthetic_unitary_series
+from conftest import (
+    c2_from_orders,
+    fidelity,
+    f_sums,
+    random_mixed_state,
+    sigma_orders_from_blocks,
+    synthetic_unitary_series,
+)
 from gaussfisher.bogoliubov import identity_residual
 from gaussfisher.cavity import compose_one_segment, load_or_compute_overlap_series, rindler_overlaps
 from gaussfisher.fidelity import fidelity_one_mode, fidelity_two_mode
 from gaussfisher.qfi import (
-    c2_from_orders,
     energy_matched_params,
     negativity_first_order,
     probe_family,

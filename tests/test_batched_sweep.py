@@ -15,7 +15,7 @@ from gaussfisher import sweeps
 from gaussfisher.bogoliubov import BogoliubovSeries, _reduce, series_to_csv
 from gaussfisher.cavity import compose_one_segment, taylor_overlaps
 from gaussfisher.cli import main
-from gaussfisher.qfi import QfiResult, c2_from_orders, probe_state, qfi_perturbative
+from gaussfisher.qfi import QfiResult, probe_state, qfi_perturbative
 from gaussfisher.sweeps import FAMILIES, CavityChannel, SweepSpec, run_sweep
 
 #: per unit of max(1, |v|). That is absolute for the residual columns,
@@ -189,10 +189,6 @@ def test_a_series_is_one_channel(overlap_series_10):
 
 
 def test_checks_hold_on_every_stack_entry():
-    eye = np.eye(2)
-    sigma0 = np.stack([eye, eye, np.diag([1.0, 0.0])])
-    with pytest.raises(ValueError, match="singular zeroth-order covariance"):
-        c2_from_orders(sigma0, np.zeros((3, 2, 2)), np.zeros((3, 2, 2)))
     value = np.array([0.3, -0.1, 0.2])
     with pytest.raises(ValueError, match="negative QFI value -0.1"):
         QfiResult(value, value / 4.0, np.zeros(3), "perturbative", np.zeros(3))

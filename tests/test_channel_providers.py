@@ -95,8 +95,8 @@ def test_cavity_channel_builds_its_series_only_after_every_refusal(tmp_path, mon
     run_sweep(SweepSpec(grid=(0.3,)), channel)
     compare_methods(SweepSpec(r=1.0), channel)
     validate(channel)
-    # the sweep's rows, compare's whole channel, and validate's at u and u + 1
-    whole = [(6,)] * 3
+    # the sweep's rows, compare's whole channel, and validate's once, composed at u and u + 1
+    whole = [(6,)] * 2
     assert calls == {"taylor": [(6, (1, 2))] + whole, "fit": []} and not cache.exists()
     run_sweep(SweepSpec(grid=(0.3, 0.5), methods=("oracle",)), channel)
     assert calls == {"taylor": [(6, (1, 2))] + whole + [(6, (1, 2))], "fit": [(6,)]}

@@ -20,7 +20,6 @@ EXPORTED = {
 IN_THEIR_MODULES = {
     "states": ("symplectic_form",),
     "bogoliubov": ("identity_residual",),
-    "qfi": ("c2_from_orders",),
     "fidelity": ("FidelityError", "fidelity_one_mode", "fidelity_two_mode"),
     "cavity": ("OverlapSeries", "QuadratureError", "RindlerOverlaps", "compose_one_segment", "mode_phases",
                "perturbative_overlaps", "rindler_overlaps"),

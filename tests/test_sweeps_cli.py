@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -44,6 +45,17 @@ def test_spec_validation():
     for displacement in (dict(r=0.5, delta=0.2), dict(x=0.5)):
         with pytest.raises(ValueError, match="two-mode squeezed probes carry no displacement"):
             SweepSpec(families=("two_mode_squeezed",), **displacement)
+
+
+@pytest.mark.parametrize("modes", [(1, 2, 3), (1,)])
+def test_spec_refuses_modes_that_are_not_a_pair(modes):
+    # refused by name when the spec is built, not by an unpacking deep in an
+    # engine; validate builds a spec for its dual-path check, so it refuses too
+    message = re.escape(f"modes={modes!r} must be a pair (k, k') of probed modes")
+    with pytest.raises(ValueError, match=message):
+        SweepSpec(modes=modes)
+    with pytest.raises(ValueError, match=message):
+        validate(CavityChannel(), modes)
 
 
 def test_run_sweep_rows_and_determinism(tmp_path):
