@@ -17,7 +17,8 @@ one :class:`ReducedChannel`, the single- or two-mode Gaussian channel those
 modes see, which :func:`_reduce` alone builds from the output rows its
 arrays are on: every mode of a whole series, or a few stacked over a grid;
 :meth:`ReducedChannel.covariance_orders` reads the covariance orders of a
-probe state off it.
+probe state off it, and :meth:`BogoliubovSeries.unitarity_residuals` its
+identity ``defects``.
 """
 
 from __future__ import annotations
@@ -158,21 +159,10 @@ class BogoliubovSeries:
         return s0, s1, s2
 
     def unitarity_residuals(self, modes=None):
-        """Max-norm defects ``(first, second)`` of the order-by-order channel
-        identities on the submatrix of the 1-based ``modes`` (``None`` means
-        all), two floats: see :func:`_identity_defects`.
-        """
-        modes = range(1, self.n_max + 1) if modes is None else modes
-        cols = quadrature_indices(modes, self.n_max)[::2] // 2
-        block = np.ix_(cols, cols)
-        a1, b1 = self.alpha1[cols], self.beta1[cols]
-        return _identity_defects(self.G[cols], a1[:, cols], b1[:, cols], self.alpha2[block], self.beta2[block],
-                                 *_grams(a1, b1))
-
-
-def _grams(a1, b1):
-    """The sums over every mode of first-order rows: ``(a1 a1^dag, b1 b1^dag, a1 b1^T)``."""
-    return a1 @ _t(a1).conj(), b1 @ _t(b1).conj(), a1 @ _t(b1)
+        """Max-norm defects ``[first, second]`` of the order-by-order channel
+        identities on the 1-based ``modes`` (``None`` means all): the read-only
+        ``defects`` of :meth:`reduced`, see :func:`_identity_defects`."""
+        return self.reduced(range(1, self.n_max + 1) if modes is None else modes).defects
 
 
 def _identity_defects(g, a1, b1, a2, b2, aa, bb, ab):
@@ -187,7 +177,8 @@ def _identity_defects(g, a1, b1, a2, b2, aa, bb, ab):
     truncated ones report their tail, which on a window of probed modes is
     the defect feeding their physics. It reads the window's phases ``g``,
     the probed blocks ``a1``, ``b1``, ``a2`` and ``b2`` of the orders and
-    the window rows' :func:`_grams` ``aa``, ``bb``, ``ab``, all in its order.
+    the complex Grams ``aa``, ``bb``, ``ab`` of the window's whole
+    first-order rows that :func:`_reduce` forms, all in its order.
     """
     # diag(G) acts by broadcasting: (diag(G) M)_ij = G_i M_ij
     gi = g[..., :, None]
@@ -212,8 +203,9 @@ class ReducedChannel:
     of those modes, to second order in theta. It holds the probed ``2m x 2m``
     blocks ``s0``, ``s1``, ``s2`` (``A0``, ``A1``, ``A2``) of the symplectic
     orders, the spectators' noise ``b2`` (``B2 = S1 S1^T - A1 A1^T``) and the
-    probed ``beta1`` block, all in ``modes`` order, and the truncation
-    ``residual``. Only :func:`_reduce` builds one; its arrays are read-only.
+    probed ``beta1`` block, all in ``modes`` order, the truncation ``residual``
+    and the window's identity ``defects``, first order then second, of shape
+    ``(2, ...)``. Only :func:`_reduce` builds one; its arrays are read-only.
     """
 
     modes: tuple
@@ -223,6 +215,7 @@ class ReducedChannel:
     b2: np.ndarray
     beta1: np.ndarray
     residual: np.ndarray
+    defects: np.ndarray
 
     def __post_init__(self):
         for value in vars(self).values():
@@ -266,10 +259,10 @@ def _reduce(g, alpha1, alpha2, beta1, beta2, modes, rows) -> ReducedChannel:
     The channel, or a stack, is given on the output ``rows`` (a whole one on
     ``range(1, n_max + 1)``) by their phases, first orders and second-order
     block ``rows x rows``, in ``rows`` order; only the probed rows are read,
-    as a view when they run consecutively. Their :func:`_grams`, the only sums
-    over every mode, give ``S1 S1^T`` and the second-order identity defect on
-    the probed window; the residual is the larger of that defect and the tail,
-    the probed rows' largest term in the highest spectator's column.
+    as a view when they run consecutively. Their complex Grams, the only sums
+    over every mode, give ``S1 S1^T`` and the second-order identity defect,
+    kept with the first-order one; the residual is the larger of the second
+    and the tail, the probed rows' largest term in the last spectator's column.
     """
     modes = tuple(modes)
     n = alpha1.shape[-1]
@@ -281,16 +274,16 @@ def _reduce(g, alpha1, alpha2, beta1, beta2, modes, rows) -> ReducedChannel:
     a2, b2 = alpha2[..., pos, :][..., pos], beta2[..., pos, :][..., pos]
     g = g[..., pos]
     a1_p, b1_p = a1[..., cols], b1[..., cols]
-    aa, bb, ab = _grams(a1, b1)
-    _, second = _identity_defects(g, a1_p, b1_p, a2, b2, aa, bb, ab)
+    aa, bb, ab = a1 @ _t(a1).conj(), b1 @ _t(b1).conj(), a1 @ _t(b1)
+    defects = np.stack(_identity_defects(g, a1_p, b1_p, a2, b2, aa, bb, ab))
     last = next((k for k in range(n, 0, -1) if k not in modes), None)
     tail = 0.0 if last is None else np.maximum(0.5 * np.max(np.abs(a1[..., last - 1]) ** 2, axis=-1),
                                                0.5 * np.max(np.abs(b1[..., last - 1]) ** 2, axis=-1))
-    residual = np.asarray(np.maximum(tail, second))
+    residual = np.asarray(np.maximum(tail, defects[1]))
     s0 = _assemble(g[..., None] * np.eye(cols.size), np.zeros((cols.size, cols.size)))
     s1 = _assemble(a1_p, b1_p)
     noise = _assemble(aa + bb, ab + _t(ab)) - s1 @ _t(s1)
-    return ReducedChannel(modes, s0, s1, _assemble(a2, b2), noise, b1_p, residual)
+    return ReducedChannel(modes, s0, s1, _assemble(a2, b2), noise, b1_p, residual, defects)
 
 
 def series_to_csv(series: BogoliubovSeries) -> str:

@@ -12,7 +12,8 @@ Every verb takes ``--config`` and ``--nmax``, and beyond those only the
 flags it reads: ``--cache`` only ``sweep``, whose oracle completes the
 fitted overlap series, and ``overlaps``. Each value input is one row of
 ``INPUTS``: the keyword of :class:`CavityChannel` or :class:`SweepSpec`
-that reads it, its config keys, type and help. A flag wins over its config
+that reads it, its config keys, type and help; ``--cache`` is the
+:class:`CavityChannel` row with no config key. A flag wins over its config
 keys, and the class holds every default. :func:`channel_from` is the one
 place that picks the channel provider: an imported ``--channel``, or the
 :class:`CavityChannel` of ``--h``, ``--u``, ``--nmax`` and ``--cache``,
@@ -65,12 +66,13 @@ from .sweeps import (
     validate,
 )
 
-#: every value input by flag: the class and keyword that read it, config keys,
-#: type and help; a flag of two keys takes them as one comma list
+#: every value input by flag: the class and keyword that read it, config keys
+#: (``--cache`` has none), type and help; a flag of two keys takes a comma list
 INPUTS = {
     "--h": (CavityChannel, "h", ("h",), float, "acceleration parameter h = aL/c^2"),
     "--u": (CavityChannel, "u", ("u",), float, "duration parameter (default from config/scenario)"),
     "--nmax": (CavityChannel, "n_max", ("n_max",), int, "mode-ladder truncation"),
+    "--cache": (CavityChannel, "cache", (), str, "directory for the cached fitted overlap series"),
     "--modes": (SweepSpec, "modes", ("k", "k_prime"), int, "probed modes as 'k,k_prime' (default %d,%d)" % SweepSpec.modes),
     "--grid": (SweepSpec, "grid", ("u_grid",), str, "u grid 'start:stop:step' or comma list"),
     "--photons": (SweepSpec, "photons", ("N",), float, "mean photon number per probe mode"),
@@ -82,7 +84,7 @@ CONFIG_KEYS = {key: kind for _, _, keys, kind, _ in INPUTS.values() for key in k
 
 
 def read_config(path: str) -> dict:
-    """Parse a ``key = value`` config file; ``#`` starts a comment."""
+    """Parse a ``key = value`` config file, each key once; ``#`` starts a comment."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, start=1):
@@ -94,6 +96,8 @@ def read_config(path: str) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{ln}: unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{ln}: key {key!r} is given more than once")
             try:
                 values[key] = CONFIG_KEYS[key](value)
             except ValueError as exc:
@@ -113,12 +117,11 @@ _VERBS = {
 }
 
 #: flags that only shape the built-in cavity channel, per verb that also
-#: takes ``--channel``: ``--nmax``, and of its own flags ``--cache`` and those
-#: that :class:`CavityChannel` reads. An imported channel leaves them, and the
-#: config keys of those in ``INPUTS``, unread
+#: takes ``--channel``: of ``--nmax`` and its own flags, those that
+#: :class:`CavityChannel` reads. An imported channel leaves them, and their
+#: config keys, unread
 CAVITY_FLAGS = {
-    verb: ("--nmax", *(flag for flag in flags
-                       if flag == "--cache" or flag in INPUTS and INPUTS[flag][0] is CavityChannel))
+    verb: tuple(flag for flag in ("--nmax", *flags) if flag in INPUTS and INPUTS[flag][0] is CavityChannel)
     for verb, (_, flags) in _VERBS.items() if "--channel" in flags
 }
 
@@ -195,7 +198,6 @@ def _parser() -> argparse.ArgumentParser:
 
     options = {
         "--config": dict(help="key = value scenario file"),
-        "--cache": dict(help="directory for the cached fitted overlap series"),
         "--out": dict(help="output CSV path (default: stdout)"),
         "--channel": dict(help="CSV file with an imported channel series"),
         "--state": dict(action="append", choices=FAMILIES, help="probe family (repeatable; default: all three)"),
@@ -253,14 +255,14 @@ def channel_from(args, config: dict):
         for flag in unread:
             if getattr(args, flag[2:]) is not None:
                 raise ValueError(f"{flag} is not read with an imported --channel")
-        for key in (key for flag in unread if flag in INPUTS for key in INPUTS[flag][2]):
+        for key in (key for flag in unread for key in INPUTS[flag][2]):
             if key in config:
                 raise ValueError(f"config key {key} is not read with an imported --channel")
         with open(args.channel, encoding="utf-8") as fh:
             imported = ImportedChannel(series_from_csv(fh.read()))
     probe = given(args, config, SweepSpec)
     # checked with an imported channel too, so a config h or u it reads no more stays valid
-    cavity = CavityChannel(**given(args, config, CavityChannel), cache=getattr(args, "cache", None))
+    cavity = CavityChannel(**given(args, config, CavityChannel))
     return probe, cavity if imported is None else imported
 
 

@@ -220,6 +220,9 @@ class SweepSpec:
             raise ValueError(f"modes={self.modes!r} must be a pair (k, k') of probed modes")
         if not self.grid:
             raise ValueError("sweep grid must not be empty")
+        for value in self.grid:
+            if not math.isfinite(value):
+                raise ValueError(f"grid value {float(value)!r} is not finite")
         if not self.families:
             raise ValueError("at least one state family must be requested")
         for i, fam in enumerate(self.families):
@@ -227,9 +230,11 @@ class SweepSpec:
                 raise ValueError(f"unknown state family {fam!r}")
             if fam in self.families[:i]:
                 raise ValueError(f"state family {fam!r} is requested more than once")
-        for method in self.methods:
+        for i, method in enumerate(self.methods):
             if method not in ("perturbative", "oracle"):
                 raise ValueError(f"unknown method {method!r}")
+            if method in self.methods[:i]:
+                raise ValueError(f"method {method!r} is requested more than once")
         if not self.methods:
             raise ValueError("at least one method must be requested")
         for name in ("photons", "r", "delta"):
@@ -386,11 +391,15 @@ def compare_methods(spec: SweepSpec, channel, h_ladder=(0.02, 0.04, 0.08)) -> Co
     """
     if len(set(h_ladder)) < 2:
         raise ValueError("compare needs at least two distinct h values on the ladder")
+    for i, h in enumerate(h_ladder):
+        if h in h_ladder[:i]:
+            raise ValueError(f"ladder value {float(h)!r} is given more than once")
     channel.check_modes(spec.modes)
     probes = spec.probes()  # refuses a probe it cannot build before the channel is read
     series = channel.orders()
-    pairs = [(modes, state) for *_, state, modes in probes]
-    perts = [result.value for result in qfi_perturbative([(series.reduced(modes), state) for modes, state in pairs])]
+    pairs = [(tuple(modes), state) for *_, state, modes in probes]
+    reduced = {modes: series.reduced(modes) for modes in dict.fromkeys(modes for modes, _ in pairs)}
+    perts = [result.value for result in qfi_perturbative([(reduced[modes], state) for modes, state in pairs])]
     states_at = probe_family(series, pairs)
     # one oracle call per rung, read by every family
     rungs = [qfi_oracle(states_at, float(h), steps=(h / 5.0, h / 15.0, h / 45.0)) for h in h_ladder]

@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_unitary_series
-from gaussfisher import cavity, sweeps
+from gaussfisher import bogoliubov, cavity, sweeps
 from gaussfisher.cli import ELEMENT_BUDGET, main
 from gaussfisher.qfi import probe_state, qfi_perturbative
-from gaussfisher.sweeps import FAMILIES, CavityChannel, ImportedChannel, SweepSpec, run_sweep
+from gaussfisher.sweeps import FAMILIES, CavityChannel, ImportedChannel, SweepSpec, compare_methods, run_sweep
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GRID = (0.0, 0.3, 0.71)
@@ -112,7 +112,7 @@ def test_kept_terms_are_read_only_and_the_bits_of_a_fresh_computation(modes, mon
     rows = tuple(sorted(modes))
     fresh = real(*cavity.compose_one_segment(cavity.taylor_overlaps(12, rows), GRID), modes, rows)
     arrays = [(name, arr) for name, arr in vars(kept).items() if isinstance(arr, np.ndarray)]
-    assert [name for name, _ in arrays] == ["s0", "s1", "s2", "b2", "beta1", "residual"]
+    assert [name for name, _ in arrays] == ["s0", "s1", "s2", "b2", "beta1", "residual", "defects"]
     for name, arr in arrays:
         assert np.array_equal(arr, getattr(fresh, name)), name
         with pytest.raises(ValueError, match="read-only"):
@@ -152,6 +152,15 @@ def test_a_sweep_reduces_only_the_mode_sets_it_reads(methods):
     assert list(reduced) == [(3, 1)] + [(3,)] * ("perturbative" in methods)
 
 
+def test_compare_reduces_each_distinct_mode_set_once(monkeypatch):
+    real = bogoliubov._reduce
+    reduced = []
+    monkeypatch.setattr(bogoliubov, "_reduce", lambda *args: reduced.append(args[-2]) or real(*args))
+    compare_methods(SweepSpec(r=1.0, delta=0.0), CavityChannel(n_max=6))
+    # the two two-mode families share (1, 2)
+    assert reduced == [(1,), (1, 2)]
+
+
 def test_the_sweep_reads_the_negativity_off_the_k_k_prime_reduced_channel(monkeypatch):
     series = synthetic_unitary_series(6, np.random.default_rng(8), strength=0.3)
     spec = SweepSpec(modes=(4, 2), grid=(0.1,))
@@ -165,8 +174,8 @@ def test_the_sweep_reads_the_negativity_off_the_k_k_prime_reduced_channel(monkey
 
 
 def test_a_cavity_sweep_calls_no_series_method(monkeypatch):
-    # the reducer shares the identity-defect code of unitarity_residuals
-    # without calling it, so a traced sweep counts no such call
+    # unitarity_residuals reads the reducer's defects, not the other way
+    # round, so a traced sweep counts no such call
     def refuse(*args, **kwargs):
         raise AssertionError("a sweep called a BogoliubovSeries method")
 

@@ -1,7 +1,9 @@
 """The CLI's parser is built once per process, on first use, and every
 ``build_parser`` call returns its own shallow copy of it: a copy parses as a
 freshly built parser, and an attribute set on one copy, as the
-benchmark's tracer sets a wrapped ``parse_args``, stays on that copy."""
+benchmark's tracer sets a wrapped ``parse_args``, stays on that copy. The
+usage and each verb's help are pinned, so that a change to the input table
+cannot move them unseen."""
 
 import argparse
 import contextlib
@@ -43,6 +45,16 @@ def parse(parser: argparse.ArgumentParser, argv: list) -> tuple:
         except SystemExit as exc:
             code = exc.code
     return namespace, code, out.getvalue(), err.getvalue()
+
+
+def test_the_usage_and_each_verbs_help_are_pinned(monkeypatch):
+    # argparse wraps its text at COLUMNS less two
+    monkeypatch.setenv("COLUMNS", "80")
+    chunks = []
+    for argv in ([], ["--help"], *([verb, "--help"] for verb in VERBS)):
+        _, _, out, err = parse(cli.build_parser(), argv)
+        chunks.append(" ".join(["$ gaussfisher", *argv]) + "\n" + out + err)
+    assert "\n".join(chunks) == (ROOT / "tests" / "data" / "cli_help.txt").read_text(encoding="utf-8")
 
 
 def test_build_parser_returns_a_distinct_copy_of_one_parser():

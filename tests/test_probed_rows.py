@@ -95,6 +95,24 @@ def test_identity_residuals_unrestricted(synthetic, cavity_series_u03):
     assert np.allclose(bad.unitarity_residuals(), full_unitarity_residuals(bad), rtol=0.0, atol=TOL)
 
 
+@pytest.mark.parametrize("modes", [(1, 2), (3, 1), None])
+def test_unitarity_residuals_are_the_reduced_channels_defects(synthetic, cavity_series_u03, modes):
+    bad = BogoliubovSeries(synthetic.G, synthetic.alpha1, 1.5 * synthetic.alpha2, synthetic.beta1, synthetic.beta2)
+    for series in (synthetic, bad, cavity_series_u03):
+        defects = series.reduced(range(1, series.n_max + 1) if modes is None else modes).defects
+        got = series.unitarity_residuals(modes)
+        assert got.shape == (2,) and got.tobytes() == defects.tobytes()
+
+
+def test_the_defects_are_read_only(synthetic):
+    defects = synthetic.unitarity_residuals((1, 2))
+    stacked = CavityChannel(n_max=8).reduced(GRID, [(1, 2)])[1, 2].defects
+    assert stacked.shape == (2, len(GRID))
+    for arr in (defects, stacked):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
 def test_perturbative_route_builds_no_full_matrix(monkeypatch, synthetic, cavity_series_u03):
     def refuse(self):
         raise AssertionError("the perturbative route formed a 2n x 2n matrix")

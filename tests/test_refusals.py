@@ -2,6 +2,8 @@
 CLI reaches it (exit 2 and one ``error:`` line), and through the library
 call otherwise."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from conftest import synthetic_unitary_series, vacuum_state
 from gaussfisher.cli import main
 from gaussfisher.fidelity import FidelityError, fidelity_one_mode, fidelity_two_mode
 from gaussfisher.qfi import negativity_first_order, probe_family, qfi_oracle
+from gaussfisher.sweeps import CavityChannel, SweepSpec, compare_methods
 
 
 @pytest.mark.parametrize(
@@ -23,6 +26,13 @@ from gaussfisher.qfi import negativity_first_order, probe_family, qfi_oracle
         *(([verb, "--nmax", "10", "--state", "two_mode_squeezed", "--state", "two_mode_squeezed"],
            "state family 'two_mode_squeezed' is requested more than once") for verb in ("sweep", "compare")),
         (["sweep", "--modes", "1,2,3"], "--modes expects 'k,k_prime'"),
+        # the last of a repeated key was read without a word
+        (["validate", "--nmax", "10", "--config", "h = 0.05\nh = 0.2"], "{config}:2: key 'h' is given more than once"),
+        # a repeated rung wrote its rows twice and counted twice in the slope fit
+        (["compare", "--nmax", "10", "--ladder", "0.02,0.04,0.08,0.02"], "ladder value 0.02 is given more than once"),
+        # a repeated method ran twice
+        (["sweep", "--nmax", "10", "--grid", "0.3", "--methods", "oracle,oracle"],
+         "method 'oracle' is requested more than once"),
         (["sweep", "--methods", ","], "at least one method must be requested"),
         (["sweep", "--channel", "component,m,n,re,im"], "channel file has no coefficient rows"),
         # the oracle's ladder fidelities are 0, 0 and 4.6e-89: H(d) = 2/d^2 at
@@ -48,6 +58,25 @@ def test_cli_refuses_in_one_line(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message.format(**files)}\n"
     assert not out.exists()
+
+
+def test_compare_refuses_a_repeated_ladder_value_after_too_few_distinct_ones():
+    spec, channel = SweepSpec(r=1.0, delta=0.0), CavityChannel(n_max=6)
+    with pytest.raises(ValueError, match="^compare needs at least two distinct h values on the ladder$"):
+        compare_methods(spec, channel, h_ladder=(0.02, 0.02))
+    with pytest.raises(ValueError, match="^ladder value 0.04 is given more than once$"):
+        compare_methods(spec, channel, h_ladder=np.array([0.02, 0.04, 0.08, 0.04]))
+
+
+@pytest.mark.parametrize("grid,value", [((0.3, math.nan), "nan"), ((math.inf, 0.3), "inf"), ((np.float64(-np.inf),), "-inf")])
+def test_a_sweep_spec_refuses_a_grid_value_that_is_not_finite(grid, value):
+    with pytest.raises(ValueError, match=f"^grid value {value} is not finite$"):
+        SweepSpec(grid=grid)
+
+
+def test_a_sweep_spec_refuses_a_repeated_method():
+    with pytest.raises(ValueError, match="^method 'perturbative' is requested more than once$"):
+        SweepSpec(methods=("perturbative", "oracle", "perturbative"))
 
 
 def test_covariance_orders_refuse_a_state_of_the_wrong_size():

@@ -630,13 +630,13 @@ def test_cli_validate_channel_checks_the_probed_window(capsys):
 
 def test_cli_input_table_names_fields_of_its_classes():
     """Each ``INPUTS`` row names a field of the class that reads it, and
-    every cavity channel field but its cache has a flag."""
+    every cavity channel field has a flag."""
     owners = {owner for owner, *_ in INPUTS.values()}
     assert owners == {CavityChannel, SweepSpec}
     for flag, (owner, keyword, *_) in INPUTS.items():
         assert keyword in {f.name for f in dataclasses.fields(owner)}, flag
     flagged = {keyword for owner, keyword, *_ in INPUTS.values() if owner is CavityChannel}
-    assert flagged == {f.name for f in dataclasses.fields(CavityChannel)} - {"cache"}
+    assert flagged == {f.name for f in dataclasses.fields(CavityChannel)}
 
 
 def test_cli_adds_no_defaults_of_its_own(capsys):
