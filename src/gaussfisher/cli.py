@@ -56,6 +56,7 @@ from .bogoliubov import series_from_csv
 from .cavity import QuadratureError, load_or_compute_overlap_series, series_cache_file
 from .sweeps import (
     FAMILIES,
+    H_LADDER,
     CavityChannel,
     ImportedChannel,
     SweepSpec,
@@ -70,7 +71,7 @@ from .sweeps import (
 #: (``--cache`` has none), type and help; a flag of two keys takes a comma list
 INPUTS = {
     "--h": (CavityChannel, "h", ("h",), float, "acceleration parameter h = aL/c^2"),
-    "--u": (CavityChannel, "u", ("u",), float, "duration parameter (default from config/scenario)"),
+    "--u": (CavityChannel, "u", ("u",), float, f"duration parameter (default {CavityChannel.u!r})"),
     "--nmax": (CavityChannel, "n_max", ("n_max",), int, "mode-ladder truncation"),
     "--cache": (CavityChannel, "cache", (), str, "directory for the cached fitted overlap series"),
     "--modes": (SweepSpec, "modes", ("k", "k_prime"), int, "probed modes as 'k,k_prime' (default %d,%d)" % SweepSpec.modes),
@@ -202,7 +203,7 @@ def _parser() -> argparse.ArgumentParser:
         "--channel": dict(help="CSV file with an imported channel series"),
         "--state": dict(action="append", choices=FAMILIES, help="probe family (repeatable; default: all three)"),
         "--methods": dict(help="comma list: perturbative,oracle"),
-        "--ladder": dict(help="comma list of h values (default: compare_methods')"),
+        "--ladder": dict(help=f"comma list of h values (default {','.join(map(repr, H_LADDER))})"),
     }
     for flag, (_, _, keys, kind, text) in INPUTS.items():
         options[flag] = dict(type=kind if len(keys) == 1 else str, help=text)

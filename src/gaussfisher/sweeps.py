@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import types
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -130,7 +131,11 @@ class CavityChannel:
         overlaps = taylor_overlaps(self.n_max)
         series = compose_one_segment(overlaps, self.u)
         diagonal = max(np.max(np.abs(np.diag(series.alpha1))), np.max(np.abs(np.diag(series.beta1))))
-        first, _ = series.unitarity_residuals(modes=modes)
+        # the dual-path check's probes reduce the probed modes once, and the
+        # first-order identity reads that same reduction
+        probes = SweepSpec(modes=modes, r=1.0, delta=0.0).probes()
+        reduced = _probed(series, probes)
+        first, _ = reduced[tuple(modes)].defects
         at_h = identity_residual(*series.evaluate(self.h), modes)
         # evaluated identity residual must shrink like h^3 on the probed modes
         hs = (0.02, 0.04, 0.08)
@@ -142,7 +147,7 @@ class CavityChannel:
                     np.max(np.abs(shifted.beta2 - series.beta2)))
         # dual-path agreement at the channel's point: the composed series is a
         # channel in theta = h on its own, so it is not composed again
-        report = compare_methods(SweepSpec(modes=modes, r=1.0, delta=0.0), ImportedChannel(series))
+        report = _compare(series, probes, reduced, H_LADDER)
         return [
             _check("composed series: diagonal first order", diagonal, 1e-8),
             _check("composed series: first-order identity (probed modes)", first, 1e-8),
@@ -285,7 +290,35 @@ class SweepRow(NamedTuple):
 SWEEP_COLUMNS = ("u", *SweepRow._fields[1:])
 
 
-def run_sweep(spec: SweepSpec, channel) -> list[SweepRow]:
+class SweepTable(Sequence):
+    """The rows of a sweep, held as columns: what :func:`run_sweep` returns
+    and :func:`rows_to_csv` writes.
+
+    ``grid`` is the list of grid values, and ``families`` holds for each
+    probe family its other cells in :class:`SweepRow` order, ``family`` to
+    ``truncation_residual``: a list is a column down the grid, and any other
+    value, ``None`` included, repeats at every grid point. One column object
+    may fill several cells. Rows are ordered by grid index, then family, and
+    each :class:`SweepRow` is built when it is read.
+    """
+
+    def __init__(self, grid: list, families: list):
+        self.grid, self.families = grid, families
+
+    def __len__(self) -> int:
+        return len(self.grid) * len(self.families)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(len(self))[index]]
+        i, j = divmod(range(len(self))[index], len(self.families))
+        return SweepRow(self.grid[i], *(cells[i] if type(cells) is list else cells for cells in self.families[j]))
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, SweepTable) else NotImplemented
+
+
+def run_sweep(spec: SweepSpec, channel) -> SweepTable:
     """Evaluate the requested methods on every grid point and family.
 
     The perturbative columns come from one pass over the whole grid: one
@@ -300,8 +333,10 @@ def run_sweep(spec: SweepSpec, channel) -> list[SweepRow]:
     there covers every family, on steps of ``|theta|`` over 10, 30 and 100;
     a theta of 0 is refused.
 
-    Rows are ordered by grid index, then family order, regardless of how the
-    work is executed; identical specs and channels give identical output.
+    The table's columns are the kernel's arrays as lists, or one value for a
+    column that repeats; the families on one mode set share its residual
+    column, which is also their truncation residual. Identical specs and
+    channels give identical rows, ordered by grid index, then family order.
     """
     k, k_prime = spec.modes
     channel.check_modes(spec.modes)
@@ -311,53 +346,60 @@ def run_sweep(spec: SweepSpec, channel) -> list[SweepRow]:
     mode_sets = [(k, k_prime)] + [modes for modes, _ in pairs if "perturbative" in spec.methods]
     reduced = channel.reduced(grid, dict.fromkeys(mode_sets))
 
-    def down_the_grid(values) -> list:
-        # one value per grid point from a stack, or one value for all of them
-        values = np.asarray(values)
-        return values.tolist() if values.ndim else [values.item()] * len(grid)
+    def down_the_grid(values):
+        # a stack's values as a list, or a single channel's one value for all of the grid
+        return np.asarray(values).tolist()
 
     negativity = down_the_grid(negativity_first_order(reduced[k, k_prime]))
-    perturbative = [[(None,) * 4] * len(grid)] * len(probes)
+    perturbative = [(None,) * 4] * len(probes)
     if "perturbative" in spec.methods:
-        perturbative = [list(zip(*map(down_the_grid, (res.value, res.e2, res.c2, res.residual))))
-                        for res in qfi_perturbative([(reduced[modes], state) for modes, state in pairs])]
+        residuals = {modes: down_the_grid(reduced[modes].residual) for modes in dict.fromkeys(mode_sets[1:])}
+        perturbative = [(*map(down_the_grid, (res.value, res.e2, res.c2)), residuals[modes])
+                        for (modes, _), res in zip(pairs, qfi_perturbative([(reduced[m], s) for m, s in pairs]))]
 
-    points = channel.oracle_points(grid, pairs) if "oracle" in spec.methods else [None] * len(grid)
-    rows = []
-    for i, (g, point) in enumerate(zip(grid, points)):
-        oracle = [(None, None)] * len(probes)
-        if point is not None:
-            family, theta = point
+    oracle = [(None, None)] * len(probes)
+    if "oracle" in spec.methods:
+        at_points = []
+        for g, (family, theta) in zip(grid, channel.oracle_points(grid, pairs)):
             if theta == 0.0:
                 raise ValueError(f"the oracle cannot run at grid value {g!r}: theta is 0 there, "
                                  "and its finite-difference steps scale with |theta|")
             step = abs(theta)
-            results = qfi_oracle(family, theta, steps=(step / 10.0, step / 30.0, step / 100.0))
-            oracle = [(res.value, res.residual) for res in results]
-        for (family, r, delta, _, _), columns, (orc, res_o) in zip(probes, perturbative, oracle):
-            pert, e2, c2, res_p = columns[i]
-            trunc = res_o if res_p is None else res_p
-            rows.append(SweepRow(g, family, r, delta, pert, e2, c2, res_p, orc, res_o, negativity[i], trunc))
-    return rows
+            at_points.append(qfi_oracle(family, theta, steps=(step / 10.0, step / 30.0, step / 100.0)))
+        oracle = [([res.value for res in column], [res.residual for res in column]) for column in zip(*at_points)]
+
+    families = [(family, r, delta, pert, e2, c2, res_p, orc, res_o, negativity, res_o if res_p is None else res_p)
+                for (family, r, delta, _, _), (pert, e2, c2, res_p), (orc, res_o) in zip(probes, perturbative, oracle)]
+    return SweepTable(list(grid), families)
 
 
-def rows_to_csv(rows) -> str:
-    """Render sweep rows as CSV: each number as ``repr(float(v))`` at full
+def _text(cells):
+    """A cell's CSV text: ``repr(float(v))`` for a number, empty for
+    ``None``, a string as it is; for a list of numbers, the list of their
+    texts, from one ``repr`` of the list split on ``", "``: ``list.__repr__``
+    calls ``float.__repr__``, and no float's repr holds ``", "``."""
+    if type(cells) is list:
+        return repr(list(map(float, cells)))[1:-1].split(", ") if cells else []
+    return "" if cells is None else cells if isinstance(cells, str) else repr(float(cells))
+
+
+def rows_to_csv(table: SweepTable) -> str:
+    """Render a sweep table as CSV: each number as ``repr(float(v))`` at full
     precision, ``None`` as an empty cell, strings as they are, LF endings.
 
-    A sweep repeats its grid values, negativities and probe parameters down
-    the families, so each distinct cell object is formatted once per call.
-    That memo is keyed on identity, not on value: ``-0.0 == 0.0`` with equal
-    hashes, yet they print apart. ``cells`` keeps every cell alive for the
-    call, so no two of them share an identity.
+    A sweep repeats its grid, negativities, residuals and probe parameters
+    down the families, so each distinct column object is formatted once per
+    call, by :func:`_text`. That memo is keyed on identity, not on value:
+    ``-0.0 == 0.0`` with equal hashes, yet they print apart. The table keeps
+    every column alive for the call, so no two of them share an identity.
     """
-    cells = list(itertools.chain.from_iterable(rows))
-    ids = list(map(id, cells))
-    text = {key: "" if v is None else v if isinstance(v, str) else repr(float(v))
-            for key, v in dict(zip(ids, cells)).items()}
-    lines = [",".join(SWEEP_COLUMNS)]
-    lines += map(",".join, zip(*[map(text.__getitem__, ids)] * len(SWEEP_COLUMNS)))
-    return "\n".join(lines) + "\n"
+    columns = [table.grid, *itertools.chain.from_iterable(table.families)]
+    texts = {key: _text(cells) for key, cells in dict(zip(map(id, columns), columns)).items()}
+    runs = []  # each family's lines down the grid
+    for family in table.families:
+        row = [texts[id(cells)] for cells in (table.grid, *family)]
+        runs.append(map(",".join, zip(*(text if type(text) is list else itertools.repeat(text) for text in row))))
+    return "\n".join([",".join(SWEEP_COLUMNS), *itertools.chain.from_iterable(zip(*runs))]) + "\n"
 
 
 @dataclass(frozen=True)
@@ -379,7 +421,11 @@ class ComparisonReport:
         return all(s >= 0.8 for s in self.slopes.values())
 
 
-def compare_methods(spec: SweepSpec, channel, h_ladder=(0.02, 0.04, 0.08)) -> ComparisonReport:
+#: the acceleration ladder that :func:`compare_methods` reads by default
+H_LADDER = (0.02, 0.04, 0.08)
+
+
+def compare_methods(spec: SweepSpec, channel, h_ladder=H_LADDER) -> ComparisonReport:
     """Perturbative vs oracle on an acceleration ladder, per family.
 
     The channel's series is ``channel.orders()``: the cavity's at its
@@ -397,8 +443,18 @@ def compare_methods(spec: SweepSpec, channel, h_ladder=(0.02, 0.04, 0.08)) -> Co
     channel.check_modes(spec.modes)
     probes = spec.probes()  # refuses a probe it cannot build before the channel is read
     series = channel.orders()
+    return _compare(series, probes, _probed(series, probes), h_ladder)
+
+
+def _probed(series: BogoliubovSeries, probes) -> dict:
+    """``{modes: series.reduced(modes)}`` for each distinct mode set of ``probes``."""
+    return {modes: series.reduced(modes) for modes in dict.fromkeys(tuple(modes) for *_, modes in probes)}
+
+
+def _compare(series: BogoliubovSeries, probes, reduced: dict, h_ladder) -> ComparisonReport:
+    """:func:`compare_methods`' report on ``series`` for ``probes``, with
+    ``reduced`` the :func:`_probed` channels they read."""
     pairs = [(tuple(modes), state) for *_, state, modes in probes]
-    reduced = {modes: series.reduced(modes) for modes in dict.fromkeys(modes for modes, _ in pairs)}
     perts = [result.value for result in qfi_perturbative([(reduced[modes], state) for modes, state in pairs])]
     states_at = probe_family(series, pairs)
     # one oracle call per rung, read by every family

@@ -19,7 +19,7 @@ from conftest import synthetic_unitary_series
 from gaussfisher import bogoliubov, cavity, sweeps
 from gaussfisher.cli import ELEMENT_BUDGET, main
 from gaussfisher.qfi import probe_state, qfi_perturbative
-from gaussfisher.sweeps import FAMILIES, CavityChannel, ImportedChannel, SweepSpec, compare_methods, run_sweep
+from gaussfisher.sweeps import FAMILIES, CavityChannel, ImportedChannel, SweepSpec, compare_methods, run_sweep, validate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GRID = (0.0, 0.3, 0.71)
@@ -159,6 +159,15 @@ def test_compare_reduces_each_distinct_mode_set_once(monkeypatch):
     compare_methods(SweepSpec(r=1.0, delta=0.0), CavityChannel(n_max=6))
     # the two two-mode families share (1, 2)
     assert reduced == [(1,), (1, 2)]
+
+
+def test_validate_reduces_each_mode_set_once(monkeypatch):
+    real = bogoliubov._reduce
+    reduced = []
+    monkeypatch.setattr(bogoliubov, "_reduce", lambda *args: reduced.append(args[-2]) or real(*args))
+    report = validate(CavityChannel(n_max=10))
+    # the first-order identity reads the (1, 2) reduction of the dual-path probes
+    assert reduced == [(1,), (1, 2)] and report.passed
 
 
 def test_the_sweep_reads_the_negativity_off_the_k_k_prime_reduced_channel(monkeypatch):

@@ -23,7 +23,7 @@ IN_THEIR_MODULES = {
     "fidelity": ("FidelityError", "fidelity_one_mode", "fidelity_two_mode"),
     "cavity": ("OverlapSeries", "QuadratureError", "RindlerOverlaps", "compose_one_segment", "mode_phases",
                "perturbative_overlaps", "rindler_overlaps"),
-    "sweeps": ("ComparisonReport", "SweepRow", "ValidationReport"),
+    "sweeps": ("ComparisonReport", "SweepRow", "SweepTable", "ValidationReport"),
 }
 
 

@@ -3,7 +3,7 @@
 The reference evaluates each probe family on its own with
 ``qfi_perturbative`` and formats each CSV cell on its own with
 ``conftest.reference_rows_to_csv``. The CLI groups the families by their
-probed modes and formats each distinct value once; neither may change a
+probed modes and formats each distinct column once; neither may change a
 byte, an exit code or an error message.
 """
 
@@ -16,9 +16,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_rows_to_csv
-from gaussfisher import cli
-from gaussfisher.qfi import negativity_first_order, probe_family, qfi_oracle, qfi_perturbative
-from gaussfisher.sweeps import SWEEP_COLUMNS, ComparisonReport, ComparisonRow, SweepRow, rows_to_csv
+from gaussfisher import cli, sweeps
+from gaussfisher.bogoliubov import series_from_csv
+from gaussfisher.qfi import FAMILIES, negativity_first_order, probe_family, qfi_oracle, qfi_perturbative
+from gaussfisher.sweeps import (
+    SWEEP_COLUMNS,
+    CavityChannel,
+    ComparisonReport,
+    ComparisonRow,
+    ImportedChannel,
+    SweepSpec,
+    SweepTable,
+    rows_to_csv,
+    run_sweep,
+)
 
 CHANNEL = Path(__file__).resolve().parent / "data" / "channel_cavity_nmax8_u0.3.csv"
 
@@ -110,32 +121,76 @@ def test_cli_output_matches_the_per_family_reference(capsys, monkeypatch, case):
         assert "\n-0.0,single_squeezed_displaced," in got[1]
 
 
-SPECIAL = (0.0, -0.0, math.nan, math.inf, -math.inf, None, "two_mode_squeezed")
-cell_objects = st.one_of(
-    st.sampled_from(SPECIAL),
+EDGES = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+         # where repr switches to exponent form, and the floats just inside it
+         1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05)
+numbers = st.one_of(
+    st.sampled_from(EDGES),
     st.floats(allow_nan=True, allow_infinity=True),
     st.floats(width=32).map(np.float64),
-    st.sampled_from((-0.0, 0.0, 1.5)).map(np.float64),
-    st.text(alphabet="abc_", min_size=1, max_size=4),
+    st.sampled_from(EDGES).map(np.float64),
 )
+scalars = st.one_of(numbers, st.none(), st.text(alphabet="abc_", min_size=1, max_size=4))
 
 
 @st.composite
-def sweep_rows(draw):
-    """Rows whose cells are drawn from one small pool of objects, so the
-    same object fills several cells; a column is ``None`` throughout when
-    drawn so."""
-    pool = draw(st.lists(cell_objects, min_size=1, max_size=8))
-    n_rows = draw(st.integers(0, 6))
-    empty = draw(st.sets(st.integers(0, len(SWEEP_COLUMNS) - 1)))
-    return [tuple(None if c in empty else pool[draw(st.integers(0, len(pool) - 1))]
-                  for c in range(len(SWEEP_COLUMNS))) for _ in range(n_rows)]
+def sweep_tables(draw):
+    """Tables whose cells come from one small pool of column objects, the
+    grid among them, so one list or value fills several cells: a list is a
+    column down the grid, any other object repeats there."""
+    n_grid = draw(st.integers(0, 5))
+    columns = st.lists(numbers, min_size=n_grid, max_size=n_grid)
+    grid = draw(columns)
+    pool = [grid, *draw(st.lists(st.one_of(scalars, columns), min_size=1, max_size=8))]
+    cells = st.sampled_from(pool)
+    width = len(SWEEP_COLUMNS) - 1
+    return SweepTable(grid, [tuple(draw(cells) for _ in range(width)) for _ in range(draw(st.integers(0, 4)))])
+
+
+EDGE_COLUMN = [*EDGES, np.float64(-0.0), np.float64(1e16), np.float64(9.999999999999999e-05)]
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=sweep_rows())
-@example(rows=[(0.0,) * 12, (-0.0,) * 12, (np.float64(-0.0),) * 12, (np.float64(0.0),) * 12])
-@example(rows=[(0.0, "f", -0.0, None, math.nan, math.inf, -math.inf, np.float64(2.5), 1e-300, -1e300, 0.1, 0.0)] * 3)
-def test_rows_to_csv_matches_the_per_cell_reference(rows):
-    assert rows_to_csv([SweepRow(*row) for row in rows]) == reference_rows_to_csv(rows)
+@given(table=sweep_tables())
+@example(table=SweepTable([0.0, -0.0], [(0.0,) * 11, (-0.0,) * 11, (np.float64(-0.0),) * 11, (np.float64(0.0),) * 11]))
+# every method column empty but the perturbative value, which is the grid
+@example(table=SweepTable(EDGE_COLUMN, [("f", np.float64(2.5), -0.0, EDGE_COLUMN, EDGE_COLUMN[::-1], None, None,
+                                         None, None, 1e-300, EDGE_COLUMN)] * 2))
+def test_rows_to_csv_matches_the_per_cell_reference(table):
+    rows = list(table)
+    assert len(rows) == len(table.grid) * len(table.families)
+    assert rows_to_csv(table) == reference_rows_to_csv(rows)
 
+
+def formatted(monkeypatch) -> list:
+    """The cell objects ``rows_to_csv`` formats, in order, from now on."""
+    calls = []
+    real = sweeps._text
+    monkeypatch.setattr(sweeps, "_text", lambda cells: calls.append(cells) or real(cells))
+    return calls
+
+
+def test_a_default_sweep_formats_one_residual_column_per_probed_mode_set(monkeypatch):
+    table = run_sweep(SweepSpec(), CavityChannel(n_max=60))
+    calls = formatted(monkeypatch)
+    assert rows_to_csv(table) == reference_rows_to_csv(table)
+    # (1,) for the single-mode probe and (1, 2) for both two-mode ones, each
+    # also the truncation residual of its families
+    assert len({id(cells[6]) for cells in table.families}) == 2
+    assert all(cells[10] is cells[6] for cells in table.families)
+    # the grid, the negativity, each family's value, e2 and c2, and the two residuals
+    assert sum(type(cells) is list for cells in calls) == 1 + 1 + 3 * len(FAMILIES) + 2
+    assert len(set(map(id, calls))) == len(calls)
+
+
+def test_an_imported_channel_formats_each_repeated_value_once(monkeypatch):
+    table = run_sweep(SweepSpec(), ImportedChannel(series_from_csv(CHANNEL.read_text(encoding="utf-8"))))
+    calls = formatted(monkeypatch)
+    text = rows_to_csv(table)
+    assert text == reference_rows_to_csv(table)
+    negativity = table.families[0][9]
+    assert text.count(f",{negativity!r},") == len(table) == 101 * len(FAMILIES)
+    # the grid is the one column down it; every other cell repeats one value
+    assert [cells for cells in calls if type(cells) is list] == [table.grid]
+    assert [cells for cells in calls if cells is negativity] == [negativity]
+    assert len(set(map(id, calls))) == len(calls)
